@@ -28,6 +28,9 @@ from .readiness import FeatureSeries
 
 BRUTE_FORCE_MAX_N = 512
 
+# Rows of the distance matrix silhouette_score holds at once.
+_SILHOUETTE_ROWS = 256
+
 # Guard band on the pruning inequality: a candidate within this margin of
 # optimal is kept, so rounding noise can never prune a candidate the
 # unpruned DP would pick. Costs this close are ties for every practical
@@ -293,11 +296,17 @@ def kmeans_assign(model: KMeansModel, vector) -> int:
 
 
 def silhouette_score(vectors, labels) -> float:
-    """Mean silhouette in [-1, 1].
+    """Mean silhouette in [-1, 1] (Rousseeuw 1987).
 
     s_i = (b_i - a_i) / max(a_i, b_i) with a_i the mean intra-cluster
     distance and b_i the lowest mean distance to another cluster; singleton
     clusters score 0, as does a degenerate single-cluster labeling.
+
+    The distance matrix is built _SILHOUETTE_ROWS rows at a time, so memory
+    is O(rows * n) rather than O(n^2). Each per-cluster row sum is taken over
+    a contiguous copy of the members' distances in index order, the same
+    reduction as summing one row's masked entries, so the score is
+    bit-identical to a per-point loop over the full matrix.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
@@ -308,22 +317,28 @@ def silhouette_score(vectors, labels) -> float:
     lab = np.asarray(labels)
     if lab.shape[0] != n:
         raise LengthMismatch(f"{lab.shape[0]} labels for {n} points")
-    clusters = np.unique(lab)
+    clusters, inverse = np.unique(lab, return_inverse=True)
     if clusters.size == 1:
         return 0.0
 
-    dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    members = [np.flatnonzero(inverse == j) for j in range(clusters.size)]
+    sizes = np.array([m.size for m in members])
     scores = np.zeros(n)
-    masks = {c: lab == c for c in clusters}
-    sizes = {c: int(masks[c].sum()) for c in clusters}
-    for i in range(n):
-        own = lab[i]
-        if sizes[own] == 1:
-            continue  # singleton: s_i = 0
-        a = dist[i, masks[own]].sum() / (sizes[own] - 1)
-        b = min(dist[i, masks[c]].mean() for c in clusters if c != own)
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    for lo in range(0, n, _SILHOUETTE_ROWS):
+        hi = min(lo + _SILHOUETTE_ROWS, n)
+        rows = np.arange(hi - lo)
+        own = inverse[lo:hi]
+        dist = np.sqrt(((x[lo:hi, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        sums = np.stack([dist.take(m, axis=1).sum(axis=1) for m in members], axis=1)
+        # a singleton's a_i is never used (s_i = 0); dividing by 1 avoids 0/0
+        a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
+        means = sums / sizes
+        means[rows, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        block = np.divide(b - a, denom, out=np.zeros(hi - lo), where=denom > 0)
+        block[sizes[own] == 1] = 0.0
+        scores[lo:hi] = block
     return float(scores.mean())
 
 

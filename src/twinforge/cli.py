@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .analytics import kmeans_assign, kmeans_fit
-from .archive import Archive, WindowQuery
+from .archive import Archive
 from .errors import InvalidSpec, MalformedLine, NoData, TwinForgeError, UnknownAsset
 from .orchestrator import (
     DEFAULT_GRID,
@@ -121,10 +121,10 @@ def _ingest(trace_path):
     return runtime, archive
 
 
-def _report_payload(report, machine: str, seed: int, threshold: float, per_sample_ns: int):
+def _report_payload(report, machine: str, seed: int, threshold: float):
     replicas = []
     for r in report.results:
-        block_ns = r.hyperparams.block_size * per_sample_ns
+        block_ns = r.hyperparams.block_size * report.per_sample_ns
         anomaly_count = len(
             flag_anomalies(records_for(r, block_ns), threshold, machine=machine)
         )
@@ -186,18 +186,7 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    accel_entries = archive.query_window(
-        WindowQuery(
-            asset_id=args.machine,
-            t_start=time_range[0],
-            t_end=time_range[1],
-            channels=frozenset([ACCEL_CHANNELS[0]]),
-        )
-    )
-    ts_x = [e.sample.ts for e in accel_entries]
-    per_sample_ns = (ts_x[-1] - ts_x[0]) // (len(ts_x) - 1) if len(ts_x) > 1 else 0
-
-    payload = _report_payload(report, args.machine, args.seed, args.threshold, per_sample_ns)
+    payload = _report_payload(report, args.machine, args.seed, args.threshold)
     (out / "report.json").write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )

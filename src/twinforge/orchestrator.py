@@ -3,19 +3,16 @@ replicas against an immutable window of archived data, version and rank their
 outputs, flag rare-cluster segments as anomalies, and feed augmentation
 events back into the twin.
 
-Replicas share no mutable state, so they can run on any number of workers;
-ranking re-sorts deterministically, making parallel and sequential execution
-indistinguishable.
+A sweep is a memoized stage graph: each stage reads only part of the
+hyperparameters, so with one memo per sweep every stage runs once per
+distinct input while each replica keeps its own version and result.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -85,7 +82,6 @@ class ReplicaResult:
     labels: np.ndarray
     silhouette: float
     segment_count: int
-    wall_time: float
     features: FeatureSeries
     segments: tuple[SegmentSummary, ...]
     window_start_ts: int
@@ -107,6 +103,7 @@ class BenchmarkReport:
     results: tuple[ReplicaResult, ...]
     selected: str
     ranking_rule_applied: str = RANKING_RULE
+    per_sample_ns: int = 0  # nominal accel sample spacing of the window
 
 
 @dataclass(frozen=True)
@@ -166,23 +163,45 @@ def _axis_series(window: Sequence[TelemetrySample]):
 
 
 def run_replica(
-    window: Sequence[TelemetrySample], hp: HyperParams, seed: int, seq: int = 1
+    window: Sequence[TelemetrySample],
+    hp: HyperParams,
+    seed: int,
+    seq: int = 1,
+    memo: Optional[dict] = None,
 ) -> ReplicaResult:
     """One pipeline replica over an immutable window: readiness ->
-    segmentation -> clustering -> segment stats -> silhouette.
+    segmentation -> clustering + silhouette -> segment stats.
 
     Deterministic given (window, hp, seed); any stage error is re-raised
     annotated with the replica version.
+
+    memo is a dict shared by the replicas of one sweep (same window, same
+    seed). A stage runs only on a miss: the axis split once, readiness per
+    (block_size, readiness), PELT per that plus penalty, k-means and
+    silhouette per that plus k. Keys are canonical JSON, so 50 and 50.0 stay
+    apart. Without a memo every stage runs. Replicas of one sweep share
+    these stage results, so their arrays must not be modified in place.
     """
     version = f"v{seq}-{hp.digest()}"
-    started = time.perf_counter()
+    memo = {} if memo is None else memo
+
+    def stage(name, compute, *inputs):
+        key = (name, json.dumps([hp.block_size, dict(hp.readiness), *inputs], sort_keys=True))
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     try:
-        x, y, z, ts = _axis_series(window)
-        features = run_readiness(x, y, z, hp.readiness_config())
-        segmentation = pelt_segment(features, PeltConfig(penalty=hp.penalty))
-        model = kmeans_fit(features.peaks, hp.k, seed)
+        if "axes" not in memo:
+            memo["axes"] = _axis_series(window)
+        x, y, z, ts = memo["axes"]
+        features = stage("readiness", lambda: run_readiness(x, y, z, hp.readiness_config()))
+        segmentation = stage(
+            "pelt", lambda: pelt_segment(features, PeltConfig(penalty=hp.penalty)), hp.penalty
+        )
+        model = stage("kmeans", lambda: kmeans_fit(features.peaks, hp.k, seed), hp.k)
+        score = stage("silhouette", lambda: silhouette_score(features.peaks, model.labels), hp.k)
         summaries = segment_features(features, segmentation, model.labels)
-        score = silhouette_score(features.peaks, model.labels)
     except TwinForgeError as exc:
         raise type(exc)(f"{version}: {exc}") from exc
     return ReplicaResult(
@@ -192,7 +211,6 @@ def run_replica(
         labels=model.labels,
         silhouette=score,
         segment_count=len(segmentation.segments),
-        wall_time=time.perf_counter() - started,
         features=features,
         segments=tuple(summaries),
         window_start_ts=ts[0],
@@ -283,14 +301,6 @@ class SuppressedEvent:
     anomaly: AnomalyEvent
 
 
-def worker_count(n_tasks: int, max_workers: Optional[int] = None) -> int:
-    """Worker cap: explicit argument, else TWINFORGE_THREADS, else 4."""
-    if max_workers is None:
-        env = os.environ.get("TWINFORGE_THREADS")
-        max_workers = int(env) if env else 4
-    return max(1, min(max_workers, n_tasks))
-
-
 def records_for(result: ReplicaResult, block_ns: int) -> list[SegmentRecord]:
     """Materialize a replica's segment summaries as archive records.
 
@@ -320,15 +330,14 @@ def zeroconf_run(
     rarity_threshold: float = DEFAULT_RARITY_THRESHOLD,
     twin: Optional[TwinInstance] = None,
     seed: int = 42,
-    max_workers: Optional[int] = None,
 ) -> tuple[BenchmarkReport, Timeline, list[AnomalyEvent]]:
     """End-to-end ZeroConf pipeline over one machine's archived window.
 
-    Queries the window, sweeps the default replica grid, ranks by silhouette,
-    records the winner's segment statistics back to the archive (idempotent
-    on rerun), flags rare-cluster anomalies, assembles the timeline, and
-    emits augmentation events to the twin when one is attached. The raw
-    sample log is never touched.
+    Queries the window, sweeps the default replica grid with one stage memo,
+    ranks by silhouette, records the winner's segment statistics back to the
+    archive (idempotent on rerun), flags rare-cluster anomalies, assembles
+    the timeline, and emits augmentation events to the twin when one is
+    attached. The raw sample log is never touched.
     """
     query = WindowQuery(
         asset_id=machine,
@@ -342,23 +351,14 @@ def zeroconf_run(
     window = [e.sample for e in entries]
 
     hps = spawn_replica_grid(grid if grid is not None else DEFAULT_GRID)
-    workers = worker_count(len(hps), max_workers)
-    if workers == 1:
-        results = [run_replica(window, hp, seed, seq=i + 1) for i, hp in enumerate(hps)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_replica, window, hp, seed, i + 1)
-                for i, hp in enumerate(hps)
-            ]
-            results = [f.result() for f in futures]
-
-    report = rank_replicas(results)
-    winner = report.results[0]
+    memo: dict = {}
+    results = [run_replica(window, hp, seed, i + 1, memo) for i, hp in enumerate(hps)]
 
     # nominal sample spacing, for reproducible record timestamps
-    ts_x = [s.ts for s in window if s.channel is ACCEL_CHANNELS[0]]
+    ts_x = memo["axes"][3]
     per_sample_ns = (ts_x[-1] - ts_x[0]) // (len(ts_x) - 1) if len(ts_x) > 1 else 0
+    report = replace(rank_replicas(results), per_sample_ns=per_sample_ns)
+    winner = report.results[0]
     block_ns = winner.hyperparams.block_size * per_sample_ns
     records = records_for(winner, block_ns)
     if winner.replica_version not in archive.replica_versions():
@@ -366,9 +366,7 @@ def zeroconf_run(
             archive.record_segment_stats(record)
 
     anomalies = flag_anomalies(records, rarity_threshold, machine=machine)
-    timeline = build_timeline(
-        winner.features, winner.segmentation, winner.labels, anomalies
-    )
+    timeline = build_timeline(winner.features, winner.segmentation, winner.labels, anomalies)
     if twin is not None:
         for anomaly in anomalies:
             emit_augmentation_event(twin, anomaly)

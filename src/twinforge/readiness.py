@@ -53,12 +53,6 @@ class FeatureSeries:
     def __len__(self) -> int:
         return self.peaks.shape[0]
 
-    @property
-    def blocks(self) -> list[tuple[int, tuple[float, float, float], tuple[int, int]]]:
-        return [
-            (i, tuple(self.peaks[i]), self.spans[i]) for i in range(len(self))
-        ]
-
 
 def detect_outliers(series, sigma_threshold: float = 7.0) -> np.ndarray:
     """Mask of points strictly beyond sigma_threshold population deviations.

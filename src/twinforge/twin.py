@@ -76,7 +76,6 @@ class TwinState:
     properties: Mapping[str, tuple[Any, int]]
     events: tuple[DigitalEvent, ...]
     relationships: Mapping[str, str]
-    actions: Mapping[str, Any]
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,6 @@ class TwinInstance:
         self._properties: dict[str, tuple[Any, int]] = {}
         self._events: list[DigitalEvent] = []
         self._relationships: dict[str, str] = dict(relationships or {})
-        self._actions: dict[str, Any] = {}
 
     @property
     def phase(self) -> LifecyclePhase:
@@ -219,13 +217,12 @@ class TwinInstance:
             return None
 
     def snapshot_state(self) -> TwinState:
-        """Consistent immutable copy of properties/events/relationships/actions."""
+        """Consistent immutable copy of properties/events/relationships."""
         with self._lock:
             return TwinState(
                 properties=dict(self._properties),
                 events=tuple(self._events),
                 relationships=dict(self._relationships),
-                actions=dict(self._actions),
             )
 
 

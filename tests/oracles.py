@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 import twinforge.rng as rng
+from twinforge.errors import LengthMismatch, TooFewPoints
 
 
 def naive_silhouette(x, labels):
@@ -25,6 +26,38 @@ def naive_silhouette(x, labels):
             b = min(b, sum(math.dist(x[i], x[j]) for j in members) / len(members))
         scores.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
     return sum(scores) / n
+
+
+def reference_silhouette_loop(vectors, labels) -> float:
+    """Per-point silhouette loop over a full n x n distance matrix, kept
+    verbatim from the library's original implementation. The row-blocked
+    silhouette_score must equal it bit for bit."""
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[0]
+    if n < 2:
+        raise TooFewPoints("silhouette needs at least 2 points")
+    lab = np.asarray(labels)
+    if lab.shape[0] != n:
+        raise LengthMismatch(f"{lab.shape[0]} labels for {n} points")
+    clusters = np.unique(lab)
+    if clusters.size == 1:
+        return 0.0
+
+    dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    scores = np.zeros(n)
+    masks = {c: lab == c for c in clusters}
+    sizes = {c: int(masks[c].sum()) for c in clusters}
+    for i in range(n):
+        own = lab[i]
+        if sizes[own] == 1:
+            continue  # singleton: s_i = 0
+        a = dist[i, masks[own]].sum() / (sizes[own] - 1)
+        b = min(dist[i, masks[c]].mean() for c in clusters if c != own)
+        denom = max(a, b)
+        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    return float(scores.mean())
 
 
 def random_step_series(seed, max_n=128, max_d=3):

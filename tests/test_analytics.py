@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import naive_silhouette, random_step_series
+from oracles import naive_silhouette, random_step_series, reference_silhouette_loop
 
 import twinforge.rng as rng
 from twinforge.analytics import (
@@ -231,6 +232,53 @@ class TestSilhouette:
         got = silhouette_score(x, labels)
         want = naive_silhouette(x.tolist(), labels.tolist())
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def labelled_points(seed, n, d, k, skew=1.0):
+    """n points in d dims with k-cluster labels; skew > 1 makes sizes uneven."""
+    key = rng.stream_key(seed, "sil-blocks")
+    u = rng.uniforms(key, np.arange(n * d + n, dtype=np.uint64))
+    x = (u[: n * d].reshape(n, d) - 0.5) * 10
+    labels = (u[n * d :] ** skew * k).astype(int)
+    return x, labels
+
+
+class TestSilhouetteRowBlocks:
+    """The row-blocked score must equal the original per-point loop exactly
+    (==, not approx): report.json carries silhouettes byte for byte."""
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 2401])
+    def test_equals_per_point_loop(self, n):
+        x, labels = labelled_points(n, n, 3, k=min(4, n))
+        assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels)
+
+    def test_uneven_clusters_with_singleton(self):
+        x, labels = labelled_points(7, 2401, 3, k=5, skew=3.0)
+        labels[1234] = 9  # a singleton cluster
+        sizes = np.bincount(labels)
+        assert sizes[9] == 1 and sizes[0] > 5 * sizes[4] > 0
+        assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels)
+
+    def test_one_dimensional_and_string_labels(self):
+        x, labels = labelled_points(8, 600, 1, k=3)
+        names = np.array(["idle", "active", "failure"])[labels]
+        assert silhouette_score(x[:, 0], names) == reference_silhouette_loop(x[:, 0], names)
+
+    def test_single_cluster_labelling(self):
+        x, _ = labelled_points(9, 2401, 3, k=1)
+        labels = np.full(2401, 3)
+        assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels) == 0.0
+
+    def test_memory_stays_in_row_blocks(self):
+        x, labels = labelled_points(10, 2400, 3, k=4)
+        tracemalloc.start()
+        try:
+            silhouette_score(x, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full n x n x 3 broadcast alone would be 132 MiB
+        assert peak < 48 * 2**20
 
 
 class TestSegmentFeatures:

@@ -124,6 +124,15 @@ class TestRun:
         for name in ("report.json", "timeline.csv", "anomalies.json"):
             assert (out2 / name).read_bytes() == (run_dir / name).read_bytes(), name
 
+    def test_threads_env_is_ignored(self, sim_dir, run_dir, tmp_path, monkeypatch):
+        # the sweep has no worker pool; a non-integer value once crashed it
+        monkeypatch.setenv("TWINFORGE_THREADS", "abc")
+        out2 = tmp_path / "threads"
+        assert run_cli("run", str(sim_dir / "trace.jsonl"), "--machine", "m1",
+                       "--out", str(out2)) == 0
+        for name in ("report.json", "timeline.csv", "anomalies.json"):
+            assert (out2 / name).read_bytes() == (run_dir / name).read_bytes(), name
+
     def test_grid_override(self, sim_dir, tmp_path):
         out = tmp_path / "small"
         code = run_cli("run", str(sim_dir / "trace.jsonl"), "--machine", "m1",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twinforge.archive import SegmentRecord, SegmentStats
+from twinforge import orchestrator
+from twinforge.archive import SegmentRecord, SegmentStats, WindowQuery
 from twinforge.errors import (
     AxisLengthMismatch,
     EmptyGrid,
@@ -18,12 +19,13 @@ from twinforge.orchestrator import (
     emit_augmentation_event,
     flag_anomalies,
     rank_replicas,
+    records_for,
     run_replica,
     spawn_replica_grid,
     zeroconf_run,
 )
 from twinforge.twin import LifecycleEvent, TwinInstance
-from twinforge.wire import Channel, encode_sample
+from twinforge.wire import ACCEL_CHANNELS, Channel, encode_sample
 
 
 def anomaly(segment_index=0, block_range=(0, 3), rarity=0.03):
@@ -317,23 +319,53 @@ class TestZeroconf:
         assert r1[2] == r2[2]
         assert archive.segments_for(r2[0].selected) == records_1
 
-    def test_parallel_equals_sequential(self, small_run):
+    def test_memoized_sweep_equals_independent_replicas(self, small_run):
         _, _, _, archive = small_run
-        kwargs = dict(grid={"penalty": [10, 40, 160], "k": [2, 3]}, seed=7)
-        seq_report, seq_tl, seq_an = zeroconf_run(
-            archive, "m1", (0, 10**18), max_workers=1, **kwargs
+        grid = {"penalty": [10, 40, 160], "k": [2, 3], "block_size": [25, 50]}
+        report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18), grid=grid, seed=7)
+
+        query = WindowQuery("m1", 0, 10**18, channels=frozenset(ACCEL_CHANNELS))
+        window = [e.sample for e in archive.query_window(query)]
+        expected = rank_replicas(
+            [run_replica(window, hp, 7, seq=i + 1) for i, hp in enumerate(spawn_replica_grid(grid))]
         )
-        par_report, par_tl, par_an = zeroconf_run(
-            archive, "m1", (0, 10**18), max_workers=4, **kwargs
+        assert len(report.results) == len(expected.results) == 12
+        for got, want in zip(report.results, expected.results):
+            assert got.replica_version == want.replica_version
+            assert got.silhouette == want.silhouette
+            assert got.segmentation == want.segmentation
+            assert np.array_equal(got.labels, want.labels)
+            assert got.segments == want.segments
+
+        ts_x = [s.ts for s in window if s.channel is ACCEL_CHANNELS[0]]
+        per_sample_ns = (ts_x[-1] - ts_x[0]) // (len(ts_x) - 1)
+        assert report.per_sample_ns == per_sample_ns
+        winner = expected.results[0]
+        records = records_for(winner, winner.hyperparams.block_size * per_sample_ns)
+        want_anomalies = flag_anomalies(records, machine="m1")
+        assert anomalies == want_anomalies
+        assert timeline == build_timeline(
+            winner.features, winner.segmentation, winner.labels, want_anomalies
         )
-        assert [r.replica_version for r in seq_report.results] == [
-            r.replica_version for r in par_report.results
-        ]
-        assert [r.silhouette for r in seq_report.results] == [
-            r.silhouette for r in par_report.results
-        ]
-        assert seq_tl == par_tl
-        assert seq_an == par_an
+
+    def test_memo_runs_each_stage_once_per_distinct_input(self, small_run, monkeypatch):
+        calls = dict.fromkeys(("run_readiness", "pelt_segment", "kmeans_fit", "silhouette_score"), 0)
+
+        def counted(attr):
+            fn = getattr(orchestrator, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for attr in calls:
+            monkeypatch.setattr(orchestrator, attr, counted(attr))
+        _, _, _, archive = small_run
+        report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
+        assert len(report.results) == 24
+        assert calls == {"run_readiness": 2, "pelt_segment": 6, "kmeans_fit": 8, "silhouette_score": 8}
 
     def test_ranking_is_total_order(self, small_run):
         _, _, _, archive = small_run
