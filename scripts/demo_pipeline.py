@@ -11,11 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from twinforge.archive import Archive
+from twinforge.cli import ingest
 from twinforge.orchestrator import zeroconf_run
 from twinforge.readiness import ReadinessConfig, detect_outliers, fill_gaps, smooth, zscore_normalize
 from twinforge.simulate import default_scenario, simulate_scenario
-from twinforge.twin import LifecycleEvent, TwinRuntime
 from twinforge.wire import Channel
 
 
@@ -32,15 +31,7 @@ def main() -> int:
     samples, truth = simulate_scenario(default_scenario(seed=args.seed))
 
     print(f"ingesting {len(samples)} samples through twin shadowing...")
-    runtime = TwinRuntime()
-    archive = Archive()
-    for s in samples:
-        if s.asset_id not in runtime:
-            twin = runtime.create_twin(s.asset_id)
-            twin.apply_lifecycle_event(LifecycleEvent.Bind)
-            twin.apply_lifecycle_event(LifecycleEvent.SyncEstablished)
-        runtime.get(s.asset_id).shadow_sample(s)
-        archive.append_sample(s, tags={"phase": runtime.get(s.asset_id).phase.name})
+    runtime, archive = ingest(samples)
 
     print("running the ZeroConf replica sweep (24 replicas)...")
     report, timeline, anomalies = zeroconf_run(

@@ -11,17 +11,25 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import OverlappingSegment, UnknownAsset, UnknownReplicaVersion
 from .wire import Channel, Quality, TelemetrySample, decode_sample, encode_sample
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchiveEntry:
+    """One appended sample. tags is read-only and may be shared with other
+    entries that carry an equal tag set."""
+
     seq: int
     sample: TelemetrySample
     tags: Mapping[str, str]
+
+
+_BY_TS = attrgetter("sample.ts")
 
 
 @dataclass(frozen=True)
@@ -76,18 +84,35 @@ class Archive:
         self._lock = threading.RLock()
         self._entries: dict[str, list[ArchiveEntry]] = {}
         self._segments: dict[str, list[SegmentRecord]] = {}
+        # tuple(tags.items()) -> read-only view of a private copy, shared by
+        # every entry with that tag set
+        self._tag_sets: dict[tuple, Mapping[str, str]] = {(): MappingProxyType({})}
 
     # -- raw samples ---------------------------------------------------------
 
     def append_sample(
         self, sample: TelemetrySample, tags: Optional[Mapping[str, str]] = None
     ) -> int:
-        """Append and return the per-asset sequence number (1-based)."""
+        """Append and return the per-asset sequence number (1-based).
+
+        The entry keeps a read-only copy of tags, so later changes to the
+        caller's mapping do not reach it. Equal tag sets share one copy; a
+        tag set with an unhashable value gets its own.
+        """
+        key = tuple(tags.items()) if tags else ()
         with self._lock:
-            log = self._entries.setdefault(sample.asset_id, [])
-            entry = ArchiveEntry(seq=len(log) + 1, sample=sample, tags=dict(tags or {}))
-            log.append(entry)
-            return entry.seq
+            try:
+                stored = self._tag_sets.get(key)
+                if stored is None:
+                    stored = self._tag_sets[key] = MappingProxyType(dict(key))
+            except TypeError:  # unhashable tag value
+                stored = MappingProxyType(dict(key))
+            log = self._entries.get(sample.asset_id)
+            if log is None:
+                log = self._entries[sample.asset_id] = []
+            seq = len(log) + 1
+            log.append(ArchiveEntry(seq, sample, stored))
+            return seq
 
     def assets(self) -> tuple[str, ...]:
         with self._lock:
@@ -111,21 +136,21 @@ class Archive:
             if q.asset_id not in self._entries:
                 raise UnknownAsset(q.asset_id)
             snapshot = list(self._entries[q.asset_id])
+        t_start, t_end = q.t_start, q.t_end
+        channels, qualities, tag_filter = q.channels, q.quality_filter, q.tag_filter
         out = []
         for entry in snapshot:
             s = entry.sample
-            if not q.t_start <= s.ts < q.t_end:
+            if not t_start <= s.ts < t_end:
                 continue
-            if q.channels is not None and s.channel not in q.channels:
+            if channels is not None and s.channel not in channels:
                 continue
-            if q.quality_filter is not None and s.quality not in q.quality_filter:
+            if qualities is not None and s.quality not in qualities:
                 continue
-            if q.tag_filter and any(
-                entry.tags.get(k) != v for k, v in q.tag_filter.items()
-            ):
+            if tag_filter and any(entry.tags.get(k) != v for k, v in tag_filter.items()):
                 continue
             out.append(entry)
-        out.sort(key=lambda e: (e.sample.ts, e.seq))
+        out.sort(key=_BY_TS)  # stable on a log in seq order: (ts, seq) order
         return out
 
     # -- segment records -------------------------------------------------------

@@ -12,16 +12,25 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Iterable, Optional
 
 from . import __version__
-from .analytics import kmeans_assign, kmeans_fit
+from .analytics import PeltConfig, kmeans_assign, kmeans_fit
 from .archive import Archive
-from .errors import InvalidSpec, MalformedLine, NoData, TwinForgeError, UnknownAsset
+from .errors import (
+    EmptyGrid,
+    InvalidSpec,
+    MalformedLine,
+    NoData,
+    TwinForgeError,
+    UnknownAsset,
+)
 from .orchestrator import (
     DEFAULT_GRID,
     DEFAULT_RARITY_THRESHOLD,
     flag_anomalies,
     records_for,
+    spawn_replica_grid,
     zeroconf_run,
 )
 from .readiness import ReadinessConfig, run_readiness
@@ -36,8 +45,8 @@ from .simulate import (
     default_scenario,
     simulate_scenario,
 )
-from .twin import LifecycleEvent, TwinRuntime
-from .wire import ACCEL_CHANNELS, replay_trace, write_trace
+from .twin import LifecycleEvent, TwinInstance, TwinRuntime
+from .wire import ACCEL_CHANNELS, TelemetrySample, replay_trace, write_trace
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -105,20 +114,55 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _ingest(trace_path):
-    """Replay a trace into a fresh archive through twin shadowing, driving
-    each twin Unbound -> Bound -> Synchronized on first contact."""
+def ingest(samples: Iterable[TelemetrySample]) -> tuple[TwinRuntime, Archive]:
+    """Shadow samples into a fresh twin runtime and archive them, driving
+    each twin Unbound -> Bound -> Synchronized on first contact. Every
+    archived sample is tagged with its twin's phase."""
     runtime = TwinRuntime()
     archive = Archive()
-    for sample in replay_trace(trace_path, speed="max"):
-        if sample.asset_id not in runtime:
-            twin = runtime.create_twin(sample.asset_id)
+    twins: dict[str, TwinInstance] = {}
+    for sample in samples:
+        twin = twins.get(sample.asset_id)
+        if twin is None:
+            twin = twins[sample.asset_id] = runtime.create_twin(sample.asset_id)
             twin.apply_lifecycle_event(LifecycleEvent.Bind)
             twin.apply_lifecycle_event(LifecycleEvent.SyncEstablished)
-        twin = runtime.get(sample.asset_id)
         twin.shadow_sample(sample)
         archive.append_sample(sample, tags={"phase": twin.phase.name})
     return runtime, archive
+
+
+_INTEGER_PARAMS = ("block_size", "k", "smooth_window")
+
+
+def _parse_grid(text: Optional[str]) -> Optional[dict]:
+    """The --grid override (None: the default grid), checked before any
+    ingest: every replica it spawns must have a valid readiness config, PELT
+    config and k. Raises InvalidSpec with a one-line reason otherwise."""
+    if not text:
+        return None
+    try:
+        grid = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"bad --grid JSON: {exc}") from exc
+    if not isinstance(grid, dict):
+        raise InvalidSpec(
+            f"bad --grid: expected a JSON object of value lists, got {type(grid).__name__}"
+        )
+    for name, values in grid.items():
+        if not isinstance(values, list):
+            raise InvalidSpec(f"bad --grid: {name!r} must map to a JSON array")
+        if name in _INTEGER_PARAMS and any(type(v) is not int for v in values):
+            raise InvalidSpec(f"bad --grid: {name!r} values must be integers")
+    try:
+        for hp in spawn_replica_grid(grid):
+            hp.readiness_config()
+            PeltConfig(penalty=hp.penalty)
+            if hp.k < 1:
+                raise ValueError("k must be >= 1")
+    except (EmptyGrid, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"bad --grid: {exc}") from exc
+    return grid
 
 
 def _report_payload(report, machine: str, seed: int, threshold: float):
@@ -154,11 +198,13 @@ def _report_payload(report, machine: str, seed: int, threshold: float):
 
 def cmd_run(args) -> int:
     try:
-        grid = json.loads(args.grid) if args.grid else None
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_BAD_ARGS, f"bad --grid JSON: {exc}")
+        grid = _parse_grid(args.grid)
+    except InvalidSpec as exc:
+        return _fail(EXIT_BAD_ARGS, str(exc))
+    if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
+        return _fail(EXIT_BAD_ARGS, f"--threshold must be in [0, 1], got {args.threshold!r}")
     try:
-        runtime, archive = _ingest(args.trace)
+        runtime, archive = ingest(replay_trace(args.trace, speed="max"))
     except FileNotFoundError:
         return _fail(EXIT_BAD_ARGS, f"trace not found: {args.trace}")
     except MalformedLine as exc:
@@ -260,14 +306,24 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _accel_buffers(trace_path) -> tuple[int, dict[str, dict]]:
+    """Decode a trace; return its sample count and, per asset, the values of
+    each accel channel in file order."""
+    buffers: dict[str, dict] = {}
+    total = 0
+    for s in replay_trace(trace_path, speed="max"):
+        total += 1
+        if s.channel in ACCEL_CHANNELS:
+            axes = buffers.get(s.asset_id)
+            if axes is None:
+                axes = buffers[s.asset_id] = {ch: [] for ch in ACCEL_CHANNELS}
+            axes[s.channel].append(s.value)
+    return total, buffers
+
+
 def cmd_bench(args) -> int:
     try:
-        warmup: dict[str, dict] = {}
-        for s in replay_trace(args.trace, speed="max"):
-            if s.channel in ACCEL_CHANNELS:
-                warmup.setdefault(s.asset_id, {ch: [] for ch in ACCEL_CHANNELS})[
-                    s.channel
-                ].append(s.value)
+        _, warmup = _accel_buffers(args.trace)
     except FileNotFoundError:
         return _fail(EXIT_BAD_ARGS, f"trace not found: {args.trace}")
     except MalformedLine as exc:
@@ -285,14 +341,7 @@ def cmd_bench(args) -> int:
     champion = kmeans_fit(features.peaks, k=4, seed=args.seed)
 
     started = time.perf_counter()
-    buffers: dict[str, dict] = {}
-    total = 0
-    for s in replay_trace(args.trace, speed="max"):
-        total += 1
-        if s.channel in ACCEL_CHANNELS:
-            buffers.setdefault(s.asset_id, {ch: [] for ch in ACCEL_CHANNELS})[
-                s.channel
-            ].append(s.value)
+    total, buffers = _accel_buffers(args.trace)
     assigned = 0
     for machine in sorted(buffers):
         axes = buffers[machine]

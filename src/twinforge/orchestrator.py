@@ -143,23 +143,26 @@ def _axis_series(window: Sequence[TelemetrySample]):
     """Split a queried window into three aligned accel arrays plus the ts
     array of the first axis. Missing-quality samples become NaN (filled by
     the readiness stage)."""
-    per_channel: dict = {ch: [] for ch in ACCEL_CHANNELS}
+    ch_x, ch_y, ch_z = ACCEL_CHANNELS
+    missing = Quality.missing
+    nan = float("nan")
+    xs: list[float] = []
+    ys: list[float] = []
+    zs: list[float] = []
     ts: list[int] = []
     for s in window:
-        if s.channel in per_channel:
-            value = float("nan") if s.quality is Quality.missing else s.value
-            per_channel[s.channel].append(value)
-            if s.channel is ACCEL_CHANNELS[0]:
-                ts.append(s.ts)
-    lengths = {ch.value: len(v) for ch, v in per_channel.items()}
-    if len(set(lengths.values())) != 1 or not ts:
+        ch = s.channel
+        if ch is ch_x:
+            xs.append(nan if s.quality is missing else s.value)
+            ts.append(s.ts)
+        elif ch is ch_y:
+            ys.append(nan if s.quality is missing else s.value)
+        elif ch is ch_z:
+            zs.append(nan if s.quality is missing else s.value)
+    if not len(xs) == len(ys) == len(zs) or not ts:
+        lengths = {ch.value: len(v) for ch, v in zip(ACCEL_CHANNELS, (xs, ys, zs))}
         raise AxisLengthMismatch(f"accel channels misaligned: {lengths}")
-    return (
-        np.array(per_channel[ACCEL_CHANNELS[0]]),
-        np.array(per_channel[ACCEL_CHANNELS[1]]),
-        np.array(per_channel[ACCEL_CHANNELS[2]]),
-        ts,
-    )
+    return np.array(xs), np.array(ys), np.array(zs), ts
 
 
 def run_replica(

@@ -44,11 +44,19 @@ TRANSITIONS: dict[tuple[LifecyclePhase, LifecycleEvent], LifecyclePhase] = {
     (LifecyclePhase.Done, LifecycleEvent.Stop): LifecyclePhase.Stopped,
 }
 
-SHADOWABLE_PHASES = frozenset(
-    {LifecyclePhase.Bound, LifecyclePhase.Synchronized, LifecyclePhase.OutOfSync}
-)
-
 DEFAULT_FRESHNESS_TIMEOUT_NS = 5_000_000_000  # 5 s on the simulated clock
+
+# shadow_sample runs once per sample: it tests phases and channels by identity
+# against these constants, as enum class attribute lookups and hashes of plain
+# enum members are Python-level calls. A twin can shadow while Bound,
+# Synchronized or OutOfSync.
+_BOUND = LifecyclePhase.Bound
+_SYNCHRONIZED = LifecyclePhase.Synchronized
+_OUT_OF_SYNC = LifecyclePhase.OutOfSync
+_PLC_STATE = Channel.plc_state
+_PROPERTY_NAMES = {
+    ch: "machine_state" if ch is Channel.plc_state else ch.value for ch in Channel
+}
 
 
 class MachineState(enum.IntEnum):
@@ -162,41 +170,41 @@ class TwinInstance:
         are dropped and flagged in the delta.
         """
         with self._lock:
-            if self._phase not in SHADOWABLE_PHASES:
-                raise TwinNotBound(
-                    f"{self.asset_id} is {self._phase.name}; cannot shadow"
-                )
+            phase = self._phase
+            if not (phase is _SYNCHRONIZED or phase is _BOUND or phase is _OUT_OF_SYNC):
+                raise TwinNotBound(f"{self.asset_id} is {phase.name}; cannot shadow")
             lifecycle_event = None
-            if self._phase is LifecyclePhase.OutOfSync:
+            if phase is _OUT_OF_SYNC:
                 self.apply_lifecycle_event(LifecycleEvent.SyncRecovered)
                 lifecycle_event = LifecycleEvent.SyncRecovered
 
-            if sample.channel is Channel.plc_state:
-                name = "machine_state"
+            channel = sample.channel
+            ts = sample.ts
+            name = _PROPERTY_NAMES[channel]
+            if channel is _PLC_STATE:
                 value: Any = MachineState(int(sample.value))
             else:
-                name = sample.channel.value
                 value = sample.value
 
             previous = self._properties.get(name)
-            if previous is not None and sample.ts < previous[1]:
+            if previous is not None and ts < previous[1]:
                 return StateDelta(
                     changed={}, events=(), stale=True, lifecycle_event=lifecycle_event
                 )
 
-            self._properties[name] = (value, sample.ts)
-            events: list[DigitalEvent] = []
-            if name == "machine_state" and (previous is None or previous[0] != value):
-                events.append(
+            stored = self._properties[name] = (value, ts)
+            events: tuple[DigitalEvent, ...] = ()
+            if channel is _PLC_STATE and (previous is None or previous[0] != value):
+                events = (
                     self.append_event(
                         "state_changed",
-                        ts=sample.ts,
+                        ts=ts,
                         payload={"from": previous[0] if previous else None, "to": value},
-                    )
+                    ),
                 )
             return StateDelta(
-                changed={name: (value, sample.ts)},
-                events=tuple(events),
+                changed={name: stored},
+                events=events,
                 stale=False,
                 lifecycle_event=lifecycle_event,
             )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -32,7 +33,16 @@ class Quality(str, enum.Enum):
     missing = "missing"
 
 
-@dataclass(frozen=True)
+# Per-sample code compares against these module constants and maps wire
+# strings through these dicts: an enum class attribute lookup or call costs
+# far more than a dict hit in the hot path.
+_PLC_STATE = Channel.plc_state
+_GOOD = Quality.good
+_CHANNELS = {ch.value: ch for ch in Channel}
+_QUALITIES = {q.value: q for q in Quality}
+
+
+@dataclass(frozen=True, slots=True)
 class TelemetrySample:
     """One timestamped reading from one asset channel.
 
@@ -54,8 +64,8 @@ class TelemetrySample:
         if not math.isfinite(self.value):
             raise MalformedLine(f"non-finite value {self.value!r}")
         if (
-            self.channel is Channel.plc_state
-            and self.quality is Quality.good
+            self.channel is _PLC_STATE
+            and self.quality is _GOOD
             and self.value not in (0.0, 1.0, 2.0, 3.0)
         ):
             raise MalformedLine(f"plc_state code out of range: {self.value!r}")
@@ -91,30 +101,62 @@ def encode_sample(sample: TelemetrySample) -> str:
 
 
 _KEYS = {"asset", "ch", "ts", "v", "q"}
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _parse_json(line: str):
+    """json.loads(line), through the C scanner when it consumes the whole line.
+
+    Any other line (edge whitespace, a BOM, bad JSON, extra data, bytes)
+    goes to json.loads, so what is accepted and every error text stay
+    json.loads's.
+    """
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError, TypeError, RecursionError):
+        pass
+    return json.loads(line)
 
 
 def decode_sample(line: str) -> TelemetrySample:
-    """Inverse of encode_sample on its image; unknown/missing keys rejected."""
+    """Inverse of encode_sample on its image; unknown/missing keys rejected.
+
+    Every defect of the line raises MalformedLine, including a bad asset id
+    and a number no float or int can hold.
+    """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = _parse_json(line)
+    except (ValueError, RecursionError) as exc:  # also int digit limit, deep nesting
         raise MalformedLine(f"bad JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != _KEYS:
+    if type(obj) is not dict or obj.keys() != _KEYS:
         raise MalformedLine(f"wrong key set in {line!r}")
     asset, ch, ts, v, q = obj["asset"], obj["ch"], obj["ts"], obj["v"], obj["q"]
-    if not isinstance(asset, str):
+    if type(asset) is not str:
         raise MalformedLine("asset must be a string")
-    try:
-        channel = Channel(ch)
-        quality = Quality(q)
-    except ValueError as exc:
-        raise MalformedLine(str(exc)) from exc
-    if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
+    channel = _CHANNELS.get(ch) if type(ch) is str else None
+    if channel is None:
+        raise MalformedLine(f"{ch!r} is not a valid Channel")
+    quality = _QUALITIES.get(q) if type(q) is str else None
+    if quality is None:
+        raise MalformedLine(f"{q!r} is not a valid Quality")
+    if type(ts) is not int or ts < 0:
         raise MalformedLine(f"bad ts {ts!r}")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if type(v) is float:
+        value = v
+    elif type(v) is int:
+        try:
+            value = float(v)
+        except OverflowError as exc:
+            raise MalformedLine(f"value out of float range: {v!r}") from exc
+    else:
         raise MalformedLine(f"bad value {v!r}")
-    sample = TelemetrySample(asset, channel, ts, float(v), quality)
-    sample.validate()
+    sample = TelemetrySample(asset, channel, ts, value, quality)
+    try:
+        sample.validate()
+    except InvalidAssetId as exc:
+        raise MalformedLine(str(exc)) from exc
     return sample
 
 
@@ -127,18 +169,41 @@ def replay_trace(path, speed: Union[float, str] = "max") -> Iterator[TelemetrySa
     pace = None if speed == "max" else float(speed)
     prev_ts = None
     with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.rstrip("\n")
+                if not stripped:
+                    continue
+                try:
+                    sample = decode_sample(stripped)
+                except MalformedLine as exc:
+                    raise MalformedLine(f"line {lineno}: {exc}") from exc
+                if pace is not None and prev_ts is not None and sample.ts > prev_ts:
+                    time.sleep((sample.ts - prev_ts) / 1e9 / pace)
+                prev_ts = sample.ts
+                yield sample
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(
+                f"line {_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+            ) from exc
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line holding a byte that is not UTF-8.
+
+    Text-mode reads decode a whole buffer at once, so the failing read does
+    not tell which line it was on. Reading again with surrogateescape turns
+    each such byte into a lone surrogate, which valid UTF-8 cannot produce,
+    and keeps the line numbering of the strict read.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            try:
-                sample = decode_sample(stripped)
-            except MalformedLine as exc:
-                raise MalformedLine(f"line {lineno}: {exc}") from exc
-            if pace is not None and prev_ts is not None and sample.ts > prev_ts:
-                time.sleep((sample.ts - prev_ts) / 1e9 / pace)
-            prev_ts = sample.ts
-            yield sample
+            if _ESCAPED_BYTE.search(line):
+                return lineno
+    return 0
 
 
 def write_trace(path, samples) -> int:

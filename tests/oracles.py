@@ -1,11 +1,43 @@
 """Independent oracles shared by the unit and acceptance suites. These stay
 deliberately naive: literal definitions, no shortcuts from the library code."""
+import json
 import math
 
 import numpy as np
 
 import twinforge.rng as rng
-from twinforge.errors import LengthMismatch, TooFewPoints
+from twinforge.errors import LengthMismatch, MalformedLine, TooFewPoints
+from twinforge.wire import Channel, Quality, TelemetrySample
+
+_KEYS = {"asset", "ch", "ts", "v", "q"}
+
+
+def reference_decode_sample(line: str) -> TelemetrySample:
+    """The library's original decode_sample, kept verbatim: json.loads,
+    enum calls and isinstance checks. wire.decode_sample must accept the same
+    lines, return equal samples and raise MalformedLine with the same text,
+    except where a defect once escaped as another exception."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(f"bad JSON: {exc}") from exc
+    if not isinstance(obj, dict) or set(obj) != _KEYS:
+        raise MalformedLine(f"wrong key set in {line!r}")
+    asset, ch, ts, v, q = obj["asset"], obj["ch"], obj["ts"], obj["v"], obj["q"]
+    if not isinstance(asset, str):
+        raise MalformedLine("asset must be a string")
+    try:
+        channel = Channel(ch)
+        quality = Quality(q)
+    except ValueError as exc:
+        raise MalformedLine(str(exc)) from exc
+    if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
+        raise MalformedLine(f"bad ts {ts!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise MalformedLine(f"bad value {v!r}")
+    sample = TelemetrySample(asset, channel, ts, float(v), quality)
+    sample.validate()
+    return sample
 
 
 def naive_silhouette(x, labels):

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,65 @@ class TestAppend:
         archive.append_sample(sample(7))
         hits = archive.query_window(WindowQuery("m1", 0, 10))
         assert [e.sample.ts for e in hits] == [7]
+
+
+class TestTags:
+    def test_equal_tag_sets_share_one_mapping(self):
+        archive = Archive()
+        archive.append_sample(sample(1), {"phase": "Bound"})
+        archive.append_sample(sample(2), {"phase": "Bound"})
+        archive.append_sample(sample(3, asset="m2"), dict(phase="Bound"))
+        archive.append_sample(sample(4), {"phase": "Synchronized"})
+        a, b, c = archive.scan("m1")
+        (d,) = archive.scan("m2")
+        assert a.tags is b.tags is d.tags
+        assert c.tags == {"phase": "Synchronized"}
+
+    def test_stored_tags_read_only_and_private(self):
+        archive = Archive()
+        tags = {"phase": "Bound"}
+        archive.append_sample(sample(1), tags)
+        tags["phase"] = "Done"
+        tags["extra"] = "x"
+        (entry,) = archive.scan("m1")
+        assert entry.tags == {"phase": "Bound"}
+        with pytest.raises(TypeError):
+            entry.tags["phase"] = "Done"
+
+    def test_unhashable_tag_value_still_appends(self):
+        archive = Archive()
+        tags = {"ops": ["a", "b"]}
+        assert archive.append_sample(sample(1), tags) == 1
+        assert archive.append_sample(sample(2), {"ops": ["a", "b"]}) == 2
+        tags["ops"] = []
+        first, second = archive.scan("m1")
+        assert first.tags == second.tags == {"ops": ["a", "b"]}
+        hits = archive.query_window(WindowQuery("m1", 0, 10, tag_filter={"ops": ["a", "b"]}))
+        assert [e.seq for e in hits] == [1, 2]
+
+    def test_no_tags_store_empty_mapping(self):
+        archive = Archive()
+        archive.append_sample(sample(1))
+        archive.append_sample(sample(2), {})
+        first, second = archive.scan("m1")
+        assert first.tags == second.tags == {}
+        with pytest.raises(TypeError):
+            first.tags["phase"] = "Bound"
+
+    def test_bytes_per_sample(self):
+        # each append brings a fresh tags dict, as ingest does
+        samples = [sample(i, value=float(i)) for i in range(10_000)]
+        phases = ["Bound" if i < 10 else "Synchronized" for i in range(10_000)]
+        archive = Archive()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for s, phase in zip(samples, phases):
+                archive.append_sample(s, tags={"phase": phase})
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / len(samples) <= 128
 
 
 class TestQuery:
@@ -97,6 +157,13 @@ class TestQuery:
         hits = archive.query_window(WindowQuery("m1", 0, 100))
         assert [e.sample.ts for e in hits] == [10, 20, 30]
         assert [e.seq for e in hits] == [2, 3, 1]
+
+    def test_equal_ts_kept_in_arrival_order(self):
+        archive = Archive()
+        for ts in (20, 10, 20, 10, 30):
+            archive.append_sample(sample(ts))
+        hits = archive.query_window(WindowQuery("m1", 0, 100))
+        assert [(e.sample.ts, e.seq) for e in hits] == [(10, 2), (10, 4), (20, 1), (20, 3), (30, 5)]
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):

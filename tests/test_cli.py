@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from twinforge.cli import main
+from twinforge.cli import ingest, main
+from twinforge.twin import LifecyclePhase
+from twinforge.wire import Channel, TelemetrySample
 
 
 def run_cli(*argv):
@@ -86,6 +88,43 @@ class TestSimulate:
         assert truth["mA"]["boundaries"] == [200, 300]
 
 
+GOOD_LINE = b'{"asset":"m1","ch":"accel_x","ts":1,"v":0.5,"q":"good"}\n'
+MALFORMED_TRACES = {
+    "empty-asset": b'{"asset":"","ch":"accel_x","ts":2,"v":0.5,"q":"good"}\n',
+    "slash-asset": b'{"asset":"a/b","ch":"accel_x","ts":2,"v":0.5,"q":"good"}\n',
+    "int-over-float": b'{"asset":"m1","ch":"accel_x","ts":2,"v":1' + b"0" * 400 + b',"q":"good"}\n',
+    "int-digit-limit": b'{"asset":"m1","ch":"accel_x","ts":' + b"9" * 5000 + b',"v":0.5,"q":"good"}\n',
+    "non-utf8": b'{"asset":"m\xff","ch":"accel_x","ts":2,"v":0.5,"q":"good"}\n',
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_TRACES))
+def malformed_trace(request, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(GOOD_LINE + MALFORMED_TRACES[request.param] + GOOD_LINE)
+    return path
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("twinforge: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+class TestIngest:
+    def test_twins_synchronized_and_samples_tagged(self):
+        samples = [
+            TelemetrySample(m, Channel.accel_x, ts, float(ts)) for ts in range(3) for m in ("m1", "m2")
+        ]
+        runtime, archive = ingest(samples)
+        for m in ("m1", "m2"):
+            assert runtime.get(m).phase is LifecyclePhase.Synchronized
+            entries = archive.scan(m)
+            assert [e.sample.ts for e in entries] == [0, 1, 2]
+            assert all(e.tags == {"phase": "Synchronized"} for e in entries)
+
+
 class TestRun:
     def test_artifacts_written(self, run_dir):
         for name in ("report.json", "timeline.csv", "anomalies.json",
@@ -145,6 +184,28 @@ class TestRun:
         assert run_cli("run", str(sim_dir / "trace.jsonl"), "--out", str(tmp_path),
                        "--grid", "{bad") == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        ['[1]', '{"k":5}', '{"foo":[1]}', '{"penalty":[-1]}', '{"k":[0]}',
+         '{"block_size":[0]}', '{"k":[]}', '{"k":[2.5]}', '{"block_size":[25.5]}',
+         '{"smooth_window":[3.0]}', '{"block_size":[true]}', '{"penalty":["x"]}'],
+    )
+    def test_invalid_grid_exits_2_before_ingest(self, tmp_path, capsys, grid):
+        # the trace does not exist: the grid is rejected before any ingest
+        assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
+                       "--grid", grid) == 2
+        assert_one_line_error(capsys, "--grid")
+
+    @pytest.mark.parametrize("threshold", ["2", "nan", "-0.1", "inf"])
+    def test_invalid_threshold_exits_2_before_ingest(self, tmp_path, capsys, threshold):
+        assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
+                       "--threshold", threshold) == 2
+        assert_one_line_error(capsys, "--threshold")
+
+    def test_malformed_trace_exits_2(self, malformed_trace, tmp_path, capsys):
+        assert run_cli("run", str(malformed_trace), "--out", str(tmp_path / "out")) == 2
+        assert_one_line_error(capsys, "malformed trace: line 2: ")
+
 
 class TestReport:
     def test_table(self, run_dir, capsys):
@@ -180,3 +241,7 @@ class TestBench:
         p = tmp_path / "empty.jsonl"
         p.write_text("", encoding="utf-8")
         assert run_cli("bench", str(p)) == 3
+
+    def test_malformed_trace_exits_2(self, malformed_trace, capsys):
+        assert run_cli("bench", str(malformed_trace)) == 2
+        assert_one_line_error(capsys, "malformed trace: line 2: ")

@@ -25,7 +25,7 @@ from twinforge.orchestrator import (
     zeroconf_run,
 )
 from twinforge.twin import LifecycleEvent, TwinInstance
-from twinforge.wire import ACCEL_CHANNELS, Channel, encode_sample
+from twinforge.wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample, encode_sample
 
 
 def anomaly(segment_index=0, block_range=(0, 3), rarity=0.03):
@@ -133,6 +133,38 @@ class TestRunReplica:
         window = [s for s in samples if s.channel in (Channel.accel_x, Channel.accel_y)]
         with pytest.raises(AxisLengthMismatch, match=r"^v1-"):
             run_replica(window, HyperParams(), seed=1)
+
+
+class TestAxisSeries:
+    def test_missing_becomes_nan_and_plc_state_ignored(self):
+        x, y, z = ACCEL_CHANNELS
+        window = [
+            TelemetrySample("m1", x, 10, 1.0),
+            TelemetrySample("m1", Channel.plc_state, 10, 2.0),
+            TelemetrySample("m1", y, 10, 2.0, Quality.missing),
+            TelemetrySample("m1", z, 10, 3.0, Quality.suspect),
+            TelemetrySample("m1", x, 20, 4.0, Quality.missing),
+            TelemetrySample("m1", y, 20, 5.0),
+            TelemetrySample("m1", z, 20, 6.0),
+        ]
+        xs, ys, zs, ts = orchestrator._axis_series(window)
+        np.testing.assert_array_equal(xs, [1.0, np.nan])
+        np.testing.assert_array_equal(ys, [np.nan, 5.0])
+        np.testing.assert_array_equal(zs, [3.0, 6.0])
+        assert ts == [10, 20]
+
+    @pytest.mark.parametrize(
+        "channels, message",
+        [
+            ((0, 1, 0, 2), "accel channels misaligned: {'accel_x': 2, 'accel_y': 1, 'accel_z': 1}"),
+            ((), "accel channels misaligned: {'accel_x': 0, 'accel_y': 0, 'accel_z': 0}"),
+        ],
+    )
+    def test_misaligned_error_text(self, channels, message):
+        window = [TelemetrySample("m1", ACCEL_CHANNELS[c], i, 0.0) for i, c in enumerate(channels)]
+        with pytest.raises(AxisLengthMismatch) as exc:
+            orchestrator._axis_series(window)
+        assert str(exc.value) == message
 
 
 class TestRanking:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import reference_decode_sample
 
 import twinforge.rng as rng
 from twinforge.errors import InvalidAssetId, MalformedLine
@@ -50,6 +51,68 @@ class TestEncode:
         assert encode_sample(s) == encode_sample(s).strip()
 
 
+MALFORMED_LINES = [
+    "not json",
+    '{"asset":"x","ch":"accel_x","ts":1,"v":0}',  # missing key
+    '{"asset":"x","ch":"accel_x","ts":1,"v":0,"q":"good","extra":1}',
+    '{"asset":"x","ch":"accel_x","ts":1,"v":0,"q":"fine"}',
+    '{"asset":"x","ch":"accel_x","ts":1.5,"v":0,"q":"good"}',
+    '{"asset":"x","ch":"plc_state","ts":1,"v":7,"q":"good"}',
+    '{"asset":1,"ch":"accel_x","ts":1,"v":0,"q":"good"}',
+    '{"asset":"x","ch":"accel_x","ts":1,"v":"0","q":"good"}',
+    "[1,2,3]",
+]
+
+
+def _line(asset='"x"', ch='"accel_x"', ts="1", v="0.5", q='"good"'):
+    """A trace line with the given raw JSON text per field."""
+    return f'{{"asset":{asset},"ch":{ch},"ts":{ts},"v":{v},"q":{q}}}'
+
+
+_GOOD = _line()
+PARITY_CORPUS = [
+    *MALFORMED_LINES,
+    _GOOD,
+    _line(ch='"plc_state"', v="2", q='"good"'),
+    _line(ch='"plc_state"', v="7", q='"suspect"'),
+    _line(v="-3", q='"missing"'),
+    # whitespace, a BOM, and line ends around a valid object
+    " " + _GOOD,
+    _GOOD + " ",
+    "\t" + _GOOD + "\n",
+    _GOOD + "\r",
+    "\ufeff" + _GOOD,
+    "",
+    "   ",
+    # non-finite and out-of-range numbers
+    _line(v="NaN"),
+    _line(v="-Infinity"),
+    _line(v="1e400"),
+    _line(ts="1e400"),
+    _line(ts="-1"),
+    # wrong JSON types per field
+    _line(ch="1"),
+    _line(ch="[1]"),
+    _line(ch="null"),
+    _line(ch='"ACCEL_X"'),
+    _line(q='["good"]'),
+    _line(q="null"),
+    _line(ts="true"),
+    _line(v="false"),
+    _line(v="null"),
+    _line(asset="null"),
+    # duplicate keys (the last one wins) and trailing data
+    '{"asset":"x","asset":"y","ch":"accel_x","ts":1,"v":0.5,"q":"good"}',
+    '{"asset":"x","ch":"accel_x","ts":1,"v":0.5,"v":1}',
+    _GOOD + "{}",
+    _GOOD + _GOOD,
+    "{}",
+    "null",
+    '"accel_x"',
+    "{",
+]
+
+
 class TestDecode:
     def test_inverse_of_encode(self):
         s = TelemetrySample("m1", Channel.accel_y, 123456789, 3.14159, Quality.suspect)
@@ -65,23 +128,42 @@ class TestDecode:
         with pytest.raises(MalformedLine):
             decode_sample(line)
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "not json",
-            '{"asset":"x","ch":"accel_x","ts":1,"v":0}',  # missing key
-            '{"asset":"x","ch":"accel_x","ts":1,"v":0,"q":"good","extra":1}',
-            '{"asset":"x","ch":"accel_x","ts":1,"v":0,"q":"fine"}',
-            '{"asset":"x","ch":"accel_x","ts":1.5,"v":0,"q":"good"}',
-            '{"asset":"x","ch":"plc_state","ts":1,"v":7,"q":"good"}',
-            '{"asset":1,"ch":"accel_x","ts":1,"v":0,"q":"good"}',
-            '{"asset":"x","ch":"accel_x","ts":1,"v":"0","q":"good"}',
-            "[1,2,3]",
-        ],
-    )
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_lines(self, line):
         with pytest.raises(MalformedLine):
             decode_sample(line)
+
+    @pytest.mark.parametrize("line", PARITY_CORPUS)
+    def test_parity_with_reference(self, line):
+        """Same samples and same MalformedLine text as the original decoder."""
+        try:
+            expected = reference_decode_sample(line)
+        except MalformedLine as exc:
+            with pytest.raises(MalformedLine) as got:
+                decode_sample(line)
+            assert str(got.value) == str(exc)
+        else:
+            assert decode_sample(line) == expected
+
+    @pytest.mark.parametrize(
+        "line, reference_error, message",
+        [
+            (_line(asset='""'), InvalidAssetId, "bad asset id ''"),
+            (_line(asset='"a/b"'), InvalidAssetId, "bad asset id 'a/b'"),
+            (_line(v="1" + "0" * 400), OverflowError, "value out of float range"),
+            (_line(ts="9" * 5000), ValueError, "bad JSON: Exceeds the limit"),
+            (_line(v="9" * 5000), ValueError, "bad JSON: Exceeds the limit"),
+            ("[" * 100_000, RecursionError, "bad JSON: maximum recursion depth"),
+        ],
+        ids=["empty-asset", "slash-asset", "int-over-float", "long-ts", "long-v", "deep"],
+    )
+    def test_defects_that_escaped_now_malformed(self, line, reference_error, message):
+        with pytest.raises(reference_error):
+            reference_decode_sample(line)
+        with pytest.raises(MalformedLine) as got:
+            decode_sample(line)
+        assert str(got.value).startswith(message)
+        assert "\n" not in str(got.value)
 
 
 def _random_samples(n, seed=0):
@@ -154,6 +236,16 @@ class TestReplay:
         write_trace(path, _random_samples(2))
         raw = path.read_bytes()
         assert raw.endswith(b"\n") and b"\r" not in raw
+
+    @pytest.mark.parametrize("bad_line", [1, 2, 3000])
+    def test_undecodable_byte_names_its_line(self, tmp_path, bad_line):
+        good = encode_sample(_random_samples(1)[0]).encode() + b"\n"
+        lines = [good] * 3001
+        lines[bad_line - 1] = good[:10] + b"\xff" + good[10:]
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(MalformedLine, match=f"^line {bad_line}: not UTF-8"):
+            list(replay_trace(path))
 
     def test_paced_replay_preserves_order(self, tmp_path):
         samples = [
