@@ -9,37 +9,9 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-import twinforge.rng as rng
 from twinforge.archive import Archive
 from twinforge.orchestrator import zeroconf_run
-from twinforge.simulate import MachineState, PhaseInterval, ScenarioSpec, simulate_scenario
-
-
-def quiet_failure_scenario(seed: int, duration: float) -> ScenarioSpec:
-    """Idle/waiting operation with one failure burst; layout keyed on seed."""
-    key = rng.stream_key(seed, "layout")
-    u = rng.uniforms(key, np.arange(4, dtype=np.uint64))
-    snap = lambda x: round(x * 2) / 2
-    fail_len = 1.5 + 0.5 * int(u[0] * 3)
-    a = snap(duration * (0.20 + 0.15 * u[2]))
-    fail_start = snap(duration * (0.45 + 0.30 * u[1]))
-    states = [MachineState.Idle, MachineState.Waiting]
-    if u[3] < 0.5:
-        states = states[::-1]
-    m = "m1"
-    schedule = (
-        PhaseInterval(m, 0.0, a, states[0]),
-        PhaseInterval(m, a, fail_start, states[1]),
-        PhaseInterval(m, fail_start, fail_start + fail_len, MachineState.Failure),
-        PhaseInterval(m, fail_start + fail_len, duration, states[0]),
-    )
-    return ScenarioSpec(
-        seed=seed, machines=(m,), duration_s=duration, sample_rate=100,
-        phase_schedule=schedule,
-        failure_windows=((m, fail_start, fail_start + fail_len),),
-    )
+from twinforge.simulate import quiet_failure_scenario, simulate_scenario
 
 
 def main() -> int:

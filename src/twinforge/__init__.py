@@ -54,6 +54,7 @@ from .simulate import (
     PhaseInterval,
     ScenarioSpec,
     default_scenario,
+    quiet_failure_scenario,
     simulate_scenario,
 )
 from .twin import (

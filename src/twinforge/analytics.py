@@ -4,8 +4,17 @@ K-means, silhouette scoring, and segment-statistics extraction.
 Cost model is multivariate L2: sum over dimensions of within-segment squared
 deviation from the segment mean. The objective minimized is
 sum(segment costs) + penalty * (number of change points). Everything here is
-a pure function; floating-point reductions are fixed-order so results are
-identical across runs and thread counts.
+a pure function, and every floating-point reduction has a fixed order, so
+results are identical across runs.
+
+The two long-window kernels, the PELT segment costs and the silhouette
+distances, reduce over the feature axis one column at a time in index order:
+out = c[:, 0], then out += c[:, 1], and so on. numpy sums an axis shorter
+than 8 sequentially from index 0, so for the runtime's 3-axis features (and
+any d <= 7) this equals .sum(axis=-1) bit for bit. From d = 8 numpy unrolls
+its sum eight ways and the two orders can differ in the last ulp; results
+stay deterministic, silhouette stays within 1e-9 of the naive definition, and
+PELT still equals brute_force_segment, which shares _segment_costs.
 """
 from __future__ import annotations
 
@@ -89,7 +98,13 @@ def _segment_costs(s1: np.ndarray, s2: np.ndarray, starts: np.ndarray, end: int)
     lengths = (end - starts).astype(np.float64)
     dsum = s1[end] - s1[starts]
     dsq = s2[end] - s2[starts]
-    return (dsq - dsum * dsum / lengths[:, None]).sum(axis=1)
+    c = dsq - dsum * dsum / lengths[:, None]
+    # per-column adds in index order: one ufunc call per dimension instead of
+    # one per (start, dimension) pair, same sum for d < 8 (module docstring)
+    out = c[:, 0].copy()
+    for j in range(1, c.shape[1]):
+        out += c[:, j]
+    return out
 
 
 def objective_cost(features, change_points: Sequence[int], penalty: float) -> float:
@@ -123,16 +138,24 @@ def pelt_segment(features, config: PeltConfig) -> Segmentation:
     f = np.full(n + 1, np.inf)
     f[0] = -beta
     prev = np.zeros(n + 1, dtype=np.int64)
-    cands: list[int] = [0]
-    kill: dict[int, int] = {}
+    # live candidates in ascending order in cands[:size]; dead[s] is the first
+    # step at which a pruned candidate s is dropped (never, by default)
+    cands = np.empty(n + 1, dtype=np.int64)
+    cands[0] = 0
+    size = 1
+    dead = np.full(n + 1, n + 1, dtype=np.int64)
+    pruned = False
 
     for t in range(m, n + 1):
         newcomer = t - m
         if newcomer >= m:
-            cands.append(newcomer)
-        if kill:
-            cands = [s for s in cands if kill.get(s, t + 1) > t]
-        arr = np.asarray(cands, dtype=np.int64)
+            cands[size] = newcomer
+            size += 1
+        arr = cands[:size]
+        if pruned:
+            arr = arr[dead[arr] > t]
+            size = arr.size
+            cands[:size] = arr
         costs = _segment_costs(s1, s2, arr, t)
         totals = f[arr] + costs
         best = int(np.argmin(totals))  # first minimum: smallest s wins ties
@@ -140,9 +163,10 @@ def pelt_segment(features, config: PeltConfig) -> Segmentation:
         prev[t] = arr[best]
         doomed = totals > f[t] + _PRUNE_SLACK
         if doomed.any():
-            deadline = t + m
-            for s in arr[doomed]:
-                kill.setdefault(int(s), deadline)
+            # deadlines only grow with t, so the minimum keeps the first one
+            gone = arr[doomed]
+            dead[gone] = np.minimum(dead[gone], t + m)
+            pruned = True
 
     cps: list[int] = []
     t = n
@@ -303,10 +327,12 @@ def silhouette_score(vectors, labels) -> float:
     clusters score 0, as does a degenerate single-cluster labeling.
 
     The distance matrix is built _SILHOUETTE_ROWS rows at a time, so memory
-    is O(rows * n) rather than O(n^2). Each per-cluster row sum is taken over
-    a contiguous copy of the members' distances in index order, the same
-    reduction as summing one row's masked entries, so the score is
-    bit-identical to a per-point loop over the full matrix.
+    is O(rows * n) rather than O(n^2). Squared distances are accumulated one
+    feature column at a time in index order, equal to summing over the
+    feature axis for d < 8 (see the module docstring). Each per-cluster row
+    sum is taken over a contiguous copy of the members' distances in index
+    order, the same reduction as summing one row's masked entries, so the
+    score is bit-identical to a per-point loop over the full matrix.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
@@ -323,12 +349,19 @@ def silhouette_score(vectors, labels) -> float:
 
     members = [np.flatnonzero(inverse == j) for j in range(clusters.size)]
     sizes = np.array([m.size for m in members])
+    cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
     scores = np.zeros(n)
     for lo in range(0, n, _SILHOUETTE_ROWS):
         hi = min(lo + _SILHOUETTE_ROWS, n)
         rows = np.arange(hi - lo)
         own = inverse[lo:hi]
-        dist = np.sqrt(((x[lo:hi, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        dist = x[lo:hi, 0, None] - cols[0]
+        dist *= dist
+        for j in range(1, len(cols)):
+            d = x[lo:hi, j, None] - cols[j]
+            d *= d
+            dist += d
+        np.sqrt(dist, out=dist)
         sums = np.stack([dist.take(m, axis=1).sum(axis=1) for m in members], axis=1)
         # a singleton's a_i is never used (s_i = 0); dividing by 1 avoids 0/0
         a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)

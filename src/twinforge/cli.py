@@ -89,6 +89,11 @@ def parse_scenario_file(path) -> ScenarioSpec:
         raise InvalidSpec(f"bad scenario file {path}: {exc}") from exc
 
 
+def _os_fail(what: str, path, exc: OSError) -> int:
+    """Exit 2 for a path the OS refuses (missing, a directory, not writable)."""
+    return _fail(EXIT_BAD_ARGS, f"{what} {path}: {exc.strerror or exc}")
+
+
 def cmd_simulate(args) -> int:
     try:
         if args.spec:
@@ -106,7 +111,10 @@ def cmd_simulate(args) -> int:
     except (InvalidSpec, OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_ARGS, f"invalid scenario: {exc}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _os_fail("cannot create output directory", args.out, exc)
     trace_path = out / "trace.jsonl"
     n = write_trace(trace_path, samples)
     (out / "ground_truth.json").write_text(truth.to_json(), encoding="utf-8")
@@ -205,8 +213,8 @@ def cmd_run(args) -> int:
         return _fail(EXIT_BAD_ARGS, f"--threshold must be in [0, 1], got {args.threshold!r}")
     try:
         runtime, archive = ingest(replay_trace(args.trace, speed="max"))
-    except FileNotFoundError:
-        return _fail(EXIT_BAD_ARGS, f"trace not found: {args.trace}")
+    except OSError as exc:
+        return _os_fail("cannot read trace", args.trace, exc)
     except MalformedLine as exc:
         return _fail(EXIT_BAD_ARGS, f"malformed trace: {exc}")
 
@@ -231,7 +239,10 @@ def cmd_run(args) -> int:
         return _fail(EXIT_PIPELINE, f"pipeline error: {exc}")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _os_fail("cannot create output directory", args.out, exc)
     payload = _report_payload(report, args.machine, args.seed, args.threshold)
     (out / "report.json").write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
@@ -324,8 +335,8 @@ def _accel_buffers(trace_path) -> tuple[int, dict[str, dict]]:
 def cmd_bench(args) -> int:
     try:
         _, warmup = _accel_buffers(args.trace)
-    except FileNotFoundError:
-        return _fail(EXIT_BAD_ARGS, f"trace not found: {args.trace}")
+    except OSError as exc:
+        return _os_fail("cannot read trace", args.trace, exc)
     except MalformedLine as exc:
         return _fail(EXIT_BAD_ARGS, f"malformed trace: {exc}")
     if not warmup:

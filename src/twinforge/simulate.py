@@ -59,17 +59,7 @@ class ScenarioSpec:
     failure_windows: tuple[tuple[str, float, float], ...] = ()
 
     def validate(self) -> None:
-        if self.sample_rate < 1:
-            raise InvalidSpec("sample_rate must be >= 1")
-        if self.duration_s < 0:
-            raise InvalidSpec("duration must be >= 0")
-        if not self.machines:
-            raise InvalidSpec("at least one machine required")
-        for machine in self.machines:
-            if not machine or "/" in machine:
-                raise InvalidSpec(f"bad machine id {machine!r}")
-        if len(set(self.machines)) != len(self.machines):
-            raise InvalidSpec("duplicate machine ids")
+        self._validate_scalars()
         if self.duration_s == 0:
             return
         for machine in self.machines:
@@ -101,6 +91,23 @@ class ScenarioSpec:
             if window not in failure_ivs:
                 raise InvalidSpec(f"failure window {window} not a Failure interval")
 
+    def _validate_scalars(self) -> None:
+        """The checks that need no schedule; default_scenario runs them
+        before it rounds any phase boundary."""
+        if self.sample_rate < 1:
+            raise InvalidSpec("sample_rate must be >= 1")
+        if not math.isfinite(self.duration_s):
+            raise InvalidSpec(f"duration must be finite, got {self.duration_s!r}")
+        if self.duration_s < 0:
+            raise InvalidSpec("duration must be >= 0")
+        if not self.machines:
+            raise InvalidSpec("at least one machine required")
+        for machine in self.machines:
+            if not machine or "/" in machine:
+                raise InvalidSpec(f"bad machine id {machine!r}")
+        if len(set(self.machines)) != len(self.machines):
+            raise InvalidSpec("duplicate machine ids")
+
     def intervals_for(self, machine: str) -> list[PhaseInterval]:
         return sorted(
             (iv for iv in self.phase_schedule if iv.machine == machine),
@@ -122,6 +129,8 @@ def default_scenario(
     stays a strong contrast after outlier cleaning, and boundaries snap to
     0.5 s so block grids at 25 and 50 samples land exactly on them.
     """
+    ScenarioSpec(seed, tuple(machines), duration_s, sample_rate)._validate_scalars()
+
     def snap(x: float) -> float:
         return round(x * 2) / 2
 
@@ -150,6 +159,44 @@ def default_scenario(
         sample_rate=sample_rate,
         phase_schedule=tuple(schedule),
         failure_windows=tuple(failures),
+    )
+
+
+def quiet_failure_scenario(seed: int, duration: float = 60.0) -> ScenarioSpec:
+    """Quiet operation (idle/waiting) on machine m1 with one failure burst
+    covering roughly 2.5-4.2% of blocks; the layout varies deterministically
+    with the seed.
+
+    Used for anomaly-detection experiments and fixtures: after outlier
+    cleaning the failure burst keeps its vibration signature, which has no
+    quiet-phase lookalike, so it forms the rare cluster.
+    """
+    key = rng.stream_key(seed, "layout")
+    u = rng.uniforms(key, np.arange(4, dtype=np.uint64))
+
+    def snap(x):
+        return round(x * 2) / 2
+
+    fail_len = 1.5 + 0.5 * int(u[0] * 3)  # 1.5 / 2.0 / 2.5 s
+    a = snap(duration * (0.20 + 0.15 * u[2]))
+    fail_start = snap(duration * (0.45 + 0.30 * u[1]))
+    states = [MachineState.Idle, MachineState.Waiting]
+    if u[3] < 0.5:
+        states = states[::-1]
+    m = "m1"
+    schedule = (
+        PhaseInterval(m, 0.0, a, states[0]),
+        PhaseInterval(m, a, fail_start, states[1]),
+        PhaseInterval(m, fail_start, fail_start + fail_len, MachineState.Failure),
+        PhaseInterval(m, fail_start + fail_len, duration, states[0]),
+    )
+    return ScenarioSpec(
+        seed=seed,
+        machines=(m,),
+        duration_s=duration,
+        sample_rate=100,
+        phase_schedule=schedule,
+        failure_windows=((m, fail_start, fail_start + fail_len),),
     )
 
 

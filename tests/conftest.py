@@ -1,51 +1,7 @@
-import numpy as np
 import pytest
 
-import twinforge.rng as rng
 from twinforge.archive import Archive
-from twinforge.simulate import (
-    MachineState,
-    PhaseInterval,
-    ScenarioSpec,
-    simulate_scenario,
-)
-
-
-def quiet_failure_scenario(seed: int, duration: float = 60.0) -> ScenarioSpec:
-    """Quiet operation (idle/waiting) with one failure burst covering roughly
-    2.5-4.2% of blocks; layout varies deterministically with the seed.
-
-    Used for anomaly-detection fixtures: after outlier cleaning the failure
-    burst keeps its vibration signature, which has no quiet-phase lookalike,
-    so it forms the rare cluster.
-    """
-    key = rng.stream_key(seed, "layout")
-    u = rng.uniforms(key, np.arange(4, dtype=np.uint64))
-
-    def snap(x):
-        return round(x * 2) / 2
-
-    fail_len = 1.5 + 0.5 * int(u[0] * 3)  # 1.5 / 2.0 / 2.5 s
-    a = snap(duration * (0.20 + 0.15 * u[2]))
-    fail_start = snap(duration * (0.45 + 0.30 * u[1]))
-    states = [MachineState.Idle, MachineState.Waiting]
-    if u[3] < 0.5:
-        states = states[::-1]
-    m = "m1"
-    schedule = (
-        PhaseInterval(m, 0.0, a, states[0]),
-        PhaseInterval(m, a, fail_start, states[1]),
-        PhaseInterval(m, fail_start, fail_start + fail_len, MachineState.Failure),
-        PhaseInterval(m, fail_start + fail_len, duration, states[0]),
-    )
-    return ScenarioSpec(
-        seed=seed,
-        machines=(m,),
-        duration_s=duration,
-        sample_rate=100,
-        phase_schedule=schedule,
-        failure_windows=((m, fail_start, fail_start + fail_len),),
-    )
+from twinforge.simulate import quiet_failure_scenario, simulate_scenario
 
 
 def archive_of(samples) -> Archive:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 import twinforge.rng as rng
-from twinforge.errors import LengthMismatch, MalformedLine, TooFewPoints
+from twinforge.analytics import Segmentation
+from twinforge.errors import LengthMismatch, MalformedLine, SeriesTooShort, TooFewPoints
 from twinforge.wire import Channel, Quality, TelemetrySample
 
 _KEYS = {"asset", "ch", "ts", "v", "q"}
@@ -90,6 +91,74 @@ def reference_silhouette_loop(vectors, labels) -> float:
         denom = max(a, b)
         scores[i] = (b - a) / denom if denom > 0 else 0.0
     return float(scores.mean())
+
+
+def reference_segment_costs(s1, s2, starts, end):
+    """The library's original L2 segment-cost kernel, summing each row over
+    the feature axis with .sum(axis=1)."""
+    lengths = (end - starts).astype(np.float64)
+    dsum = s1[end] - s1[starts]
+    dsq = s2[end] - s2[starts]
+    return (dsq - dsum * dsum / lengths[:, None]).sum(axis=1)
+
+
+def reference_pelt_segment(features, config) -> Segmentation:
+    """The library's original pelt_segment, kept verbatim with its own copies
+    of the prefix sums, the cost kernel and objective_cost: candidates in a
+    Python list, pruning deadlines in a dict. pelt_segment must return an
+    equal Segmentation for d <= 7."""
+    x = np.asarray(getattr(features, "peaks", features), dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[0]
+    m = config.min_segment
+    beta = config.penalty
+    if n < m:
+        raise SeriesTooShort(f"{n} blocks < min_segment {m}")
+    s1 = np.zeros((n + 1, x.shape[1]))
+    s2 = np.zeros((n + 1, x.shape[1]))
+    np.cumsum(x, axis=0, out=s1[1:])
+    np.cumsum(x * x, axis=0, out=s2[1:])
+
+    f = np.full(n + 1, np.inf)
+    f[0] = -beta
+    prev = np.zeros(n + 1, dtype=np.int64)
+    cands: list[int] = [0]
+    kill: dict[int, int] = {}
+
+    for t in range(m, n + 1):
+        newcomer = t - m
+        if newcomer >= m:
+            cands.append(newcomer)
+        if kill:
+            cands = [s for s in cands if kill.get(s, t + 1) > t]
+        arr = np.asarray(cands, dtype=np.int64)
+        costs = reference_segment_costs(s1, s2, arr, t)
+        totals = f[arr] + costs
+        best = int(np.argmin(totals))  # first minimum: smallest s wins ties
+        f[t] = totals[best] + beta
+        prev[t] = arr[best]
+        doomed = totals > f[t] + 1e-9
+        if doomed.any():
+            deadline = t + m
+            for s in arr[doomed]:
+                kill.setdefault(int(s), deadline)
+
+    cps: list[int] = []
+    t = n
+    while t > 0:
+        s = int(prev[t])
+        if s > 0:
+            cps.append(s)
+        t = s
+    cps.reverse()
+    bounds = [0, *cps, n]
+    total = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        total += float(reference_segment_costs(s1, s2, np.array([a]), b)[0])
+    return Segmentation(
+        change_points=tuple(cps), n_blocks=n, total_cost=total + beta * len(cps)
+    )
 
 
 def random_step_series(seed, max_n=128, max_d=3):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import archive_of, quiet_failure_scenario
+from conftest import archive_of
 from oracles import naive_silhouette, random_step_series
 
 import twinforge.rng as rng
@@ -23,7 +23,7 @@ from twinforge.archive import Archive, SegmentRecord, SegmentStats, WindowQuery
 from twinforge.errors import InvalidTransition
 from twinforge.orchestrator import zeroconf_run
 from twinforge.readiness import detect_outliers, fill_gaps
-from twinforge.simulate import default_scenario, simulate_scenario
+from twinforge.simulate import default_scenario, quiet_failure_scenario, simulate_scenario
 from twinforge.twin import LifecycleEvent, LifecyclePhase, TwinInstance
 from twinforge.wire import TelemetrySample, Channel
 

@@ -3,12 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import naive_silhouette, random_step_series, reference_silhouette_loop
+from oracles import (
+    naive_silhouette,
+    random_step_series,
+    reference_pelt_segment,
+    reference_segment_costs,
+    reference_silhouette_loop,
+)
 
 import twinforge.rng as rng
 from twinforge.analytics import (
     PeltConfig,
     Segmentation,
+    _prefix_sums,
+    _segment_costs,
     brute_force_segment,
     kmeans_assign,
     kmeans_fit,
@@ -278,7 +286,66 @@ class TestSilhouetteRowBlocks:
         finally:
             tracemalloc.stop()
         # the full n x n x 3 broadcast alone would be 132 MiB
-        assert peak < 48 * 2**20
+        assert peak < 20 * 2**20
+
+
+PENALTIES = (0.0, 0.5, 5.0, 40.0, 1e9)
+
+
+class TestLongWindowKernels:
+    """Per-column cost and distance sums and array-held PELT candidates must
+    reproduce the original kernels exactly for d <= 7 (report.json carries
+    change points, total costs and silhouettes byte for byte), and stay
+    within the documented oracles above that."""
+
+    @pytest.mark.parametrize("seed", range(900, 912))
+    def test_pelt_equals_reference(self, seed):
+        # seeds 900-911 cover d = 1..5 and n from 59 to 579
+        x = random_step_series(seed, max_n=600, max_d=5)
+        for series in (x, np.round(x)):  # rounded: exact cost ties
+            for m in range(1, 5):
+                for beta in PENALTIES:
+                    cfg = PeltConfig(penalty=beta, min_segment=m)
+                    assert pelt_segment(series, cfg) == reference_pelt_segment(series, cfg)
+
+    def test_pelt_constant_series_and_minimal_length(self):
+        for m in range(1, 5):
+            for beta in PENALTIES:
+                cfg = PeltConfig(penalty=beta, min_segment=m)
+                for x in (np.full((97, 3), 2.5), np.arange(m * 3.0).reshape(m, 3)):
+                    assert pelt_segment(x, cfg) == reference_pelt_segment(x, cfg)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_segment_costs_equal_axis_sum(self, d):
+        key = rng.stream_key(d, "costs")
+        x = (rng.uniforms(key, np.arange(300 * d, dtype=np.uint64)).reshape(300, d) - 0.5) * 1e3
+        s1, s2 = _prefix_sums(x)
+        for end in (1, 2, 150, 300):
+            starts = np.arange(end, dtype=np.int64)
+            assert np.array_equal(
+                _segment_costs(s1, s2, starts, end), reference_segment_costs(s1, s2, starts, end)
+            )
+
+    @pytest.mark.parametrize("d", [2, 5, 7])
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_silhouette_equals_per_point_loop(self, d, scale):
+        x, labels = labelled_points(d, 700, d, k=4)
+        x *= scale
+        assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels)
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_wide_features_stay_within_oracles(self, d):
+        x, labels = labelled_points(d, 80, d, k=3)
+        assert silhouette_score(x, labels) == pytest.approx(
+            naive_silhouette(x.tolist(), labels.tolist()), abs=1e-9
+        )
+        series = 0.2 * np.repeat(x[:8], 10, axis=0) + 0.3 * x  # 8 noisy levels
+        for beta in (0.5, 5.0, 40.0, 200.0):
+            cfg = PeltConfig(penalty=beta)
+            fast = pelt_segment(series, cfg)
+            oracle = brute_force_segment(series, cfg)
+            assert fast.change_points == oracle.change_points
+            assert fast.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
 
 
 class TestSegmentFeatures:

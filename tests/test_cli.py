@@ -64,6 +64,28 @@ class TestSimulate:
         )
         assert run_cli("simulate", "--spec", str(bad), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf"])
+    def test_non_finite_duration_exits_2(self, tmp_path, capsys, duration):
+        assert run_cli("simulate", f"--duration={duration}", "--out", str(tmp_path)) == 2
+        assert_one_line_error(capsys, "duration must be finite")
+
+    @pytest.mark.parametrize("duration", ["NaN", "Infinity"])
+    def test_non_finite_spec_duration_exits_2(self, tmp_path, capsys, duration):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"machines": ["m1"], "duration_s": %s, "schedule": [{"machine": "m1", '
+            '"start_s": 0, "end_s": %s, "state": "Idle"}]}' % (duration, duration),
+            encoding="utf-8",
+        )
+        assert run_cli("simulate", "--spec", str(spec), "--out", str(tmp_path)) == 2
+        assert_one_line_error(capsys, "duration must be finite")
+
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert run_cli("simulate", "--duration", "1", "--out", str(taken)) == 2
+        assert_one_line_error(capsys, "cannot create output directory")
+
     def test_spec_file_round_trip(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
@@ -153,8 +175,22 @@ class TestRun:
                        "--out", str(tmp_path))
         assert code == 3
 
-    def test_missing_trace_exits_2(self, tmp_path):
+    def test_missing_trace_exits_2(self, tmp_path, capsys):
         assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path)) == 2
+        assert_one_line_error(capsys, "cannot read trace", "none.jsonl")
+
+    def test_trace_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("run", str(tmp_path), "--out", str(tmp_path / "out")) == 2
+        assert_one_line_error(capsys, "cannot read trace")
+
+    def test_out_is_a_file_exits_2(self, sim_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code = run_cli("run", str(sim_dir / "trace.jsonl"), "--machine", "m1",
+                       "--grid", '{"penalty": [40], "k": [2]}', "--out", str(taken))
+        assert code == 2
+        assert_one_line_error(capsys, "cannot create output directory")
+        assert taken.read_text(encoding="utf-8") == ""
 
     def test_rerun_byte_identical(self, sim_dir, run_dir, tmp_path):
         out2 = tmp_path / "rerun"
@@ -241,6 +277,10 @@ class TestBench:
         p = tmp_path / "empty.jsonl"
         p.write_text("", encoding="utf-8")
         assert run_cli("bench", str(p)) == 3
+
+    def test_trace_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("bench", str(tmp_path)) == 2
+        assert_one_line_error(capsys, "cannot read trace")
 
     def test_malformed_trace_exits_2(self, malformed_trace, capsys):
         assert run_cli("bench", str(malformed_trace)) == 2

@@ -7,10 +7,8 @@ reason.
 """
 import hashlib
 
-from conftest import quiet_failure_scenario
-
 from twinforge.cli import main
-from twinforge.simulate import simulate_scenario
+from twinforge.simulate import quiet_failure_scenario, simulate_scenario
 from twinforge.wire import write_trace
 
 LOCKED = ("report.json", "timeline.csv", "anomalies.json")

@@ -8,6 +8,7 @@ from twinforge.simulate import (
     PhaseInterval,
     ScenarioSpec,
     default_scenario,
+    quiet_failure_scenario,
     simulate_scenario,
 )
 from twinforge.wire import ACCEL_CHANNELS, Channel, encode_sample
@@ -53,6 +54,26 @@ class TestSpecValidation:
         )
         with pytest.raises(InvalidSpec):
             spec.validate()
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        spec = ScenarioSpec(
+            machines=("m1",),
+            duration_s=duration,
+            phase_schedule=(PhaseInterval("m1", 0.0, duration, MachineState.Idle),),
+        )
+        with pytest.raises(InvalidSpec, match="finite"):
+            spec.validate()
+        # the default layout rounds its boundaries: the check runs first
+        with pytest.raises(InvalidSpec, match="finite"):
+            default_scenario(duration_s=duration)
+
+    def test_quiet_failure_scenario_is_valid(self):
+        for seed in range(1, 21):
+            spec = quiet_failure_scenario(seed)
+            spec.validate()
+            (_, start, end), = spec.failure_windows
+            assert 1.5 <= end - start <= 2.5 and spec.duration_s == 60.0
 
     def test_failure_window_must_match_schedule(self):
         spec = ScenarioSpec(
