@@ -19,7 +19,7 @@ PELT still equals brute_force_segment, which shares _segment_costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -118,56 +118,8 @@ def objective_cost(features, change_points: Sequence[int], penalty: float) -> fl
     return total + penalty * len(change_points)
 
 
-def pelt_segment(features, config: PeltConfig) -> Segmentation:
-    """Exact penalized segmentation via PELT.
-
-    Recursion F(t) = min over admissible s of F(s) + C(s, t) + penalty, with
-    candidates pruned once F(s) + C(s, t) > F(t). Because segments must be at
-    least min_segment blocks, a pruned candidate is only dropped for steps
-    past t + min_segment (the dominating split at t is not admissible
-    earlier); this keeps the result identical to the unpruned DP.
-    """
-    x = _as_matrix(features)
-    n = x.shape[0]
-    m = config.min_segment
-    beta = config.penalty
-    if n < m:
-        raise SeriesTooShort(f"{n} blocks < min_segment {m}")
-    s1, s2 = _prefix_sums(x)
-
-    f = np.full(n + 1, np.inf)
-    f[0] = -beta
-    prev = np.zeros(n + 1, dtype=np.int64)
-    # live candidates in ascending order in cands[:size]; dead[s] is the first
-    # step at which a pruned candidate s is dropped (never, by default)
-    cands = np.empty(n + 1, dtype=np.int64)
-    cands[0] = 0
-    size = 1
-    dead = np.full(n + 1, n + 1, dtype=np.int64)
-    pruned = False
-
-    for t in range(m, n + 1):
-        newcomer = t - m
-        if newcomer >= m:
-            cands[size] = newcomer
-            size += 1
-        arr = cands[:size]
-        if pruned:
-            arr = arr[dead[arr] > t]
-            size = arr.size
-            cands[:size] = arr
-        costs = _segment_costs(s1, s2, arr, t)
-        totals = f[arr] + costs
-        best = int(np.argmin(totals))  # first minimum: smallest s wins ties
-        f[t] = totals[best] + beta
-        prev[t] = arr[best]
-        doomed = totals > f[t] + _PRUNE_SLACK
-        if doomed.any():
-            # deadlines only grow with t, so the minimum keeps the first one
-            gone = arr[doomed]
-            dead[gone] = np.minimum(dead[gone], t + m)
-            pruned = True
-
+def _backtrack(prev: np.ndarray, n: int) -> list[int]:
+    """Change points of the optimal partition of [0, n) from its back-pointers."""
     cps: list[int] = []
     t = n
     while t > 0:
@@ -176,11 +128,114 @@ def pelt_segment(features, config: PeltConfig) -> Segmentation:
             cps.append(s)
         t = s
     cps.reverse()
-    return Segmentation(
-        change_points=tuple(cps),
-        n_blocks=n,
-        total_cost=objective_cost(x, cps, beta),
-    )
+    return cps
+
+
+class _PeltPath:
+    """One penalty's PELT recursion: F, back-pointers, the live candidates in
+    ascending order in cands[:size], and dead[s], the first step at which a
+    pruned candidate s is dropped (never, by default)."""
+
+    __slots__ = ("beta", "f", "prev", "cands", "size", "dead", "pruned")
+
+    def __init__(self, beta: float, n: int):
+        self.beta = beta
+        self.f = np.full(n + 1, np.inf)
+        self.f[0] = -beta
+        self.prev = np.zeros(n + 1, dtype=np.int64)
+        self.cands = np.empty(n + 1, dtype=np.int64)
+        self.cands[0] = 0
+        self.size = 1
+        self.dead = np.full(n + 1, n + 1, dtype=np.int64)
+        self.pruned = False
+
+    def live(self, t: int, newcomer: int) -> np.ndarray:
+        """Candidates at step t: admit the newcomer (if admissible, >= 0) and
+        drop the pruned candidates whose deadline has come."""
+        if newcomer >= 0:
+            self.cands[self.size] = newcomer
+            self.size += 1
+        arr = self.cands[: self.size]
+        if self.pruned:
+            arr = arr[self.dead[arr] > t]
+            self.size = arr.size
+            self.cands[: self.size] = arr
+        return arr
+
+    def step(self, t: int, m: int, arr: np.ndarray, costs: np.ndarray) -> None:
+        """F(t) from the live candidates arr and their segment costs."""
+        totals = self.f[arr] + costs
+        best = totals.argmin()  # first minimum: smallest s wins ties
+        ft = totals[best] + self.beta
+        self.f[t] = ft
+        self.prev[t] = arr[best]
+        doomed = totals > ft + _PRUNE_SLACK
+        if doomed.any():
+            # deadlines only grow with t, so the minimum keeps the first one
+            gone = arr[doomed]
+            self.dead[gone] = np.minimum(self.dead[gone], t + m)
+            self.pruned = True
+
+
+def pelt_segment(
+    features, config: Union[PeltConfig, Sequence[PeltConfig]]
+) -> Union[Segmentation, tuple[Segmentation, ...]]:
+    """Exact penalized segmentation via PELT.
+
+    Recursion F(t) = min over admissible s of F(s) + C(s, t) + penalty, with
+    candidates pruned once F(s) + C(s, t) > F(t). Because segments must be at
+    least min_segment blocks, a pruned candidate is only dropped for steps
+    past t + min_segment (the dominating split at t is not admissible
+    earlier); this keeps the result identical to the unpruned DP.
+
+    config is one PeltConfig, which returns one Segmentation, or a sequence
+    of PeltConfigs sharing one min_segment, which returns a tuple of
+    Segmentations in the same order. A sequence runs its penalties in
+    lockstep: each keeps its own F, back-pointers, candidates and pruning
+    deadlines, but the segment costs C(s, t), which do not depend on the
+    penalty, are computed once per step over the range from the smallest to
+    the largest live candidate of any penalty, and each penalty gathers its
+    candidates' costs from that range. _segment_costs works element by
+    element per start, so a start's cost has the same bits whatever else is
+    in the range, and each Segmentation equals the one its config gives
+    alone. A single config is the one-penalty case of the same loop.
+    """
+    configs = (config,) if isinstance(config, PeltConfig) else tuple(config)
+    if not configs:
+        raise ValueError("pelt_segment needs at least one config")
+    m = configs[0].min_segment
+    if any(c.min_segment != m for c in configs):
+        found = sorted({c.min_segment for c in configs})
+        raise ValueError(f"lockstep configs must share one min_segment, got {found}")
+    x = _as_matrix(features)
+    n = x.shape[0]
+    if n < m:
+        raise SeriesTooShort(f"{n} blocks < min_segment {m}")
+    s1, s2 = _prefix_sums(x)
+    starts = np.arange(n + 1, dtype=np.int64)
+    paths = [_PeltPath(c.penalty, n) for c in configs]
+
+    for t in range(m, n + 1):
+        newcomer = t - m if t - m >= m else -1
+        live = [p.live(t, newcomer) for p in paths]
+        # every path holds the newest candidate last (the newcomer, else 0)
+        lo = min(int(arr[0]) for arr in live)
+        hi = int(live[0][-1])
+        costs = _segment_costs(s1, s2, starts[lo : hi + 1], t)
+        for p, arr in zip(paths, live):
+            p.step(t, m, arr, costs[arr - lo])
+
+    out = []
+    for p in paths:
+        cps = _backtrack(p.prev, n)
+        out.append(
+            Segmentation(
+                change_points=tuple(cps),
+                n_blocks=n,
+                total_cost=objective_cost(x, cps, p.beta),
+            )
+        )
+    return out[0] if isinstance(config, PeltConfig) else tuple(out)
 
 
 def brute_force_segment(features, config: PeltConfig) -> Segmentation:
@@ -208,14 +263,7 @@ def brute_force_segment(features, config: PeltConfig) -> Segmentation:
         f[t] = totals[best]
         prev[t] = starts[best]
 
-    cps: list[int] = []
-    t = n
-    while t > 0:
-        s = int(prev[t])
-        if s > 0:
-            cps.append(s)
-        t = s
-    cps.reverse()
+    cps = _backtrack(prev, n)
     return Segmentation(change_points=tuple(cps), n_blocks=n, total_cost=float(f[n]))
 
 
@@ -319,50 +367,24 @@ def kmeans_assign(model: KMeansModel, vector) -> int:
     return int(((model.centroids - v) ** 2).sum(axis=1).argmin())
 
 
-def silhouette_score(vectors, labels) -> float:
-    """Mean silhouette in [-1, 1] (Rousseeuw 1987).
+class _Labeling:
+    """One labeling's clusters for silhouette_score: member indices and sizes
+    per cluster, each point's cluster index, and the per-point scores."""
 
-    s_i = (b_i - a_i) / max(a_i, b_i) with a_i the mean intra-cluster
-    distance and b_i the lowest mean distance to another cluster; singleton
-    clusters score 0, as does a degenerate single-cluster labeling.
+    __slots__ = ("inverse", "members", "sizes", "scores")
 
-    The distance matrix is built _SILHOUETTE_ROWS rows at a time, so memory
-    is O(rows * n) rather than O(n^2). Squared distances are accumulated one
-    feature column at a time in index order, equal to summing over the
-    feature axis for d < 8 (see the module docstring). Each per-cluster row
-    sum is taken over a contiguous copy of the members' distances in index
-    order, the same reduction as summing one row's masked entries, so the
-    score is bit-identical to a per-point loop over the full matrix.
-    """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    n = x.shape[0]
-    if n < 2:
-        raise TooFewPoints("silhouette needs at least 2 points")
-    lab = np.asarray(labels)
-    if lab.shape[0] != n:
-        raise LengthMismatch(f"{lab.shape[0]} labels for {n} points")
-    clusters, inverse = np.unique(lab, return_inverse=True)
-    if clusters.size == 1:
-        return 0.0
+    def __init__(self, inverse: np.ndarray, n_clusters: int):
+        self.inverse = inverse
+        self.members = [np.flatnonzero(inverse == j) for j in range(n_clusters)]
+        self.sizes = np.array([m.size for m in self.members])
+        self.scores = np.zeros(inverse.size)
 
-    members = [np.flatnonzero(inverse == j) for j in range(clusters.size)]
-    sizes = np.array([m.size for m in members])
-    cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
-    scores = np.zeros(n)
-    for lo in range(0, n, _SILHOUETTE_ROWS):
-        hi = min(lo + _SILHOUETTE_ROWS, n)
+    def score_rows(self, lo: int, hi: int, dist: np.ndarray) -> None:
+        """Scores of points lo..hi-1 from their distance rows."""
         rows = np.arange(hi - lo)
-        own = inverse[lo:hi]
-        dist = x[lo:hi, 0, None] - cols[0]
-        dist *= dist
-        for j in range(1, len(cols)):
-            d = x[lo:hi, j, None] - cols[j]
-            d *= d
-            dist += d
-        np.sqrt(dist, out=dist)
-        sums = np.stack([dist.take(m, axis=1).sum(axis=1) for m in members], axis=1)
+        own = self.inverse[lo:hi]
+        sizes = self.sizes
+        sums = np.stack([dist.take(m, axis=1).sum(axis=1) for m in self.members], axis=1)
         # a singleton's a_i is never used (s_i = 0); dividing by 1 avoids 0/0
         a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
         means = sums / sizes
@@ -371,8 +393,59 @@ def silhouette_score(vectors, labels) -> float:
         denom = np.maximum(a, b)
         block = np.divide(b - a, denom, out=np.zeros(hi - lo), where=denom > 0)
         block[sizes[own] == 1] = 0.0
-        scores[lo:hi] = block
-    return float(scores.mean())
+        self.scores[lo:hi] = block
+
+
+def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
+    """Mean silhouette in [-1, 1] (Rousseeuw 1987).
+
+    s_i = (b_i - a_i) / max(a_i, b_i) with a_i the mean intra-cluster
+    distance and b_i the lowest mean distance to another cluster; singleton
+    clusters score 0, as does a degenerate single-cluster labeling.
+
+    labels of shape (n,) returns one float; labels of shape (m, n), m
+    labelings of the same points, returns a tuple of m floats. The distance
+    matrix is built _SILHOUETTE_ROWS rows at a time and each block serves
+    every labeling, so memory is O(rows * n) plus one n-vector per labeling
+    rather than O(n^2), and the rows are built once however many labelings
+    there are. Squared distances are accumulated one feature column at a time
+    in index order, equal to summing over the feature axis for d < 8 (see the
+    module docstring). Each per-cluster row sum is taken over a contiguous
+    copy of the members' distances in index order, the same reduction as
+    summing one row's masked entries, so each score is bit-identical to a
+    per-point loop over the full matrix, and to its labeling scored alone:
+    it reads the same distance values.
+    """
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[0]
+    if n < 2:
+        raise TooFewPoints("silhouette needs at least 2 points")
+    lab = np.asarray(labels)
+    if lab.shape[-1] != n:
+        raise LengthMismatch(f"{lab.shape[-1]} labels for {n} points")
+    labelings: list[Optional[_Labeling]] = []
+    for row in lab if lab.ndim > 1 else (lab,):
+        clusters, inverse = np.unique(row, return_inverse=True)
+        labelings.append(None if clusters.size == 1 else _Labeling(inverse, clusters.size))
+    scored = [lb for lb in labelings if lb is not None]
+
+    if scored:
+        cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
+        for lo in range(0, n, _SILHOUETTE_ROWS):
+            hi = min(lo + _SILHOUETTE_ROWS, n)
+            dist = x[lo:hi, 0, None] - cols[0]
+            dist *= dist
+            for j in range(1, len(cols)):
+                d = x[lo:hi, j, None] - cols[j]
+                d *= d
+                dist += d
+            np.sqrt(dist, out=dist)
+            for lb in scored:
+                lb.score_rows(lo, hi, dist)
+    out = tuple(0.0 if lb is None else float(lb.scores.mean()) for lb in labelings)
+    return out if lab.ndim > 1 else out[0]
 
 
 @dataclass(frozen=True)

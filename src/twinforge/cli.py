@@ -116,8 +116,15 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         return _os_fail("cannot create output directory", args.out, exc)
     trace_path = out / "trace.jsonl"
-    n = write_trace(trace_path, samples)
-    (out / "ground_truth.json").write_text(truth.to_json(), encoding="utf-8")
+    try:
+        n = write_trace(trace_path, samples)
+    except OSError as exc:
+        return _os_fail("cannot write", trace_path, exc)
+    truth_path = out / "ground_truth.json"
+    try:
+        truth_path.write_text(truth.to_json(), encoding="utf-8")
+    except OSError as exc:
+        return _os_fail("cannot write", truth_path, exc)
     print(f"wrote {n} samples to {trace_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -244,15 +251,11 @@ def cmd_run(args) -> int:
     except OSError as exc:
         return _os_fail("cannot create output directory", args.out, exc)
     payload = _report_payload(report, args.machine, args.seed, args.threshold)
-    (out / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    (out / "timeline.csv").write_text(timeline.to_csv(), encoding="utf-8")
-    (out / "changepoints.txt").write_text(
-        "".join(f"{cp}\n" for cp in timeline.change_points), encoding="utf-8"
-    )
-    (out / "anomalies.json").write_text(
-        json.dumps(
+    artifacts = {
+        "report.json": json.dumps(payload, sort_keys=True, indent=1) + "\n",
+        "timeline.csv": timeline.to_csv(),
+        "changepoints.txt": "".join(f"{cp}\n" for cp in timeline.change_points),
+        "anomalies.json": json.dumps(
             [
                 {
                     "machine": a.machine,
@@ -269,8 +272,7 @@ def cmd_run(args) -> int:
             indent=1,
         )
         + "\n",
-        encoding="utf-8",
-    )
+    }
     manifest = {
         "tool_version": __version__,
         "trace": str(args.trace),
@@ -279,11 +281,14 @@ def cmd_run(args) -> int:
         "rarity_threshold": args.threshold,
         "grid": grid if grid is not None else DEFAULT_GRID,
         "format_versions": FORMAT_VERSIONS,
-        "outputs": ["report.json", "timeline.csv", "changepoints.txt", "anomalies.json"],
+        "outputs": list(artifacts),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    artifacts["manifest.json"] = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+    for name, text in artifacts.items():
+        try:
+            (out / name).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _os_fail("cannot write", out / name, exc)
     print(
         f"selected {report.selected}: {report.results[0].segment_count} segments, "
         f"{len(anomalies)} anomalies -> {out}",
@@ -297,8 +302,12 @@ def cmd_report(args) -> int:
         payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
         replicas = payload["replicas"]
         selected = payload["selected"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
         return _fail(EXIT_BAD_ARGS, f"malformed report: {exc}")
+    if not isinstance(replicas, list):
+        return _fail(
+            EXIT_BAD_ARGS, f"malformed report: replicas is a {type(replicas).__name__}, not a list"
+        )
     if not replicas:
         print("no replicas")
         return EXIT_OK
@@ -312,7 +321,7 @@ def cmd_report(args) -> int:
                 f"{r['block_size']:>6}{r['silhouette']:>11.4f}"
                 f"{r['segment_count']:>9}{r['anomaly_count']:>10}"
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             return _fail(EXIT_BAD_ARGS, f"malformed report row: {exc}")
     return EXIT_OK
 

@@ -165,6 +165,49 @@ def _axis_series(window: Sequence[TelemetrySample]):
     return np.array(xs), np.array(ys), np.array(zs), ts
 
 
+def _readiness_key(hp: HyperParams) -> str:
+    """Canonical JSON of the readiness stage's input, so 50 and 50.0 stay apart."""
+    return json.dumps([hp.block_size, dict(hp.readiness)], sort_keys=True)
+
+
+def _pelt_stage(features: FeatureSeries, penalties: list) -> list:
+    """Per penalty, its Segmentation or the failure its replicas raise: one
+    lockstep PELT call covers every penalty with a valid config."""
+    out: list = []
+    configs = []
+    for penalty in penalties:
+        try:
+            configs.append(PeltConfig(penalty=penalty))
+            out.append(None)
+        except (TypeError, ValueError) as exc:
+            out.append(exc)
+    if configs:
+        try:
+            segmentations = iter(pelt_segment(features, configs))
+        except TwinForgeError as exc:
+            # the configs share min_segment, so each would raise this alone
+            segmentations = itertools.repeat(exc)
+        out = [next(segmentations) if o is None else o for o in out]
+    return out
+
+
+def _cluster_stage(features: FeatureSeries, ks: list, seed: int) -> list:
+    """Per k, its (k-means model, silhouette) or the failure its replicas
+    raise: one k-means fit per k, then one silhouette call over the labels
+    of every fitted k."""
+    fits: list = []
+    for k in ks:
+        try:
+            fits.append(kmeans_fit(features.peaks, k, seed))
+        except (TwinForgeError, TypeError, ValueError) as exc:
+            fits.append(exc)
+    fitted = [m for m in fits if not isinstance(m, Exception)]
+    if not fitted:
+        return fits
+    scores = iter(silhouette_score(features.peaks, np.stack([m.labels for m in fitted])))
+    return [f if isinstance(f, Exception) else (f, next(scores)) for f in fits]
+
+
 def run_replica(
     window: Sequence[TelemetrySample],
     hp: HyperParams,
@@ -180,30 +223,47 @@ def run_replica(
 
     memo is a dict shared by the replicas of one sweep (same window, same
     seed). A stage runs only on a miss: the axis split once, readiness per
-    (block_size, readiness), PELT per that plus penalty, k-means and
-    silhouette per that plus k. Keys are canonical JSON, so 50 and 50.0 stay
-    apart. Without a memo every stage runs. Replicas of one sweep share
-    these stage results, so their arrays must not be modified in place.
+    (block_size, readiness), PELT per that plus penalty, and clustering
+    (k-means, then silhouette) per that plus k. zeroconf_run also lists in
+    memo["peers"] the grid's replicas per (block_size, readiness); a miss
+    then covers every penalty or k of those peers at once: one lockstep PELT
+    call, one k-means fit per k and one silhouette call over all the labels.
+    A failure is kept in the memo and raised by the replica whose value it
+    belongs to, so a shared stage never raises for a later replica.
+    Keys are canonical JSON, so 50 and 50.0 stay apart. Without a memo every
+    stage runs for this replica's own penalty and k. Replicas of one sweep
+    share these stage results, so their arrays must not be modified in place.
     """
     version = f"v{seq}-{hp.digest()}"
     memo = {} if memo is None else memo
+    base = _readiness_key(hp)
 
-    def stage(name, compute, *inputs):
-        key = (name, json.dumps([hp.block_size, dict(hp.readiness), *inputs], sort_keys=True))
+    def stage(name, field, compute):
+        """This replica's result of a stage that reads one hyperparameter;
+        a miss computes it for every peer's value that has no result yet."""
+        own = getattr(hp, field)
+        key = (name, base, json.dumps(own))
         if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+            wanted = {}
+            for peer in (*memo.get("peers", {}).get(base, ()), hp):
+                value = getattr(peer, field)
+                wanted.setdefault((name, base, json.dumps(value)), value)
+            missing = [k for k in wanted if k not in memo]
+            memo.update(zip(missing, compute([wanted[k] for k in missing])))
+        result = memo[key]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     try:
         if "axes" not in memo:
             memo["axes"] = _axis_series(window)
         x, y, z, ts = memo["axes"]
-        features = stage("readiness", lambda: run_readiness(x, y, z, hp.readiness_config()))
-        segmentation = stage(
-            "pelt", lambda: pelt_segment(features, PeltConfig(penalty=hp.penalty)), hp.penalty
-        )
-        model = stage("kmeans", lambda: kmeans_fit(features.peaks, hp.k, seed), hp.k)
-        score = stage("silhouette", lambda: silhouette_score(features.peaks, model.labels), hp.k)
+        if ("readiness", base) not in memo:
+            memo[("readiness", base)] = run_readiness(x, y, z, hp.readiness_config())
+        features = memo[("readiness", base)]
+        segmentation = stage("pelt", "penalty", lambda ps: _pelt_stage(features, ps))
+        model, score = stage("cluster", "k", lambda ks: _cluster_stage(features, ks, seed))
         summaries = segment_features(features, segmentation, model.labels)
     except TwinForgeError as exc:
         raise type(exc)(f"{version}: {exc}") from exc
@@ -354,7 +414,10 @@ def zeroconf_run(
     window = [e.sample for e in entries]
 
     hps = spawn_replica_grid(grid if grid is not None else DEFAULT_GRID)
-    memo: dict = {}
+    peers: dict[str, list[HyperParams]] = {}
+    for hp in hps:
+        peers.setdefault(_readiness_key(hp), []).append(hp)
+    memo: dict = {"peers": peers}
     results = [run_replica(window, hp, seed, i + 1, memo) for i, hp in enumerate(hps)]
 
     # nominal sample spacing, for reproducible record timestamps

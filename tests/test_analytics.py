@@ -13,6 +13,7 @@ from oracles import (
 
 import twinforge.rng as rng
 from twinforge.analytics import (
+    BRUTE_FORCE_MAX_N,
     PeltConfig,
     Segmentation,
     _prefix_sums,
@@ -57,6 +58,17 @@ class TestPelt:
         x = np.array([0.0] * 8 + [5.0] * 8 + [0.0] * 8)
         seg = pelt_segment(x, PeltConfig(penalty=1.0))
         assert seg.change_points == (8, 16)
+
+    def test_lockstep_forms(self):
+        x = random_step_series(3)
+        cfg = PeltConfig(penalty=10.0)
+        assert pelt_segment(x, [cfg]) == (pelt_segment(x, cfg),)
+        with pytest.raises(ValueError, match="min_segment"):
+            pelt_segment(x, [cfg, PeltConfig(penalty=10.0, min_segment=3)])
+        with pytest.raises(ValueError):
+            pelt_segment(x, [])
+        with pytest.raises(SeriesTooShort):
+            pelt_segment(np.zeros(1), [cfg, PeltConfig(penalty=40.0)])
 
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -279,14 +291,36 @@ class TestSilhouetteRowBlocks:
 
     def test_memory_stays_in_row_blocks(self):
         x, labels = labelled_points(10, 2400, 3, k=4)
+        stack = np.stack([labels, (labels + 1) % 4, labels % 2, np.arange(2400) % 5])
         tracemalloc.start()
         try:
-            silhouette_score(x, labels)
+            silhouette_score(x, stack)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the full n x n x 3 broadcast alone would be 132 MiB
         assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize(
+        "d, n", [(d, n) for d in (2, 5, 7) for n in (255, 256, 257)] + [(2, 2401)]
+    )
+    def test_several_labelings_equal_per_point_loop(self, d, n):
+        x, labels = labelled_points(d, n, d, k=4)
+        singleton = labels.copy()
+        singleton[n // 2] = 9
+        _, uneven = labelled_points(d + 100, n, d, k=5, skew=3.0)
+        stack = np.stack([labels, np.full(n, 3), singleton, uneven])
+        got = silhouette_score(x, stack)
+        assert got == tuple(reference_silhouette_loop(x, lab) for lab in stack)
+        assert got == tuple(silhouette_score(x, lab) for lab in stack)
+        assert got[1] == 0.0
+
+    def test_labeling_forms(self):
+        x, labels = labelled_points(11, 40, 3, k=3)
+        assert silhouette_score(x, labels[None]) == (silhouette_score(x, labels),)
+        assert silhouette_score(x, np.empty((0, 40), dtype=int)) == ()
+        with pytest.raises(LengthMismatch):
+            silhouette_score(x, np.stack([labels, labels])[:, :39])
 
 
 PENALTIES = (0.0, 0.5, 5.0, 40.0, 1e9)
@@ -301,12 +335,23 @@ class TestLongWindowKernels:
     @pytest.mark.parametrize("seed", range(900, 912))
     def test_pelt_equals_reference(self, seed):
         # seeds 900-911 cover d = 1..5 and n from 59 to 579
+        # one lockstep call over all PENALTIES: 0 and 1e9 prune very
+        # differently, so the penalties' candidate sets diverge
         x = random_step_series(seed, max_n=600, max_d=5)
         for series in (x, np.round(x)):  # rounded: exact cost ties
             for m in range(1, 5):
-                for beta in PENALTIES:
-                    cfg = PeltConfig(penalty=beta, min_segment=m)
-                    assert pelt_segment(series, cfg) == reference_pelt_segment(series, cfg)
+                cfgs = [PeltConfig(penalty=beta, min_segment=m) for beta in PENALTIES]
+                got = pelt_segment(series, cfgs)
+                assert got == tuple(reference_pelt_segment(series, cfg) for cfg in cfgs)
+                assert got == tuple(pelt_segment(series, cfg) for cfg in cfgs)
+                if len(series) <= BRUTE_FORCE_MAX_N:
+                    for seg, cfg in zip(got, cfgs):
+                        oracle = brute_force_segment(series, cfg)
+                        assert seg.change_points == oracle.change_points
+                        # the oracle's F carries -penalty from F(0): up to
+                        # half an ulp of the penalty lost per step
+                        slack = 1e-9 + len(series) * cfg.penalty * 2.0**-53
+                        assert seg.total_cost == pytest.approx(oracle.total_cost, abs=slack)
 
     def test_pelt_constant_series_and_minimal_length(self):
         for m in range(1, 5):
@@ -336,9 +381,12 @@ class TestLongWindowKernels:
     @pytest.mark.parametrize("d", [8, 12])
     def test_wide_features_stay_within_oracles(self, d):
         x, labels = labelled_points(d, 80, d, k=3)
-        assert silhouette_score(x, labels) == pytest.approx(
-            naive_silhouette(x.tolist(), labels.tolist()), abs=1e-9
-        )
+        singleton = labels.copy()
+        singleton[40] = 9
+        _, uneven = labelled_points(d + 100, 80, d, k=4, skew=3.0)
+        stack = np.stack([labels, singleton, uneven])
+        for got, lab in zip(silhouette_score(x, stack), stack):
+            assert got == pytest.approx(naive_silhouette(x.tolist(), lab.tolist()), abs=1e-9)
         series = 0.2 * np.repeat(x[:8], 10, axis=0) + 0.3 * x  # 8 noisy levels
         for beta in (0.5, 5.0, 40.0, 200.0):
             cfg = PeltConfig(penalty=beta)

@@ -86,6 +86,11 @@ class TestSimulate:
         assert run_cli("simulate", "--duration", "1", "--out", str(taken)) == 2
         assert_one_line_error(capsys, "cannot create output directory")
 
+    def test_artifact_is_a_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "ground_truth.json").mkdir()
+        assert run_cli("simulate", "--duration", "1", "--out", str(tmp_path)) == 2
+        assert_one_line_error(capsys, "cannot write", "ground_truth.json", "Is a directory")
+
     def test_spec_file_round_trip(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
@@ -192,6 +197,13 @@ class TestRun:
         assert_one_line_error(capsys, "cannot create output directory")
         assert taken.read_text(encoding="utf-8") == ""
 
+    def test_artifact_is_a_directory_exits_2(self, sim_dir, tmp_path, capsys):
+        (tmp_path / "timeline.csv").mkdir()
+        code = run_cli("run", str(sim_dir / "trace.jsonl"), "--machine", "m1",
+                       "--grid", '{"penalty": [40], "k": [2]}', "--out", str(tmp_path))
+        assert code == 2
+        assert_one_line_error(capsys, "cannot write", "timeline.csv", "Is a directory")
+
     def test_rerun_byte_identical(self, sim_dir, run_dir, tmp_path):
         out2 = tmp_path / "rerun"
         assert run_cli("run", str(sim_dir / "trace.jsonl"), "--machine", "m1",
@@ -207,6 +219,15 @@ class TestRun:
                        "--out", str(out2)) == 0
         for name in ("report.json", "timeline.csv", "anomalies.json"):
             assert (out2 / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_failing_replica_exits_4_with_its_version(self, tmp_path, capsys):
+        # 2 s is 4 blocks at block size 50: k = 5 fails there, in v22 and not
+        # in v13, the first replica of that block size
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--duration", "2", "--out", str(sim)) == 0
+        capsys.readouterr()
+        assert run_cli("run", str(sim / "trace.jsonl"), "--out", str(tmp_path / "out")) == 4
+        assert capsys.readouterr().err == "twinforge: pipeline error: v22-62596441: k=5 > n=4\n"
 
     def test_grid_override(self, sim_dir, tmp_path):
         out = tmp_path / "small"
@@ -263,6 +284,24 @@ class TestReport:
         p = tmp_path / "r.json"
         p.write_text('{"replicas": [', encoding="utf-8")
         assert run_cli("report", str(p)) == 2
+
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            (b'{"replicas": 5, "selected": "x"}', "malformed report: replicas is a int"),
+            (b'{"replicas": [{"version": "v1", "penalty": "x", "k": 2, "block_size": 50, '
+             b'"silhouette": 0.5, "segment_count": 3, "anomaly_count": 0}], "selected": "v1"}',
+             "malformed report row: "),
+            (b'["replicas"]', "malformed report: "),
+            (b'{"replicas": ["\xff"], "selected": null}', "malformed report: "),
+        ],
+    )
+    def test_malformed_report_exits_2(self, tmp_path, capsys, content, fragment):
+        p = tmp_path / "r.json"
+        p.write_bytes(content)
+        assert run_cli("report", str(p)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"twinforge: {fragment}") and err.count("\n") == 1, err
 
 
 class TestBench:

@@ -7,8 +7,9 @@ reason.
 """
 import hashlib
 
-from twinforge.cli import main
-from twinforge.simulate import quiet_failure_scenario, simulate_scenario
+from twinforge.cli import ingest, main
+from twinforge.orchestrator import zeroconf_run
+from twinforge.simulate import default_scenario, quiet_failure_scenario, simulate_scenario
 from twinforge.wire import write_trace
 
 LOCKED = ("report.json", "timeline.csv", "anomalies.json")
@@ -25,6 +26,11 @@ GOLDEN = {
         "anomalies.json": "333d652c00365af1c7a4a5a11c754e626cad527d7c08562264f784b43295423a",
     },
 }
+
+# Sliding 10 s windows (20 and 40 blocks) of a 30 s, 3-machine seed-42 trace:
+# the short windows a live twin analyses, where k reaches 5 of 20 blocks.
+LIVE_WINDOWS = "d4b312af71e7621bb5ecf8f079fecf07415d322471b863668c565bcf3b249dcd"
+NS_PER_S = 10**9
 
 
 def artifact_hashes(out):
@@ -47,3 +53,24 @@ def test_quiet_failure_seed3(tmp_path):
     assert main(["run", str(trace), "--machine", "m1", "--out", str(out)]) == 0
     assert artifact_hashes(out) == GOLDEN["quiet-failure-seed3-m1"]
 
+
+
+def test_live_sliding_windows_seed42():
+    machines = ("m1", "m2", "m3")
+    samples, _ = simulate_scenario(default_scenario(seed=42, duration_s=30, machines=machines))
+    _, archive = ingest(samples)
+    digest = hashlib.sha256()
+    analyses = 0
+    for edge in range(10 * NS_PER_S, 30 * NS_PER_S, 4 * NS_PER_S):
+        for machine in machines:
+            window = (edge - 10 * NS_PER_S, edge)
+            report, timeline, anomalies = zeroconf_run(archive, machine, window)
+            flagged = [
+                (a.segment_index, a.block_range, a.cluster_label, repr(a.rarity), a.ts)
+                for a in anomalies
+            ]
+            item = (machine, edge, report.selected, timeline.change_points, timeline.rows, flagged)
+            digest.update(repr(item).encode())
+            analyses += 1
+    assert analyses == 15
+    assert digest.hexdigest() == LIVE_WINDOWS

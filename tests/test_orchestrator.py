@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from conftest import archive_of
 
 from twinforge import orchestrator
 from twinforge.archive import SegmentRecord, SegmentStats, WindowQuery
 from twinforge.errors import (
     AxisLengthMismatch,
     EmptyGrid,
+    KExceedsN,
     MixedVersions,
     NoData,
     NoResults,
@@ -24,6 +26,7 @@ from twinforge.orchestrator import (
     spawn_replica_grid,
     zeroconf_run,
 )
+from twinforge.simulate import default_scenario, simulate_scenario
 from twinforge.twin import LifecycleEvent, TwinInstance
 from twinforge.wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample, encode_sample
 
@@ -397,7 +400,25 @@ class TestZeroconf:
         _, _, _, archive = small_run
         report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
         assert len(report.results) == 24
-        assert calls == {"run_readiness": 2, "pelt_segment": 6, "kmeans_fit": 8, "silhouette_score": 8}
+        # PELT runs every penalty and silhouette every k of a block size in one call
+        assert calls == {"run_readiness": 2, "pelt_segment": 2, "kmeans_fit": 8, "silhouette_score": 2}
+
+    @pytest.mark.parametrize(
+        "grid, error, version",
+        [
+            # 2 s is 8 blocks at block size 25 and 4 at 50: k = 5 fails only
+            # at 50, in v22, although v13 fits every k of that block size
+            (None, KExceedsN, "v22-62596441: k=5 > n=4"),
+            # v1's PELT call segments both penalties; v2's bad one waits for v2
+            ({"penalty": [10.0, -1.0], "k": [5]}, KExceedsN, "v1-"),
+            ({"penalty": [10.0, -1.0], "k": [2]}, ValueError, "penalty must be >= 0"),
+        ],
+    )
+    def test_shared_stage_failure_is_raised_by_its_replica(self, grid, error, version):
+        samples, _ = simulate_scenario(default_scenario(duration_s=2, machines=("m1",)))
+        with pytest.raises(error) as info:
+            zeroconf_run(archive_of(samples), "m1", (0, 10**18), grid=grid)
+        assert str(info.value).startswith(version)
 
     def test_ranking_is_total_order(self, small_run):
         _, _, _, archive = small_run
