@@ -13,7 +13,7 @@ import numpy as np
 
 from twinforge.cli import ingest
 from twinforge.orchestrator import zeroconf_run
-from twinforge.readiness import ReadinessConfig, detect_outliers, fill_gaps, smooth, zscore_normalize
+from twinforge.readiness import ReadinessConfig, clean_axis
 from twinforge.simulate import default_scenario, simulate_scenario
 from twinforge.wire import Channel
 
@@ -60,10 +60,7 @@ def main() -> int:
         [s.value for s in samples
          if s.asset_id == args.machine and s.channel is Channel.accel_x]
     )
-    cfg = ReadinessConfig()
-    cleaned = zscore_normalize(
-        smooth(fill_gaps(raw, detect_outliers(raw, cfg.sigma_threshold)), cfg.smooth_window)
-    )
+    cleaned = clean_axis(raw, ReadinessConfig())
     with open(out / "signal.csv", "w") as fh:
         fh.write("sample,raw_x,cleaned_x\n")
         for i, (r, c) in enumerate(zip(raw, cleaned)):

@@ -311,18 +311,19 @@ def cmd_report(args) -> int:
     if not replicas:
         print("no replicas")
         return EXIT_OK
-    header = f"{'':2}{'version':<14}{'penalty':>8}{'k':>3}{'block':>6}{'silhouette':>11}{'segments':>9}{'anomalies':>10}"
-    print(header)
+    lines = [f"{'':2}{'version':<14}{'penalty':>8}{'k':>3}{'block':>6}{'silhouette':>11}{'segments':>9}{'anomalies':>10}"]
+    # every row is formatted before any is printed, so stdout is all or nothing
     for r in replicas:
         try:
             mark = "*" if r["version"] == selected else " "
-            print(
+            lines.append(
                 f"{mark:2}{r['version']:<14}{r['penalty']:>8g}{r['k']:>3}"
                 f"{r['block_size']:>6}{r['silhouette']:>11.4f}"
                 f"{r['segment_count']:>9}{r['anomaly_count']:>10}"
             )
         except (KeyError, TypeError, ValueError) as exc:
             return _fail(EXIT_BAD_ARGS, f"malformed report row: {exc}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -3,9 +3,9 @@ replicas against an immutable window of archived data, version and rank their
 outputs, flag rare-cluster segments as anomalies, and feed augmentation
 events back into the twin.
 
-A sweep is a memoized stage graph: each stage reads only part of the
-hyperparameters, so with one memo per sweep every stage runs once per
-distinct input while each replica keeps its own version and result.
+A sweep runs one fixed plan (_plan): each stage reads only part of the
+hyperparameters, so each runs once per distinct input, and every replica
+then assembles its own versioned result from the shared stage outputs.
 """
 from __future__ import annotations
 
@@ -165,47 +165,46 @@ def _axis_series(window: Sequence[TelemetrySample]):
     return np.array(xs), np.array(ys), np.array(zs), ts
 
 
-def _readiness_key(hp: HyperParams) -> str:
-    """Canonical JSON of the readiness stage's input, so 50 and 50.0 stay apart."""
-    return json.dumps([hp.block_size, dict(hp.readiness)], sort_keys=True)
+def _group(hps: Sequence[HyperParams], members, field: str) -> dict[str, list[int]]:
+    """Indices of members by the canonical JSON of one hyperparameter field,
+    in first-seen order, so 50 and 50.0 stay distinct stage inputs."""
+    groups: dict[str, list[int]] = {}
+    for i in members:
+        groups.setdefault(json.dumps(getattr(hps[i], field)), []).append(i)
+    return groups
 
 
-def _pelt_stage(features: FeatureSeries, penalties: list) -> list:
-    """Per penalty, its Segmentation or the failure its replicas raise: one
-    lockstep PELT call covers every penalty with a valid config."""
-    out: list = []
-    configs = []
-    for penalty in penalties:
-        try:
-            configs.append(PeltConfig(penalty=penalty))
-            out.append(None)
-        except (TypeError, ValueError) as exc:
-            out.append(exc)
-    if configs:
-        try:
-            segmentations = iter(pelt_segment(features, configs))
-        except TwinForgeError as exc:
-            # the configs share min_segment, so each would raise this alone
-            segmentations = itertools.repeat(exc)
-        out = [next(segmentations) if o is None else o for o in out]
-    return out
+def _plan(axes, hps: Sequence[HyperParams], seed: int) -> list[tuple]:
+    """Every stage output of the replicas hps over one window's split axes,
+    one tuple per replica in order: (features, segmentation, k-means model,
+    silhouette, window start ts).
 
-
-def _cluster_stage(features: FeatureSeries, ks: list, seed: int) -> list:
-    """Per k, its (k-means model, silhouette) or the failure its replicas
-    raise: one k-means fit per k, then one silhouette call over the labels
-    of every fitted k."""
-    fits: list = []
-    for k in ks:
-        try:
-            fits.append(kmeans_fit(features.peaks, k, seed))
-        except (TwinForgeError, TypeError, ValueError) as exc:
-            fits.append(exc)
-    fitted = [m for m in fits if not isinstance(m, Exception)]
-    if not fitted:
-        return fits
-    scores = iter(silhouette_score(features.peaks, np.stack([m.labels for m in fitted])))
-    return [f if isinstance(f, Exception) else (f, next(scores)) for f in fits]
+    Replicas with the same readiness overrides share one run_readiness call
+    over their block sizes. Per block size, one lockstep pelt_segment call
+    covers every penalty, kmeans_fit runs once per k and one silhouette_score
+    call scores every k's labels. Replicas share these objects, so their
+    arrays must not be modified in place.
+    """
+    x, y, z, ts = axes
+    stages: list = [None] * len(hps)
+    for same_readiness in _group(hps, range(len(hps)), "readiness").values():
+        by_size = _group(hps, same_readiness, "block_size")
+        configs = [hps[members[0]].readiness_config() for members in by_size.values()]
+        for same_size, features in zip(by_size.values(), run_readiness(x, y, z, configs)):
+            by_penalty = _group(hps, same_size, "penalty")
+            by_k = _group(hps, same_size, "k")
+            segmentations = pelt_segment(
+                features, [PeltConfig(penalty=hps[g[0]].penalty) for g in by_penalty.values()]
+            )
+            models = [kmeans_fit(features.peaks, hps[g[0]].k, seed) for g in by_k.values()]
+            scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
+            segmentation_of = {}
+            for members, segmentation in zip(by_penalty.values(), segmentations):
+                segmentation_of.update(dict.fromkeys(members, segmentation))
+            for members, model, score in zip(by_k.values(), models, scores):
+                for i in members:
+                    stages[i] = (features, segmentation_of[i], model, score, ts[0])
+    return stages
 
 
 def run_replica(
@@ -213,57 +212,23 @@ def run_replica(
     hp: HyperParams,
     seed: int,
     seq: int = 1,
-    memo: Optional[dict] = None,
+    stages: Optional[tuple] = None,
 ) -> ReplicaResult:
     """One pipeline replica over an immutable window: readiness ->
     segmentation -> clustering + silhouette -> segment stats.
 
-    Deterministic given (window, hp, seed); any stage error is re-raised
-    annotated with the replica version.
-
-    memo is a dict shared by the replicas of one sweep (same window, same
-    seed). A stage runs only on a miss: the axis split once, readiness per
-    (block_size, readiness), PELT per that plus penalty, and clustering
-    (k-means, then silhouette) per that plus k. zeroconf_run also lists in
-    memo["peers"] the grid's replicas per (block_size, readiness); a miss
-    then covers every penalty or k of those peers at once: one lockstep PELT
-    call, one k-means fit per k and one silhouette call over all the labels.
-    A failure is kept in the memo and raised by the replica whose value it
-    belongs to, so a shared stage never raises for a later replica.
-    Keys are canonical JSON, so 50 and 50.0 stay apart. Without a memo every
-    stage runs for this replica's own penalty and k. Replicas of one sweep
-    share these stage results, so their arrays must not be modified in place.
+    Deterministic given (window, hp, seed); a TwinForgeError from any stage
+    is re-raised annotated with the replica version, other errors as they
+    are. This is the one-replica oracle: with stages=None it splits the
+    window and runs the sweep's plan over [hp] alone. zeroconf_run passes
+    stages, this replica's entry of the plan over the whole grid, and the
+    result is the same.
     """
     version = f"v{seq}-{hp.digest()}"
-    memo = {} if memo is None else memo
-    base = _readiness_key(hp)
-
-    def stage(name, field, compute):
-        """This replica's result of a stage that reads one hyperparameter;
-        a miss computes it for every peer's value that has no result yet."""
-        own = getattr(hp, field)
-        key = (name, base, json.dumps(own))
-        if key not in memo:
-            wanted = {}
-            for peer in (*memo.get("peers", {}).get(base, ()), hp):
-                value = getattr(peer, field)
-                wanted.setdefault((name, base, json.dumps(value)), value)
-            missing = [k for k in wanted if k not in memo]
-            memo.update(zip(missing, compute([wanted[k] for k in missing])))
-        result = memo[key]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
     try:
-        if "axes" not in memo:
-            memo["axes"] = _axis_series(window)
-        x, y, z, ts = memo["axes"]
-        if ("readiness", base) not in memo:
-            memo[("readiness", base)] = run_readiness(x, y, z, hp.readiness_config())
-        features = memo[("readiness", base)]
-        segmentation = stage("pelt", "penalty", lambda ps: _pelt_stage(features, ps))
-        model, score = stage("cluster", "k", lambda ks: _cluster_stage(features, ks, seed))
+        if stages is None:
+            (stages,) = _plan(_axis_series(window), [hp], seed)
+        features, segmentation, model, score, window_start_ts = stages
         summaries = segment_features(features, segmentation, model.labels)
     except TwinForgeError as exc:
         raise type(exc)(f"{version}: {exc}") from exc
@@ -276,7 +241,7 @@ def run_replica(
         segment_count=len(segmentation.segments),
         features=features,
         segments=tuple(summaries),
-        window_start_ts=ts[0],
+        window_start_ts=window_start_ts,
     )
 
 
@@ -396,7 +361,7 @@ def zeroconf_run(
 ) -> tuple[BenchmarkReport, Timeline, list[AnomalyEvent]]:
     """End-to-end ZeroConf pipeline over one machine's archived window.
 
-    Queries the window, sweeps the default replica grid with one stage memo,
+    Queries the window, sweeps the default replica grid as one plan,
     ranks by silhouette, records the winner's segment statistics back to the
     archive (idempotent on rerun), flags rare-cluster anomalies, assembles
     the timeline, and emits augmentation events to the twin when one is
@@ -414,14 +379,23 @@ def zeroconf_run(
     window = [e.sample for e in entries]
 
     hps = spawn_replica_grid(grid if grid is not None else DEFAULT_GRID)
-    peers: dict[str, list[HyperParams]] = {}
-    for hp in hps:
-        peers.setdefault(_readiness_key(hp), []).append(hp)
-    memo: dict = {"peers": peers}
-    results = [run_replica(window, hp, seed, i + 1, memo) for i, hp in enumerate(hps)]
+    failure = None
+    try:
+        axes = _axis_series(window)
+        stages = _plan(axes, hps, seed)
+    except Exception as exc:
+        failure = exc
+    if failure is not None:
+        # replay through the oracle, outside the handler so that no error
+        # chains to the plan's: the first replica that fails, in grid order,
+        # raises its own error under its own version
+        for i, hp in enumerate(hps):
+            run_replica(window, hp, seed, i + 1)
+        raise failure
+    results = [run_replica(window, hp, seed, i + 1, s) for i, (hp, s) in enumerate(zip(hps, stages))]
 
     # nominal sample spacing, for reproducible record timestamps
-    ts_x = memo["axes"][3]
+    ts_x = axes[3]
     per_sample_ns = (ts_x[-1] - ts_x[0]) // (len(ts_x) - 1) if len(ts_x) > 1 else 0
     report = replace(rank_replicas(results), per_sample_ns=per_sample_ns)
     winner = report.results[0]

@@ -1,14 +1,15 @@
 """Preprocessing stages: outlier removal, gap filling, smoothing,
 normalization, rolling-maximum peak extraction.
 
-All stages are pure functions on 1-D float arrays. run_readiness composes
-them per axis in a fixed order and zips the three axes into block-level
-3-vectors for segmentation and clustering.
+All stages are pure functions on 1-D float arrays. clean_axis composes all
+but rolling_max in a fixed order; run_readiness runs it per axis, takes block
+peaks per block size and zips the three axes into block-level 3-vectors for
+segmentation and clustering.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -154,19 +155,38 @@ def block_spans(n: int, block_size: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def clean_axis(series, config: ReadinessConfig) -> np.ndarray:
+    """One axis through detect_outliers -> fill_gaps -> smooth ->
+    zscore_normalize (if enabled): everything of readiness but the blocks."""
+    mask = detect_outliers(series, config.sigma_threshold)
+    cleaned = smooth(fill_gaps(series, mask, config.gap_fill), config.smooth_window)
+    return zscore_normalize(cleaned) if config.normalize else cleaned
+
+
 def run_readiness(
     x: Sequence[float],
     y: Sequence[float],
     z: Sequence[float],
-    config: Optional[ReadinessConfig] = None,
-) -> FeatureSeries:
-    """Full per-axis pipeline: detect_outliers -> fill_gaps -> smooth ->
-    zscore_normalize (if enabled) -> rolling_max, axes zipped into 3-vectors.
+    config: Union[None, ReadinessConfig, Sequence[ReadinessConfig]] = None,
+) -> Union[FeatureSeries, tuple[FeatureSeries, ...]]:
+    """Full per-axis pipeline: clean_axis, then rolling_max, axes zipped into
+    3-vectors.
 
     The three axis series must be time-aligned and equal length. Non-finite
     input values are treated as missing and filled alongside outliers.
+
+    config is one ReadinessConfig (default: ReadinessConfig()), which returns
+    one FeatureSeries, or a sequence of configs that differ only in
+    block_size, which returns a tuple of FeatureSeries in the same order: each
+    axis is cleaned once and only rolling_max runs per config.
     """
-    cfg = config or ReadinessConfig()
+    single = config is None or isinstance(config, ReadinessConfig)
+    configs = (config or ReadinessConfig(),) if single else tuple(config)
+    if not configs:
+        raise ValueError("run_readiness needs at least one config")
+    # compared by repr, so a smooth_window of 5 and one of 5.0 stay apart
+    if len({repr(replace(c, block_size=1)) for c in configs}) != 1:
+        raise ValueError("configs of one readiness pass may differ only in block_size")
     axes = [np.asarray(a, dtype=np.float64) for a in (x, y, z)]
     lengths = {a.size for a in axes}
     if len(lengths) != 1:
@@ -174,13 +194,13 @@ def run_readiness(
     n = axes[0].size
     if n == 0:
         raise EmptySeries("run_readiness needs non-empty axes")
-    columns = []
-    for axis in axes:
-        mask = detect_outliers(axis, cfg.sigma_threshold)
-        filled = fill_gaps(axis, mask, cfg.gap_fill)
-        smoothed = smooth(filled, cfg.smooth_window)
-        if cfg.normalize:
-            smoothed = zscore_normalize(smoothed)
-        columns.append(rolling_max(smoothed, cfg.block_size))
-    peaks = np.column_stack(columns)
-    return FeatureSeries(peaks=peaks, spans=block_spans(n, cfg.block_size), config_used=cfg)
+    cleaned = [clean_axis(axis, configs[0]) for axis in axes]
+    out = tuple(
+        FeatureSeries(
+            peaks=np.column_stack([rolling_max(c, cfg.block_size) for c in cleaned]),
+            spans=block_spans(n, cfg.block_size),
+            config_used=cfg,
+        )
+        for cfg in configs
+    )
+    return out[0] if single else out

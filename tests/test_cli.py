@@ -294,13 +294,20 @@ class TestReport:
              "malformed report row: "),
             (b'["replicas"]', "malformed report: "),
             (b'{"replicas": ["\xff"], "selected": null}', "malformed report: "),
+            # a good first row is not printed when a later row is malformed
+            (b'{"replicas": [{"version": "v1", "penalty": 10, "k": 2, "block_size": 50, '
+             b'"silhouette": 0.5, "segment_count": 3, "anomaly_count": 0}, '
+             b'{"version": "v2", "k": 2, "block_size": 50, '
+             b'"silhouette": 0.5, "segment_count": 3, "anomaly_count": 0}], "selected": "v1"}',
+             "malformed report row: 'penalty'"),
         ],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, content, fragment):
         p = tmp_path / "r.json"
         p.write_bytes(content)
         assert run_cli("report", str(p)) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith(f"twinforge: {fragment}") and err.count("\n") == 1, err
 
 

@@ -11,6 +11,7 @@ from twinforge.errors import (
     MixedVersions,
     NoData,
     NoResults,
+    WindowTooLarge,
 )
 from twinforge.orchestrator import (
     DEFAULT_GRID,
@@ -354,7 +355,7 @@ class TestZeroconf:
         assert r1[2] == r2[2]
         assert archive.segments_for(r2[0].selected) == records_1
 
-    def test_memoized_sweep_equals_independent_replicas(self, small_run):
+    def test_planned_sweep_equals_independent_replicas(self, small_run):
         _, _, _, archive = small_run
         grid = {"penalty": [10, 40, 160], "k": [2, 3], "block_size": [25, 50]}
         report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18), grid=grid, seed=7)
@@ -383,7 +384,7 @@ class TestZeroconf:
             winner.features, winner.segmentation, winner.labels, want_anomalies
         )
 
-    def test_memo_runs_each_stage_once_per_distinct_input(self, small_run, monkeypatch):
+    def test_sweep_runs_each_stage_once_per_distinct_input(self, small_run, monkeypatch):
         calls = dict.fromkeys(("run_readiness", "pelt_segment", "kmeans_fit", "silhouette_score"), 0)
 
         def counted(attr):
@@ -400,8 +401,9 @@ class TestZeroconf:
         _, _, _, archive = small_run
         report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
         assert len(report.results) == 24
-        # PELT runs every penalty and silhouette every k of a block size in one call
-        assert calls == {"run_readiness": 2, "pelt_segment": 2, "kmeans_fit": 8, "silhouette_score": 2}
+        # readiness cleans the axes once for both block sizes; PELT runs every
+        # penalty and silhouette every k of a block size in one call
+        assert calls == {"run_readiness": 1, "pelt_segment": 2, "kmeans_fit": 8, "silhouette_score": 2}
 
     @pytest.mark.parametrize(
         "grid, error, version",
@@ -412,6 +414,11 @@ class TestZeroconf:
             # v1's PELT call segments both penalties; v2's bad one waits for v2
             ({"penalty": [10.0, -1.0], "k": [5]}, KExceedsN, "v1-"),
             ({"penalty": [10.0, -1.0], "k": [2]}, ValueError, "penalty must be >= 0"),
+            # one readiness call covers both block sizes or smooth windows of
+            # a group; the replica whose own setting fails raises
+            ({"smooth_window": [3, 100001], "k": [2]}, WindowTooLarge,
+             "v2-37e4fe62: window 100001 > length 200"),
+            ({"block_size": [50, 0], "k": [2]}, ValueError, "block_size must be >= 1"),
         ],
     )
     def test_shared_stage_failure_is_raised_by_its_replica(self, grid, error, version):

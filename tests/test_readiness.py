@@ -13,6 +13,7 @@ from twinforge.errors import (
 from twinforge.readiness import (
     FeatureSeries,
     ReadinessConfig,
+    clean_axis,
     detect_outliers,
     fill_gaps,
     rolling_max,
@@ -198,6 +199,54 @@ class TestPipeline:
                 spans=((0, 50),),
                 config_used=ReadinessConfig(),
             )
+
+
+def spiked_window_with_gaps(n=997):
+    """Three axes with injected spikes and NaN runs, including at the edges."""
+    axes = []
+    for seed in range(3):
+        x, _ = inject_spikes(bounded_base(n, seed=seed), n_spikes=12, seed=seed)
+        x[[0, 1, 300, 301, 302, 640, n - 1]] = np.nan
+        axes.append(x)
+    return axes
+
+
+class TestSequenceForm:
+    @pytest.mark.parametrize("overrides", [{}, {"gap_fill": "hold", "normalize": False, "smooth_window": 9}])
+    def test_each_series_equals_its_single_config_call(self, overrides):
+        x, y, z = spiked_window_with_gaps()
+        configs = [ReadinessConfig(block_size=b, **overrides) for b in (25, 50, 7)]  # 7 does not divide n
+        many = run_readiness(x, y, z, configs)
+        assert isinstance(many, tuple) and len(many) == 3
+        for cfg, got in zip(configs, many):
+            want = run_readiness(x, y, z, cfg)
+            assert np.array_equal(got.peaks, want.peaks)
+            assert got.spans == want.spans
+            assert got.config_used == want.config_used == cfg
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            [],
+            [ReadinessConfig(block_size=25), ReadinessConfig(block_size=50, sigma_threshold=5.0)],
+            [ReadinessConfig(smooth_window=5), ReadinessConfig(smooth_window=5.0)],
+        ],
+        ids=["empty", "sigma_threshold", "5-vs-5.0"],
+    )
+    def test_configs_that_differ_beyond_block_size_rejected(self, configs):
+        x = bounded_base(200)
+        with pytest.raises(ValueError, match="at least one config|differ only in block_size"):
+            run_readiness(x, x, x, configs)
+
+    @pytest.mark.parametrize("overrides", [{}, {"gap_fill": "hold"}, {"normalize": False}])
+    def test_clean_axis_is_the_per_axis_prefix(self, overrides):
+        x = spiked_window_with_gaps()[0]
+        cfg = ReadinessConfig(**overrides)
+        want = smooth(fill_gaps(x, detect_outliers(x, cfg.sigma_threshold), cfg.gap_fill), cfg.smooth_window)
+        if cfg.normalize:
+            want = zscore_normalize(want)
+        assert np.array_equal(clean_axis(x, cfg), want)
+        assert np.array_equal(run_readiness(x, x, x, cfg).peaks[:, 0], rolling_max(want, cfg.block_size))
 
 
 class TestSpikeRemovalGuarantee:
