@@ -328,13 +328,21 @@ def kmeans_fit(
         iterations += 1
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
-        assigned = d2[np.arange(n), labels]
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            assigned = d2[np.arange(n), labels]
+            for j in range(k):
+                if not (labels == j).any():
+                    p = int(assigned.argmax())
+                    labels[p] = j
+                    assigned[p] = -1.0
+            counts = np.bincount(labels, minlength=k)
+        # each row is x[labels == j].mean(axis=0) bit for bit: mean is the
+        # same add.reduce followed by a division by the count
+        new_centroids = np.empty((k, x.shape[1]))
         for j in range(k):
-            if not (labels == j).any():
-                p = int(assigned.argmax())
-                labels[p] = j
-                assigned[p] = -1.0
-        new_centroids = np.vstack([x[labels == j].mean(axis=0) for j in range(k)])
+            np.add.reduce(x[labels == j], axis=0, out=new_centroids[j])
+        new_centroids /= counts[:, None]
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         history.append(float(((x - centroids[labels]) ** 2).sum()))

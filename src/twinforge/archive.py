@@ -2,21 +2,26 @@
 quality validation, and segment-statistics memorization.
 
 In-memory store, single logical writer per asset stream, unlimited concurrent
-readers. Out-of-order arrivals are stored as-is (seq records arrival order)
-and re-sorted at query time, so ingestion stays O(1) and the log remains the
-ground truth of what arrived when.
+readers. Out-of-order arrivals are stored as-is (seq records arrival order),
+so ingestion stays O(1) and the log remains the ground truth of what arrived
+when. Each asset has a time index that queries extend over the rows appended
+since that asset's last query: while the rows arrive in ts order the log is
+its own index; after the first out-of-order arrival the index is a separate
+(ts, seq)-ordered list. A window query is two binary searches and a slice.
 """
 from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, gt
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import OverlappingSegment, UnknownAsset, UnknownReplicaVersion
-from .wire import Channel, Quality, TelemetrySample, decode_sample, encode_sample
+from .wire import Channel, Quality, TelemetrySample, encode_sample, replay_trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,6 +35,40 @@ class ArchiveEntry:
 
 
 _BY_TS = attrgetter("sample.ts")
+
+
+class _TimeIndex:
+    """One asset's entries log[:upto] in (ts, seq) order. rows is the log
+    itself while the log is in ts order, else a permutation of it."""
+
+    __slots__ = ("log", "rows", "upto")
+
+    def __init__(self, log: list):
+        self.log = self.rows = log
+        self.upto = 0
+
+    def extend(self) -> list:
+        """Cover the entries appended since the last call; return rows."""
+        log, upto = self.log, self.upto
+        n = len(log)
+        if upto < n:
+            if self.rows is log:
+                ts = list(map(_BY_TS, log[max(upto - 1, 0) : n]))
+                if any(map(gt, ts, islice(ts, 1, None))):
+                    self.rows = log[:upto]  # first out-of-order arrival
+            if self.rows is not log:
+                _fold_in(self.rows, log[upto:n])
+            self.upto = n
+        return self.rows
+
+
+def _fold_in(rows: list, new: list) -> None:
+    """Merge later arrivals into rows, a (ts, seq)-ordered list. Every new
+    entry has a higher seq than every row, so a stable sort by ts of the
+    tail from the earliest new ts on keeps (ts, seq) order."""
+    pos = bisect_right(rows, min(map(_BY_TS, new)), key=_BY_TS)
+    rows.extend(new)
+    rows[pos:] = sorted(rows[pos:], key=_BY_TS)
 
 
 @dataclass(frozen=True)
@@ -83,6 +122,7 @@ class Archive:
     def __init__(self):
         self._lock = threading.RLock()
         self._entries: dict[str, list[ArchiveEntry]] = {}
+        self._index: dict[str, _TimeIndex] = {}
         self._segments: dict[str, list[SegmentRecord]] = {}
         # tuple(tags.items()) -> read-only view of a private copy, shared by
         # every entry with that tag set
@@ -125,6 +165,31 @@ class Archive:
                 raise UnknownAsset(asset_id)
             return tuple(self._entries[asset_id])
 
+    def _ordered(self, asset_id: str) -> list[ArchiveEntry]:
+        """The asset's entries in (ts, seq) order, its time index brought up
+        to date. Call with the lock held."""
+        index = self._index.get(asset_id)
+        if index is None:
+            if asset_id not in self._entries:
+                raise UnknownAsset(asset_id)
+            index = self._index[asset_id] = _TimeIndex(self._entries[asset_id])
+        return index.extend()
+
+    def _window_rows(self, asset_id: str, t_start: int, t_end: int) -> list[ArchiveEntry]:
+        """Entries with t_start <= ts < t_end in (ts, seq) order: the rows a
+        query filters."""
+        with self._lock:
+            rows = self._ordered(asset_id)
+            lo = bisect_left(rows, t_start, key=_BY_TS)
+            return rows[lo : bisect_left(rows, t_end, lo, key=_BY_TS)]
+
+    def time_span(self, asset_id: str) -> tuple[int, int]:
+        """(min ts, max ts + 1) of the asset's entries: the smallest window
+        that holds them all."""
+        with self._lock:
+            rows = self._ordered(asset_id)
+            return rows[0].sample.ts, rows[-1].sample.ts + 1
+
     def query_window(self, q: WindowQuery) -> list[ArchiveEntry]:
         """All and only the matching entries, sorted by (ts, seq).
 
@@ -132,17 +197,11 @@ class Archive:
         append concurrent with the query is either wholly visible or wholly
         absent, never partial.
         """
-        with self._lock:
-            if q.asset_id not in self._entries:
-                raise UnknownAsset(q.asset_id)
-            snapshot = list(self._entries[q.asset_id])
-        t_start, t_end = q.t_start, q.t_end
+        rows = self._window_rows(q.asset_id, q.t_start, q.t_end)
         channels, qualities, tag_filter = q.channels, q.quality_filter, q.tag_filter
         out = []
-        for entry in snapshot:
+        for entry in rows:
             s = entry.sample
-            if not t_start <= s.ts < t_end:
-                continue
             if channels is not None and s.channel not in channels:
                 continue
             if qualities is not None and s.quality not in qualities:
@@ -150,7 +209,6 @@ class Archive:
             if tag_filter and any(entry.tags.get(k) != v for k, v in tag_filter.items()):
                 continue
             out.append(entry)
-        out.sort(key=_BY_TS)  # stable on a log in seq order: (ts, seq) order
         return out
 
     # -- segment records -------------------------------------------------------
@@ -228,12 +286,11 @@ class Archive:
 
     @classmethod
     def load(cls, trace_path) -> "Archive":
+        """Read back what dump wrote. A malformed or non-UTF-8 trace line
+        raises MalformedLine naming its line number."""
         archive = cls()
-        with open(trace_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line:
-                    archive.append_sample(decode_sample(line))
+        for sample in replay_trace(trace_path):
+            archive.append_sample(sample)
         sidecar_path = str(trace_path) + ".segments.json"
         try:
             with open(sidecar_path, encoding="utf-8") as fh:

@@ -229,12 +229,10 @@ def cmd_run(args) -> int:
     try:
         if twin is None:
             raise NoData(f"no samples for machine {args.machine!r}")
-        all_ts = [e.sample.ts for e in archive.scan(args.machine)]
-        time_range = (min(all_ts), max(all_ts) + 1)
         report, timeline, anomalies = zeroconf_run(
             archive,
             args.machine,
-            time_range,
+            archive.time_span(args.machine),
             grid=grid,
             rarity_threshold=args.threshold,
             twin=twin,

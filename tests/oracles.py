@@ -6,8 +6,15 @@ import math
 import numpy as np
 
 import twinforge.rng as rng
-from twinforge.analytics import Segmentation
-from twinforge.errors import LengthMismatch, MalformedLine, SeriesTooShort, TooFewPoints
+from twinforge.analytics import KMeansModel, Segmentation, _kmeanspp_init
+from twinforge.errors import (
+    EmptyInput,
+    KExceedsN,
+    LengthMismatch,
+    MalformedLine,
+    SeriesTooShort,
+    TooFewPoints,
+)
 from twinforge.wire import Channel, Quality, TelemetrySample
 
 _KEYS = {"asset", "ch", "ts", "v", "q"}
@@ -159,6 +166,81 @@ def reference_pelt_segment(features, config) -> Segmentation:
     return Segmentation(
         change_points=tuple(cps), n_blocks=n, total_cost=total + beta * len(cps)
     )
+
+
+def reference_kmeans_fit(
+    vectors, k: int, seed: int, max_iter: int = 100, tol: float = 1e-9
+) -> KMeansModel:
+    """The library's original kmeans_fit, kept verbatim: a full repair scan
+    every iteration and one mean per cluster. kmeans_fit must return equal
+    labels, inertia, history and iteration count, and centroids equal byte
+    for byte."""
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[0]
+    if n == 0:
+        raise EmptyInput("kmeans_fit needs at least one vector")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > n:
+        raise KExceedsN(f"k={k} > n={n}")
+
+    centroids = _kmeanspp_init(x, k, seed)
+    labels = np.zeros(n, dtype=np.int64)
+    history: list[float] = []
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        assigned = d2[np.arange(n), labels]
+        for j in range(k):
+            if not (labels == j).any():
+                p = int(assigned.argmax())
+                labels[p] = j
+                assigned[p] = -1.0
+        new_centroids = np.vstack([x[labels == j].mean(axis=0) for j in range(k)])
+        movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        history.append(float(((x - centroids[labels]) ** 2).sum()))
+        if movement < tol:
+            break
+
+    # settle labels against the converged centroids
+    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(n), labels].sum())
+    history.append(inertia)
+    return KMeansModel(
+        k=k,
+        centroids=centroids,
+        labels=labels,
+        inertia=inertia,
+        seed=seed,
+        iterations_run=iterations,
+        inertia_history=tuple(history),
+    )
+
+
+def reference_query_window(archive, q):
+    """The library's original query_window over archive.scan: a filter over
+    the whole log in seq order, then a stable sort by ts, which gives
+    (ts, seq) order."""
+    out = []
+    for entry in archive.scan(q.asset_id):
+        s = entry.sample
+        if not q.t_start <= s.ts < q.t_end:
+            continue
+        if q.channels is not None and s.channel not in q.channels:
+            continue
+        if q.quality_filter is not None and s.quality not in q.quality_filter:
+            continue
+        if q.tag_filter and any(entry.tags.get(k) != v for k, v in q.tag_filter.items()):
+            continue
+        out.append(entry)
+    out.sort(key=lambda e: e.sample.ts)
+    return out
 
 
 def random_step_series(seed, max_n=128, max_d=3):

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     naive_silhouette,
     random_step_series,
+    reference_kmeans_fit,
     reference_pelt_segment,
     reference_segment_costs,
     reference_silhouette_loop,
@@ -187,6 +188,56 @@ class TestKMeans:
         base = kmeans_fit(x, k=3, seed=5)
         scaled = kmeans_fit(x * 3.7, k=3, seed=5)
         assert np.array_equal(base.labels, scaled.labels)
+
+
+def kmeans_inputs(seed, n, d, kind):
+    """Seeded k-means input: normal draws, or the same rounded, duplicated
+    or all identical, which leave clusters empty and run the repair loop."""
+    x = np.random.default_rng(seed).normal(size=(n, d))
+    if kind == "rounded":
+        return np.round(x)
+    if kind == "duplicated":
+        return np.repeat(x[: (n + 3) // 4], 4, axis=0)[:n]
+    if kind == "identical":
+        return np.full((n, d), 1.5)
+    return x
+
+
+class TestKMeansOracle:
+    # Fewer distinct points than k can leave a cluster empty after the
+    # repair; both versions then divide 0 by 0 (NaN centroids), and the
+    # library's mean warns about it.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "duplicated", "identical"])
+    def test_equals_reference_bit_for_bit(self, kind):
+        cases = 0
+        for d in range(1, 6):
+            for k in range(1, 7):
+                for rep in range(4):
+                    seed = 1000 * d + 10 * k + rep
+                    n = k + int(np.random.default_rng(seed).integers(0, 40))
+                    x = kmeans_inputs(seed, n, d, kind)
+                    got = kmeans_fit(x, k, seed=seed)
+                    want = reference_kmeans_fit(x, k, seed=seed)
+                    assert got.centroids.tobytes() == want.centroids.tobytes()
+                    assert np.array_equal(got.labels, want.labels)
+                    assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
+                    assert got.iterations_run == want.iterations_run
+                    assert (
+                        np.array(got.inertia_history).tobytes()
+                        == np.array(want.inertia_history).tobytes()
+                    )
+                    cases += 1
+        assert cases == 5 * 6 * 4
+
+    def test_identical_points_run_the_repair(self):
+        # every k-means++ draw picks the same point, so the first assignment
+        # puts everything in cluster 0 and the repair fills clusters 1..k-1
+        x = np.full((7, 2), -0.25)
+        for k in range(2, 7):
+            got, want = kmeans_fit(x, k, seed=k), reference_kmeans_fit(x, k, seed=k)
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+            assert got.inertia_history == want.inertia_history
 
 
 class TestAssign:

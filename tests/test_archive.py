@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import reference_query_window
 
 import twinforge.rng as rng
 from twinforge.archive import (
@@ -12,7 +13,12 @@ from twinforge.archive import (
     WindowQuery,
     validate_quality,
 )
-from twinforge.errors import OverlappingSegment, UnknownAsset, UnknownReplicaVersion
+from twinforge.errors import (
+    MalformedLine,
+    OverlappingSegment,
+    UnknownAsset,
+    UnknownReplicaVersion,
+)
 from twinforge.wire import Channel, Quality, TelemetrySample
 
 
@@ -169,6 +175,33 @@ class TestQuery:
         with pytest.raises(ValueError):
             WindowQuery("m1", 5, 5)
 
+    def test_late_arrival_after_in_order_queries(self):
+        archive = Archive()
+        for ts in (10, 20, 30):
+            archive.append_sample(sample(ts))
+        assert [e.seq for e in archive.query_window(WindowQuery("m1", 0, 100))] == [1, 2, 3]
+        for ts in (40, 15, 20, 5):
+            archive.append_sample(sample(ts))
+        hits = archive.query_window(WindowQuery("m1", 0, 100))
+        assert [(e.sample.ts, e.seq) for e in hits] == [
+            (5, 7), (10, 1), (15, 5), (20, 2), (20, 6), (30, 3), (40, 4)
+        ]
+        assert archive.time_span("m1") == (5, 41)
+        archive.append_sample(sample(50))
+        hits = archive.query_window(WindowQuery("m1", 15, 45))
+        assert [e.seq for e in hits] == [5, 2, 6, 3, 4]
+
+    def test_time_span(self):
+        archive = Archive()
+        archive.append_sample(sample(30))
+        assert archive.time_span("m1") == (30, 31)
+        archive.append_sample(sample(10))
+        archive.append_sample(sample(20, asset="m2"))
+        assert archive.time_span("m1") == (10, 31)
+        assert archive.time_span("m2") == (20, 21)
+        with pytest.raises(UnknownAsset):
+            archive.time_span("ghost")
+
 
 class TestQualityValidation:
     def test_clean_stream(self):
@@ -271,6 +304,21 @@ class TestPersistence:
             ]
         assert loaded.segments_for("v1-abc") == archive.segments_for("v1-abc")
 
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [(b'{"asset": "m1"}\n', "wrong key set"), (b"\xff\xfe\n", "not UTF-8")],
+    )
+    def test_load_names_the_malformed_line(self, tmp_path, bad, reason):
+        archive = Archive()
+        for i in range(4):
+            archive.append_sample(sample(i))
+        path = tmp_path / "dump.jsonl"
+        archive.dump(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + bad + b"".join(lines[2:]))
+        with pytest.raises(MalformedLine, match=f"^line 3: .*{reason}"):
+            Archive.load(path)
+
 
 class TestProperties:
     def test_append_only_audit(self):
@@ -333,3 +381,97 @@ class TestProperties:
         for t in threads:
             t.join()
         assert not failures
+
+
+CHANNELS = tuple(Channel)
+QUALITIES = tuple(Quality)
+TAG_SETS = (None, {"phase": "Bound"}, {"phase": "Synchronized"}, {"ops": ["a", "b"]})
+
+
+def random_query(asset, u):
+    """A window query drawn from six uniforms in [0, 1)."""
+    t0 = int(u[0] * 600) - 100
+    channels = None if u[1] < 0.5 else frozenset(CHANNELS[: 1 + int(u[1] * 8) % 4])
+    qualities = None if u[2] < 0.6 else frozenset({QUALITIES[int(u[2] * 10) % 3]})
+    tag_filter = None if u[3] < 0.5 else TAG_SETS[1 + int(u[3] * 6) % 3]
+    return WindowQuery(asset, t0, t0 + 1 + int(u[4] * 600), channels, tag_filter, qualities)
+
+
+class TestQueryOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_interleavings_equal_reference(self, seed):
+        # each asset starts in ts order; from a random point on some of its
+        # rows arrive late or with a repeated ts, so both index forms and
+        # the switch between them are queried
+        key = rng.stream_key(seed, "archive-oracle")
+        u = rng.uniforms(key, np.arange(8 * 1500, dtype=np.uint64)).reshape(1500, 8)
+        archive = Archive()
+        assets = ("m1", "m2", "m3")
+        clock = dict.fromkeys(assets, 0)
+        disorder_from = {a: 100 + int(u[i, 0] * 900) for i, a in enumerate(assets)}
+        queries = 0
+        for i, r in enumerate(u):
+            asset = assets[int(r[0] * 3)]
+            if r[1] < 0.1 and asset in archive.assets():
+                q = random_query(asset, r[2:])
+                assert archive.query_window(q) == reference_query_window(archive, q)
+                ts = [e.sample.ts for e in archive.scan(asset)]
+                assert archive.time_span(asset) == (min(ts), max(ts) + 1)
+                queries += 1
+                continue
+            if i >= disorder_from[asset] and r[2] < 0.15:
+                ts = max(0, clock[asset] - int(r[3] * 50))  # late, or a repeat
+            else:
+                clock[asset] += int(r[3] * 3)  # steps of 0 repeat a ts
+                ts = clock[asset]
+            s = TelemetrySample(
+                asset, CHANNELS[int(r[4] * 4)], ts, float(i), QUALITIES[int(r[5] * 3)]
+            )
+            tags = TAG_SETS[int(r[6] * 4)]
+            archive.append_sample(s, dict(tags) if tags else tags)
+        assert queries > 100
+        for asset in assets:
+            for r in u[:40]:
+                q = random_query(asset, r[2:])
+                assert archive.query_window(q) == reference_query_window(archive, q)
+
+
+class TestQueryCostAgainstHistory:
+    PERIOD = 10_000_000  # 100 Hz
+    WINDOW = 1000  # rows in 10 s
+
+    def candidate_rows(self, archive, query):
+        """Rows the query filters, counted at the archive's _window_rows."""
+        counts = []
+        inner = archive._window_rows
+
+        def counting(*args):
+            rows = inner(*args)
+            counts.append(len(rows))
+            return rows
+
+        archive._window_rows = counting
+        try:
+            hits = archive.query_window(query)
+        finally:
+            del archive._window_rows
+        return counts[0], hits
+
+    def test_window_rows_do_not_grow_with_history(self):
+        per_history = {}
+        for factor in (1, 20):
+            archive = Archive()
+            n = (factor + 1) * self.WINDOW
+            for i in range(n):
+                archive.append_sample(sample(i * self.PERIOD, value=float(i)))
+            t0 = (n - self.WINDOW) * self.PERIOD
+            query = WindowQuery("m1", t0, t0 + self.WINDOW * self.PERIOD)
+            in_order, hits = self.candidate_rows(archive, query)
+            assert len(hits) == self.WINDOW
+            # a late row deep in the history: the next query folds it in
+            archive.append_sample(sample(self.PERIOD // 2))
+            archive.query_window(WindowQuery("m1", 0, 1))
+            folded, hits_after = self.candidate_rows(archive, query)
+            assert hits_after == hits
+            per_history[factor] = (in_order, folded)
+        assert per_history[1] == per_history[20] == (self.WINDOW, self.WINDOW)
