@@ -15,6 +15,13 @@ any d <= 7) this equals .sum(axis=-1) bit for bit. From d = 8 numpy unrolls
 its sum eight ways and the two orders can differ in the last ulp; results
 stay deterministic, silhouette stays within 1e-9 of the naive definition, and
 PELT still equals brute_force_segment, which shares _segment_costs.
+
+pelt_segment runs every penalty in lockstep and advances one tile of
+_PELT_TILE steps at a time: one _segment_costs pass per tile builds the costs
+of every live start at every step of the tile, and each step then moves all
+penalties as one penalties x starts array. The per-step work is a fixed dozen
+numpy calls whatever the number of penalties, which is what a live window of
+20 to 40 blocks pays for.
 """
 from __future__ import annotations
 
@@ -39,6 +46,9 @@ BRUTE_FORCE_MAX_N = 512
 
 # Rows of the distance matrix silhouette_score holds at once.
 _SILHOUETTE_ROWS = 256
+
+# Steps pelt_segment advances per tile, sharing one segment-cost pass.
+_PELT_TILE = 32
 
 # Guard band on the pruning inequality: a candidate within this margin of
 # optimal is kept, so rounding noise can never prune a candidate the
@@ -93,17 +103,46 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s1, s2
 
 
-def _segment_costs(s1: np.ndarray, s2: np.ndarray, starts: np.ndarray, end: int) -> np.ndarray:
-    """L2 cost of segments [start, end) for a vector of starts."""
-    lengths = (end - starts).astype(np.float64)
-    dsum = s1[end] - s1[starts]
-    dsq = s2[end] - s2[starts]
-    c = dsq - dsum * dsum / lengths[:, None]
-    # per-column adds in index order: one ufunc call per dimension instead of
-    # one per (start, dimension) pair, same sum for d < 8 (module docstring)
-    out = c[:, 0].copy()
-    for j in range(1, c.shape[1]):
-        out += c[:, j]
+def _segment_costs(s1: np.ndarray, s2: np.ndarray, starts, ends) -> np.ndarray:
+    """L2 costs of the segments [starts, ends), broadcast element-wise: one
+    end and a vector of starts, equal-length vectors of starts and ends, or a
+    column of ends against a row of starts for a (ends, starts) table. Each
+    cost takes the same operations in the same order whatever the shape, so
+    it has the same bits. A pair with start >= end is no segment; its entry
+    holds a meaningless value (0/0 for start == end, under the caller's
+    errstate)."""
+    lengths = (ends - starts).astype(np.float64)
+    # one column at a time, added in index order: the memory of one column's
+    # costs, and the same sum as over the feature axis for d < 8 (module
+    # docstring)
+    out = None
+    for c1, c2 in zip(s1.T, s2.T):
+        dsum = c1[ends] - c1[starts]
+        c = c2[ends] - c2[starts]
+        c -= dsum * dsum / lengths
+        if out is None:
+            out = c
+        else:
+            out += c
+    return out
+
+
+def _objectives(s1: np.ndarray, s2: np.ndarray, n: int, cuts, penalties) -> list[float]:
+    """Objective value of each segmentation of [0, n), given by its change
+    points and penalty, from the prefix sums: its segment costs added in
+    order, then its penalties. One _segment_costs call serves them all."""
+    starts: list[int] = []
+    ends: list[int] = []
+    for cps in cuts:
+        starts += [0, *cps]
+        ends += [*cps, n]
+    costs = iter(_segment_costs(s1, s2, np.array(starts), np.array(ends)).tolist())
+    out = []
+    for cps, penalty in zip(cuts, penalties):
+        total = 0.0
+        for _ in range(len(cps) + 1):
+            total += next(costs)
+        out.append(total + penalty * len(cps))
     return out
 
 
@@ -111,11 +150,7 @@ def objective_cost(features, change_points: Sequence[int], penalty: float) -> fl
     """Objective value of a given segmentation (used to report total_cost)."""
     x = _as_matrix(features)
     s1, s2 = _prefix_sums(x)
-    bounds = [0, *change_points, x.shape[0]]
-    total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        total += float(_segment_costs(s1, s2, np.array([a]), b)[0])
-    return total + penalty * len(change_points)
+    return _objectives(s1, s2, x.shape[0], [change_points], [penalty])[0]
 
 
 def _backtrack(prev: np.ndarray, n: int) -> list[int]:
@@ -131,52 +166,6 @@ def _backtrack(prev: np.ndarray, n: int) -> list[int]:
     return cps
 
 
-class _PeltPath:
-    """One penalty's PELT recursion: F, back-pointers, the live candidates in
-    ascending order in cands[:size], and dead[s], the first step at which a
-    pruned candidate s is dropped (never, by default)."""
-
-    __slots__ = ("beta", "f", "prev", "cands", "size", "dead", "pruned")
-
-    def __init__(self, beta: float, n: int):
-        self.beta = beta
-        self.f = np.full(n + 1, np.inf)
-        self.f[0] = -beta
-        self.prev = np.zeros(n + 1, dtype=np.int64)
-        self.cands = np.empty(n + 1, dtype=np.int64)
-        self.cands[0] = 0
-        self.size = 1
-        self.dead = np.full(n + 1, n + 1, dtype=np.int64)
-        self.pruned = False
-
-    def live(self, t: int, newcomer: int) -> np.ndarray:
-        """Candidates at step t: admit the newcomer (if admissible, >= 0) and
-        drop the pruned candidates whose deadline has come."""
-        if newcomer >= 0:
-            self.cands[self.size] = newcomer
-            self.size += 1
-        arr = self.cands[: self.size]
-        if self.pruned:
-            arr = arr[self.dead[arr] > t]
-            self.size = arr.size
-            self.cands[: self.size] = arr
-        return arr
-
-    def step(self, t: int, m: int, arr: np.ndarray, costs: np.ndarray) -> None:
-        """F(t) from the live candidates arr and their segment costs."""
-        totals = self.f[arr] + costs
-        best = totals.argmin()  # first minimum: smallest s wins ties
-        ft = totals[best] + self.beta
-        self.f[t] = ft
-        self.prev[t] = arr[best]
-        doomed = totals > ft + _PRUNE_SLACK
-        if doomed.any():
-            # deadlines only grow with t, so the minimum keeps the first one
-            gone = arr[doomed]
-            self.dead[gone] = np.minimum(self.dead[gone], t + m)
-            self.pruned = True
-
-
 def pelt_segment(
     features, config: Union[PeltConfig, Sequence[PeltConfig]]
 ) -> Union[Segmentation, tuple[Segmentation, ...]]:
@@ -190,15 +179,23 @@ def pelt_segment(
 
     config is one PeltConfig, which returns one Segmentation, or a sequence
     of PeltConfigs sharing one min_segment, which returns a tuple of
-    Segmentations in the same order. A sequence runs its penalties in
-    lockstep: each keeps its own F, back-pointers, candidates and pruning
-    deadlines, but the segment costs C(s, t), which do not depend on the
-    penalty, are computed once per step over the range from the smallest to
-    the largest live candidate of any penalty, and each penalty gathers its
-    candidates' costs from that range. _segment_costs works element by
-    element per start, so a start's cost has the same bits whatever else is
-    in the range, and each Segmentation equals the one its config gives
-    alone. A single config is the one-penalty case of the same loop.
+    Segmentations in the same order. A single config is the one-penalty case
+    of the same loop.
+
+    The loop advances _PELT_TILE steps at a time. Per tile, one
+    _segment_costs call builds C(s, t) for every step t of the tile and every
+    start s that some penalty still holds or that the tile admits, in
+    ascending order. Start 0 and starts m..t-m are admissible at step t (m is
+    min_segment), so the admissible starts are a prefix of that order. Each
+    step then moves all penalties at once as a penalties x starts array: F
+    of the admissible starts plus the step's cost row, with the starts past a
+    penalty's pruning deadline masked to inf; the first minimum per row (the
+    smallest s wins ties) gives F(t) and the back-pointer, and the starts it
+    dooms get the deadline t + m unless they have an earlier one. At the end
+    of a tile the starts every penalty has dropped are compacted away. Costs
+    are computed element by element, so a cost has the same bits whatever
+    else the tile holds, and each Segmentation equals the one its config
+    gives alone.
     """
     configs = (config,) if isinstance(config, PeltConfig) else tuple(config)
     if not configs:
@@ -212,30 +209,58 @@ def pelt_segment(
     if n < m:
         raise SeriesTooShort(f"{n} blocks < min_segment {m}")
     s1, s2 = _prefix_sums(x)
-    starts = np.arange(n + 1, dtype=np.int64)
-    paths = [_PeltPath(c.penalty, n) for c in configs]
+    n_pen = len(configs)
+    rows = np.arange(n_pen)
+    betas = np.array([c.penalty for c in configs], dtype=np.float64)
+    f = np.full((n_pen, n + 1), np.inf)
+    f[:, 0] = -betas
+    prev = np.zeros((n_pen, n + 1), dtype=np.int64)
+    # the starts some penalty still holds, ascending, and per penalty the
+    # first step at which it drops each of them (never, by default)
+    starts = np.zeros(1, dtype=np.int64)
+    dead = np.full((n_pen, 1), n + 1, dtype=np.int64)
 
-    for t in range(m, n + 1):
-        newcomer = t - m if t - m >= m else -1
-        live = [p.live(t, newcomer) for p in paths]
-        # every path holds the newest candidate last (the newcomer, else 0)
-        lo = min(int(arr[0]) for arr in live)
-        hi = int(live[0][-1])
-        costs = _segment_costs(s1, s2, starts[lo : hi + 1], t)
-        for p, arr in zip(paths, live):
-            p.step(t, m, arr, costs[arr - lo])
+    for t0 in range(m, n + 1, _PELT_TILE):
+        t1 = min(t0 + _PELT_TILE, n + 1)
+        steps = np.arange(t0, t1)
+        # step t admits start t - m, once that is at least m
+        newcomers = np.arange(max(m, t0 - m), t1 - m)
+        if newcomers.size:
+            starts = np.concatenate((starts, newcomers))
+            fresh = np.full((n_pen, newcomers.size), n + 1, dtype=np.int64)
+            dead = np.concatenate((dead, fresh), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            costs = _segment_costs(s1, s2, starts, steps[:, None])
+        admitted = np.searchsorted(starts, steps - m, side="right").tolist()
+        # earliest deadline of any penalty: steps before it need no mask
+        first = int(dead.min())
+        for t, cost, k in zip(range(t0, t1), costs, admitted):
+            held = starts[:k]
+            totals = f.take(held, axis=1)
+            totals += cost[:k]
+            held_dead = dead[:, :k]
+            if t >= first:
+                totals[held_dead <= t] = np.inf
+            best = totals.argmin(axis=1)  # first minimum: smallest s wins ties
+            ft = totals[rows, best] + betas
+            f[:, t] = ft
+            prev[:, t] = held[best]
+            # deadlines only grow with t, so the minimum keeps the first one
+            doomed = totals > (ft + _PRUNE_SLACK)[:, None]
+            if first <= t + m or doomed.any():
+                np.minimum(held_dead, t + m, out=held_dead, where=doomed)
+                first = min(first, t + m)
+        kept = (dead > t1).any(axis=0)
+        starts = starts[kept]
+        dead = dead[:, kept]
 
-    out = []
-    for p in paths:
-        cps = _backtrack(p.prev, n)
-        out.append(
-            Segmentation(
-                change_points=tuple(cps),
-                n_blocks=n,
-                total_cost=objective_cost(x, cps, p.beta),
-            )
-        )
-    return out[0] if isinstance(config, PeltConfig) else tuple(out)
+    cuts = [_backtrack(back, n) for back in prev]
+    objectives = _objectives(s1, s2, n, cuts, [c.penalty for c in configs])
+    out = tuple(
+        Segmentation(change_points=tuple(cps), n_blocks=n, total_cost=total)
+        for cps, total in zip(cuts, objectives)
+    )
+    return out[0] if isinstance(config, PeltConfig) else out
 
 
 def brute_force_segment(features, config: PeltConfig) -> Segmentation:
@@ -466,27 +491,50 @@ class SegmentSummary:
     duration_blocks: int
 
 
-def segment_features(features, seg: Segmentation, labels) -> list[SegmentSummary]:
-    """Per-segment statistics: per-axis mean and max, duration, and the
-    majority block label (ties to the lowest label)."""
-    x = _as_matrix(features)
+def _block_labels(labels, n: int) -> np.ndarray:
     lab = np.asarray(labels, dtype=np.int64)
-    if lab.shape[0] != x.shape[0]:
-        raise LengthMismatch(f"{lab.shape[0]} labels for {x.shape[0]} blocks")
+    if lab.shape[0] != n:
+        raise LengthMismatch(f"{lab.shape[0]} labels for {n} blocks")
+    return lab
+
+
+def segment_stats(features, seg: Segmentation) -> list[tuple]:
+    """The part of segment_features that depends only on the segmentation:
+    per segment, its block range (a, b) with the tuples of its per-axis mean
+    and max."""
+    x = _as_matrix(features)
     if seg.n_blocks != x.shape[0]:
         raise LengthMismatch(f"segmentation over {seg.n_blocks} != {x.shape[0]} blocks")
     out = []
-    for i, (a, b) in enumerate(seg.segments):
+    for a, b in seg.segments:
         block = x[a:b]
-        majority = int(np.bincount(lab[a:b]).argmax())
-        out.append(
-            SegmentSummary(
-                segment_index=i,
-                block_range=(a, b),
-                cluster_label=majority,
-                mean=tuple(float(v) for v in block.mean(axis=0)),
-                peak=tuple(float(v) for v in block.max(axis=0)),
-                duration_blocks=b - a,
-            )
-        )
+        out.append(((a, b), tuple(block.mean(axis=0).tolist()), tuple(block.max(axis=0).tolist())))
     return out
+
+
+def label_segments(stats: Sequence[tuple], labels) -> list[SegmentSummary]:
+    """The part of segment_features that depends on the labelling: each
+    segment of segment_stats' output with its majority block label (ties to
+    the lowest label)."""
+    lab = _block_labels(labels, stats[-1][0][1])
+    return [
+        SegmentSummary(
+            segment_index=i,
+            block_range=(a, b),
+            cluster_label=int(np.bincount(lab[a:b]).argmax()),
+            mean=mean,
+            peak=peak,
+            duration_blocks=b - a,
+        )
+        for i, ((a, b), mean, peak) in enumerate(stats)
+    ]
+
+
+def segment_features(features, seg: Segmentation, labels) -> list[SegmentSummary]:
+    """Per-segment statistics: per-axis mean and max, duration, and the
+    majority block label (ties to the lowest label). The composition of
+    segment_stats, computed once per segmentation, and label_segments, once
+    per labelling."""
+    x = _as_matrix(features)
+    lab = _block_labels(labels, x.shape[0])
+    return label_segments(segment_stats(x, seg), lab)

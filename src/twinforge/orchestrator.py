@@ -22,8 +22,10 @@ from .analytics import (
     Segmentation,
     SegmentSummary,
     kmeans_fit,
+    label_segments,
     pelt_segment,
     segment_features,
+    segment_stats,
     silhouette_score,
 )
 from .archive import Archive, SegmentRecord, SegmentStats, WindowQuery
@@ -166,24 +168,25 @@ def _axis_series(window: Sequence[TelemetrySample]):
 
 
 def _group(hps: Sequence[HyperParams], members, field: str) -> dict[str, list[int]]:
-    """Indices of members by the canonical JSON of one hyperparameter field,
-    in first-seen order, so 50 and 50.0 stay distinct stage inputs."""
+    """Indices of members by the repr of one hyperparameter field, in
+    first-seen order, so 50 and 50.0 stay distinct stage inputs."""
     groups: dict[str, list[int]] = {}
     for i in members:
-        groups.setdefault(json.dumps(getattr(hps[i], field)), []).append(i)
+        groups.setdefault(repr(getattr(hps[i], field)), []).append(i)
     return groups
 
 
 def _plan(axes, hps: Sequence[HyperParams], seed: int) -> list[tuple]:
     """Every stage output of the replicas hps over one window's split axes,
-    one tuple per replica in order: (features, segmentation, k-means model,
-    silhouette, window start ts).
+    one tuple per replica in order: (features, segmentation, segment stats,
+    k-means model, silhouette, window start ts).
 
     Replicas with the same readiness overrides share one run_readiness call
     over their block sizes. Per block size, one lockstep pelt_segment call
-    covers every penalty, kmeans_fit runs once per k and one silhouette_score
-    call scores every k's labels. Replicas share these objects, so their
-    arrays must not be modified in place.
+    covers every penalty, segment_stats runs once per penalty, kmeans_fit
+    once per k, and one silhouette_score call scores every k's labels.
+    Replicas share these objects, so their arrays must not be modified in
+    place.
     """
     x, y, z, ts = axes
     stages: list = [None] * len(hps)
@@ -200,10 +203,12 @@ def _plan(axes, hps: Sequence[HyperParams], seed: int) -> list[tuple]:
             scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
             segmentation_of = {}
             for members, segmentation in zip(by_penalty.values(), segmentations):
-                segmentation_of.update(dict.fromkeys(members, segmentation))
+                stats = segment_stats(features, segmentation)
+                segmentation_of.update(dict.fromkeys(members, (segmentation, stats)))
             for members, model, score in zip(by_k.values(), models, scores):
                 for i in members:
-                    stages[i] = (features, segmentation_of[i], model, score, ts[0])
+                    segmentation, stats = segmentation_of[i]
+                    stages[i] = (features, segmentation, stats, model, score, ts[0])
     return stages
 
 
@@ -228,8 +233,8 @@ def run_replica(
     try:
         if stages is None:
             (stages,) = _plan(_axis_series(window), [hp], seed)
-        features, segmentation, model, score, window_start_ts = stages
-        summaries = segment_features(features, segmentation, model.labels)
+        features, segmentation, stats, model, score, window_start_ts = stages
+        summaries = label_segments(stats, model.labels)
     except TwinForgeError as exc:
         raise type(exc)(f"{version}: {exc}") from exc
     return ReplicaResult(

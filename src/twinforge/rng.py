@@ -14,8 +14,8 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 
 # counters per logical sample; 12 for the gaussian, the rest for extra draws
 DRAWS_PER_SAMPLE = 16
@@ -26,11 +26,12 @@ def _u64(x: int) -> np.uint64:
 
 
 def fnv1a64(text: str) -> np.uint64:
-    """Stable 64-bit hash of a string (FNV-1a over UTF-8 bytes)."""
+    """Stable 64-bit hash of a string (FNV-1a over UTF-8 bytes), accumulated
+    in a Python int and wrapped as np.uint64 once."""
     h = _FNV_OFFSET
     for b in text.encode("utf-8"):
-        h = np.uint64((int(h) ^ b) * int(_FNV_PRIME) & 0xFFFFFFFFFFFFFFFF)
-    return h
+        h = (h ^ b) * _FNV_PRIME & 0xFFFFFFFFFFFFFFFF
+    return np.uint64(h)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

@@ -243,6 +243,15 @@ def reference_query_window(archive, q):
     return out
 
 
+def reference_fnv1a64(text: str) -> np.uint64:
+    """The library's original rng.fnv1a64, kept verbatim: every step wraps
+    the hash in np.uint64. rng.fnv1a64 must return an equal np.uint64."""
+    h = np.uint64(0xCBF29CE484222325)
+    for b in text.encode("utf-8"):
+        h = np.uint64((int(h) ^ b) * int(np.uint64(0x100000001B3)) & 0xFFFFFFFFFFFFFFFF)
+    return h
+
+
 def random_step_series(seed, max_n=128, max_d=3):
     """Mixed step/noise series for segmentation oracle comparisons."""
     key = rng.stream_key(seed, "steps")

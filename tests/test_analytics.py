@@ -14,6 +14,7 @@ from oracles import (
 
 import twinforge.rng as rng
 from twinforge.analytics import (
+    _PELT_TILE,
     BRUTE_FORCE_MAX_N,
     PeltConfig,
     Segmentation,
@@ -22,8 +23,10 @@ from twinforge.analytics import (
     brute_force_segment,
     kmeans_assign,
     kmeans_fit,
+    label_segments,
     pelt_segment,
     segment_features,
+    segment_stats,
     silhouette_score,
 )
 from twinforge.errors import (
@@ -445,6 +448,70 @@ class TestLongWindowKernels:
             oracle = brute_force_segment(series, cfg)
             assert fast.change_points == oracle.change_points
             assert fast.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
+
+
+def tile_lengths(m):
+    """Series lengths around the tile boundaries of pelt_segment, whose steps
+    run from m to n: one step below, at and above one and two full tiles,
+    plus the shortest series, n = m."""
+    out = {m}
+    for tiles in (1, 2):
+        out.update(m - 1 + tiles * _PELT_TILE + d for d in (-1, 0, 1))
+    return sorted(out)
+
+
+def tile_series(n, seed):
+    """Step, constant and rounded (tied-cost) series of n blocks."""
+    key = rng.stream_key(seed, "tiles")
+    u = rng.uniforms(key, np.arange(n * 3, dtype=np.uint64)).reshape(n, 3)
+    levels = np.repeat(np.array([[0.0, 1.0, -1.0], [4.0, -2.0, 0.5], [1.0, 3.0, 2.0]]), 13, axis=0)
+    steps = np.resize(levels, (n, 3)) + 0.4 * (u - 0.5)
+    return {
+        "step": steps,
+        "constant": np.full((n, 2), 1.5),
+        "rounded": np.round(2 * steps) / 2,
+        "rounded-1d": np.round(steps[:, 0]),
+    }
+
+
+PENALTY_SETS = ((0.0,), (1e6,), (0.0, 1e6), (40.0, 0.0, 5.0), (0.5, 1e6, 0.0, 40.0))
+
+
+class TestPeltTiles:
+    """pelt_segment advances in tiles of _PELT_TILE steps, keeping between
+    tiles only the starts some penalty still holds. Results at and around
+    the tile boundaries must equal the original per-step code."""
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_lockstep_equals_reference_around_tile_boundaries(self, m):
+        for n in tile_lengths(m):
+            for name, x in tile_series(n, seed=n * 10 + m).items():
+                for penalties in PENALTY_SETS:
+                    cfgs = [PeltConfig(penalty=beta, min_segment=m) for beta in penalties]
+                    got = pelt_segment(x, cfgs)
+                    want = tuple(reference_pelt_segment(x, cfg) for cfg in cfgs)
+                    assert got == want, (n, name, penalties)
+                    for cfg, seg in zip(cfgs, got):
+                        assert pelt_segment(x, [cfg]) == (pelt_segment(x, cfg),) == (seg,)
+
+
+class TestSegmentStats:
+    def test_halves_compose_to_segment_features(self):
+        x = random_step_series(5, max_n=60, max_d=3)
+        seg = pelt_segment(x, PeltConfig(penalty=1.0))
+        stats = segment_stats(x, seg)
+        assert [s[0] for s in stats] == seg.segments
+        for k in (1, 2, 3):
+            labels = np.arange(len(x)) % k
+            assert label_segments(stats, labels) == segment_features(x, seg, labels)
+
+    def test_mismatches(self):
+        x = np.zeros((9, 2))
+        seg = Segmentation(change_points=(4,), n_blocks=9, total_cost=0.0)
+        with pytest.raises(LengthMismatch, match="segmentation over 9 != 8 blocks"):
+            segment_stats(x[:8], seg)
+        with pytest.raises(LengthMismatch, match="8 labels for 9 blocks"):
+            label_segments(segment_stats(x, seg), [0] * 8)
 
 
 class TestSegmentFeatures:

@@ -405,6 +405,46 @@ class TestZeroconf:
         # penalty and silhouette every k of a block size in one call
         assert calls == {"run_readiness": 1, "pelt_segment": 2, "kmeans_fit": 8, "silhouette_score": 2}
 
+    def test_segment_stats_once_per_segmentation(self, small_run, monkeypatch):
+        calls = {"segment_stats": 0, "label_segments": 0}
+
+        def counted(attr):
+            fn = getattr(orchestrator, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for attr in calls:
+            monkeypatch.setattr(orchestrator, attr, counted(attr))
+        _, _, _, archive = small_run
+        report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
+        assert len(report.results) == 24
+        # 2 block sizes x 3 penalties segmentations, each labelled by 4 k
+        assert calls == {"segment_stats": 6, "label_segments": 24}
+
+    @pytest.mark.parametrize(
+        "penalties, pelt_penalties",
+        [([40, 40.0], [40, 40.0]), ([40, 40], [40]), ([40.0, 40.0], [40.0]), ([50.0, 40, 50], [50.0, 40, 50])],
+    )
+    def test_penalty_groups_keep_int_and_float_apart(self, small_run, monkeypatch, penalties, pelt_penalties):
+        seen = []
+        pelt = orchestrator.pelt_segment
+
+        def recording(features, configs):
+            seen.append([c.penalty for c in configs])
+            return pelt(features, configs)
+
+        monkeypatch.setattr(orchestrator, "pelt_segment", recording)
+        _, _, _, archive = small_run
+        grid = {"penalty": penalties, "k": [2], "block_size": [50]}
+        report, _, _ = zeroconf_run(archive, "m1", (0, 10**18), grid=grid)
+        assert len(report.results) == len(penalties)
+        assert len(seen) == 1
+        assert [(type(p), p) for p in seen[0]] == [(type(p), p) for p in pelt_penalties]
+
     @pytest.mark.parametrize(
         "grid, error, version",
         [

@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from oracles import reference_fnv1a64
 
 import twinforge.rng as rng
 
@@ -65,3 +67,19 @@ def test_fnv1a64_stable():
     assert int(rng.fnv1a64("")) == 0xCBF29CE484222325
     assert int(rng.fnv1a64("m1")) == int(rng.fnv1a64("m1"))
     assert int(rng.fnv1a64("m1")) != int(rng.fnv1a64("m2"))
+
+
+class TestFnv1a64:
+    @pytest.mark.parametrize(
+        "text", ["", "a", "kmeans++", "m1", "accel_x", "steps", "Maschine-Ä", "振動センサ", "x" * 5000]
+    )
+    def test_equals_reference(self, text):
+        got = rng.fnv1a64(text)
+        assert type(got) is np.uint64
+        assert got == reference_fnv1a64(text)
+
+    def test_known_values(self):
+        # FNV-1a 64 test vectors
+        assert rng.fnv1a64("") == np.uint64(0xCBF29CE484222325)
+        assert rng.fnv1a64("a") == np.uint64(0xAF63DC4C8601EC8C)
+        assert rng.fnv1a64("foobar") == np.uint64(0x85944171F73967E8)
