@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from twinforge.archive import Archive
+from twinforge.cli import ingest
 from twinforge.orchestrator import zeroconf_run
 from twinforge.simulate import (
     DEFAULT_DURATION_S,
@@ -38,13 +38,6 @@ def score(archive, machine, truth):
     return winner, true_blocks, flagged
 
 
-def archive_of(samples):
-    archive = Archive()
-    for s in samples:
-        archive.append_sample(s)
-    return archive
-
-
 def quiet_sweep(seeds: int, duration: float) -> int:
     print(f"{'seed':>4} {'block':>6} {'k':>3} {'silhouette':>11} "
           f"{'true':>5} {'flagged':>8} {'hit':>4}")
@@ -52,7 +45,8 @@ def quiet_sweep(seeds: int, duration: float) -> int:
     started = time.perf_counter()
     for seed in range(1, seeds + 1):
         samples, truth = simulate_scenario(quiet_failure_scenario(seed, duration))
-        winner, true_blocks, flagged = score(archive_of(samples), "m1", truth)
+        _, archive = ingest(samples)
+        winner, true_blocks, flagged = score(archive, "m1", truth)
         tp += len(flagged & true_blocks)
         fp += len(flagged - true_blocks)
         fn += len(true_blocks - flagged)
@@ -70,7 +64,7 @@ def quiet_sweep(seeds: int, duration: float) -> int:
 def default_run(duration: float) -> int:
     spec = default_scenario(duration_s=duration)
     samples, truth = simulate_scenario(spec)
-    archive = archive_of(samples)
+    _, archive = ingest(samples)
     print(f"seed {spec.seed}, {duration:g} s")
     print(f"{'machine':>7} {'replica':>13} {'block':>6} {'k':>3} {'silhouette':>11} "
           f"{'true':>5} {'flagged':>8} {'hit':>4} {'recall':>7}")

@@ -146,19 +146,16 @@ def _objectives(s1: np.ndarray, s2: np.ndarray, n: int, cuts, penalties) -> list
     return out
 
 
-def objective_cost(features, change_points: Sequence[int], penalty: float) -> float:
-    """Objective value of a given segmentation (used to report total_cost)."""
-    x = _as_matrix(features)
-    s1, s2 = _prefix_sums(x)
-    return _objectives(s1, s2, x.shape[0], [change_points], [penalty])[0]
-
-
 def _backtrack(prev: np.ndarray, n: int) -> list[int]:
-    """Change points of the optimal partition of [0, n) from its back-pointers."""
+    """Change points of the optimal partition of [0, n) from its back-pointers.
+    Each pointer must lie in [0, t); one that does not is a defect of the DP
+    that filled prev, and raises instead of looping."""
     cps: list[int] = []
     t = n
     while t > 0:
         s = int(prev[t])
+        if not 0 <= s < t:
+            raise RuntimeError(f"back-pointer {s} at step {t} is outside [0, {t})")
         if s > 0:
             cps.append(s)
         t = s

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import __version__
-from .analytics import PeltConfig, kmeans_assign, kmeans_fit
 from .archive import Archive
 from .errors import (
     EmptyGrid,
@@ -33,7 +32,6 @@ from .orchestrator import (
     spawn_replica_grid,
     zeroconf_run,
 )
-from .readiness import ReadinessConfig, run_readiness
 from .simulate import (
     DEFAULT_DURATION_S,
     DEFAULT_MACHINES,
@@ -46,7 +44,7 @@ from .simulate import (
     simulate_scenario,
 )
 from .twin import LifecycleEvent, TwinInstance, TwinRuntime
-from .wire import ACCEL_CHANNELS, TelemetrySample, replay_trace, write_trace
+from .wire import TelemetrySample, replay_trace, write_trace
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -147,13 +145,28 @@ def ingest(samples: Iterable[TelemetrySample]) -> tuple[TwinRuntime, Archive]:
     return runtime, archive
 
 
-_INTEGER_PARAMS = ("block_size", "k", "smooth_window")
+def _ingest_trace(path):
+    """ingest(replay_trace(path)) for run and bench: (runtime, archive), or
+    exit 2 with one line when the OS or the decoder refuses the trace."""
+    try:
+        return ingest(replay_trace(path, speed="max"))
+    except OSError as exc:
+        return _os_fail("cannot read trace", path, exc)
+    except MalformedLine as exc:
+        return _fail(EXIT_BAD_ARGS, f"malformed trace: {exc}")
+
+
+def _sweep_fail(exc: TwinForgeError) -> int:
+    """Exit 3 for a sweep that found no data, 4 for any other pipeline error."""
+    if isinstance(exc, (NoData, UnknownAsset)):
+        return _fail(EXIT_NO_DATA, str(exc))
+    return _fail(EXIT_PIPELINE, f"pipeline error: {exc}")
 
 
 def _parse_grid(text: Optional[str]) -> Optional[dict]:
     """The --grid override (None: the default grid), checked before any
-    ingest: every replica it spawns must have a valid readiness config, PELT
-    config and k. Raises InvalidSpec with a one-line reason otherwise."""
+    ingest: a JSON object of value lists that spawn_replica_grid accepts.
+    Raises InvalidSpec with a one-line reason otherwise."""
     if not text:
         return None
     try:
@@ -167,15 +180,9 @@ def _parse_grid(text: Optional[str]) -> Optional[dict]:
     for name, values in grid.items():
         if not isinstance(values, list):
             raise InvalidSpec(f"bad --grid: {name!r} must map to a JSON array")
-        if name in _INTEGER_PARAMS and any(type(v) is not int for v in values):
-            raise InvalidSpec(f"bad --grid: {name!r} values must be integers")
     try:
-        for hp in spawn_replica_grid(grid):
-            hp.readiness_config()
-            PeltConfig(penalty=hp.penalty)
-            if hp.k < 1:
-                raise ValueError("k must be >= 1")
-    except (EmptyGrid, TypeError, ValueError) as exc:
+        spawn_replica_grid(grid)
+    except (EmptyGrid, InvalidSpec) as exc:
         raise InvalidSpec(f"bad --grid: {exc}") from exc
     return grid
 
@@ -218,12 +225,10 @@ def cmd_run(args) -> int:
         return _fail(EXIT_BAD_ARGS, str(exc))
     if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
         return _fail(EXIT_BAD_ARGS, f"--threshold must be in [0, 1], got {args.threshold!r}")
-    try:
-        runtime, archive = ingest(replay_trace(args.trace, speed="max"))
-    except OSError as exc:
-        return _os_fail("cannot read trace", args.trace, exc)
-    except MalformedLine as exc:
-        return _fail(EXIT_BAD_ARGS, f"malformed trace: {exc}")
+    ingested = _ingest_trace(args.trace)
+    if isinstance(ingested, int):
+        return ingested
+    runtime, archive = ingested
 
     twin = runtime.get(args.machine) if args.machine in runtime else None
     try:
@@ -238,10 +243,8 @@ def cmd_run(args) -> int:
             twin=twin,
             seed=args.seed,
         )
-    except (NoData, UnknownAsset) as exc:
-        return _fail(EXIT_NO_DATA, str(exc))
     except TwinForgeError as exc:
-        return _fail(EXIT_PIPELINE, f"pipeline error: {exc}")
+        return _sweep_fail(exc)
 
     out = Path(args.out)
     try:
@@ -325,55 +328,31 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _accel_buffers(trace_path) -> tuple[int, dict[str, dict]]:
-    """Decode a trace; return its sample count and, per asset, the values of
-    each accel channel in file order."""
-    buffers: dict[str, dict] = {}
-    total = 0
-    for s in replay_trace(trace_path, speed="max"):
-        total += 1
-        if s.channel in ACCEL_CHANNELS:
-            axes = buffers.get(s.asset_id)
-            if axes is None:
-                axes = buffers[s.asset_id] = {ch: [] for ch in ACCEL_CHANNELS}
-            axes[s.channel].append(s.value)
-    return total, buffers
-
-
 def cmd_bench(args) -> int:
-    try:
-        _, warmup = _accel_buffers(args.trace)
-    except OSError as exc:
-        return _os_fail("cannot read trace", args.trace, exc)
-    except MalformedLine as exc:
-        return _fail(EXIT_BAD_ARGS, f"malformed trace: {exc}")
-    if not warmup:
-        return _fail(EXIT_NO_DATA, "empty trace")
-
-    # champion: default-config model fitted on the first machine's features
-    cfg = ReadinessConfig()
-    first = sorted(warmup)[0]
-    axes = warmup[first]
-    features = run_readiness(
-        axes[ACCEL_CHANNELS[0]], axes[ACCEL_CHANNELS[1]], axes[ACCEL_CHANNELS[2]], cfg
-    )
-    champion = kmeans_fit(features.peaks, k=4, seed=args.seed)
-
+    """Time run's own path without the artifact write: ingest the trace once,
+    then sweep every machine with the default grid."""
     started = time.perf_counter()
-    total, buffers = _accel_buffers(args.trace)
-    assigned = 0
-    for machine in sorted(buffers):
-        axes = buffers[machine]
-        feats = run_readiness(
-            axes[ACCEL_CHANNELS[0]], axes[ACCEL_CHANNELS[1]], axes[ACCEL_CHANNELS[2]], cfg
-        )
-        for vec in feats.peaks:
-            kmeans_assign(champion, vec)
-            assigned += 1
-    elapsed = time.perf_counter() - started
+    ingested = _ingest_trace(args.trace)
+    if isinstance(ingested, int):
+        return ingested
+    runtime, archive = ingested
+    sweep_started = time.perf_counter()
+    machines = sorted(archive.assets())
+    if not machines:
+        return _fail(EXIT_NO_DATA, "empty trace")
+    try:
+        for machine in machines:
+            span = archive.time_span(machine)
+            zeroconf_run(archive, machine, span, twin=runtime.get(machine), seed=args.seed)
+    except TwinForgeError as exc:
+        return _sweep_fail(exc)
+    ended = time.perf_counter()
+    total = sum(len(archive.scan(m)) for m in machines)
+    elapsed = ended - started
     rate = int(total / elapsed) if elapsed > 0 else 0
     print(f"{rate} samples/s")
-    print(f"({total} samples, {assigned} blocks assigned, {elapsed:.3f} s)", file=sys.stderr)
+    times = f"ingest {sweep_started - started:.3f} s, sweep {ended - sweep_started:.3f} s"
+    print(f"({total} samples, {len(machines)} machines, {times})", file=sys.stderr)
     return EXIT_OK
 
 

@@ -33,8 +33,9 @@ class MalformedLine(TwinForgeError):
     pass
 
 
-class InvalidSpec(TwinForgeError):
-    pass
+class InvalidSpec(TwinForgeError, ValueError):
+    """A scenario or a replica grid that fails its checks. Also a ValueError,
+    the error the configs it is built from raise."""
 
 
 # -- archive -----------------------------------------------------------------

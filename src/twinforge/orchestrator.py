@@ -29,7 +29,15 @@ from .analytics import (
     silhouette_score,
 )
 from .archive import Archive, SegmentRecord, SegmentStats, WindowQuery
-from .errors import AxisLengthMismatch, EmptyGrid, MixedVersions, NoData, NoResults, TwinForgeError
+from .errors import (
+    AxisLengthMismatch,
+    EmptyGrid,
+    InvalidSpec,
+    MixedVersions,
+    NoData,
+    NoResults,
+    TwinForgeError,
+)
 from .readiness import FeatureSeries, ReadinessConfig, run_readiness
 from .twin import LifecyclePhase, TwinInstance
 from .wire import ACCEL_CHANNELS, Quality, TelemetrySample
@@ -55,10 +63,14 @@ class HyperParams:
     k: int = 4
     readiness: tuple[tuple[str, object], ...] = ()
 
+    def __post_init__(self):
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        PeltConfig(penalty=self.penalty)
+        self.readiness_config()
+
     def readiness_config(self) -> ReadinessConfig:
-        return ReadinessConfig(block_size=self.block_size).with_overrides(
-            **dict(self.readiness)
-        )
+        return ReadinessConfig(block_size=self.block_size, **dict(self.readiness))
 
     def canonical(self) -> str:
         return json.dumps(
@@ -125,7 +137,8 @@ class Timeline:
 def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
     """Cartesian product of the grid, parameters iterated in sorted-name
     order with values kept in their given order. Unknown parameter names are
-    treated as readiness-stage overrides."""
+    treated as readiness-stage overrides. Raises EmptyGrid for an empty value
+    list and InvalidSpec, naming the replica, for one HyperParams rejects."""
     names = sorted(grids)
     for name in names:
         if len(grids[name]) == 0:
@@ -135,9 +148,11 @@ def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
     for combo in combos:
         assignment = dict(zip(names, combo))
         fields = {k: assignment.pop(k) for k in _HP_FIELDS if k in assignment}
-        out.append(
-            HyperParams(readiness=tuple(sorted(assignment.items())), **fields)
-        )
+        try:
+            hp = HyperParams(readiness=tuple(sorted(assignment.items())), **fields)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"{exc}, in replica {dict(zip(names, combo))}") from exc
+        out.append(hp)
     return out
 
 
@@ -169,7 +184,7 @@ def _axis_series(window: Sequence[TelemetrySample]):
 
 def _group(hps: Sequence[HyperParams], members, field: str) -> dict[str, list[int]]:
     """Indices of members by the repr of one hyperparameter field, in
-    first-seen order, so 50 and 50.0 stay distinct stage inputs."""
+    first-seen order, so penalties 40 and 40.0 stay distinct stage inputs."""
     groups: dict[str, list[int]] = {}
     for i in members:
         groups.setdefault(repr(getattr(hps[i], field)), []).append(i)
@@ -311,7 +326,11 @@ def build_timeline(
 ) -> Timeline:
     """Segment rows (block range, majority cluster, anomaly flag) plus the
     change-point list, tiling [0, n_blocks) exactly once."""
-    summaries = segment_features(features, segmentation, labels)
+    return _timeline(segment_features(features, segmentation, labels), segmentation, anomalies)
+
+
+def _timeline(summaries, segmentation: Segmentation, anomalies) -> Timeline:
+    """build_timeline from the segmentation's labelled segment summaries."""
     flagged = {a.segment_index for a in anomalies}
     rows = tuple(
         (s.block_range[0], s.block_range[1], s.cluster_label, s.segment_index in flagged)
@@ -369,7 +388,7 @@ def zeroconf_run(
     Queries the window, sweeps the default replica grid as one plan,
     ranks by silhouette, records the winner's segment statistics back to the
     archive (idempotent on rerun), flags rare-cluster anomalies, assembles
-    the timeline, and emits augmentation events to the twin when one is
+    the timeline from the winner's labelled segments, and emits augmentation events to the twin when one is
     attached. The raw sample log is never touched.
     """
     query = WindowQuery(
@@ -411,7 +430,7 @@ def zeroconf_run(
             archive.record_segment_stats(record)
 
     anomalies = flag_anomalies(records, rarity_threshold, machine=machine)
-    timeline = build_timeline(winner.features, winner.segmentation, winner.labels, anomalies)
+    timeline = _timeline(winner.segments, winner.segmentation, anomalies)
     if twin is not None:
         for anomaly in anomalies:
             emit_augmentation_event(twin, anomaly)

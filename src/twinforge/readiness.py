@@ -25,6 +25,9 @@ class ReadinessConfig:
     normalize: bool = True
 
     def __post_init__(self):
+        for name in ("smooth_window", "block_size"):  # a bool is no window or block size
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.sigma_threshold <= 0:
             raise ValueError("sigma_threshold must be positive")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
@@ -33,9 +36,6 @@ class ReadinessConfig:
             raise ValueError("block_size must be >= 1")
         if self.gap_fill not in ("linear", "hold"):
             raise ValueError(f"unknown gap_fill mode {self.gap_fill!r}")
-
-    def with_overrides(self, **kwargs) -> "ReadinessConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def run_readiness(
     configs = (config or ReadinessConfig(),) if single else tuple(config)
     if not configs:
         raise ValueError("run_readiness needs at least one config")
-    # compared by repr, so a smooth_window of 5 and one of 5.0 stay apart
+    # compared by repr, so equal values of different types (7 and 7.0) stay apart
     if len({repr(replace(c, block_size=1)) for c in configs}) != 1:
         raise ValueError("configs of one readiness pass may differ only in block_size")
     axes = [np.asarray(a, dtype=np.float64) for a in (x, y, z)]

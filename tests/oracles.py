@@ -111,7 +111,7 @@ def reference_segment_costs(s1, s2, starts, end):
 
 def reference_pelt_segment(features, config) -> Segmentation:
     """The library's original pelt_segment, kept verbatim with its own copies
-    of the prefix sums, the cost kernel and objective_cost: candidates in a
+    of the prefix sums, the cost kernel and the objective sum: candidates in a
     Python list, pruning deadlines in a dict. pelt_segment must return an
     equal Segmentation for d <= 7."""
     x = np.asarray(getattr(features, "peaks", features), dtype=np.float64)

@@ -18,6 +18,7 @@ from twinforge.analytics import (
     BRUTE_FORCE_MAX_N,
     PeltConfig,
     Segmentation,
+    _backtrack,
     _prefix_sums,
     _segment_costs,
     brute_force_segment,
@@ -493,6 +494,17 @@ class TestPeltTiles:
                     assert got == want, (n, name, penalties)
                     for cfg, seg in zip(cfgs, got):
                         assert pelt_segment(x, [cfg]) == (pelt_segment(x, cfg),) == (seg,)
+
+
+class TestBacktrack:
+    def test_follows_pointers_to_the_change_points(self):
+        assert _backtrack(np.array([0, 0, 0, 0, 2, 4, 4]), 6) == [2, 4]
+
+    @pytest.mark.parametrize("pointer", [4, 5, -1], ids=["self", "forward", "negative"])
+    def test_pointer_outside_its_step_raises(self, pointer):
+        prev = np.array([0, 0, 0, 0, pointer, 4])
+        with pytest.raises(RuntimeError, match=f"back-pointer {pointer} at step 4"):
+            _backtrack(prev, 5)
 
 
 class TestSegmentStats:

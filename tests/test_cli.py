@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twinforge import cli
 from twinforge.cli import ingest, main
 from twinforge.twin import LifecyclePhase
 from twinforge.wire import Channel, TelemetrySample
@@ -331,3 +332,33 @@ class TestBench:
     def test_malformed_trace_exits_2(self, malformed_trace, capsys):
         assert run_cli("bench", str(malformed_trace)) == 2
         assert_one_line_error(capsys, "malformed trace: line 2: ")
+
+    def test_sweeps_every_machine_as_run_does(self, tmp_path, monkeypatch, capsys):
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--machines", "m1,m2,m3", "--duration", "10",
+                       "--out", str(sim)) == 0
+        calls = []
+        zeroconf_run = cli.zeroconf_run
+
+        def counted(archive, machine, time_range, **kwargs):
+            calls.append((machine, time_range == archive.time_span(machine), kwargs["twin"].asset_id))
+            return zeroconf_run(archive, machine, time_range, **kwargs)
+
+        monkeypatch.setattr(cli, "zeroconf_run", counted)
+        capsys.readouterr()
+        assert run_cli("bench", str(sim / "trace.jsonl"), "--seed", "7") == 0
+        assert calls == [(m, True, m) for m in ("m1", "m2", "m3")]
+        out, err = capsys.readouterr()
+        assert out.split()[1] == "samples/s"
+        assert err.startswith("(") and "3 machines" in err and err.count("\n") == 1
+
+    def test_failing_sweep_exits_4_as_run_does(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--duration", "1", "--out", str(sim)) == 0
+        capsys.readouterr()
+        assert run_cli("run", str(sim / "trace.jsonl"), "--out", str(tmp_path / "out")) == 4
+        run_err = capsys.readouterr().err
+        assert run_cli("bench", str(sim / "trace.jsonl")) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == run_err
+        assert err.startswith("twinforge: pipeline error: v10-") and err.count("\n") == 1

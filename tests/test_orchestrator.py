@@ -7,6 +7,7 @@ from twinforge.archive import SegmentRecord, SegmentStats, WindowQuery
 from twinforge.errors import (
     AxisLengthMismatch,
     EmptyGrid,
+    InvalidSpec,
     KExceedsN,
     MixedVersions,
     NoData,
@@ -88,6 +89,26 @@ class TestGrid:
 
     def test_default_grid_size(self):
         assert len(spawn_replica_grid(DEFAULT_GRID)) == 3 * 4 * 2
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"foo": [1]}, {"penalty": [-1]}, {"k": [0]}, {"block_size": [0]}, {"k": [2.5]},
+         {"block_size": [25.5]}, {"smooth_window": [3.0]}, {"block_size": [True]},
+         {"penalty": ["x"]}, {"smooth_window": [5.0]}, {"block_size": [50.0]}, {"k": [2.0]},
+         {"k": [True]}],
+    )
+    def test_invalid_replica_is_invalid_spec(self, small_run, grid):
+        (name, (value,)), = grid.items()
+        for call in (lambda: spawn_replica_grid(grid),
+                     lambda: zeroconf_run(small_run[3], "m1", (0, 10**18), grid=grid)):
+            with pytest.raises(InvalidSpec) as info:
+                call()
+            message = str(info.value)
+            assert "\n" not in message and f"in replica {{{name!r}: {value!r}}}" in message
+
+    def test_empty_value_list_is_empty_grid_in_a_sweep_too(self, small_run):
+        with pytest.raises(EmptyGrid):
+            zeroconf_run(small_run[3], "m1", (0, 10**18), grid={"k": []})
 
 
 def clean_three_phase_window():
@@ -425,6 +446,21 @@ class TestZeroconf:
         # 2 block sizes x 3 penalties segmentations, each labelled by 4 k
         assert calls == {"segment_stats": 6, "label_segments": 24}
 
+    def test_timeline_reuses_the_winners_segments(self, small_run, monkeypatch):
+        calls = []
+        segment_features = orchestrator.segment_features
+
+        def counted(*args):
+            calls.append(args)
+            return segment_features(*args)
+
+        monkeypatch.setattr(orchestrator, "segment_features", counted)
+        _, _, _, archive = small_run
+        report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18))
+        assert calls == []
+        winner = report.results[0]
+        assert timeline == build_timeline(winner.features, winner.segmentation, winner.labels, anomalies)
+
     @pytest.mark.parametrize(
         "penalties, pelt_penalties",
         [([40, 40.0], [40, 40.0]), ([40, 40], [40]), ([40.0, 40.0], [40.0]), ([50.0, 40, 50], [50.0, 40, 50])],
@@ -451,11 +487,13 @@ class TestZeroconf:
             # 2 s is 8 blocks at block size 25 and 4 at 50: k = 5 fails only
             # at 50, in v22, although v13 fits every k of that block size
             (None, KExceedsN, "v22-62596441: k=5 > n=4"),
-            # v1's PELT call segments both penalties; v2's bad one waits for v2
-            ({"penalty": [10.0, -1.0], "k": [5]}, KExceedsN, "v1-"),
+            # v1 and v2 share one PELT call and one k-means call; the k-means
+            # failure is raised under v1, the first replica that shares it
+            ({"penalty": [10.0, 160.0], "k": [5]}, KExceedsN, "v1-"),
+            # a bad penalty or block size is refused when the grid is spawned,
+            # as an InvalidSpec, which is also a ValueError
             ({"penalty": [10.0, -1.0], "k": [2]}, ValueError, "penalty must be >= 0"),
-            # one readiness call covers both block sizes or smooth windows of
-            # a group; the replica whose own setting fails raises
+            # the replica whose own smooth window fails raises
             ({"smooth_window": [3, 100001], "k": [2]}, WindowTooLarge,
              "v2-37e4fe62: window 100001 > length 200"),
             ({"block_size": [50, 0], "k": [2]}, ValueError, "block_size must be >= 1"),

@@ -229,9 +229,8 @@ class TestSequenceForm:
         [
             [],
             [ReadinessConfig(block_size=25), ReadinessConfig(block_size=50, sigma_threshold=5.0)],
-            [ReadinessConfig(smooth_window=5), ReadinessConfig(smooth_window=5.0)],
         ],
-        ids=["empty", "sigma_threshold", "5-vs-5.0"],
+        ids=["empty", "sigma_threshold"],
     )
     def test_configs_that_differ_beyond_block_size_rejected(self, configs):
         x = bounded_base(200)
@@ -292,6 +291,11 @@ class TestConfig:
             {"smooth_window": 0},
             {"block_size": 0},
             {"gap_fill": "cubic"},
+            # a float or bool window or block size never reaches a readiness pass
+            {"smooth_window": 5.0},
+            {"block_size": 50.0},
+            {"smooth_window": True},
+            {"block_size": True},
         ],
     )
     def test_invalid_configs(self, kwargs):
