@@ -63,7 +63,6 @@ from .twin import (
     LifecyclePhase,
     MachineState,
     OeeInputs,
-    StateDelta,
     TwinInstance,
     TwinRuntime,
     TwinState,

@@ -39,7 +39,7 @@ from .errors import (
     TwinForgeError,
 )
 from .readiness import FeatureSeries, ReadinessConfig, run_readiness
-from .twin import LifecyclePhase, TwinInstance
+from .twin import DigitalEvent, LifecyclePhase, TwinInstance
 from .wire import ACCEL_CHANNELS, Quality, TelemetrySample
 
 DEFAULT_RARITY_THRESHOLD = 0.05
@@ -137,11 +137,17 @@ class Timeline:
 def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
     """Cartesian product of the grid, parameters iterated in sorted-name
     order with values kept in their given order. Unknown parameter names are
-    treated as readiness-stage overrides. Raises EmptyGrid for an empty value
-    list and InvalidSpec, naming the replica, for one HyperParams rejects."""
+    treated as readiness-stage overrides. Raises InvalidSpec, naming the
+    parameter, for a value that is not a list or tuple, EmptyGrid for an empty
+    one, and InvalidSpec, naming the replica, for one HyperParams rejects."""
     names = sorted(grids)
     for name in names:
-        if len(grids[name]) == 0:
+        values = grids[name]
+        if not isinstance(values, (list, tuple)):
+            raise InvalidSpec(
+                f"{name!r} must map to a list of values, got {type(values).__name__}"
+            )
+        if not values:
             raise EmptyGrid(f"empty value list for {name!r}")
     combos = itertools.product(*(grids[name] for name in names))
     out = []
@@ -339,18 +345,15 @@ def _timeline(summaries, segmentation: Segmentation, anomalies) -> Timeline:
     return Timeline(rows=rows, change_points=segmentation.change_points)
 
 
-def emit_augmentation_event(twin: TwinInstance, anomaly: AnomalyEvent):
-    """Append an anomaly_detected event to a Synchronized twin; in any other
-    phase the event is suppressed and nothing is appended."""
+def emit_augmentation_event(
+    twin: TwinInstance, anomaly: AnomalyEvent
+) -> Optional[DigitalEvent]:
+    """Append an anomaly_detected event to a Synchronized twin and return it;
+    in any other phase the event is suppressed: nothing is appended and None
+    is returned."""
     if twin.phase is LifecyclePhase.Synchronized:
         return twin.append_event("anomaly_detected", ts=anomaly.ts, payload=anomaly)
-    return SuppressedEvent(reason=f"twin in {twin.phase.name}", anomaly=anomaly)
-
-
-@dataclass(frozen=True)
-class SuppressedEvent:
-    reason: str
-    anomaly: AnomalyEvent
+    return None
 
 
 def records_for(result: ReplicaResult, block_ns: int) -> list[SegmentRecord]:

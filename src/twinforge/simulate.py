@@ -63,10 +63,7 @@ class ScenarioSpec:
         if self.duration_s == 0:
             return
         for machine in self.machines:
-            intervals = sorted(
-                (iv for iv in self.phase_schedule if iv.machine == machine),
-                key=lambda iv: iv.start_s,
-            )
+            intervals = self.intervals_for(machine)
             if not intervals:
                 raise InvalidSpec(f"no schedule for machine {machine}")
             cursor = 0.0
@@ -115,6 +112,11 @@ class ScenarioSpec:
         )
 
 
+def _snap(x: float) -> float:
+    """Round to the nearest 0.5 s, the phase-boundary grid."""
+    return round(x * 2) / 2
+
+
 def default_scenario(
     seed: int = DEFAULT_SEED,
     duration_s: float = DEFAULT_DURATION_S,
@@ -130,13 +132,9 @@ def default_scenario(
     0.5 s so block grids at 25 and 50 samples land exactly on them.
     """
     ScenarioSpec(seed, tuple(machines), duration_s, sample_rate)._validate_scalars()
-
-    def snap(x: float) -> float:
-        return round(x * 2) / 2
-
-    bounds = [snap(duration_s * f) for f in (11 / 24, 14 / 24, 23 / 24)]
+    bounds = [_snap(duration_s * f) for f in (11 / 24, 14 / 24, 23 / 24)]
     if not 0 < bounds[0] < bounds[1] < bounds[2] < duration_s:
-        bounds = [snap(duration_s * f) for f in (0.25, 0.5, 0.75)]
+        bounds = [_snap(duration_s * f) for f in (0.25, 0.5, 0.75)]
     four_phases = 0 < bounds[0] < bounds[1] < bounds[2] < duration_s
     states = (MachineState.Idle, MachineState.Active, MachineState.Waiting, MachineState.Failure)
 
@@ -173,13 +171,9 @@ def quiet_failure_scenario(seed: int, duration: float = 60.0) -> ScenarioSpec:
     """
     key = rng.stream_key(seed, "layout")
     u = rng.uniforms(key, np.arange(4, dtype=np.uint64))
-
-    def snap(x):
-        return round(x * 2) / 2
-
     fail_len = 1.5 + 0.5 * int(u[0] * 3)  # 1.5 / 2.0 / 2.5 s
-    a = snap(duration * (0.20 + 0.15 * u[2]))
-    fail_start = snap(duration * (0.45 + 0.30 * u[1]))
+    a = _snap(duration * (0.20 + 0.15 * u[2]))
+    fail_start = _snap(duration * (0.45 + 0.30 * u[1]))
     states = [MachineState.Idle, MachineState.Waiting]
     if u[3] < 0.5:
         states = states[::-1]

@@ -87,16 +87,6 @@ class TwinState:
 
 
 @dataclass(frozen=True)
-class StateDelta:
-    """Result of shadowing one sample into a twin."""
-
-    changed: Mapping[str, tuple[Any, int]]
-    events: tuple[DigitalEvent, ...]
-    stale: bool = False
-    lifecycle_event: Optional[LifecycleEvent] = None
-
-
-@dataclass(frozen=True)
 class OeeInputs:
     uptime: float
     downtime: float
@@ -161,22 +151,20 @@ class TwinInstance:
             self._events.append(ev)
             return ev
 
-    def shadow_sample(self, sample: TelemetrySample) -> StateDelta:
-        """Fold one telemetry sample into the digital state.
+    def shadow_sample(self, sample: TelemetrySample) -> bool:
+        """Fold one telemetry sample into the digital state; False when it was
+        dropped as stale (ts strictly older than the stored property).
 
         plc_state samples decode to a MachineState and emit a state_changed
         event on transitions; any sample received while OutOfSync counts as
-        recovery. Stale samples (ts strictly older than the stored property)
-        are dropped and flagged in the delta.
+        recovery.
         """
         with self._lock:
             phase = self._phase
             if not (phase is _SYNCHRONIZED or phase is _BOUND or phase is _OUT_OF_SYNC):
                 raise TwinNotBound(f"{self.asset_id} is {phase.name}; cannot shadow")
-            lifecycle_event = None
             if phase is _OUT_OF_SYNC:
                 self.apply_lifecycle_event(LifecycleEvent.SyncRecovered)
-                lifecycle_event = LifecycleEvent.SyncRecovered
 
             channel = sample.channel
             ts = sample.ts
@@ -188,26 +176,16 @@ class TwinInstance:
 
             previous = self._properties.get(name)
             if previous is not None and ts < previous[1]:
-                return StateDelta(
-                    changed={}, events=(), stale=True, lifecycle_event=lifecycle_event
-                )
+                return False
 
-            stored = self._properties[name] = (value, ts)
-            events: tuple[DigitalEvent, ...] = ()
+            self._properties[name] = (value, ts)
             if channel is _PLC_STATE and (previous is None or previous[0] != value):
-                events = (
-                    self.append_event(
-                        "state_changed",
-                        ts=ts,
-                        payload={"from": previous[0] if previous else None, "to": value},
-                    ),
+                self.append_event(
+                    "state_changed",
+                    ts=ts,
+                    payload={"from": previous[0] if previous else None, "to": value},
                 )
-            return StateDelta(
-                changed={name: stored},
-                events=events,
-                stale=False,
-                lifecycle_event=lifecycle_event,
-            )
+            return True
 
     def check_freshness(
         self, now: int, timeout: int = DEFAULT_FRESHNESS_TIMEOUT_NS

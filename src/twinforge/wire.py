@@ -10,7 +10,6 @@ import enum
 import json
 import math
 import re
-import time
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -160,14 +159,8 @@ def decode_sample(line: str) -> TelemetrySample:
     return sample
 
 
-def replay_trace(path, speed: Union[float, str] = "max") -> Iterator[TelemetrySample]:
-    """Yield samples from a trace file in file order.
-
-    speed="max" replays without pacing (throughput measurement); a numeric
-    speed sleeps out the recorded ts deltas divided by that multiplier.
-    """
-    pace = None if speed == "max" else float(speed)
-    prev_ts = None
+def replay_trace(path) -> Iterator[TelemetrySample]:
+    """Yield samples from a trace file in file order, without pacing."""
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -178,9 +171,6 @@ def replay_trace(path, speed: Union[float, str] = "max") -> Iterator[TelemetrySa
                     sample = decode_sample(stripped)
                 except MalformedLine as exc:
                     raise MalformedLine(f"line {lineno}: {exc}") from exc
-                if pace is not None and prev_ts is not None and sample.ts > prev_ts:
-                    time.sleep((sample.ts - prev_ts) / 1e9 / pace)
-                prev_ts = sample.ts
                 yield sample
         except UnicodeDecodeError as exc:
             raise MalformedLine(

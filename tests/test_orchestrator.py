@@ -18,7 +18,6 @@ from twinforge.orchestrator import (
     DEFAULT_GRID,
     AnomalyEvent,
     HyperParams,
-    SuppressedEvent,
     build_timeline,
     emit_augmentation_event,
     flag_anomalies,
@@ -29,7 +28,7 @@ from twinforge.orchestrator import (
     zeroconf_run,
 )
 from twinforge.simulate import default_scenario, simulate_scenario
-from twinforge.twin import LifecycleEvent, TwinInstance
+from twinforge.twin import LifecycleEvent, LifecyclePhase, TwinInstance
 from twinforge.wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample, encode_sample
 
 
@@ -95,16 +94,22 @@ class TestGrid:
         [{"foo": [1]}, {"penalty": [-1]}, {"k": [0]}, {"block_size": [0]}, {"k": [2.5]},
          {"block_size": [25.5]}, {"smooth_window": [3.0]}, {"block_size": [True]},
          {"penalty": ["x"]}, {"smooth_window": [5.0]}, {"block_size": [50.0]}, {"k": [2.0]},
-         {"k": [True]}],
+         {"k": [True]}, {"k": 5}, {"k": "2"}, {"gap_fill": "hold"}, {"k": {2: 1}}],
     )
     def test_invalid_replica_is_invalid_spec(self, small_run, grid):
-        (name, (value,)), = grid.items()
+        (name, values), = grid.items()
+        if isinstance(values, list):
+            expected = f"in replica {{{name!r}: {values[0]!r}}}"
+        else:
+            # a value that is not a list is refused by name, before any replica
+            # is spawned: a string would otherwise be one replica per character
+            expected = f"{name!r} must map to a list of values"
         for call in (lambda: spawn_replica_grid(grid),
                      lambda: zeroconf_run(small_run[3], "m1", (0, 10**18), grid=grid)):
             with pytest.raises(InvalidSpec) as info:
                 call()
             message = str(info.value)
-            assert "\n" not in message and f"in replica {{{name!r}: {value!r}}}" in message
+            assert "\n" not in message and expected in message
 
     def test_empty_value_list_is_empty_grid_in_a_sweep_too(self, small_run):
         with pytest.raises(EmptyGrid):
@@ -324,9 +329,9 @@ class TestAugmentation:
         twin.apply_lifecycle_event(LifecycleEvent.Bind)
         twin.apply_lifecycle_event(LifecycleEvent.SyncEstablished)
         twin.apply_lifecycle_event(LifecycleEvent.SyncLost)
-        marker = emit_augmentation_event(twin, anomaly())
-        assert isinstance(marker, SuppressedEvent)
+        assert emit_augmentation_event(twin, anomaly()) is None
         assert twin.snapshot_state().events == ()
+        assert twin.phase is LifecyclePhase.OutOfSync
 
     def test_no_dedup_of_repeated_anomalies(self):
         twin = TwinInstance("m1")

@@ -85,27 +85,30 @@ class TestShadowing:
     def test_plc_transition_emits_state_changed(self):
         twin = synced_twin()
         twin.shadow_sample(sample(Channel.plc_state, ts=1, value=0.0))
-        delta = twin.shadow_sample(sample(Channel.plc_state, ts=2, value=1.0))
-        assert delta.changed["machine_state"] == (MachineState.Active, 2)
-        assert [e.name for e in delta.events] == ["state_changed"]
-        assert delta.events[0].payload == {
+        assert twin.shadow_sample(sample(Channel.plc_state, ts=2, value=1.0)) is True
+        state = twin.snapshot_state()
+        assert state.properties["machine_state"] == (MachineState.Active, 2)
+        assert [e.name for e in state.events] == ["state_changed", "state_changed"]
+        assert state.events[-1].ts == 2
+        assert state.events[-1].payload == {
             "from": MachineState.Idle,
             "to": MachineState.Active,
         }
 
     def test_accel_updates_property_without_event(self):
         twin = synced_twin()
-        delta = twin.shadow_sample(sample(Channel.accel_x, ts=5, value=0.25))
-        assert delta.changed == {"accel_x": (0.25, 5)}
-        assert delta.events == ()
+        assert twin.shadow_sample(sample(Channel.accel_x, ts=5, value=0.25)) is True
+        state = twin.snapshot_state()
+        assert state.properties == {"accel_x": (0.25, 5)}
+        assert state.events == ()
 
     def test_stale_sample_flagged_and_dropped(self):
         twin = synced_twin()
         twin.shadow_sample(sample(Channel.accel_x, ts=10, value=1.0))
-        delta = twin.shadow_sample(sample(Channel.accel_x, ts=9, value=2.0))
-        assert delta.stale
-        assert delta.changed == {}
-        assert twin.snapshot_state().properties["accel_x"] == (1.0, 10)
+        assert twin.shadow_sample(sample(Channel.accel_x, ts=9, value=2.0)) is False
+        state = twin.snapshot_state()
+        assert state.properties == {"accel_x": (1.0, 10)}
+        assert state.events == ()
 
     def test_unbound_twin_rejects_samples(self):
         twin = TwinInstance("m")
@@ -115,8 +118,8 @@ class TestShadowing:
     def test_sample_in_out_of_sync_recovers(self):
         twin = synced_twin()
         twin.apply_lifecycle_event(LifecycleEvent.SyncLost)
-        delta = twin.shadow_sample(sample(ts=1))
-        assert delta.lifecycle_event is LifecycleEvent.SyncRecovered
+        assert twin.phase is LifecyclePhase.OutOfSync
+        assert twin.shadow_sample(sample(ts=1)) is True
         assert twin.phase is LifecyclePhase.Synchronized
 
     def test_property_timestamps_non_decreasing(self):

@@ -248,11 +248,11 @@ class TestReplay:
             list(replay_trace(path))
 
     def test_paced_replay_preserves_order(self, tmp_path):
+        # replay is unpaced and keeps file order, even where ts goes backwards
         samples = [
             TelemetrySample("m1", Channel.accel_x, ts * 1000, float(ts))
-            for ts in range(5)
+            for ts in (0, 3, 1, 4, 2)
         ]
         path = tmp_path / "t.jsonl"
         write_trace(path, samples)
-        # enormous speed multiplier: pacing path exercised, near-zero sleeps
-        assert list(replay_trace(path, speed=1e12)) == samples
+        assert list(replay_trace(path)) == samples
