@@ -34,6 +34,23 @@ class ArchiveEntry:
     tags: Mapping[str, str]
 
 
+_new = object.__new__
+_set_seq = ArchiveEntry.seq.__set__
+_set_sample = ArchiveEntry.sample.__set__
+_set_tags = ArchiveEntry.tags.__set__
+
+
+def _entry(seq: int, sample: TelemetrySample, tags: Mapping[str, str]) -> ArchiveEntry:
+    """ArchiveEntry(seq, sample, tags) for append's hot path, its slots
+    filled through their descriptors instead of the frozen __init__'s
+    object.__setattr__ calls."""
+    e = _new(ArchiveEntry)
+    _set_seq(e, seq)
+    _set_sample(e, sample)
+    _set_tags(e, tags)
+    return e
+
+
 _BY_TS = attrgetter("sample.ts")
 
 
@@ -151,7 +168,7 @@ class Archive:
             if log is None:
                 log = self._entries[sample.asset_id] = []
             seq = len(log) + 1
-            log.append(ArchiveEntry(seq, sample, stored))
+            log.append(_entry(seq, sample, stored))
             return seq
 
     def assets(self) -> tuple[str, ...]:

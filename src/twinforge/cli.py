@@ -134,6 +134,7 @@ def ingest(samples: Iterable[TelemetrySample]) -> tuple[TwinRuntime, Archive]:
     runtime = TwinRuntime()
     archive = Archive()
     twins: dict[str, TwinInstance] = {}
+    tagged_phase = tags = None  # tags are rebuilt only when the phase changes
     for sample in samples:
         twin = twins.get(sample.asset_id)
         if twin is None:
@@ -141,7 +142,10 @@ def ingest(samples: Iterable[TelemetrySample]) -> tuple[TwinRuntime, Archive]:
             twin.apply_lifecycle_event(LifecycleEvent.Bind)
             twin.apply_lifecycle_event(LifecycleEvent.SyncEstablished)
         twin.shadow_sample(sample)
-        archive.append_sample(sample, tags={"phase": twin.phase.name})
+        phase = twin.phase
+        if phase is not tagged_phase:
+            tagged_phase, tags = phase, {"phase": phase.name}
+        archive.append_sample(sample, tags=tags)
     return runtime, archive
 
 

@@ -66,6 +66,9 @@ class MachineState(enum.IntEnum):
     Failure = 3
 
 
+_MACHINE_STATES = {state.value: state for state in MachineState}
+
+
 @dataclass(frozen=True)
 class DigitalEvent:
     """Transient signal derived from an observation, tagged with the phase it
@@ -153,11 +156,14 @@ class TwinInstance:
 
     def shadow_sample(self, sample: TelemetrySample) -> bool:
         """Fold one telemetry sample into the digital state; False when it was
-        dropped as stale (ts strictly older than the stored property).
+        dropped: stale (ts strictly older than the stored property), or a
+        plc_state code that names no MachineState. decode_sample range-checks
+        plc codes only at quality good, so a suspect or missing sample may
+        carry any code.
 
-        plc_state samples decode to a MachineState and emit a state_changed
-        event on transitions; any sample received while OutOfSync counts as
-        recovery.
+        plc_state samples decode to a MachineState (the code truncated to an
+        int) and emit a state_changed event on transitions; any sample
+        received while OutOfSync counts as recovery.
         """
         with self._lock:
             phase = self._phase
@@ -170,7 +176,9 @@ class TwinInstance:
             ts = sample.ts
             name = _PROPERTY_NAMES[channel]
             if channel is _PLC_STATE:
-                value: Any = MachineState(int(sample.value))
+                value: Any = _MACHINE_STATES.get(int(sample.value))
+                if value is None:
+                    return False
             else:
                 value = sample.value
 

@@ -1,13 +1,18 @@
+import dataclasses
 import threading
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from oracles import reference_query_window
 
 import twinforge.rng as rng
+from twinforge import archive as archive_module
+from twinforge import wire
 from twinforge.archive import (
     Archive,
+    ArchiveEntry,
     SegmentRecord,
     SegmentStats,
     WindowQuery,
@@ -39,6 +44,61 @@ def record(version="v1-abc", index=0, block_range=(0, 10), label=0, created_ts=0
         ),
         created_ts=created_ts,
     )
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:  # an entry's read-only tags are unhashable
+        return type(exc), str(exc)
+
+
+_SAMPLE_ARGS = ("m1", Channel.plc_state, 7, -0.0, Quality.suspect)
+_RECORDS = {
+    "sample": (wire._sample, TelemetrySample, _SAMPLE_ARGS),
+    "entry": (
+        archive_module._entry,
+        ArchiveEntry,
+        (3, TelemetrySample(*_SAMPLE_ARGS), MappingProxyType({"phase": "Bound"})),
+    ),
+}
+
+
+class TestRecordConstructors:
+    """decode_sample and append_sample build their records through private
+    constructors that fill the slots directly; the records must be the ones
+    the public constructors build."""
+
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_same_record_as_public_constructor(self, name):
+        private, cls, args = _RECORDS[name]
+        fast, public = private(*args), cls(*args)
+        assert type(fast) is cls
+        assert fast == public and public == fast
+        assert _hash_or_error(fast) == _hash_or_error(public)
+        assert repr(fast) == repr(public)
+        for field in dataclasses.fields(cls):
+            assert getattr(fast, field.name) is getattr(public, field.name)
+
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_frozen_and_slotted(self, name):
+        private, cls, args = _RECORDS[name]
+        record = private(*args)
+        assert not hasattr(record, "__dict__")
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, None)
+        assert record == cls(*args)
+
+    def test_decode_and_append_build_equal_records(self):
+        line = wire.encode_sample(TelemetrySample(*_SAMPLE_ARGS))
+        decoded = wire.decode_sample(line)
+        archive = Archive()
+        archive.append_sample(decoded, {"phase": "Bound"})
+        (entry,) = archive.scan("m1")
+        assert entry == ArchiveEntry(1, TelemetrySample("m1", Channel.plc_state, 7, 0.0,
+                                                        Quality.suspect), {"phase": "Bound"})
+        assert not hasattr(entry, "__dict__") and not hasattr(decoded, "__dict__")
 
 
 class TestAppend:

@@ -154,6 +154,23 @@ class TestIngest:
 
 
 class TestRun:
+    @pytest.mark.parametrize("value, quality", [("7", "suspect"), ("-2.5", "missing")])
+    def test_plc_code_naming_no_state_does_not_crash(self, sim_dir, tmp_path, capsys,
+                                                     value, quality):
+        # a valid line: plc codes are range-checked only at quality good
+        lines = (sim_dir / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        i = next(i for i, line in enumerate(lines) if '"plc_state"' in line and i > 100)
+        ts = json.loads(lines[i])["ts"]
+        lines[i] = (f'{{"asset":"m1","ch":"plc_state","ts":{ts},'
+                    f'"v":{value},"q":"{quality}"}}')
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli("run", str(trace), "--machine", "m1", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "Traceback" not in err
+        assert (tmp_path / "out" / "report.json").exists()
+
     def test_artifacts_written(self, run_dir):
         for name in ("report.json", "timeline.csv", "anomalies.json",
                      "changepoints.txt", "manifest.json"):

@@ -18,7 +18,7 @@ from twinforge.twin import (
     TwinRuntime,
     compute_oee,
 )
-from twinforge.wire import Channel, TelemetrySample
+from twinforge.wire import Channel, Quality, TelemetrySample
 
 
 def sample(channel=Channel.accel_x, ts=0, value=0.0, asset="drill-1"):
@@ -109,6 +109,24 @@ class TestShadowing:
         state = twin.snapshot_state()
         assert state.properties == {"accel_x": (1.0, 10)}
         assert state.events == ()
+
+    @pytest.mark.parametrize("code", [7.0, -2.5, 4.0, -1.0])
+    def test_plc_code_naming_no_state_is_dropped(self, code):
+        # decode_sample range-checks plc codes only at quality good, so a
+        # suspect or missing sample can carry any finite code
+        twin = synced_twin()
+        twin.shadow_sample(sample(Channel.plc_state, ts=1, value=1.0))
+        odd = TelemetrySample("drill-1", Channel.plc_state, 2, code, Quality.suspect)
+        assert twin.shadow_sample(odd) is False
+        state = twin.snapshot_state()
+        assert state.properties == {"machine_state": (MachineState.Active, 1)}
+        assert [e.payload["to"] for e in state.events] == [MachineState.Active]
+
+    def test_plc_code_is_truncated_to_a_state(self):
+        twin = synced_twin()
+        odd = TelemetrySample("drill-1", Channel.plc_state, 1, 2.5, Quality.missing)
+        assert twin.shadow_sample(odd) is True
+        assert twin.snapshot_state().properties["machine_state"] == (MachineState.Waiting, 1)
 
     def test_unbound_twin_rejects_samples(self):
         twin = TwinInstance("m")

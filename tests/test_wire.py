@@ -1,4 +1,6 @@
 import json
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import reference_decode_sample
 
 import twinforge.rng as rng
+from twinforge import wire
 from twinforge.errors import InvalidAssetId, MalformedLine
+from twinforge.simulate import default_scenario, simulate_scenario
 from twinforge.wire import (
     Channel,
     Quality,
@@ -110,6 +114,18 @@ PARITY_CORPUS = [
     "null",
     '"accel_x"',
     "{",
+    # the edges of the canonical-line fast path: number forms JSON accepts
+    # or refuses, integers around its 18-digit limit, and assets it leaves
+    # to the JSON decoder (escapes) or reads itself (non-ASCII, a space)
+    *(_line(v=v) for v in ("-0", "-0.0", "1E5", "1e-7", "01", "+1", ".5", "1.")),
+    *(_line(v=d) for d in ("1" + "0" * 16, "9" * 17, "9" * 18, "-" + "9" * 18, "9" * 19, "9" * 20)),
+    *(_line(ts=d) for d in ("1" + "0" * 16, "9" * 17, "9" * 18, "9" * 19, "9" * 20)),
+    _line(asset=r'"m\u0031"'),
+    _line(asset='"m\u00e9"'),
+    _line(asset='"x y"'),
+    # bytes take the JSON path
+    _GOOD.encode(),
+    _line(v="-0").encode(),
 ]
 
 
@@ -143,7 +159,9 @@ class TestDecode:
                 decode_sample(line)
             assert str(got.value) == str(exc)
         else:
-            assert decode_sample(line) == expected
+            got = decode_sample(line)
+            assert got == expected
+            assert struct.pack("<d", got.value) == struct.pack("<d", expected.value)
 
     @pytest.mark.parametrize(
         "line, reference_error, message",
@@ -164,6 +182,113 @@ class TestDecode:
             decode_sample(line)
         assert str(got.value).startswith(message)
         assert "\n" not in str(got.value)
+
+
+def _outcome(decode, line):
+    """What a decoder makes of a line: the sample with its value's bits, or
+    the MalformedLine text. Any other exception propagates."""
+    try:
+        s = decode(line)
+    except MalformedLine as exc:
+        return "error", str(exc)
+    return "ok", s.asset_id, s.channel, s.ts, struct.pack("<d", s.value), s.quality
+
+
+# Raw JSON text per field for the fuzz: (forms a valid line may hold, forms
+# one edit away that may not). Most lines take the first list throughout.
+_FUZZ = {
+    "asset": (['"m1"', '"drill-1"', '"x"', '"x y"', '"m\u00e9"', r'"m\u0031"'],
+              ['""', '"a/b"', '"m\t"', r'"m\"1"', "1", "null"]),
+    "ch": (['"accel_x"', '"accel_y"', '"accel_z"', '"plc_state"'],
+           ['"accel_w"', '"ACCEL_X"', '"accel_x "', "1", "null"]),
+    "ts": (["0", "1", "1000", "12345678901234567", "123456789012345678",
+            "1234567890123456789", "12345678901234567890"],
+           ["00", "-0", "-1", "1.0", "1e3", "true", '"1"']),
+    "v": (["0", "1", "2", "3", "-0", "-0.0", "0.5", "-1.25", "3.0", "2.5", "1E5",
+           "1e-7", "0.1e1", "-12.5e-3", "1.5E+300", "12345678901234567",
+           "123456789012345678", "-123456789012345678", "1234567890123456789",
+           "12345678901234567890", "0.30000000000000004", "5e-324"],
+          ["7", "-2.5", "1e400", "-1e400", "1" + "0" * 400, "01", "+1", ".5", "1.",
+           "1e", "1.e5", "-", "NaN", "Infinity", "true", "null", '"1"']),
+    "q": (['"good"', '"suspect"', '"missing"'], ['"bad"', '"Good"', "null"]),
+}
+
+
+def _fuzz_line(r: random.Random) -> str:
+    keys = ["asset", "ch", "ts", "v", "q"]
+    if r.random() < 0.03:
+        keys[r.randrange(5)] = keys[r.randrange(5)]  # a key lost, one doubled
+    elif r.random() < 0.03:
+        i = r.randrange(4)
+        keys[i], keys[i + 1] = keys[i + 1], keys[i]
+    line = "{"
+    for i, key in enumerate(keys):
+        valid, odd = _FUZZ[key]
+        if i:
+            line += r.choice((",", ",", ",", ", ", " ,")) if r.random() < 0.1 else ","
+        line += f'"{key}"' + (r.choice((": ", " :")) if r.random() < 0.05 else ":")
+        line += r.choice(odd) if r.random() < 0.08 else r.choice(valid)
+    line += "}"
+    if r.random() < 0.1:
+        edge = r.choice((" ", "\t", "\r", "\ufeff", "x", "}"))
+        line = edge + line if r.random() < 0.5 else line + edge
+    return line
+
+
+def _count_fast_path(monkeypatch) -> list:
+    """Route decode_sample's canonical-line match through a counter; the
+    returned list gets one item per line the fast path read."""
+    hits = []
+    match = wire._match_canonical
+
+    def counting(line):
+        m = match(line)
+        if m is not None:
+            hits.append(line)
+        return m
+
+    monkeypatch.setattr(wire, "_match_canonical", counting)
+    return hits
+
+
+def test_fuzzed_near_canonical_lines_match_reference(monkeypatch):
+    hits = _count_fast_path(monkeypatch)
+    r = random.Random(20260611)
+    n = 20_000
+    kinds = {"ok": 0, "error": 0, "escaped": 0}
+    for _ in range(n):
+        line = _fuzz_line(r)
+        # the reference lets some defects escape as other exceptions; see
+        # test_defects_that_escaped_now_malformed
+        try:
+            expected = _outcome(reference_decode_sample, line)
+        except InvalidAssetId as exc:
+            expected = "error", str(exc)
+            kinds["escaped"] += 1
+        except (OverflowError, ValueError, RecursionError):
+            with pytest.raises(MalformedLine, match="^(value out of float range|bad JSON): "):
+                decode_sample(line)
+            kinds["escaped"] += 1
+            continue
+        else:
+            kinds[expected[0]] += 1
+        assert _outcome(decode_sample, line) == expected, line
+    # both paths and every outcome are well exercised
+    assert min(kinds["ok"], kinds["error"]) > 2000 and kinds["escaped"] > 100, kinds
+    assert 0.1 * n < len(hits) < 0.9 * n, len(hits)
+
+
+@pytest.mark.parametrize("source", ["random-10k", "default-scenario"])
+def test_written_traces_take_the_fast_path(source, tmp_path, monkeypatch):
+    if source == "random-10k":
+        samples = _random_samples(10_000)
+    else:
+        samples, _ = simulate_scenario(default_scenario())
+    path = tmp_path / "t.jsonl"
+    n = write_trace(path, samples)
+    hits = _count_fast_path(monkeypatch)
+    assert list(replay_trace(path)) == samples
+    assert len(hits) == n == len(samples)
 
 
 def _random_samples(n, seed=0):
