@@ -45,7 +45,7 @@ from .readiness import FeatureSeries
 BRUTE_FORCE_MAX_N = 512
 
 # Rows of the distance matrix silhouette_score holds at once.
-_SILHOUETTE_ROWS = 256
+_SILHOUETTE_ROWS = 64
 
 # Steps pelt_segment advances per tile, sharing one segment-cost pass.
 _PELT_TILE = 32
@@ -322,19 +322,35 @@ def _kmeanspp_init(x: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def kmeans_fit(
-    vectors, k: int, seed: int, max_iter: int = 100, tol: float = 1e-9
+    vectors,
+    k: int,
+    seed: int,
+    init: Optional[np.ndarray] = None,
+    max_iter: int = 100,
+    tol: float = 1e-9,
 ) -> KMeansModel:
     """Lloyd's algorithm with k-means++ seeding, fully deterministic given
     (vectors, k, seed).
 
+    init, when given, is _kmeanspp_init(vectors, K, seed) for some K >= k,
+    and its first k rows are the seeding. Draw j of the seeding depends only
+    on the seed and j, never on the number of draws, so those rows equal
+    _kmeanspp_init(vectors, k, seed) and one seeding serves every k <= K.
+
     Assignment ties break toward the lowest centroid index; an empty cluster
     is repaired by re-seeding it on the point farthest from its assigned
     centroid. Iterates until max centroid movement < tol or max_iter.
+
+    For d >= 2 the Lloyd step sums every cluster with one np.add.at into
+    +0.0, adding rows in index order: the same additions in the same order
+    as each cluster's np.add.reduce(axis=0), which starts from +0.0 too, so
+    each centroid equals its cluster's mean(axis=0) bit for bit. numpy sums
+    a single column pairwise, so d = 1 keeps one reduce per cluster.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    n = x.shape[0]
+    n, d = x.shape
     if n == 0:
         raise EmptyInput("kmeans_fit needs at least one vector")
     if k < 1:
@@ -342,7 +358,12 @@ def kmeans_fit(
     if k > n:
         raise KExceedsN(f"k={k} > n={n}")
 
-    centroids = _kmeanspp_init(x, k, seed)
+    if init is None:
+        centroids = _kmeanspp_init(x, k, seed)
+    elif len(init) < k:
+        raise ValueError(f"init holds {len(init)} centroids, k={k}")
+    else:
+        centroids = init[:k]
     labels = np.zeros(n, dtype=np.int64)
     history: list[float] = []
     iterations = 0
@@ -360,10 +381,14 @@ def kmeans_fit(
                     assigned[p] = -1.0
             counts = np.bincount(labels, minlength=k)
         # each row is x[labels == j].mean(axis=0) bit for bit: mean is the
-        # same add.reduce followed by a division by the count
-        new_centroids = np.empty((k, x.shape[1]))
-        for j in range(k):
-            np.add.reduce(x[labels == j], axis=0, out=new_centroids[j])
+        # same sum followed by a division by the count
+        if d > 1:
+            new_centroids = np.zeros((k, d))
+            np.add.at(new_centroids, labels, x)
+        else:
+            new_centroids = np.empty((k, d))
+            for j in range(k):
+                np.add.reduce(x[labels == j], axis=0, out=new_centroids[j])
         new_centroids /= counts[:, None]
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids

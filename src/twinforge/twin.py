@@ -161,9 +161,10 @@ class TwinInstance:
         plc codes only at quality good, so a suspect or missing sample may
         carry any code.
 
-        plc_state samples decode to a MachineState (the code truncated to an
-        int) and emit a state_changed event on transitions; any sample
-        received while OutOfSync counts as recovery.
+        plc_state samples map to the MachineState their code names as it is,
+        without truncation (2.0 is Waiting, 2.5 names none), and emit a
+        state_changed event on transitions; any sample received while
+        OutOfSync counts as recovery.
         """
         with self._lock:
             phase = self._phase
@@ -176,7 +177,7 @@ class TwinInstance:
             ts = sample.ts
             name = _PROPERTY_NAMES[channel]
             if channel is _PLC_STATE:
-                value: Any = _MACHINE_STATES.get(int(sample.value))
+                value: Any = _MACHINE_STATES.get(sample.value)
                 if value is None:
                     return False
             else:

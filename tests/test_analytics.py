@@ -15,10 +15,12 @@ from oracles import (
 import twinforge.rng as rng
 from twinforge.analytics import (
     _PELT_TILE,
+    _SILHOUETTE_ROWS,
     BRUTE_FORCE_MAX_N,
     PeltConfig,
     Segmentation,
     _backtrack,
+    _kmeanspp_init,
     _prefix_sums,
     _segment_costs,
     brute_force_segment,
@@ -196,10 +198,14 @@ class TestKMeans:
 
 def kmeans_inputs(seed, n, d, kind):
     """Seeded k-means input: normal draws, or the same rounded, duplicated
-    or all identical, which leave clusters empty and run the repair loop."""
+    or all identical, which leave clusters empty and run the repair loop, or
+    shrunk and rounded, mostly +0.0 and -0.0, whose cluster sums depend on
+    the sign of the zero they start from."""
     x = np.random.default_rng(seed).normal(size=(n, d))
     if kind == "rounded":
         return np.round(x)
+    if kind == "signed_zero":
+        return np.round(0.3 * x)
     if kind == "duplicated":
         return np.repeat(x[: (n + 3) // 4], 4, axis=0)[:n]
     if kind == "identical":
@@ -207,12 +213,23 @@ def kmeans_inputs(seed, n, d, kind):
     return x
 
 
+KMEANS_KINDS = ["normal", "rounded", "duplicated", "identical", "signed_zero"]
+
+
+def assert_same_fit(got, want):
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert np.array_equal(got.labels, want.labels)
+    assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
+    assert got.iterations_run == want.iterations_run
+    assert np.array(got.inertia_history).tobytes() == np.array(want.inertia_history).tobytes()
+
+
 class TestKMeansOracle:
     # Fewer distinct points than k can leave a cluster empty after the
     # repair; both versions then divide 0 by 0 (NaN centroids), and the
     # library's mean warns about it.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("kind", ["normal", "rounded", "duplicated", "identical"])
+    @pytest.mark.parametrize("kind", KMEANS_KINDS)
     def test_equals_reference_bit_for_bit(self, kind):
         cases = 0
         for d in range(1, 6):
@@ -221,18 +238,31 @@ class TestKMeansOracle:
                     seed = 1000 * d + 10 * k + rep
                     n = k + int(np.random.default_rng(seed).integers(0, 40))
                     x = kmeans_inputs(seed, n, d, kind)
-                    got = kmeans_fit(x, k, seed=seed)
-                    want = reference_kmeans_fit(x, k, seed=seed)
-                    assert got.centroids.tobytes() == want.centroids.tobytes()
-                    assert np.array_equal(got.labels, want.labels)
-                    assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
-                    assert got.iterations_run == want.iterations_run
-                    assert (
-                        np.array(got.inertia_history).tobytes()
-                        == np.array(want.inertia_history).tobytes()
-                    )
+                    assert_same_fit(kmeans_fit(x, k, seed=seed), reference_kmeans_fit(x, k, seed=seed))
                     cases += 1
         assert cases == 5 * 6 * 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", KMEANS_KINDS)
+    def test_long_inputs_equal_reference(self, kind):
+        # the add.at Lloyd step (d >= 2) over clusters of hundreds of rows,
+        # n up to 2,490
+        for d in range(2, 8):
+            seed = 7000 + d
+            n = 1300 + 170 * d
+            k = 2 + d % 4
+            x = kmeans_inputs(seed, n, d, kind)
+            assert_same_fit(kmeans_fit(x, k, seed=seed), reference_kmeans_fit(x, k, seed=seed))
+
+    def test_column_of_negative_zeros_sums_to_positive_zero(self):
+        # add.reduce sums from +0.0, so a cluster whose column is all -0.0
+        # has the centroid coordinate +0.0; so must the add.at step
+        for d in range(2, 8):
+            x = kmeans_inputs(7100 + d, 2400, d, "normal")
+            x[:, d // 2] = -0.0
+            got = kmeans_fit(x, 3, seed=d)
+            assert_same_fit(got, reference_kmeans_fit(x, 3, seed=d))
+            assert not np.signbit(got.centroids[:, d // 2]).any()
 
     def test_identical_points_run_the_repair(self):
         # every k-means++ draw picks the same point, so the first assignment
@@ -242,6 +272,43 @@ class TestKMeansOracle:
             got, want = kmeans_fit(x, k, seed=k), reference_kmeans_fit(x, k, seed=k)
             assert got.centroids.tobytes() == want.centroids.tobytes()
             assert got.inertia_history == want.inertia_history
+
+
+class TestSharedSeeding:
+    """One k-means++ seeding for the largest k serves every smaller k: its
+    first k rows are the seeding for k, so the fit is the same bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", KMEANS_KINDS)
+    def test_prefix_of_a_larger_seeding_gives_the_same_fit(self, kind):
+        for d in (1, 3):
+            for rep in range(6):
+                seed = 500 + 10 * d + rep
+                n = 4 + rep * 7  # rep 0: n = 4, so k = n = top is covered
+                x = kmeans_inputs(seed, n, d, kind)
+                top = min(5, n)
+                init = _kmeanspp_init(x, top, seed)
+                for k in range(1, top + 1):
+                    assert _kmeanspp_init(x, k, seed).tobytes() == init[:k].tobytes()
+                    assert_same_fit(kmeans_fit(x, k, seed, init), kmeans_fit(x, k, seed))
+
+    def test_repair_path_with_a_shared_seeding(self):
+        # identical points: every draw is one point, so the repair fills
+        # clusters 1..k-1 from the shared seeding as from its own
+        x = np.full((6, 3), -0.25)
+        init = _kmeanspp_init(x, 6, 3)
+        for k in range(1, 7):
+            assert_same_fit(kmeans_fit(x, k, 3, init), reference_kmeans_fit(x, k, seed=3))
+
+    def test_k_past_n_raises_before_init_is_read(self):
+        x = np.zeros((4, 3))
+        with pytest.raises(KExceedsN, match="k=5 > n=4"):
+            kmeans_fit(x, 5, 0, _kmeanspp_init(x, 4, 0))
+
+    def test_short_init_rejected(self):
+        x = kmeans_inputs(1, 10, 3, "normal")
+        with pytest.raises(ValueError, match="init holds 2 centroids, k=3"):
+            kmeans_fit(x, 3, 1, _kmeanspp_init(x, 2, 1))
 
 
 class TestAssign:
@@ -322,7 +389,10 @@ class TestSilhouetteRowBlocks:
     """The row-blocked score must equal the original per-point loop exactly
     (==, not approx): report.json carries silhouettes byte for byte."""
 
-    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 2401])
+    @pytest.mark.parametrize(
+        "n",
+        [2, 3, _SILHOUETTE_ROWS - 1, _SILHOUETTE_ROWS, _SILHOUETTE_ROWS + 1, 255, 256, 257, 2401],
+    )
     def test_equals_per_point_loop(self, n):
         x, labels = labelled_points(n, n, 3, k=min(4, n))
         assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels)
@@ -354,10 +424,16 @@ class TestSilhouetteRowBlocks:
         finally:
             tracemalloc.stop()
         # the full n x n x 3 broadcast alone would be 132 MiB
-        assert peak < 20 * 2**20
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
-        "d, n", [(d, n) for d in (2, 5, 7) for n in (255, 256, 257)] + [(2, 2401)]
+        "d, n",
+        [
+            (d, n)
+            for d in (2, 5, 7)
+            for n in (_SILHOUETTE_ROWS - 1, _SILHOUETTE_ROWS, _SILHOUETTE_ROWS + 1, 255, 256, 257)
+        ]
+        + [(2, 2401)],
     )
     def test_several_labelings_equal_per_point_loop(self, d, n):
         x, labels = labelled_points(d, n, d, k=4)

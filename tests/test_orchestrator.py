@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import archive_of
 
-from twinforge import orchestrator
+from twinforge import analytics, orchestrator
 from twinforge.archive import SegmentRecord, SegmentStats, WindowQuery
 from twinforge.errors import (
     AxisLengthMismatch,
@@ -88,6 +90,18 @@ class TestGrid:
 
     def test_default_grid_size(self):
         assert len(spawn_replica_grid(DEFAULT_GRID)) == 3 * 4 * 2
+
+    def test_default_replicas_are_the_default_grid(self):
+        cached = orchestrator._DEFAULT_REPLICAS
+        assert list(cached) == spawn_replica_grid(DEFAULT_GRID)
+        fresh = [hashlib.sha256(hp.canonical().encode()).hexdigest()[:8] for hp in cached]
+        assert [hp.digest() for hp in cached] == fresh
+
+    def test_digest_is_computed_once(self, monkeypatch):
+        hp = HyperParams(k=3)
+        first = hp.digest()
+        monkeypatch.setattr(HyperParams, "canonical", lambda self: pytest.fail("rehashed"))
+        assert hp.digest() == first
 
     @pytest.mark.parametrize(
         "grid",
@@ -430,6 +444,22 @@ class TestZeroconf:
         # readiness cleans the axes once for both block sizes; PELT runs every
         # penalty and silhouette every k of a block size in one call
         assert calls == {"run_readiness": 1, "pelt_segment": 2, "kmeans_fit": 8, "silhouette_score": 2}
+
+    def test_kmeans_seeding_once_per_block_size(self, small_run, monkeypatch):
+        seedings = []
+        seed_for = orchestrator._kmeanspp_init
+
+        def counted(x, k, seed):
+            seedings.append((len(x), k))
+            return seed_for(x, k, seed)
+
+        monkeypatch.setattr(orchestrator, "_kmeanspp_init", counted)
+        monkeypatch.setattr(analytics, "_kmeanspp_init", counted)
+        _, _, _, archive = small_run
+        zeroconf_run(archive, "m1", (0, 10**18))
+        # one seeding for the largest k of each block size, none in kmeans_fit
+        assert [k for _, k in seedings] == [max(DEFAULT_GRID["k"])] * len(DEFAULT_GRID["block_size"])
+        assert len({n for n, _ in seedings}) == len(DEFAULT_GRID["block_size"])
 
     def test_segment_stats_once_per_segmentation(self, small_run, monkeypatch):
         calls = {"segment_stats": 0, "label_segments": 0}

@@ -110,7 +110,7 @@ class TestShadowing:
         assert state.properties == {"accel_x": (1.0, 10)}
         assert state.events == ()
 
-    @pytest.mark.parametrize("code", [7.0, -2.5, 4.0, -1.0])
+    @pytest.mark.parametrize("code", [7.0, -2.5, 4.0, -1.0, 2.5, -0.5])
     def test_plc_code_naming_no_state_is_dropped(self, code):
         # decode_sample range-checks plc codes only at quality good, so a
         # suspect or missing sample can carry any finite code
@@ -122,11 +122,12 @@ class TestShadowing:
         assert state.properties == {"machine_state": (MachineState.Active, 1)}
         assert [e.payload["to"] for e in state.events] == [MachineState.Active]
 
-    def test_plc_code_is_truncated_to_a_state(self):
+    @pytest.mark.parametrize("code, state", [(2.0, MachineState.Waiting), (-0.0, MachineState.Idle)])
+    def test_plc_code_is_looked_up_as_it_is(self, code, state):
         twin = synced_twin()
-        odd = TelemetrySample("drill-1", Channel.plc_state, 1, 2.5, Quality.missing)
+        odd = TelemetrySample("drill-1", Channel.plc_state, 1, code, Quality.missing)
         assert twin.shadow_sample(odd) is True
-        assert twin.snapshot_state().properties["machine_state"] == (MachineState.Waiting, 1)
+        assert twin.snapshot_state().properties["machine_state"] == (state, 1)
 
     def test_unbound_twin_rejects_samples(self):
         twin = TwinInstance("m")
