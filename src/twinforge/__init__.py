@@ -34,7 +34,6 @@ from .orchestrator import (
     emit_augmentation_event,
     flag_anomalies,
     rank_replicas,
-    run_replica,
     spawn_replica_grid,
     zeroconf_run,
 )

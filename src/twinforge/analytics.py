@@ -25,6 +25,7 @@ numpy calls whatever the number of penalties, which is what a live window of
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -65,6 +66,8 @@ class PeltConfig:
     def __post_init__(self):
         if self.penalty < 0:
             raise ValueError("penalty must be >= 0")
+        if not self.penalty <= sys.float_info.max:  # nan, inf or an int no float holds
+            raise ValueError(f"penalty must be finite, got {self.penalty!r}")
         if self.min_segment < 1:
             raise ValueError("min_segment must be >= 1")
 

@@ -27,6 +27,7 @@ from .errors import (
 from .orchestrator import (
     DEFAULT_GRID,
     DEFAULT_RARITY_THRESHOLD,
+    RANKING_RULE,
     flag_anomalies,
     records_for,
     spawn_replica_grid,
@@ -191,9 +192,8 @@ def _parse_grid(text: Optional[str]) -> Optional[dict]:
 def _report_payload(report, machine: str, seed: int, threshold: float):
     replicas = []
     for r in report.results:
-        block_ns = r.hyperparams.block_size * report.per_sample_ns
         anomaly_count = len(
-            flag_anomalies(records_for(r, block_ns), threshold, machine=machine)
+            flag_anomalies(records_for(r, report.per_sample_ns), threshold, machine=machine)
         )
         replicas.append(
             {
@@ -213,7 +213,7 @@ def _report_payload(report, machine: str, seed: int, threshold: float):
         "machine": machine,
         "seed": seed,
         "rarity_threshold": threshold,
-        "ranking_rule": report.ranking_rule_applied,
+        "ranking_rule": RANKING_RULE,
         "selected": report.selected,
         "replicas": replicas,
     }

@@ -26,7 +26,6 @@ from .analytics import (
     kmeans_fit,
     label_segments,
     pelt_segment,
-    segment_features,
     segment_stats,
     silhouette_score,
 )
@@ -124,7 +123,6 @@ class AnomalyEvent:
 class BenchmarkReport:
     results: tuple[ReplicaResult, ...]
     selected: str
-    ranking_rule_applied: str = RANKING_RULE
     per_sample_ns: int = 0  # nominal accel sample spacing of the window
 
 
@@ -208,82 +206,86 @@ def _group(hps: Sequence[HyperParams], members, field: str) -> dict[str, list[in
     return groups
 
 
-def _plan(axes, hps: Sequence[HyperParams], seed: int) -> list[tuple]:
-    """Every stage output of the replicas hps over one window's split axes,
-    one tuple per replica in order: (features, segmentation, segment stats,
-    k-means model, silhouette, window start ts).
+def _version(seq: int, hp: HyperParams) -> str:
+    return f"v{seq}-{hp.digest()}"
 
-    Replicas with the same readiness overrides share one run_readiness call
-    over their block sizes. Per block size, one lockstep pelt_segment call
-    covers every penalty, segment_stats runs once per penalty, one k-means++
-    seeding for the largest k serves kmeans_fit once per k, and one
-    silhouette_score call scores every k's labels.
+
+def _plan(
+    window: Sequence[TelemetrySample], hps: Sequence[HyperParams], seed: int
+) -> tuple[list[tuple], int]:
+    """Every stage output of the replicas hps over one window, one tuple per
+    replica in order: (features, segmentation, segment stats, k-means model,
+    silhouette, window start ts), and the window's nominal accel sample
+    spacing in ns.
+
+    The window is split into axes once. Replicas with the same readiness
+    overrides share one run_readiness call over their block sizes. Per block
+    size, one lockstep pelt_segment call covers every penalty, segment_stats
+    runs once per penalty, one k-means++ seeding for the largest k serves
+    kmeans_fit once per k, and one silhouette_score call scores every k's
+    labels.
     Replicas share these objects, so their arrays must not be modified in
     place.
+
+    A TwinForgeError from a stage is re-raised under the version of the first
+    replica that stage serves (members), so the first failure in plan order
+    names its replica; other errors propagate as they are.
     """
-    x, y, z, ts = axes
-    stages: list = [None] * len(hps)
-    for same_readiness in _group(hps, range(len(hps)), "readiness").values():
-        by_size = _group(hps, same_readiness, "block_size")
-        configs = [hps[members[0]].readiness_config() for members in by_size.values()]
-        for same_size, features in zip(by_size.values(), run_readiness(x, y, z, configs)):
-            by_penalty = _group(hps, same_size, "penalty")
-            by_k = _group(hps, same_size, "k")
-            segmentations = pelt_segment(
-                features, [PeltConfig(penalty=hps[g[0]].penalty) for g in by_penalty.values()]
-            )
-            ks = [hps[g[0]].k for g in by_k.values()]
-            # a k past the block count raises KExceedsN before init is read;
-            # init is passed by position, as the benchmark's tracer digests
-            # an array argument by its bytes and a keyword one by its repr
-            init = _kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), seed)
-            models = [kmeans_fit(features.peaks, k, seed, init) for k in ks]
-            scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
-            segmentation_of = {}
-            for members, segmentation in zip(by_penalty.values(), segmentations):
-                stats = segment_stats(features, segmentation)
-                segmentation_of.update(dict.fromkeys(members, (segmentation, stats)))
-            for members, model, score in zip(by_k.values(), models, scores):
-                for i in members:
-                    segmentation, stats = segmentation_of[i]
-                    stages[i] = (features, segmentation, stats, model, score, ts[0])
-    return stages
-
-
-def run_replica(
-    window: Sequence[TelemetrySample],
-    hp: HyperParams,
-    seed: int,
-    seq: int = 1,
-    stages: Optional[tuple] = None,
-) -> ReplicaResult:
-    """One pipeline replica over an immutable window: readiness ->
-    segmentation -> clustering + silhouette -> segment stats.
-
-    Deterministic given (window, hp, seed); a TwinForgeError from any stage
-    is re-raised annotated with the replica version, other errors as they
-    are. This is the one-replica oracle: with stages=None it splits the
-    window and runs the sweep's plan over [hp] alone. zeroconf_run passes
-    stages, this replica's entry of the plan over the whole grid, and the
-    result is the same.
-    """
-    version = f"v{seq}-{hp.digest()}"
+    members = range(len(hps))
     try:
-        if stages is None:
-            (stages,) = _plan(_axis_series(window), [hp], seed)
-        features, segmentation, stats, model, score, window_start_ts = stages
-        summaries = label_segments(stats, model.labels)
+        x, y, z, ts = _axis_series(window)
+        stages: list = [None] * len(hps)
+        for same_readiness in _group(hps, members, "readiness").values():
+            members = same_readiness
+            by_size = _group(hps, same_readiness, "block_size")
+            configs = [hps[g[0]].readiness_config() for g in by_size.values()]
+            features_by_size = run_readiness(x, y, z, configs)
+            for same_size, features in zip(by_size.values(), features_by_size):
+                members = same_size
+                by_penalty = _group(hps, same_size, "penalty")
+                by_k = _group(hps, same_size, "k")
+                segmentations = pelt_segment(
+                    features, [PeltConfig(penalty=hps[g[0]].penalty) for g in by_penalty.values()]
+                )
+                ks = [hps[g[0]].k for g in by_k.values()]
+                # init is passed by position, as the benchmark's tracer digests
+                # an array argument by its bytes and a keyword one by its repr
+                init = _kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), seed)
+                models = []
+                for members, k in zip(by_k.values(), ks):
+                    # a k past the block count raises KExceedsN before init is read
+                    models.append(kmeans_fit(features.peaks, k, seed, init))
+                members = same_size
+                scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
+                segmentation_of = {}
+                for members, segmentation in zip(by_penalty.values(), segmentations):
+                    stats = segment_stats(features, segmentation)
+                    segmentation_of.update(dict.fromkeys(members, (segmentation, stats)))
+                for same_k, model, score in zip(by_k.values(), models, scores):
+                    for i in same_k:
+                        segmentation, stats = segmentation_of[i]
+                        stages[i] = (features, segmentation, stats, model, score, ts[0])
     except TwinForgeError as exc:
-        raise type(exc)(f"{version}: {exc}") from exc
+        i = members[0]
+        raise type(exc)(f"{_version(i + 1, hps[i])}: {exc}") from exc
+    per_sample_ns = (ts[-1] - ts[0]) // (len(ts) - 1) if len(ts) > 1 else 0
+    return stages, per_sample_ns
+
+
+def run_replica(hp: HyperParams, seq: int, stages: tuple) -> ReplicaResult:
+    """Replica seq's versioned result, assembled from its entry of the
+    sweep's plan (_plan): readiness -> segmentation -> clustering +
+    silhouette -> labelled segment stats."""
+    features, segmentation, stats, model, score, window_start_ts = stages
     return ReplicaResult(
-        replica_version=version,
+        replica_version=_version(seq, hp),
         hyperparams=hp,
         segmentation=segmentation,
         labels=model.labels,
         silhouette=score,
         segment_count=len(segmentation.segments),
         features=features,
-        segments=tuple(summaries),
+        segments=tuple(label_segments(stats, model.labels)),
         window_start_ts=window_start_ts,
     )
 
@@ -342,22 +344,17 @@ def flag_anomalies(
 
 
 def build_timeline(
-    features: FeatureSeries,
+    segments: Sequence[SegmentSummary],
     segmentation: Segmentation,
-    labels,
     anomalies: Sequence[AnomalyEvent],
 ) -> Timeline:
-    """Segment rows (block range, majority cluster, anomaly flag) plus the
-    change-point list, tiling [0, n_blocks) exactly once."""
-    return _timeline(segment_features(features, segmentation, labels), segmentation, anomalies)
-
-
-def _timeline(summaries, segmentation: Segmentation, anomalies) -> Timeline:
-    """build_timeline from the segmentation's labelled segment summaries."""
+    """Segment rows (block range, majority cluster, anomaly flag) of a
+    segmentation's labelled segments plus its change-point list, tiling
+    [0, n_blocks) exactly once."""
     flagged = {a.segment_index for a in anomalies}
     rows = tuple(
         (s.block_range[0], s.block_range[1], s.cluster_label, s.segment_index in flagged)
-        for s in summaries
+        for s in segments
     )
     return Timeline(rows=rows, change_points=segmentation.change_points)
 
@@ -373,12 +370,13 @@ def emit_augmentation_event(
     return None
 
 
-def records_for(result: ReplicaResult, block_ns: int) -> list[SegmentRecord]:
+def records_for(result: ReplicaResult, per_sample_ns: int) -> list[SegmentRecord]:
     """Materialize a replica's segment summaries as archive records.
 
-    created_ts is the data timestamp of the segment's first block, so records
-    are reproducible across runs.
+    created_ts is the data timestamp of the segment's first block, at the
+    window's nominal sample spacing, so records are reproducible across runs.
     """
+    block_ns = result.hyperparams.block_size * per_sample_ns
     return [
         SegmentRecord(
             replica_version=result.replica_version,
@@ -423,34 +421,17 @@ def zeroconf_run(
     window = [e.sample for e in entries]
 
     hps = _DEFAULT_REPLICAS if grid is None else spawn_replica_grid(grid)
-    failure = None
-    try:
-        axes = _axis_series(window)
-        stages = _plan(axes, hps, seed)
-    except Exception as exc:
-        failure = exc
-    if failure is not None:
-        # replay through the oracle, outside the handler so that no error
-        # chains to the plan's: the first replica that fails, in grid order,
-        # raises its own error under its own version
-        for i, hp in enumerate(hps):
-            run_replica(window, hp, seed, i + 1)
-        raise failure
-    results = [run_replica(window, hp, seed, i + 1, s) for i, (hp, s) in enumerate(zip(hps, stages))]
-
-    # nominal sample spacing, for reproducible record timestamps
-    ts_x = axes[3]
-    per_sample_ns = (ts_x[-1] - ts_x[0]) // (len(ts_x) - 1) if len(ts_x) > 1 else 0
+    stages, per_sample_ns = _plan(window, hps, seed)
+    results = [run_replica(hp, i + 1, s) for i, (hp, s) in enumerate(zip(hps, stages))]
     report = replace(rank_replicas(results), per_sample_ns=per_sample_ns)
     winner = report.results[0]
-    block_ns = winner.hyperparams.block_size * per_sample_ns
-    records = records_for(winner, block_ns)
+    records = records_for(winner, per_sample_ns)
     if winner.replica_version not in archive.replica_versions():
         for record in records:
             archive.record_segment_stats(record)
 
     anomalies = flag_anomalies(records, rarity_threshold, machine=machine)
-    timeline = _timeline(winner.segments, winner.segmentation, anomalies)
+    timeline = build_timeline(winner.segments, winner.segmentation, anomalies)
     if twin is not None:
         for anomaly in anomalies:
             emit_augmentation_event(twin, anomaly)

@@ -8,6 +8,7 @@ segmentation and clustering.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -28,8 +29,10 @@ class ReadinessConfig:
         for name in ("smooth_window", "block_size"):  # a bool is no window or block size
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.sigma_threshold <= 0:
-            raise ValueError("sigma_threshold must be positive")
+        if not 0 < self.sigma_threshold <= sys.float_info.max:  # nan, inf or an int no float holds
+            raise ValueError(
+                f"sigma_threshold must be positive and finite, got {self.sigma_threshold!r}"
+            )
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ValueError("smooth_window must be odd and >= 1")
         if self.block_size < 1:

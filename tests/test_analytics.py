@@ -81,6 +81,14 @@ class TestPelt:
         with pytest.raises(SeriesTooShort):
             pelt_segment(np.zeros(1), PeltConfig(min_segment=2))
 
+    @pytest.mark.parametrize(
+        "penalty",
+        [-1.0, float("-inf"), float("nan"), float("inf"), pytest.param(10**400, id="401-digit-int")],
+    )
+    def test_penalty_must_be_finite_and_non_negative(self, penalty):
+        with pytest.raises(ValueError, match="^penalty must be"):
+            PeltConfig(penalty=penalty)
+
     def test_segments_partition_range(self):
         x = random_step_series(123)
         seg = pelt_segment(x, PeltConfig(penalty=5.0))

@@ -263,7 +263,11 @@ class TestRun:
         "grid",
         ['[1]', '{"k":5}', '{"foo":[1]}', '{"penalty":[-1]}', '{"k":[0]}',
          '{"block_size":[0]}', '{"k":[]}', '{"k":[2.5]}', '{"block_size":[25.5]}',
-         '{"smooth_window":[3.0]}', '{"block_size":[true]}', '{"penalty":["x"]}'],
+         '{"smooth_window":[3.0]}', '{"block_size":[true]}', '{"penalty":["x"]}',
+         '{"penalty":[NaN],"k":[2]}', '{"penalty":[Infinity]}', '{"sigma_threshold":[NaN]}',
+         '{"sigma_threshold":[Infinity]}',
+         pytest.param('{"penalty":[1%s]}' % ("0" * 400), id="penalty-401-digit-int"),
+         pytest.param('{"sigma_threshold":[1%s]}' % ("0" * 400), id="sigma-401-digit-int")],
     )
     def test_invalid_grid_exits_2_before_ingest(self, tmp_path, capsys, grid):
         # the trace does not exist: the grid is rejected before any ingest

@@ -108,7 +108,11 @@ class TestGrid:
         [{"foo": [1]}, {"penalty": [-1]}, {"k": [0]}, {"block_size": [0]}, {"k": [2.5]},
          {"block_size": [25.5]}, {"smooth_window": [3.0]}, {"block_size": [True]},
          {"penalty": ["x"]}, {"smooth_window": [5.0]}, {"block_size": [50.0]}, {"k": [2.0]},
-         {"k": [True]}, {"k": 5}, {"k": "2"}, {"gap_fill": "hold"}, {"k": {2: 1}}],
+         {"k": [True]}, {"k": 5}, {"k": "2"}, {"gap_fill": "hold"}, {"k": {2: 1}},
+         # nan fails every comparison and inf passes the sign check: finiteness is its own check
+         {"penalty": [float("nan")]}, {"penalty": [float("inf")]},
+         {"sigma_threshold": [float("nan")]}, {"sigma_threshold": [float("inf")]},
+         {"penalty": [10**400]}],
     )
     def test_invalid_replica_is_invalid_spec(self, small_run, grid):
         (name, values), = grid.items()
@@ -150,11 +154,17 @@ def clean_three_phase_window():
     return [s for s in samples if s.channel is not Channel.plc_state], truth
 
 
+def one_replica(window, hp, seed, seq=1):
+    """The one-replica reference: the sweep's plan over [hp] alone."""
+    (stages,), _ = orchestrator._plan(window, [hp], seed)
+    return run_replica(hp, seq, stages)
+
+
 class TestRunReplica:
     def test_recovers_clean_three_phase_segments(self):
         window, truth = clean_three_phase_window()
         hp = HyperParams(block_size=50, penalty=40.0, k=3)
-        result = run_replica(window, hp, seed=42)
+        result = one_replica(window, hp, seed=42)
         assert result.segment_count == 3
         assert result.segmentation.change_points == truth.machines[
             "m1"
@@ -164,8 +174,8 @@ class TestRunReplica:
         _, samples, _, _ = small_run
         window = [s for s in samples if s.channel is not Channel.plc_state]
         hp = HyperParams(block_size=50, penalty=10.0, k=2)
-        a = run_replica(window, hp, seed=1, seq=4)
-        b = run_replica(window, hp, seed=1, seq=4)
+        a = one_replica(window, hp, seed=1, seq=4)
+        b = one_replica(window, hp, seed=1, seq=4)
         assert a.replica_version == b.replica_version
         assert a.replica_version.startswith("v4-")
         assert a.segmentation == b.segmentation
@@ -176,7 +186,7 @@ class TestRunReplica:
         _, samples, _, _ = small_run
         window = [s for s in samples if s.channel in (Channel.accel_x, Channel.accel_y)]
         with pytest.raises(AxisLengthMismatch, match=r"^v1-"):
-            run_replica(window, HyperParams(), seed=1)
+            orchestrator._plan(window, [HyperParams()], seed=1)
 
 
 class TestAxisSeries:
@@ -313,7 +323,7 @@ class TestTimeline:
             assert b == c
 
     def test_csv_format(self):
-        from twinforge.analytics import Segmentation
+        from twinforge.analytics import Segmentation, segment_features
         from twinforge.readiness import FeatureSeries, ReadinessConfig
 
         fs = FeatureSeries(
@@ -322,7 +332,8 @@ class TestTimeline:
             config_used=ReadinessConfig(),
         )
         seg = Segmentation(change_points=(2, 4), n_blocks=6, total_cost=0.0)
-        timeline = build_timeline(fs, seg, [0, 0, 1, 1, 0, 0], [anomaly(1, (2, 4))])
+        segments = segment_features(fs, seg, [0, 0, 1, 1, 0, 0])
+        timeline = build_timeline(segments, seg, [anomaly(1, (2, 4))])
         text = timeline.to_csv()
         lines = text.splitlines()
         assert lines[0] == "block_start,block_end,cluster,is_anomaly"
@@ -403,7 +414,7 @@ class TestZeroconf:
         query = WindowQuery("m1", 0, 10**18, channels=frozenset(ACCEL_CHANNELS))
         window = [e.sample for e in archive.query_window(query)]
         expected = rank_replicas(
-            [run_replica(window, hp, 7, seq=i + 1) for i, hp in enumerate(spawn_replica_grid(grid))]
+            [one_replica(window, hp, 7, seq=i + 1) for i, hp in enumerate(spawn_replica_grid(grid))]
         )
         assert len(report.results) == len(expected.results) == 12
         for got, want in zip(report.results, expected.results):
@@ -417,12 +428,14 @@ class TestZeroconf:
         per_sample_ns = (ts_x[-1] - ts_x[0]) // (len(ts_x) - 1)
         assert report.per_sample_ns == per_sample_ns
         winner = expected.results[0]
-        records = records_for(winner, winner.hyperparams.block_size * per_sample_ns)
+        records = records_for(winner, per_sample_ns)
+        assert [r.created_ts for r in records] == [
+            winner.window_start_ts + s.block_range[0] * winner.hyperparams.block_size * per_sample_ns
+            for s in winner.segments
+        ]
         want_anomalies = flag_anomalies(records, machine="m1")
         assert anomalies == want_anomalies
-        assert timeline == build_timeline(
-            winner.features, winner.segmentation, winner.labels, want_anomalies
-        )
+        assert timeline == build_timeline(winner.segments, winner.segmentation, want_anomalies)
 
     def test_sweep_runs_each_stage_once_per_distinct_input(self, small_run, monkeypatch):
         calls = dict.fromkeys(("run_readiness", "pelt_segment", "kmeans_fit", "silhouette_score"), 0)
@@ -481,20 +494,14 @@ class TestZeroconf:
         # 2 block sizes x 3 penalties segmentations, each labelled by 4 k
         assert calls == {"segment_stats": 6, "label_segments": 24}
 
-    def test_timeline_reuses_the_winners_segments(self, small_run, monkeypatch):
-        calls = []
-        segment_features = orchestrator.segment_features
-
-        def counted(*args):
-            calls.append(args)
-            return segment_features(*args)
-
-        monkeypatch.setattr(orchestrator, "segment_features", counted)
+    def test_timeline_reuses_the_winners_segments(self, small_run):
         _, _, _, archive = small_run
         report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18))
-        assert calls == []
         winner = report.results[0]
-        assert timeline == build_timeline(winner.features, winner.segmentation, winner.labels, anomalies)
+        assert timeline == build_timeline(winner.segments, winner.segmentation, anomalies)
+        # the winner's segments are its labelled segmentation, recomputed
+        want = analytics.segment_features(winner.features, winner.segmentation, winner.labels)
+        assert winner.segments == tuple(want)
 
     @pytest.mark.parametrize(
         "penalties, pelt_penalties",
@@ -532,6 +539,11 @@ class TestZeroconf:
             ({"smooth_window": [3, 100001], "k": [2]}, WindowTooLarge,
              "v2-37e4fe62: window 100001 > length 200"),
             ({"block_size": [50, 0], "k": [2]}, ValueError, "block_size must be >= 1"),
+            # the first failure in plan order raises: the plan finishes the
+            # smooth_window=3 readiness group, where k = 5 fails in v7 at
+            # block size 50, before it cleans v2's axes with a window of 100001
+            ({"block_size": [25, 50], "smooth_window": [3, 100001], "k": [2, 5]}, KExceedsN,
+             "v7-14bfcf6b: k=5 > n=4"),
         ],
     )
     def test_shared_stage_failure_is_raised_by_its_replica(self, grid, error, version):
@@ -539,6 +551,27 @@ class TestZeroconf:
         with pytest.raises(error) as info:
             zeroconf_run(archive_of(samples), "m1", (0, 10**18), grid=grid)
         assert str(info.value).startswith(version)
+
+    def test_failing_sweep_runs_its_plan_once(self, monkeypatch):
+        calls = {"run_readiness": 0, "pelt_segment": 0}
+
+        def counted(attr):
+            fn = getattr(orchestrator, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for attr in calls:
+            monkeypatch.setattr(orchestrator, attr, counted(attr))
+        samples, _ = simulate_scenario(default_scenario(duration_s=2, machines=("m1",)))
+        with pytest.raises(KExceedsN, match=r"^v22-62596441: k=5 > n=4$"):
+            zeroconf_run(archive_of(samples), "m1", (0, 10**18))
+        # the failing plan names its replica itself: no replica is rerun
+        assert calls["run_readiness"] == 1
+        assert calls["pelt_segment"] <= 2
 
     def test_ranking_is_total_order(self, small_run):
         _, _, _, archive = small_run

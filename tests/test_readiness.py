@@ -296,6 +296,10 @@ class TestConfig:
             {"block_size": 50.0},
             {"smooth_window": True},
             {"block_size": True},
+            # nan fails every comparison and inf passes the sign check: finiteness is its own check
+            {"sigma_threshold": float("nan")},
+            {"sigma_threshold": float("inf")},
+            {"sigma_threshold": 10**400},
         ],
     )
     def test_invalid_configs(self, kwargs):
