@@ -11,6 +11,7 @@ its own index; after the first out-of-order arrival the index is a separate
 """
 from __future__ import annotations
 
+import gc
 import json
 import threading
 from bisect import bisect_left, bisect_right
@@ -52,6 +53,32 @@ def _entry(seq: int, sample: TelemetrySample, tags: Mapping[str, str]) -> Archiv
 
 
 _BY_TS = attrgetter("sample.ts")
+
+
+class _collector_paused:
+    """Context manager: automatic garbage collection stays off for a bulk
+    load, and is turned back on at exit only if it was on at entry.
+
+    A bulk load allocates a few objects per sample and frees few, so the
+    collector's allocation counter triggers collection after collection,
+    each rescanning the growing log. All are wasted: decoded samples,
+    archive entries and their tag views refer only to objects that existed
+    before them, never back, so a load builds no reference cycle and no
+    collection could free anything. Reference counting still frees every
+    temporary at once. The objects allocated meanwhile are counted, and the
+    first allocation after exit starts one collection of them; exit itself
+    allocates nothing, so that collection runs in the caller's code.
+    """
+
+    __slots__ = ("was_enabled",)
+
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.was_enabled:
+            gc.enable()
 
 
 class _TimeIndex:
@@ -144,6 +171,10 @@ class Archive:
         # tuple(tags.items()) -> read-only view of a private copy, shared by
         # every entry with that tag set
         self._tag_sets: dict[tuple, Mapping[str, str]] = {(): MappingProxyType({})}
+        # the caller's last hashable tags mapping and its shared view: a
+        # caller that passes one mapping again, unchanged, skips the key
+        self._last_tags: Optional[Mapping[str, str]] = None
+        self._last_stored = self._tag_sets[()]
 
     # -- raw samples ---------------------------------------------------------
 
@@ -156,14 +187,21 @@ class Archive:
         caller's mapping do not reach it. Equal tag sets share one copy; a
         tag set with an unhashable value gets its own.
         """
-        key = tuple(tags.items()) if tags else ()
         with self._lock:
-            try:
-                stored = self._tag_sets.get(key)
-                if stored is None:
-                    stored = self._tag_sets[key] = MappingProxyType(dict(key))
-            except TypeError:  # unhashable tag value
-                stored = MappingProxyType(dict(key))
+            stored = self._last_stored
+            if (
+                tags is not self._last_tags
+                or tags != stored
+                or (len(tags) > 1 and list(tags) != list(stored))  # keys reordered
+            ):
+                key = tuple(tags.items()) if tags else ()
+                try:
+                    stored = self._tag_sets.get(key)
+                    if stored is None:
+                        stored = self._tag_sets[key] = MappingProxyType(dict(key))
+                    self._last_tags, self._last_stored = tags, stored
+                except TypeError:  # unhashable tag value
+                    stored = MappingProxyType(dict(key))
             log = self._entries.get(sample.asset_id)
             if log is None:
                 log = self._entries[sample.asset_id] = []
@@ -305,32 +343,33 @@ class Archive:
     def load(cls, trace_path) -> "Archive":
         """Read back what dump wrote. A malformed or non-UTF-8 trace line
         raises MalformedLine naming its line number."""
-        archive = cls()
-        for sample in replay_trace(trace_path):
-            archive.append_sample(sample)
-        sidecar_path = str(trace_path) + ".segments.json"
-        try:
-            with open(sidecar_path, encoding="utf-8") as fh:
-                sidecar = json.load(fh)
-        except FileNotFoundError:
-            return archive
-        for version, records in sidecar.items():
-            for r in records:
-                archive.record_segment_stats(
-                    SegmentRecord(
-                        replica_version=version,
-                        segment_index=r["segment_index"],
-                        block_range=tuple(r["block_range"]),
-                        cluster_label=r["cluster_label"],
-                        stats=SegmentStats(
-                            mean=tuple(r["mean"]),
-                            peak=tuple(r["peak"]),
-                            duration_blocks=r["duration_blocks"],
-                        ),
-                        created_ts=r["created_ts"],
+        with _collector_paused():
+            archive = cls()
+            for sample in replay_trace(trace_path):
+                archive.append_sample(sample)
+            sidecar_path = str(trace_path) + ".segments.json"
+            try:
+                with open(sidecar_path, encoding="utf-8") as fh:
+                    sidecar = json.load(fh)
+            except FileNotFoundError:
+                return archive
+            for version, records in sidecar.items():
+                for r in records:
+                    archive.record_segment_stats(
+                        SegmentRecord(
+                            replica_version=version,
+                            segment_index=r["segment_index"],
+                            block_range=tuple(r["block_range"]),
+                            cluster_label=r["cluster_label"],
+                            stats=SegmentStats(
+                                mean=tuple(r["mean"]),
+                                peak=tuple(r["peak"]),
+                                duration_blocks=r["duration_blocks"],
+                            ),
+                            created_ts=r["created_ts"],
+                        )
                     )
-                )
-        return archive
+            return archive
 
 
 def validate_quality(

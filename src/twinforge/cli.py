@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import __version__
-from .archive import Archive
+from .archive import Archive, _collector_paused
 from .errors import (
     EmptyGrid,
     InvalidSpec,
@@ -128,33 +128,43 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def ingest(samples: Iterable[TelemetrySample]) -> tuple[TwinRuntime, Archive]:
+def ingest(
+    samples: Iterable[TelemetrySample], machine: Optional[str] = None
+) -> tuple[TwinRuntime, Archive]:
     """Shadow samples into a fresh twin runtime and archive them, driving
     each twin Unbound -> Bound -> Synchronized on first contact. Every
-    archived sample is tagged with its twin's phase."""
-    runtime = TwinRuntime()
-    archive = Archive()
-    twins: dict[str, TwinInstance] = {}
-    tagged_phase = tags = None  # tags are rebuilt only when the phase changes
-    for sample in samples:
-        twin = twins.get(sample.asset_id)
-        if twin is None:
-            twin = twins[sample.asset_id] = runtime.create_twin(sample.asset_id)
-            twin.apply_lifecycle_event(LifecycleEvent.Bind)
-            twin.apply_lifecycle_event(LifecycleEvent.SyncEstablished)
-        twin.shadow_sample(sample)
-        phase = twin.phase
-        if phase is not tagged_phase:
-            tagged_phase, tags = phase, {"phase": phase.name}
-        archive.append_sample(sample, tags=tags)
-    return runtime, archive
+    archived sample is tagged with its twin's phase. With machine given,
+    every sample is still read but only that machine's are kept.
+
+    Automatic garbage collection is paused meanwhile (see
+    archive._collector_paused): the load builds no reference cycles."""
+    with _collector_paused():
+        runtime = TwinRuntime()
+        archive = Archive()
+        twins: dict[str, TwinInstance] = {}
+        tagged_phase = tags = None  # tags are rebuilt only when the phase changes
+        for sample in samples:
+            twin = twins.get(sample.asset_id)
+            if twin is None:
+                if machine is not None and sample.asset_id != machine:
+                    continue
+                twin = twins[sample.asset_id] = runtime.create_twin(sample.asset_id)
+                twin.apply_lifecycle_event(LifecycleEvent.Bind)
+                twin.apply_lifecycle_event(LifecycleEvent.SyncEstablished)
+            twin.shadow_sample(sample)
+            phase = twin.phase
+            if phase is not tagged_phase:
+                tagged_phase, tags = phase, {"phase": phase.name}
+            archive.append_sample(sample, tags=tags)
+        return runtime, archive
 
 
-def _ingest_trace(path):
-    """ingest(replay_trace(path)) for run and bench: (runtime, archive), or
-    exit 2 with one line when the OS or the decoder refuses the trace."""
+def _ingest_trace(path, machine: Optional[str] = None):
+    """ingest(replay_trace(path), machine) for run and bench: (runtime,
+    archive), or exit 2 with one line when the OS or the decoder refuses
+    the trace."""
     try:
-        return ingest(replay_trace(path))
+        return ingest(replay_trace(path), machine)
     except OSError as exc:
         return _os_fail("cannot read trace", path, exc)
     except MalformedLine as exc:
@@ -176,7 +186,7 @@ def _parse_grid(text: Optional[str]) -> Optional[dict]:
         return None
     try:
         grid = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past the interpreter's digit limit
         raise InvalidSpec(f"bad --grid JSON: {exc}") from exc
     if not isinstance(grid, dict):
         raise InvalidSpec(
@@ -226,7 +236,7 @@ def cmd_run(args) -> int:
         return _fail(EXIT_BAD_ARGS, str(exc))
     if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
         return _fail(EXIT_BAD_ARGS, f"--threshold must be in [0, 1], got {args.threshold!r}")
-    ingested = _ingest_trace(args.trace)
+    ingested = _ingest_trace(args.trace, args.machine)  # the one machine it sweeps
     if isinstance(ingested, int):
         return ingested
     runtime, archive = ingested

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import AllMissing, AxisLengthMismatch, EmptySeries, WindowTooLarge
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 @dataclass(frozen=True)
 class ReadinessConfig:
     sigma_threshold: float = 7.0
@@ -37,6 +40,10 @@ class ReadinessConfig:
             raise ValueError("smooth_window must be odd and >= 1")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if self.block_size > _INT64_MAX:  # no numpy index reaches it
+            raise ValueError("block_size must be at most 2**63 - 1")
+        if type(self.normalize) is not bool:
+            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         if self.gap_fill not in ("linear", "hold"):
             raise ValueError(f"unknown gap_fill mode {self.gap_fill!r}")
 
@@ -146,10 +153,7 @@ def rolling_max(series, block_size: int) -> np.ndarray:
         raise EmptySeries("rolling_max needs a non-empty series")
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    n_blocks = -(-x.size // block_size)
-    padded = np.full(n_blocks * block_size, -np.inf)
-    padded[: x.size] = x
-    return padded.reshape(n_blocks, block_size).max(axis=1)
+    return np.maximum.reduceat(x, np.arange(0, x.size, block_size))
 
 
 def block_spans(n: int, block_size: int) -> tuple[tuple[int, int], ...]:

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from twinforge import cli
+from twinforge.archive import Archive
 from twinforge.cli import ingest, main
-from twinforge.twin import LifecyclePhase
+from twinforge.twin import LifecyclePhase, TwinInstance
 from twinforge.wire import Channel, TelemetrySample
 
 
@@ -267,13 +268,23 @@ class TestRun:
          '{"penalty":[NaN],"k":[2]}', '{"penalty":[Infinity]}', '{"sigma_threshold":[NaN]}',
          '{"sigma_threshold":[Infinity]}',
          pytest.param('{"penalty":[1%s]}' % ("0" * 400), id="penalty-401-digit-int"),
-         pytest.param('{"sigma_threshold":[1%s]}' % ("0" * 400), id="sigma-401-digit-int")],
+         pytest.param('{"sigma_threshold":[1%s]}' % ("0" * 400), id="sigma-401-digit-int"),
+         '{"block_size":[10000000000000000000]}', '{"block_size":[9223372036854775808]}',
+         pytest.param('{"block_size":[1%s]}' % ("0" * 5000), id="block-5001-digit-int"),
+         '{"normalize":["x"]}', '{"normalize":[0]}'],
     )
     def test_invalid_grid_exits_2_before_ingest(self, tmp_path, capsys, grid):
         # the trace does not exist: the grid is rejected before any ingest
         assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
                        "--grid", grid) == 2
         assert_one_line_error(capsys, "--grid")
+
+    @pytest.mark.parametrize("block_size", ["100000", "1000000000000000000", "9223372036854775807"])
+    def test_block_past_the_window_exits_4(self, sim_dir, tmp_path, capsys, block_size):
+        code = run_cli("run", str(sim_dir / "trace.jsonl"), "--out", str(tmp_path),
+                       "--grid", f'{{"block_size":[{block_size}]}}')
+        assert code == 4
+        assert_one_line_error(capsys, "pipeline error: v1-", ": 1 blocks < min_segment 2")
 
     @pytest.mark.parametrize("threshold", ["2", "nan", "-0.1", "inf"])
     def test_invalid_threshold_exits_2_before_ingest(self, tmp_path, capsys, threshold):
@@ -284,6 +295,68 @@ class TestRun:
     def test_malformed_trace_exits_2(self, malformed_trace, tmp_path, capsys):
         assert run_cli("run", str(malformed_trace), "--out", str(tmp_path / "out")) == 2
         assert_one_line_error(capsys, "malformed trace: line 2: ")
+
+
+@pytest.fixture(scope="module")
+def three_machine_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim3")
+    assert run_cli("simulate", "--machines", "m1,m2,m3", "--duration", "10",
+                   "--out", str(out)) == 0
+    return out / "trace.jsonl"
+
+
+class TestRunIngestsOnlyItsMachine:
+    def test_shadows_and_archives_only_the_machine(self, three_machine_trace, tmp_path,
+                                                   monkeypatch):
+        shadowed, appended = [], []
+        shadow_sample, append_sample = TwinInstance.shadow_sample, Archive.append_sample
+
+        def counted_shadow(twin, sample):
+            shadowed.append(sample.asset_id)
+            return shadow_sample(twin, sample)
+
+        def counted_append(archive, sample, tags=None):
+            appended.append(sample.asset_id)
+            return append_sample(archive, sample, tags)
+
+        monkeypatch.setattr(TwinInstance, "shadow_sample", counted_shadow)
+        monkeypatch.setattr(Archive, "append_sample", counted_append)
+        assert run_cli("run", str(three_machine_trace), "--machine", "m2",
+                       "--out", str(tmp_path / "out")) == 0
+        m2_lines = three_machine_trace.read_text(encoding="utf-8").count('"asset":"m2"')
+        assert m2_lines > 0
+        assert shadowed == appended == ["m2"] * m2_lines
+
+    def test_artifacts_equal_those_of_the_machine_alone(self, three_machine_trace, tmp_path):
+        lines = three_machine_trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        alone = tmp_path / "m2.jsonl"
+        alone.write_text("".join(line for line in lines if '"asset":"m2"' in line),
+                         encoding="utf-8")
+        for trace, out in ((three_machine_trace, "all"), (alone, "alone")):
+            assert run_cli("run", str(trace), "--machine", "m2", "--out", str(tmp_path / out)) == 0
+        for name in ("report.json", "timeline.csv", "changepoints.txt", "anomalies.json"):
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+    def test_malformed_line_of_another_machine_exits_2(self, three_machine_trace, tmp_path,
+                                                        capsys):
+        lines = three_machine_trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if i > 100 and '"asset":"m3"' in line)
+        lines[i] = lines[i].replace('"ts":', '"ts":"x",', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert run_cli("run", str(bad), "--machine", "m1", "--out", str(tmp_path / "out")) == 2
+        assert_one_line_error(capsys, f"malformed trace: line {i + 1}: ")
+
+    def test_absent_machine_exits_3(self, three_machine_trace, tmp_path, capsys):
+        assert run_cli("run", str(three_machine_trace), "--machine", "m4",
+                       "--out", str(tmp_path / "out")) == 3
+        assert_one_line_error(capsys, "no samples for machine 'm4'")
+
+    def test_bench_still_reports_every_machine(self, three_machine_trace, capsys):
+        assert run_cli("bench", str(three_machine_trace)) == 0
+        n_lines = len(three_machine_trace.read_text(encoding="utf-8").splitlines())
+        err = capsys.readouterr().err
+        assert err.startswith(f"({n_lines} samples, 3 machines, "), err
 
 
 class TestReport:

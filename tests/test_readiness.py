@@ -158,6 +158,11 @@ class TestRollingMax:
         for n in (1, 49, 50, 51, 149):
             assert len(rolling_max(np.zeros(n), 50)) == -(-n // 50)
 
+    @pytest.mark.parametrize("block_size", [4, 10**18, 2**63 - 1])
+    def test_block_past_the_series_is_one_block(self, block_size):
+        # no n_blocks * block_size buffer: a block size no array could hold still works
+        assert rolling_max([1.0, 7.0, 3.0], block_size).tolist() == [7.0]
+
 
 class TestPipeline:
     def test_constant_input_all_zero_features(self):
@@ -300,6 +305,11 @@ class TestConfig:
             {"sigma_threshold": float("nan")},
             {"sigma_threshold": float("inf")},
             {"sigma_threshold": 10**400},
+            # rolling_max indexes numpy arrays by block size
+            {"block_size": 2**63},
+            {"normalize": ["x"]},
+            {"normalize": 0},
+            {"normalize": "false"},
         ],
     )
     def test_invalid_configs(self, kwargs):
