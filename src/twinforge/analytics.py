@@ -7,11 +7,11 @@ sum(segment costs) + penalty * (number of change points). Everything here is
 a pure function, and every floating-point reduction has a fixed order, so
 results are identical across runs.
 
-The two long-window kernels, the PELT segment costs and the silhouette
-distances, reduce over the feature axis one column at a time in index order:
-out = c[:, 0], then out += c[:, 1], and so on. numpy sums an axis shorter
-than 8 sequentially from index 0, so for the runtime's 3-axis features (and
-any d <= 7) this equals .sum(axis=-1) bit for bit. From d = 8 numpy unrolls
+The long-window kernels, the PELT segment costs and the k-means and
+silhouette distances, reduce over the feature axis one column at a time in
+index order: out = c[:, 0], then out += c[:, 1], and so on. numpy sums an
+axis shorter than 8 sequentially from index 0, so for the runtime's 3-axis
+features (and any d <= 7) this equals .sum(axis=-1) bit for bit. From d = 8 numpy unrolls
 its sum eight ways and the two orders can differ in the last ulp; results
 stay deterministic, silhouette stays within 1e-9 of the naive definition, and
 PELT still equals brute_force_segment, which shares _segment_costs.
@@ -19,14 +19,15 @@ PELT still equals brute_force_segment, which shares _segment_costs.
 pelt_segment runs every penalty in lockstep and advances one tile of
 _PELT_TILE steps at a time: one _segment_costs pass per tile builds the costs
 of every live start at every step of the tile, and each step then moves all
-penalties as one penalties x starts array. The per-step work is a fixed dozen
-numpy calls whatever the number of penalties, which is what a live window of
-20 to 40 blocks pays for.
+penalties as one penalties x starts array. A step only takes the DP minimum,
+eight numpy calls whatever the number of penalties, which is what a live
+window of 20 to 40 blocks pays for; the pruning runs once per tile.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -188,14 +189,15 @@ def pelt_segment(
     ascending order. Start 0 and starts m..t-m are admissible at step t (m is
     min_segment), so the admissible starts are a prefix of that order. Each
     step then moves all penalties at once as a penalties x starts array: F
-    of the admissible starts plus the step's cost row, with the starts past a
-    penalty's pruning deadline masked to inf; the first minimum per row (the
-    smallest s wins ties) gives F(t) and the back-pointer, and the starts it
-    dooms get the deadline t + m unless they have an earlier one. At the end
-    of a tile the starts every penalty has dropped are compacted away. Costs
-    are computed element by element, so a cost has the same bits whatever
-    else the tile holds, and each Segmentation equals the one its config
-    gives alone.
+    of the admissible starts plus the step's cost row, whose first minimum
+    per row (the smallest s wins ties) gives F(t) and the back-pointer. A
+    penalties x steps x starts pass at the end of the tile gives each start
+    the deadline t + m for its first step t with F(s) + C(s, t) > F(t) +
+    _PRUNE_SLACK, and compacts away the starts every penalty has dropped;
+    unmasked until then, such a start trails start t by more than the slack
+    from t + m on, so it is never a first minimum. Costs are computed element
+    by element, so a cost has the same bits whatever else the tile holds, and
+    each Segmentation equals the one its config gives alone.
     """
     configs = (config,) if isinstance(config, PeltConfig) else tuple(config)
     if not configs:
@@ -225,31 +227,25 @@ def pelt_segment(
         steps = np.arange(t0, t1)
         # step t admits start t - m, once that is at least m
         newcomers = np.arange(max(m, t0 - m), t1 - m)
-        if newcomers.size:
-            starts = np.concatenate((starts, newcomers))
-            fresh = np.full((n_pen, newcomers.size), n + 1, dtype=np.int64)
-            dead = np.concatenate((dead, fresh), axis=1)
+        starts = np.concatenate((starts, newcomers))
+        dead = np.concatenate((dead, np.full((n_pen, newcomers.size), n + 1)), axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             costs = _segment_costs(s1, s2, starts, steps[:, None])
-        admitted = np.searchsorted(starts, steps - m, side="right").tolist()
-        # earliest deadline of any penalty: steps before it need no mask
-        first = int(dead.min())
-        for t, cost, k in zip(range(t0, t1), costs, admitted):
+        admitted = np.searchsorted(starts, steps - m, side="right")
+        for t, cost, k in zip(range(t0, t1), costs, admitted.tolist()):
             held = starts[:k]
             totals = f.take(held, axis=1)
             totals += cost[:k]
-            held_dead = dead[:, :k]
-            if t >= first:
-                totals[held_dead <= t] = np.inf
             best = totals.argmin(axis=1)  # first minimum: smallest s wins ties
-            ft = totals[rows, best] + betas
-            f[:, t] = ft
+            f[:, t] = totals[rows, best] + betas
             prev[:, t] = held[best]
-            # deadlines only grow with t, so the minimum keeps the first one
-            doomed = totals > (ft + _PRUNE_SLACK)[:, None]
-            if first <= t + m or doomed.any():
-                np.minimum(held_dead, t + m, out=held_dead, where=doomed)
-                first = min(first, t + m)
+        # an inadmissible (step, start) pair holds a meaningless cost, so it
+        # is masked out after the comparison
+        totals = f[:, starts][:, None, :] + costs
+        doomed = totals > f[:, t0:t1, None] + _PRUNE_SLACK
+        doomed &= np.arange(starts.size) < admitted[:, None]
+        # deadlines only grow with t, so the minimum keeps the first one
+        np.minimum(dead, t0 + doomed.argmax(axis=1) + m, out=dead, where=doomed.any(axis=1))
         kept = (dead > t1).any(axis=0)
         starts = starts[kept]
         dead = dead[:, kept]
@@ -303,11 +299,26 @@ class KMeansModel:
     inertia_history: tuple[float, ...]
 
 
+# the k-means++ stream key of a seed, derived once per seed
+_kmeanspp_key = lru_cache(maxsize=16)(lambda seed: rng.stream_key(seed, "kmeans++"))
+
+
+def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances, added one feature column at a time in index
+    order: the sum over the feature axis for d < 8 (module docstring)."""
+    d2 = np.zeros((len(x), len(centroids)))
+    for xj, cj in zip(x.T, centroids.T):
+        diff = xj[:, None] - cj
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def _kmeanspp_init(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Deterministic k-means++ seeding: D^2-weighted draws from a
     counter-based stream keyed on the seed."""
     n = x.shape[0]
-    key = rng.stream_key(seed, "kmeans++")
+    key = _kmeanspp_key(seed)
     u = rng.uniforms(key, np.arange(k, dtype=np.uint64))
     first = min(int(u[0] * n), n - 1)
     centroids = [x[first]]
@@ -367,12 +378,10 @@ def kmeans_fit(
         raise ValueError(f"init holds {len(init)} centroids, k={k}")
     else:
         centroids = init[:k]
-    labels = np.zeros(n, dtype=np.int64)
     history: list[float] = []
     iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    for iterations in range(1, max_iter + 1):
+        d2 = _sq_dists(x, centroids)
         labels = d2.argmin(axis=1)
         counts = np.bincount(labels, minlength=k)
         if not counts.all():
@@ -400,7 +409,7 @@ def kmeans_fit(
             break
 
     # settle labels against the converged centroids
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(x, centroids)
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
     history.append(inertia)
@@ -425,35 +434,6 @@ def kmeans_assign(model: KMeansModel, vector) -> int:
     return int(((model.centroids - v) ** 2).sum(axis=1).argmin())
 
 
-class _Labeling:
-    """One labeling's clusters for silhouette_score: member indices and sizes
-    per cluster, each point's cluster index, and the per-point scores."""
-
-    __slots__ = ("inverse", "members", "sizes", "scores")
-
-    def __init__(self, inverse: np.ndarray, n_clusters: int):
-        self.inverse = inverse
-        self.members = [np.flatnonzero(inverse == j) for j in range(n_clusters)]
-        self.sizes = np.array([m.size for m in self.members])
-        self.scores = np.zeros(inverse.size)
-
-    def score_rows(self, lo: int, hi: int, dist: np.ndarray) -> None:
-        """Scores of points lo..hi-1 from their distance rows."""
-        rows = np.arange(hi - lo)
-        own = self.inverse[lo:hi]
-        sizes = self.sizes
-        sums = np.stack([dist.take(m, axis=1).sum(axis=1) for m in self.members], axis=1)
-        # a singleton's a_i is never used (s_i = 0); dividing by 1 avoids 0/0
-        a = sums[rows, own] / np.maximum(sizes[own] - 1, 1)
-        means = sums / sizes
-        means[rows, own] = np.inf
-        b = means.min(axis=1)
-        denom = np.maximum(a, b)
-        block = np.divide(b - a, denom, out=np.zeros(hi - lo), where=denom > 0)
-        block[sizes[own] == 1] = 0.0
-        self.scores[lo:hi] = block
-
-
 def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
     """Mean silhouette in [-1, 1] (Rousseeuw 1987).
 
@@ -464,15 +444,16 @@ def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
     labels of shape (n,) returns one float; labels of shape (m, n), m
     labelings of the same points, returns a tuple of m floats. The distance
     matrix is built _SILHOUETTE_ROWS rows at a time and each block serves
-    every labeling, so memory is O(rows * n) plus one n-vector per labeling
-    rather than O(n^2), and the rows are built once however many labelings
-    there are. Squared distances are accumulated one feature column at a time
-    in index order, equal to summing over the feature axis for d < 8 (see the
-    module docstring). Each per-cluster row sum is taken over a contiguous
-    copy of the members' distances in index order, the same reduction as
-    summing one row's masked entries, so each score is bit-identical to a
-    per-point loop over the full matrix, and to its labeling scored alone:
-    it reads the same distance values.
+    every labeling, so memory is O(rows * n) plus a few n-vectors per
+    labeling rather than O(n^2), and the rows are built once however many
+    labelings there are; a, b and s of every labeling come from one
+    labelings x rows x clusters array of row sums. Squared distances are
+    accumulated one feature column at a time in index order, equal to
+    summing over the feature axis for d < 8 (see the module docstring). Each
+    per-cluster row sum is taken over a contiguous copy of the members'
+    distances in index order, the same reduction as summing one row's masked
+    entries, so each score is bit-identical to a per-point loop over the full
+    matrix, and to its labeling scored alone, from the same distances.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
@@ -483,26 +464,56 @@ def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
     lab = np.asarray(labels)
     if lab.shape[-1] != n:
         raise LengthMismatch(f"{lab.shape[-1]} labels for {n} points")
-    labelings: list[Optional[_Labeling]] = []
-    for row in lab if lab.ndim > 1 else (lab,):
-        clusters, inverse = np.unique(row, return_inverse=True)
-        labelings.append(None if clusters.size == 1 else _Labeling(inverse, clusters.size))
-    scored = [lb for lb in labelings if lb is not None]
-
-    if scored:
-        cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
-        for lo in range(0, n, _SILHOUETTE_ROWS):
-            hi = min(lo + _SILHOUETTE_ROWS, n)
-            dist = x[lo:hi, 0, None] - cols[0]
-            dist *= dist
-            for j in range(1, len(cols)):
-                d = x[lo:hi, j, None] - cols[j]
-                d *= d
-                dist += d
-            np.sqrt(dist, out=dist)
-            for lb in scored:
-                lb.score_rows(lo, hi, dist)
-    out = tuple(0.0 if lb is None else float(lb.scores.mean()) for lb in labelings)
+    # per labeling, each point's cluster index 0..k-1 and the cluster sizes;
+    # labels that are 0..k-1 with every cluster present are their own index
+    rows = lab if lab.ndim > 1 else lab[None]
+    dense = rows.dtype.kind == "i" and rows.size > 0 and rows.min() >= 0 and rows.max() < n
+    clusters = []
+    for row in rows:
+        sizes = np.bincount(row) if dense else None
+        if sizes is None or not sizes.all():
+            row = np.unique(row, return_inverse=True)[1]
+            sizes = np.bincount(row)
+        clusters.append((row, sizes))
+    scored = [c for c in clusters if c[1].size > 1]  # one cluster scores 0
+    k = max((sizes.size for _, sizes in scored), default=0)
+    own = np.empty((len(scored), n), dtype=np.intp)
+    size = np.ones((len(scored), k), dtype=np.int64)  # any nonzero for a missing cluster
+    members = []  # (labeling, cluster, its member indices in index order)
+    for l, (row, sizes) in enumerate(scored):
+        own[l], size[l, : sizes.size] = row, sizes
+        order, ends = row.argsort(kind="stable"), np.cumsum(sizes).tolist()
+        members += [(l, j, order[a:b]) for j, (a, b) in enumerate(zip([0, *ends], ends))]
+    at_labeling, at_row = np.arange(len(scored))[:, None], np.arange(_SILHOUETTE_ROWS)
+    own_size = size[at_labeling, own]
+    own_peers = np.maximum(own_size - 1, 1)  # a singleton's a_i is unused: 1 avoids 0/0
+    scores = np.zeros((len(scored), n))
+    cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
+    for lo in range(0, n if scored else 0, _SILHOUETTE_ROWS):
+        hi = min(lo + _SILHOUETTE_ROWS, n)
+        dist = x[lo:hi, 0, None] - cols[0]
+        dist *= dist
+        for j in range(1, len(cols)):
+            d = x[lo:hi, j, None] - cols[j]
+            d *= d
+            dist += d
+        np.sqrt(dist, out=dist)
+        # (labeling, row, cluster) sums, inf for a cluster the labeling lacks
+        sums = np.full((len(scored), hi - lo, k), np.inf)
+        for l, j, idx in members:
+            sums[l, :, j] = dist.take(idx, axis=1).sum(axis=1)
+        own_sum = at_labeling, at_row[: hi - lo], own[:, lo:hi]
+        a = sums[own_sum] / own_peers[:, lo:hi]
+        means = sums / size[:, None, :]
+        means[own_sum] = np.inf
+        b = means.min(axis=2)
+        denom = np.maximum(a, b)
+        block = np.divide(b - a, denom, out=np.zeros_like(a), where=denom > 0)
+        block[own_size[:, lo:hi] == 1] = 0.0
+        scores[:, lo:hi] = block
+    # each row's mean is the same pairwise sum as the row's alone
+    score_of = iter(scores.mean(axis=1).tolist())
+    out = tuple(next(score_of) if sizes.size > 1 else 0.0 for _, sizes in clusters)
     return out if lab.ndim > 1 else out[0]
 
 
@@ -514,13 +525,6 @@ class SegmentSummary:
     mean: tuple[float, ...]
     peak: tuple[float, ...]
     duration_blocks: int
-
-
-def _block_labels(labels, n: int) -> np.ndarray:
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.shape[0] != n:
-        raise LengthMismatch(f"{lab.shape[0]} labels for {n} blocks")
-    return lab
 
 
 def segment_stats(features, seg: Segmentation) -> list[tuple]:
@@ -541,7 +545,9 @@ def label_segments(stats: Sequence[tuple], labels) -> list[SegmentSummary]:
     """The part of segment_features that depends on the labelling: each
     segment of segment_stats' output with its majority block label (ties to
     the lowest label)."""
-    lab = _block_labels(labels, stats[-1][0][1])
+    lab = np.asarray(labels, dtype=np.int64)
+    if lab.shape[0] != stats[-1][0][1]:
+        raise LengthMismatch(f"{lab.shape[0]} labels for {stats[-1][0][1]} blocks")
     return [
         SegmentSummary(
             segment_index=i,
@@ -560,6 +566,4 @@ def segment_features(features, seg: Segmentation, labels) -> list[SegmentSummary
     majority block label (ties to the lowest label). The composition of
     segment_stats, computed once per segmentation, and label_segments, once
     per labelling."""
-    x = _as_matrix(features)
-    lab = _block_labels(labels, x.shape[0])
-    return label_segments(segment_stats(x, seg), lab)
+    return label_segments(segment_stats(features, seg), labels)

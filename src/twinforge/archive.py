@@ -4,10 +4,10 @@ quality validation, and segment-statistics memorization.
 In-memory store, single logical writer per asset stream, unlimited concurrent
 readers. Out-of-order arrivals are stored as-is (seq records arrival order),
 so ingestion stays O(1) and the log remains the ground truth of what arrived
-when. Each asset has a time index that queries extend over the rows appended
-since that asset's last query: while the rows arrive in ts order the log is
-its own index; after the first out-of-order arrival the index is a separate
-(ts, seq)-ordered list. A window query is two binary searches and a slice.
+when. Each asset has a time index: the log itself until an append's ts is
+below the log's last one, then a (ts, seq)-ordered list that queries extend
+over the rows appended since. A window query is two binary searches and a
+slice, and returns the slice when it has no filter.
 """
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ import json
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from operator import attrgetter, gt
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -83,36 +82,29 @@ class _collector_paused:
 
 class _TimeIndex:
     """One asset's entries log[:upto] in (ts, seq) order. rows is the log
-    itself while the log is in ts order, else a permutation of it."""
+    itself until an append sets late, then a permutation of it."""
 
-    __slots__ = ("log", "rows", "upto")
+    __slots__ = ("log", "rows", "upto", "late")
 
     def __init__(self, log: list):
         self.log = self.rows = log
-        self.upto = 0
+        self.upto, self.late = 0, False
 
     def extend(self) -> list:
         """Cover the entries appended since the last call; return rows."""
         log, upto = self.log, self.upto
         n = len(log)
-        if upto < n:
+        if self.late and upto < n:
             if self.rows is log:
-                ts = list(map(_BY_TS, log[max(upto - 1, 0) : n]))
-                if any(map(gt, ts, islice(ts, 1, None))):
-                    self.rows = log[:upto]  # first out-of-order arrival
-            if self.rows is not log:
-                _fold_in(self.rows, log[upto:n])
-            self.upto = n
+                self.rows = log[:upto]  # no row up to the last call arrived late
+            # every new entry has a higher seq than every row, so a stable
+            # sort by ts of the tail from the earliest new ts keeps the order
+            rows, new = self.rows, log[upto:n]
+            pos = bisect_right(rows, min(map(_BY_TS, new)), key=_BY_TS)
+            rows.extend(new)
+            rows[pos:] = sorted(rows[pos:], key=_BY_TS)
+        self.upto = n
         return self.rows
-
-
-def _fold_in(rows: list, new: list) -> None:
-    """Merge later arrivals into rows, a (ts, seq)-ordered list. Every new
-    entry has a higher seq than every row, so a stable sort by ts of the
-    tail from the earliest new ts on keeps (ts, seq) order."""
-    pos = bisect_right(rows, min(map(_BY_TS, new)), key=_BY_TS)
-    rows.extend(new)
-    rows[pos:] = sorted(rows[pos:], key=_BY_TS)
 
 
 @dataclass(frozen=True)
@@ -205,6 +197,9 @@ class Archive:
             log = self._entries.get(sample.asset_id)
             if log is None:
                 log = self._entries[sample.asset_id] = []
+                self._index[sample.asset_id] = _TimeIndex(log)
+            elif sample.ts < log[-1].sample.ts:
+                self._index[sample.asset_id].late = True
             seq = len(log) + 1
             log.append(_entry(seq, sample, stored))
             return seq
@@ -225,9 +220,7 @@ class Archive:
         to date. Call with the lock held."""
         index = self._index.get(asset_id)
         if index is None:
-            if asset_id not in self._entries:
-                raise UnknownAsset(asset_id)
-            index = self._index[asset_id] = _TimeIndex(self._entries[asset_id])
+            raise UnknownAsset(asset_id)
         return index.extend()
 
     def _window_rows(self, asset_id: str, t_start: int, t_end: int) -> list[ArchiveEntry]:
@@ -254,6 +247,8 @@ class Archive:
         """
         rows = self._window_rows(q.asset_id, q.t_start, q.t_end)
         channels, qualities, tag_filter = q.channels, q.quality_filter, q.tag_filter
+        if channels is None and qualities is None and not tag_filter:
+            return rows
         out = []
         for entry in rows:
             s = entry.sample

@@ -14,7 +14,8 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -104,8 +105,13 @@ class ReplicaResult:
     silhouette: float
     segment_count: int
     features: FeatureSeries
-    segments: tuple[SegmentSummary, ...]
+    segment_stats: list[tuple]  # segment_stats(features, segmentation), shared
     window_start_ts: int
+
+    @cached_property
+    def segments(self) -> tuple[SegmentSummary, ...]:
+        """Labelled at first read: a live sweep reads only its winner's."""
+        return tuple(label_segments(self.segment_stats, self.labels))
 
 
 @dataclass(frozen=True)
@@ -171,10 +177,10 @@ def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
 _DEFAULT_REPLICAS = tuple(spawn_replica_grid(DEFAULT_GRID))
 
 
-def _axis_series(window: Sequence[TelemetrySample]):
+def _axis_series(window: Iterable[TelemetrySample]):
     """Split a queried window into three aligned accel arrays plus the ts
-    array of the first axis. Missing-quality samples become NaN (filled by
-    the readiness stage)."""
+    array of the first axis, in one pass that skips every other channel.
+    Missing-quality samples become NaN (filled by the readiness stage)."""
     ch_x, ch_y, ch_z = ACCEL_CHANNELS
     missing = Quality.missing
     nan = float("nan")
@@ -211,7 +217,7 @@ def _version(seq: int, hp: HyperParams) -> str:
 
 
 def _plan(
-    window: Sequence[TelemetrySample], hps: Sequence[HyperParams], seed: int
+    window: Iterable[TelemetrySample], hps: Sequence[HyperParams], seed: int
 ) -> tuple[list[tuple], int]:
     """Every stage output of the replicas hps over one window, one tuple per
     replica in order: (features, segmentation, segment stats, k-means model,
@@ -275,7 +281,7 @@ def _plan(
 def run_replica(hp: HyperParams, seq: int, stages: tuple) -> ReplicaResult:
     """Replica seq's versioned result, assembled from its entry of the
     sweep's plan (_plan): readiness -> segmentation -> clustering +
-    silhouette -> labelled segment stats."""
+    silhouette, its segments labelled when first read."""
     features, segmentation, stats, model, score, window_start_ts = stages
     return ReplicaResult(
         replica_version=_version(seq, hp),
@@ -285,7 +291,7 @@ def run_replica(hp: HyperParams, seq: int, stages: tuple) -> ReplicaResult:
         silhouette=score,
         segment_count=len(segmentation.segments),
         features=features,
-        segments=tuple(label_segments(stats, model.labels)),
+        segment_stats=stats,
         window_start_ts=window_start_ts,
     )
 
@@ -403,25 +409,20 @@ def zeroconf_run(
 ) -> tuple[BenchmarkReport, Timeline, list[AnomalyEvent]]:
     """End-to-end ZeroConf pipeline over one machine's archived window.
 
-    Queries the window, sweeps the default replica grid as one plan,
-    ranks by silhouette, records the winner's segment statistics back to the
-    archive (idempotent on rerun), flags rare-cluster anomalies, assembles
-    the timeline from the winner's labelled segments, and emits augmentation events to the twin when one is
+    Queries the window (every channel, read once by the axis split), sweeps
+    the default replica grid as one plan, ranks by silhouette, records the
+    winner's segment statistics back to the archive (idempotent on rerun),
+    flags rare-cluster anomalies, assembles the timeline from the winner's
+    labelled segments, and emits augmentation events to the twin when one is
     attached. The raw sample log is never touched.
     """
-    query = WindowQuery(
-        asset_id=machine,
-        t_start=time_range[0],
-        t_end=time_range[1],
-        channels=frozenset(ACCEL_CHANNELS),
-    )
-    entries = archive.query_window(query)
-    if not entries:
+    entries = archive.query_window(WindowQuery(machine, time_range[0], time_range[1]))
+    # the first accel row ends the search; the axis split skips the others
+    if not any(e.sample.channel in ACCEL_CHANNELS for e in entries):
         raise NoData(f"no samples for {machine} in {time_range}")
-    window = [e.sample for e in entries]
 
     hps = _DEFAULT_REPLICAS if grid is None else spawn_replica_grid(grid)
-    stages, per_sample_ns = _plan(window, hps, seed)
+    stages, per_sample_ns = _plan(map(attrgetter("sample"), entries), hps, seed)
     results = [run_replica(hp, i + 1, s) for i, (hp, s) in enumerate(zip(hps, stages))]
     report = replace(rank_replicas(results), per_sample_ns=per_sample_ns)
     winner = report.results[0]

@@ -454,6 +454,26 @@ class TestSilhouetteRowBlocks:
         assert got == tuple(silhouette_score(x, lab) for lab in stack)
         assert got[1] == 0.0
 
+    @pytest.mark.parametrize("n", [20, 40, _SILHOUETTE_ROWS + 1])
+    def test_label_values_in_one_call_each_equal_alone(self, n):
+        x, labels = labelled_points(n + 1, n, 3, k=4)
+        labels[:4] = np.arange(4)  # every cluster present: the labels are the index
+        gapped = labels * 3
+        ints = np.stack(
+            [labels, labels - 2, gapped, np.full(n, 7), np.where(labels == 2, 0, labels)]
+        )
+        floats = np.stack([labels / 2, gapped - 0.5, np.full(n, 1.5)])
+        for stack in (ints, floats):
+            got = silhouette_score(x, stack)
+            assert got == tuple(silhouette_score(x, lab) for lab in stack)
+            for score, lab in zip(got, stack):
+                if len(set(lab.tolist())) > 1:  # the literal definition has no one-cluster case
+                    want = naive_silhouette(x.tolist(), lab.tolist())
+                    assert score == pytest.approx(want, abs=1e-9)
+        assert silhouette_score(x, ints)[3] == silhouette_score(x, floats)[2] == 0.0
+        # the same partition under other label values scores the same
+        assert silhouette_score(x, ints)[:3] == (silhouette_score(x, labels),) * 3
+
     def test_labeling_forms(self):
         x, labels = labelled_points(11, 40, 3, k=3)
         assert silhouette_score(x, labels[None]) == (silhouette_score(x, labels),)
@@ -578,6 +598,16 @@ class TestPeltTiles:
                     assert got == want, (n, name, penalties)
                     for cfg, seg in zip(cfgs, got):
                         assert pelt_segment(x, [cfg]) == (pelt_segment(x, cfg),) == (seg,)
+
+
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_many_penalties_equal_reference(self, m):
+        penalties = (0.0, 0.01, 0.5, 5.0, 40.0, 160.0, 1e6)
+        cfgs = [PeltConfig(penalty=beta, min_segment=m) for beta in penalties]
+        for n in tile_lengths(m) + [m - 1 + 3 * _PELT_TILE]:
+            for name, x in tile_series(n, seed=n * 7 + m).items():
+                got = pelt_segment(x, cfgs)
+                assert got == tuple(reference_pelt_segment(x, cfg) for cfg in cfgs), (n, name)
 
 
 class TestBacktrack:

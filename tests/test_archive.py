@@ -443,6 +443,60 @@ class TestProperties:
         assert not failures
 
 
+class TestTimeIndexTracksOrderAtAppend:
+    def counting_key(self, monkeypatch):
+        calls = []
+        by_ts = archive_module._BY_TS
+
+        def counted(entry):
+            calls.append(entry)
+            return by_ts(entry)
+
+        monkeypatch.setattr(archive_module, "_BY_TS", counted)
+        return calls
+
+    def test_in_order_log_is_its_own_index_and_a_query_reads_only_its_bisects(
+        self, monkeypatch
+    ):
+        archive = Archive()
+        for ts in range(0, 1000, 10):
+            archive.append_sample(sample(ts))
+        calls = self.counting_key(monkeypatch)
+        hits = archive.query_window(WindowQuery("m1", 200, 400))
+        assert [e.sample.ts for e in hits] == list(range(200, 400, 10))
+        # two binary searches over 100 rows, no walk over the appended rows
+        assert 0 < len(calls) <= 2 * (100).bit_length()
+        index = archive._index["m1"]
+        assert index.rows is archive._entries["m1"] and not index.late
+        for ts in range(1000, 2000, 10):
+            archive.append_sample(sample(ts))
+        calls.clear()
+        archive.query_window(WindowQuery("m1", 1500, 1600))
+        assert 0 < len(calls) <= 2 * (200).bit_length()
+        assert index.rows is archive._entries["m1"]
+
+    def test_one_late_append_switches_to_a_permutation(self):
+        archive = Archive()
+        for ts in (10, 20, 20, 30):
+            archive.append_sample(sample(ts))
+        assert not archive._index["m1"].late  # an equal ts is in order
+        archive.query_window(WindowQuery("m1", 0, 100))
+        archive.append_sample(sample(15))
+        index = archive._index["m1"]
+        assert index.late and index.rows is archive._entries["m1"]
+        hits = archive.query_window(WindowQuery("m1", 0, 100))
+        assert index.rows is not archive._entries["m1"]
+        assert [(e.sample.ts, e.seq) for e in hits] == [(10, 1), (15, 5), (20, 2), (20, 3), (30, 4)]
+
+    def test_unfiltered_query_is_the_window_slice(self):
+        archive = Archive()
+        for ts in range(10):
+            archive.append_sample(sample(ts, channel=CHANNELS[ts % 4]), {"phase": "Bound"})
+        hits = archive.query_window(WindowQuery("m1", 2, 8))
+        assert hits == reference_query_window(archive, WindowQuery("m1", 2, 8))
+        assert hits == list(archive.scan("m1")[2:8])
+
+
 CHANNELS = tuple(Channel)
 QUALITIES = tuple(Quality)
 TAG_SETS = (None, {"phase": "Bound"}, {"phase": "Synchronized"}, {"ops": ["a", "b"]})

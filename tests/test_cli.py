@@ -6,7 +6,7 @@ from twinforge import cli
 from twinforge.archive import Archive
 from twinforge.cli import ingest, main
 from twinforge.twin import LifecyclePhase, TwinInstance
-from twinforge.wire import Channel, TelemetrySample
+from twinforge.wire import Channel, TelemetrySample, write_trace
 
 
 def run_cli(*argv):
@@ -351,6 +351,12 @@ class TestRunIngestsOnlyItsMachine:
         assert run_cli("run", str(three_machine_trace), "--machine", "m4",
                        "--out", str(tmp_path / "out")) == 3
         assert_one_line_error(capsys, "no samples for machine 'm4'")
+
+    def test_machine_with_only_plc_state_exits_3(self, tmp_path, capsys):
+        trace = tmp_path / "plc.jsonl"
+        write_trace(trace, [TelemetrySample("m1", Channel.plc_state, ts, 1.0) for ts in (0, 10, 20)])
+        assert run_cli("run", str(trace), "--machine", "m1", "--out", str(tmp_path / "out")) == 3
+        assert_one_line_error(capsys, "no samples for m1 in (0, 21)")
 
     def test_bench_still_reports_every_machine(self, three_machine_trace, capsys):
         assert run_cli("bench", str(three_machine_trace)) == 0

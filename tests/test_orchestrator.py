@@ -388,6 +388,14 @@ class TestZeroconf:
         with pytest.raises(NoData):
             zeroconf_run(archive, "m1", (10**17, 10**18))
 
+    def test_window_of_only_plc_state_is_no_data(self):
+        archive = archive_of(
+            TelemetrySample("m1", Channel.plc_state, ts, 1.0) for ts in range(0, 100, 10)
+        )
+        with pytest.raises(NoData) as caught:
+            zeroconf_run(archive, "m1", (0, 100))
+        assert str(caught.value) == "no samples for m1 in (0, 100)"
+
     def test_master_isolation(self, small_run):
         _, _, _, archive = small_run
         before = [e.sample for e in archive.scan("m1")]
@@ -491,7 +499,13 @@ class TestZeroconf:
         _, _, _, archive = small_run
         report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
         assert len(report.results) == 24
-        # 2 block sizes x 3 penalties segmentations, each labelled by 4 k
+        # 2 block sizes x 3 penalties segmentations; a sweep reads only the
+        # winner's labelled segments
+        assert calls == {"segment_stats": 6, "label_segments": 1}
+        # reading every replica's segments, twice, labels each other one once
+        for _ in range(2):
+            for r in report.results:
+                r.segments
         assert calls == {"segment_stats": 6, "label_segments": 24}
 
     def test_timeline_reuses_the_winners_segments(self, small_run):
