@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from twinforge.cli import ingest
-from twinforge.orchestrator import zeroconf_run
+from twinforge.cli import ingest, ranking_table, report_payload
+from twinforge.orchestrator import DEFAULT_RARITY_THRESHOLD, zeroconf_run
 from twinforge.readiness import ReadinessConfig, clean_axis
 from twinforge.simulate import default_scenario, simulate_scenario
 from twinforge.wire import Channel
@@ -38,14 +38,8 @@ def main() -> int:
         archive, args.machine, (0, 10**18), twin=runtime.get(args.machine)
     )
 
-    print(f"\n{'':2}{'version':<14}{'penalty':>8}{'k':>3}{'block':>6}{'silhouette':>11}{'segments':>9}")
-    for r in report.results:
-        mark = "*" if r.replica_version == report.selected else " "
-        print(
-            f"{mark:2}{r.replica_version:<14}{r.hyperparams.penalty:>8g}"
-            f"{r.hyperparams.k:>3}{r.hyperparams.block_size:>6}"
-            f"{r.silhouette:>11.4f}{r.segment_count:>9}"
-        )
+    payload = report_payload(report, args.machine, args.seed, DEFAULT_RARITY_THRESHOLD)
+    print("\n" + ranking_table(payload["replicas"], report.selected))
 
     winner = report.results[0]
     mt = truth.machines[args.machine]

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -29,7 +30,6 @@ from .orchestrator import (
     DEFAULT_RARITY_THRESHOLD,
     RANKING_RULE,
     flag_anomalies,
-    records_for,
     spawn_replica_grid,
     zeroconf_run,
 )
@@ -199,12 +199,11 @@ def _parse_grid(text: Optional[str]) -> Optional[dict]:
     return grid
 
 
-def _report_payload(report, machine: str, seed: int, threshold: float):
+def report_payload(report, machine: str, seed: int, threshold: float) -> dict:
+    """report.json's content for a sweep's ranked report."""
     replicas = []
     for r in report.results:
-        anomaly_count = len(
-            flag_anomalies(records_for(r, report.per_sample_ns), threshold, machine=machine)
-        )
+        anomaly_count = len(flag_anomalies(r.segments, threshold, machine=machine))
         replicas.append(
             {
                 "version": r.replica_version,
@@ -262,27 +261,12 @@ def cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _os_fail("cannot create output directory", args.out, exc)
-    payload = _report_payload(report, args.machine, args.seed, args.threshold)
+    payload = report_payload(report, args.machine, args.seed, args.threshold)
     artifacts = {
         "report.json": json.dumps(payload, sort_keys=True, indent=1) + "\n",
         "timeline.csv": timeline.to_csv(),
         "changepoints.txt": "".join(f"{cp}\n" for cp in timeline.change_points),
-        "anomalies.json": json.dumps(
-            [
-                {
-                    "machine": a.machine,
-                    "replica_version": a.replica_version,
-                    "segment_index": a.segment_index,
-                    "block_range": list(a.block_range),
-                    "cluster_label": a.cluster_label,
-                    "rarity": a.rarity,
-                    "ts": a.ts,
-                }
-                for a in anomalies
-            ],
-            sort_keys=True,
-            indent=1,
-        )
+        "anomalies.json": json.dumps([asdict(a) for a in anomalies], sort_keys=True, indent=1)
         + "\n",
     }
     manifest = {
@@ -320,23 +304,28 @@ def cmd_report(args) -> int:
         return _fail(
             EXIT_BAD_ARGS, f"malformed report: replicas is a {type(replicas).__name__}, not a list"
         )
-    if not replicas:
-        print("no replicas")
-        return EXIT_OK
-    lines = [f"{'':2}{'version':<14}{'penalty':>8}{'k':>3}{'block':>6}{'silhouette':>11}{'segments':>9}{'anomalies':>10}"]
-    # every row is formatted before any is printed, so stdout is all or nothing
-    for r in replicas:
-        try:
-            mark = "*" if r["version"] == selected else " "
-            lines.append(
-                f"{mark:2}{r['version']:<14}{r['penalty']:>8g}{r['k']:>3}"
-                f"{r['block_size']:>6}{r['silhouette']:>11.4f}"
-                f"{r['segment_count']:>9}{r['anomaly_count']:>10}"
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            return _fail(EXIT_BAD_ARGS, f"malformed report row: {exc}")
-    print("\n".join(lines))
+    try:  # every row is formatted before any is printed: stdout is all or nothing
+        table = ranking_table(replicas, selected)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _fail(EXIT_BAD_ARGS, f"malformed report row: {exc}")
+    print(table)
     return EXIT_OK
+
+
+def ranking_table(replicas: list, selected: str) -> str:
+    """The ranking table of report.json's replica rows, the selected version
+    starred. Raises KeyError, TypeError or ValueError for a malformed row."""
+    if not replicas:
+        return "no replicas"
+    lines = [f"{'':2}{'version':<14}{'penalty':>8}{'k':>3}{'block':>6}{'silhouette':>11}{'segments':>9}{'anomalies':>10}"]
+    for r in replicas:
+        mark = "*" if r["version"] == selected else " "
+        lines.append(
+            f"{mark:2}{r['version']:<14}{r['penalty']:>8g}{r['k']:>3}"
+            f"{r['block_size']:>6}{r['silhouette']:>11.4f}"
+            f"{r['segment_count']:>9}{r['anomaly_count']:>10}"
+        )
+    return "\n".join(lines)
 
 
 def cmd_bench(args) -> int:

@@ -4,15 +4,16 @@ outputs, flag rare-cluster segments as anomalies, and feed augmentation
 events back into the twin.
 
 A sweep runs one fixed plan (_plan): each stage reads only part of the
-hyperparameters, so each runs once per distinct input, and every replica
-then assembles its own versioned result from the shared stage outputs.
+hyperparameters, so each runs once per distinct input, and the plan's last
+step builds every replica's versioned result from the shared stage outputs.
+A result's segments are its archive records, labelled when first read.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -22,7 +23,6 @@ import numpy as np
 from .analytics import (
     PeltConfig,
     Segmentation,
-    SegmentSummary,
     _kmeanspp_init,
     kmeans_fit,
     label_segments,
@@ -103,15 +103,33 @@ class ReplicaResult:
     segmentation: Segmentation
     labels: np.ndarray
     silhouette: float
-    segment_count: int
     features: FeatureSeries
     segment_stats: list[tuple]  # segment_stats(features, segmentation), shared
-    window_start_ts: int
+    window_start_ts: int  # ts of the window's first accel sample
+    per_sample_ns: int  # the window's nominal accel sample spacing
+
+    @property
+    def segment_count(self) -> int:
+        return len(self.segmentation.change_points) + 1
 
     @cached_property
-    def segments(self) -> tuple[SegmentSummary, ...]:
-        """Labelled at first read: a live sweep reads only its winner's."""
-        return tuple(label_segments(self.segment_stats, self.labels))
+    def segments(self) -> tuple[SegmentRecord, ...]:
+        """This replica's archive records, labelled at first read: a live
+        sweep reads only its winner's. created_ts is the data timestamp of a
+        segment's first block at the window's nominal sample spacing, so
+        records are reproducible across runs."""
+        block_ns = self.hyperparams.block_size * self.per_sample_ns
+        return tuple(
+            SegmentRecord(
+                replica_version=self.replica_version,
+                segment_index=s.segment_index,
+                block_range=s.block_range,
+                cluster_label=s.cluster_label,
+                stats=SegmentStats(s.mean, s.peak, s.duration_blocks),
+                created_ts=self.window_start_ts + s.block_range[0] * block_ns,
+            )
+            for s in label_segments(self.segment_stats, self.labels)
+        )
 
 
 @dataclass(frozen=True)
@@ -127,9 +145,11 @@ class AnomalyEvent:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    results: tuple[ReplicaResult, ...]
-    selected: str
-    per_sample_ns: int = 0  # nominal accel sample spacing of the window
+    results: tuple[ReplicaResult, ...]  # ranked: the first is selected
+
+    @property
+    def selected(self) -> str:
+        return self.results[0].replica_version
 
 
 @dataclass(frozen=True)
@@ -218,11 +238,9 @@ def _version(seq: int, hp: HyperParams) -> str:
 
 def _plan(
     window: Iterable[TelemetrySample], hps: Sequence[HyperParams], seed: int
-) -> tuple[list[tuple], int]:
-    """Every stage output of the replicas hps over one window, one tuple per
-    replica in order: (features, segmentation, segment stats, k-means model,
-    silhouette, window start ts), and the window's nominal accel sample
-    spacing in ns.
+) -> list[ReplicaResult]:
+    """The results of the replicas hps over one window, in order, versioned
+    v1..vN; the last step per replica is run_replica.
 
     The window is split into axes once. Replicas with the same readiness
     overrides share one run_readiness call over their block sizes. Per block
@@ -240,7 +258,8 @@ def _plan(
     members = range(len(hps))
     try:
         x, y, z, ts = _axis_series(window)
-        stages: list = [None] * len(hps)
+        per_sample_ns = (ts[-1] - ts[0]) // (len(ts) - 1) if len(ts) > 1 else 0
+        results: list = [None] * len(hps)
         for same_readiness in _group(hps, members, "readiness").values():
             members = same_readiness
             by_size = _group(hps, same_readiness, "block_size")
@@ -270,30 +289,23 @@ def _plan(
                 for same_k, model, score in zip(by_k.values(), models, scores):
                     for i in same_k:
                         segmentation, stats = segmentation_of[i]
-                        stages[i] = (features, segmentation, stats, model, score, ts[0])
+                        results[i] = run_replica(
+                            hps[i], i + 1, features=features, segmentation=segmentation,
+                            segment_stats=stats, labels=model.labels, silhouette=score,
+                            window_start_ts=ts[0], per_sample_ns=per_sample_ns,
+                        )
     except TwinForgeError as exc:
         i = members[0]
         raise type(exc)(f"{_version(i + 1, hps[i])}: {exc}") from exc
-    per_sample_ns = (ts[-1] - ts[0]) // (len(ts) - 1) if len(ts) > 1 else 0
-    return stages, per_sample_ns
+    return results
 
 
-def run_replica(hp: HyperParams, seq: int, stages: tuple) -> ReplicaResult:
-    """Replica seq's versioned result, assembled from its entry of the
-    sweep's plan (_plan): readiness -> segmentation -> clustering +
-    silhouette, its segments labelled when first read."""
-    features, segmentation, stats, model, score, window_start_ts = stages
-    return ReplicaResult(
-        replica_version=_version(seq, hp),
-        hyperparams=hp,
-        segmentation=segmentation,
-        labels=model.labels,
-        silhouette=score,
-        segment_count=len(segmentation.segments),
-        features=features,
-        segment_stats=stats,
-        window_start_ts=window_start_ts,
-    )
+def run_replica(hp: HyperParams, seq: int, **stages) -> ReplicaResult:
+    """Replica seq's versioned result, built from the stage outputs the
+    sweep's plan (_plan) shares, given as the rest of ReplicaResult's fields:
+    readiness -> segmentation -> clustering + silhouette, its segments
+    labelled when first read."""
+    return ReplicaResult(replica_version=_version(seq, hp), hyperparams=hp, **stages)
 
 
 def rank_replicas(results: Sequence[ReplicaResult]) -> BenchmarkReport:
@@ -310,7 +322,7 @@ def rank_replicas(results: Sequence[ReplicaResult]) -> BenchmarkReport:
             r.replica_version,
         ),
     )
-    return BenchmarkReport(results=tuple(ranked), selected=ranked[0].replica_version)
+    return BenchmarkReport(results=tuple(ranked))
 
 
 def flag_anomalies(
@@ -350,13 +362,13 @@ def flag_anomalies(
 
 
 def build_timeline(
-    segments: Sequence[SegmentSummary],
+    segments: Sequence[SegmentRecord],
     segmentation: Segmentation,
     anomalies: Sequence[AnomalyEvent],
 ) -> Timeline:
     """Segment rows (block range, majority cluster, anomaly flag) of a
-    segmentation's labelled segments plus its change-point list, tiling
-    [0, n_blocks) exactly once."""
+    segmentation's labelled segment records plus its change-point list,
+    tiling [0, n_blocks) exactly once."""
     flagged = {a.segment_index for a in anomalies}
     rows = tuple(
         (s.block_range[0], s.block_range[1], s.cluster_label, s.segment_index in flagged)
@@ -376,28 +388,6 @@ def emit_augmentation_event(
     return None
 
 
-def records_for(result: ReplicaResult, per_sample_ns: int) -> list[SegmentRecord]:
-    """Materialize a replica's segment summaries as archive records.
-
-    created_ts is the data timestamp of the segment's first block, at the
-    window's nominal sample spacing, so records are reproducible across runs.
-    """
-    block_ns = result.hyperparams.block_size * per_sample_ns
-    return [
-        SegmentRecord(
-            replica_version=result.replica_version,
-            segment_index=s.segment_index,
-            block_range=s.block_range,
-            cluster_label=s.cluster_label,
-            stats=SegmentStats(
-                mean=s.mean, peak=s.peak, duration_blocks=s.duration_blocks
-            ),
-            created_ts=result.window_start_ts + s.block_range[0] * block_ns,
-        )
-        for s in result.segments
-    ]
-
-
 def zeroconf_run(
     archive: Archive,
     machine: str,
@@ -411,10 +401,14 @@ def zeroconf_run(
 
     Queries the window (every channel, read once by the axis split), sweeps
     the default replica grid as one plan, ranks by silhouette, records the
-    winner's segment statistics back to the archive (idempotent on rerun),
-    flags rare-cluster anomalies, assembles the timeline from the winner's
-    labelled segments, and emits augmentation events to the twin when one is
-    attached. The raw sample log is never touched.
+    winner's segment records back to the archive, flags rare-cluster
+    anomalies, assembles the timeline from the same records, and emits
+    augmentation events to the twin when one is attached. The raw sample log
+    is never touched.
+
+    Records are written only when the winner's version has none archived
+    yet. A rerun of the same window is therefore idempotent, but a new window
+    won by an already-archived version is silently not recorded.
     """
     entries = archive.query_window(WindowQuery(machine, time_range[0], time_range[1]))
     # the first accel row ends the search; the axis split skips the others
@@ -422,16 +416,13 @@ def zeroconf_run(
         raise NoData(f"no samples for {machine} in {time_range}")
 
     hps = _DEFAULT_REPLICAS if grid is None else spawn_replica_grid(grid)
-    stages, per_sample_ns = _plan(map(attrgetter("sample"), entries), hps, seed)
-    results = [run_replica(hp, i + 1, s) for i, (hp, s) in enumerate(zip(hps, stages))]
-    report = replace(rank_replicas(results), per_sample_ns=per_sample_ns)
+    report = rank_replicas(_plan(map(attrgetter("sample"), entries), hps, seed))
     winner = report.results[0]
-    records = records_for(winner, per_sample_ns)
     if winner.replica_version not in archive.replica_versions():
-        for record in records:
+        for record in winner.segments:
             archive.record_segment_stats(record)
 
-    anomalies = flag_anomalies(records, rarity_threshold, machine=machine)
+    anomalies = flag_anomalies(winner.segments, rarity_threshold, machine=machine)
     timeline = build_timeline(winner.segments, winner.segmentation, anomalies)
     if twin is not None:
         for anomaly in anomalies:

@@ -8,6 +8,7 @@ segmentation and clustering.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
@@ -18,6 +19,19 @@ from .errors import AllMissing, AxisLengthMismatch, EmptySeries, WindowTooLarge
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+# Past 2**_SCALE_EXP a |value|'s square, or the sum of a long series, can
+# overflow float64, so statistics are taken on the series divided by a power
+# of two. Scaling by 2**k commutes with rounding where nothing overflows or
+# underflows, and ordinary input is divided by 1: it keeps every bit.
+_SCALE_EXP = 480
+
+
+def _scale(x: np.ndarray) -> float:
+    """The power of two to divide x by before taking statistics: 1.0 unless
+    its largest |value| is finite and at least 2**_SCALE_EXP."""
+    exp = math.frexp(float(np.abs(x).max()))[1]  # 0 for inf and nan
+    return math.ldexp(1.0, exp - _SCALE_EXP) if exp > _SCALE_EXP else 1.0
 
 
 @dataclass(frozen=True)
@@ -79,12 +93,14 @@ def detect_outliers(series, sigma_threshold: float = 7.0) -> np.ndarray:
     finite = np.isfinite(x)
     if not finite.any():
         raise AllMissing("no finite values")
-    mu = x[finite].mean()
-    sigma = x[finite].std()
+    values = x[finite]
+    values = values / _scale(values)
+    mu = values.mean()
+    sigma = values.std()
     if sigma == 0.0:
         return np.zeros(x.shape, dtype=bool)
     mask = np.zeros(x.shape, dtype=bool)
-    mask[finite] = np.abs(x[finite] - mu) > sigma_threshold * sigma
+    mask[finite] = np.abs(values - mu) > sigma_threshold * sigma
     return mask
 
 
@@ -128,11 +144,12 @@ def smooth(series, window: int) -> np.ndarray:
     if window == 1:
         return x.copy()
     half = window // 2
-    csum = np.concatenate(([0.0], np.cumsum(x)))
+    scale = _scale(x)
+    csum = np.concatenate(([0.0], np.cumsum(x / scale)))
     idx = np.arange(x.size)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half + 1, x.size)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    return (csum[hi] - csum[lo]) / (hi - lo) * scale
 
 
 def zscore_normalize(series) -> np.ndarray:
@@ -140,6 +157,7 @@ def zscore_normalize(series) -> np.ndarray:
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         raise EmptySeries("zscore_normalize needs a non-empty series")
+    x = x / _scale(x)  # the z-score is scale-free
     sigma = x.std()
     if sigma == 0.0:
         return np.zeros_like(x)

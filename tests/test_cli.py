@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -363,6 +364,30 @@ class TestRunIngestsOnlyItsMachine:
         n_lines = len(three_machine_trace.read_text(encoding="utf-8").splitlines())
         err = capsys.readouterr().err
         assert err.startswith(f"({n_lines} samples, 3 machines, "), err
+
+
+class TestHugeValue:
+    """One accel sample past the square root of the largest float64 is an
+    outlier like any other: the run keeps the clean trace's winner and
+    warns of no overflow."""
+
+    @pytest.mark.parametrize("value", ["1e155", "1.7e308"])
+    def test_run_keeps_the_clean_winner(self, tmp_path, capsys, value):
+        assert run_cli("simulate", "--seed", "42", "--duration", "12", "--machines", "m1",
+                       "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        spike = '{"asset":"m1","ch":"accel_x","ts":5000000000,'
+        (i,) = [n for n, line in enumerate(lines) if line.startswith(spike)]
+        lines[i] = spike + f'"v":{value},"q":"good"}}'
+        (tmp_path / "huge.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("run", str(tmp_path / "huge.jsonl"), "--out", str(tmp_path)) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("selected v15-1039b0bb: ") and err.count("\n") == 1, err
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["selected"] == "v15-1039b0bb"
 
 
 class TestReport:

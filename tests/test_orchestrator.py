@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,6 @@ from twinforge.orchestrator import (
     emit_augmentation_event,
     flag_anomalies,
     rank_replicas,
-    records_for,
-    run_replica,
     spawn_replica_grid,
     zeroconf_run,
 )
@@ -154,10 +153,10 @@ def clean_three_phase_window():
     return [s for s in samples if s.channel is not Channel.plc_state], truth
 
 
-def one_replica(window, hp, seed, seq=1):
-    """The one-replica reference: the sweep's plan over [hp] alone."""
-    (stages,), _ = orchestrator._plan(window, [hp], seed)
-    return run_replica(hp, seq, stages)
+def one_replica(window, hp, seed):
+    """The one-replica reference: the sweep's plan over [hp] alone, v1."""
+    (result,) = orchestrator._plan(window, [hp], seed)
+    return result
 
 
 class TestRunReplica:
@@ -174,13 +173,33 @@ class TestRunReplica:
         _, samples, _, _ = small_run
         window = [s for s in samples if s.channel is not Channel.plc_state]
         hp = HyperParams(block_size=50, penalty=10.0, k=2)
-        a = one_replica(window, hp, seed=1, seq=4)
-        b = one_replica(window, hp, seed=1, seq=4)
+        a = one_replica(window, hp, seed=1)
+        b = one_replica(window, hp, seed=1)
         assert a.replica_version == b.replica_version
-        assert a.replica_version.startswith("v4-")
+        assert a.replica_version.startswith("v1-")
         assert a.segmentation == b.segmentation
         assert np.array_equal(a.labels, b.labels)
         assert a.silhouette == b.silhouette
+
+    def test_plan_versions_replicas_in_grid_order(self, small_run):
+        _, samples, _, _ = small_run
+        hps = spawn_replica_grid({"penalty": [160, 10], "k": [3, 2], "block_size": [50]})
+        results = orchestrator._plan(samples, hps, seed=1)
+        assert [r.hyperparams for r in results] == hps
+        assert [r.replica_version for r in results] == [
+            f"v{i + 1}-{hp.digest()}" for i, hp in enumerate(hps)
+        ]
+
+    def test_segments_are_archive_records_stamped_at_their_first_block(self):
+        # 100 Hz from ts 0: a block of 50 samples spans 500 ms of data
+        window, _ = clean_three_phase_window()
+        result = one_replica(window, HyperParams(block_size=50, penalty=40.0, k=3), seed=42)
+        assert result.window_start_ts == 0 and result.per_sample_ns == 10**7
+        assert all(type(s) is SegmentRecord for s in result.segments)
+        assert [s.replica_version for s in result.segments] == [result.replica_version] * 3
+        assert [s.created_ts for s in result.segments] == [
+            a * 50 * 10**7 for a, _ in result.segmentation.segments
+        ]
 
     def test_missing_axis_error_tagged_with_version(self, small_run):
         _, samples, _, _ = small_run
@@ -422,7 +441,10 @@ class TestZeroconf:
         query = WindowQuery("m1", 0, 10**18, channels=frozenset(ACCEL_CHANNELS))
         window = [e.sample for e in archive.query_window(query)]
         expected = rank_replicas(
-            [one_replica(window, hp, 7, seq=i + 1) for i, hp in enumerate(spawn_replica_grid(grid))]
+            [
+                replace(one_replica(window, hp, 7), replica_version=f"v{i + 1}-{hp.digest()}")
+                for i, hp in enumerate(spawn_replica_grid(grid))
+            ]
         )
         assert len(report.results) == len(expected.results) == 12
         for got, want in zip(report.results, expected.results):
@@ -434,14 +456,13 @@ class TestZeroconf:
 
         ts_x = [s.ts for s in window if s.channel is ACCEL_CHANNELS[0]]
         per_sample_ns = (ts_x[-1] - ts_x[0]) // (len(ts_x) - 1)
-        assert report.per_sample_ns == per_sample_ns
+        assert {r.per_sample_ns for r in report.results} == {per_sample_ns}
         winner = expected.results[0]
-        records = records_for(winner, per_sample_ns)
-        assert [r.created_ts for r in records] == [
+        assert [r.created_ts for r in winner.segments] == [
             winner.window_start_ts + s.block_range[0] * winner.hyperparams.block_size * per_sample_ns
             for s in winner.segments
         ]
-        want_anomalies = flag_anomalies(records, machine="m1")
+        want_anomalies = flag_anomalies(winner.segments, machine="m1")
         assert anomalies == want_anomalies
         assert timeline == build_timeline(winner.segments, winner.segmentation, want_anomalies)
 
@@ -515,7 +536,21 @@ class TestZeroconf:
         assert timeline == build_timeline(winner.segments, winner.segmentation, anomalies)
         # the winner's segments are its labelled segmentation, recomputed
         want = analytics.segment_features(winner.features, winner.segmentation, winner.labels)
-        assert winner.segments == tuple(want)
+        assert [
+            (s.segment_index, s.block_range, s.cluster_label, s.stats.mean, s.stats.peak,
+             s.stats.duration_blocks)
+            for s in winner.segments
+        ] == [
+            (w.segment_index, w.block_range, w.cluster_label, w.mean, w.peak, w.duration_blocks)
+            for w in want
+        ]
+
+    def test_archived_records_are_the_winners_segments(self, small_run):
+        _, samples, _, _ = small_run
+        archive = archive_of(samples)
+        report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
+        assert archive.replica_versions() == (report.selected,)
+        assert archive.segments_for(report.selected) == report.results[0].segments
 
     @pytest.mark.parametrize(
         "penalties, pelt_penalties",

@@ -144,6 +144,47 @@ class TestNormalize:
             assert np.all(np.isfinite(out))
 
 
+class TestHugeValues:
+    """Values whose squares or running sums overflow float64 are cleaned as
+    the same series scaled down by a power of two, with no overflow warning
+    (warnings are errors under the test configuration)."""
+
+    @pytest.mark.parametrize("huge", [1e155, 1e300, 1.7e308, -1.7e308])
+    def test_one_spike_is_flagged(self, huge):
+        x = bounded_base(1200)
+        x[500] = huge
+        assert np.flatnonzero(detect_outliers(x, 7.0)).tolist() == [500]
+
+    def test_clean_axis_removes_the_spike_as_any_other(self):
+        x = bounded_base(1200)
+        spiked = x.copy()
+        spiked[500] = 1e155
+        small = x.copy()
+        small[500] = 1e6  # flagged at ordinary magnitude: filled the same way
+        assert clean_axis(spiked, ReadinessConfig()).tolist() == (
+            clean_axis(small, ReadinessConfig()).tolist()
+        )
+
+    @pytest.mark.parametrize("scale_exp", [500, 1000])
+    def test_stages_commute_with_power_of_two_scaling(self, scale_exp):
+        x = bounded_base(301)
+        big = x * 2.0**scale_exp  # exact; |big| reaches about 2**(scale_exp + 1)
+        assert zscore_normalize(big).tolist() == zscore_normalize(x).tolist()
+        assert (smooth(big, 5) / 2.0**scale_exp).tolist() == smooth(x, 5).tolist()
+        spiked, positions = inject_spikes(bounded_base(1200), 3)
+        mask = detect_outliers(spiked * 2.0**scale_exp, 7.0)
+        assert np.flatnonzero(mask).tolist() == positions.tolist()
+
+    def test_ordinary_input_keeps_every_bit(self):
+        x = bounded_base(301) * 1e100
+        sigma = x.std()
+        assert zscore_normalize(x).tolist() == ((x - x.mean()) / sigma).tolist()
+        csum = np.concatenate(([0.0], np.cumsum(x)))
+        idx = np.arange(x.size)
+        lo, hi = np.maximum(idx - 2, 0), np.minimum(idx + 3, x.size)
+        assert smooth(x, 5).tolist() == ((csum[hi] - csum[lo]) / (hi - lo)).tolist()
+
+
 class TestRollingMax:
     def test_direct(self):
         assert rolling_max([1, 5, 2, 4, 4, 1], 3).tolist() == [5.0, 4.0]
