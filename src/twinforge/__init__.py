@@ -11,7 +11,6 @@ from .analytics import (
     kmeans_assign,
     kmeans_fit,
     pelt_segment,
-    segment_features,
     silhouette_score,
 )
 from .archive import (

@@ -296,7 +296,6 @@ class KMeansModel:
     inertia: float
     seed: int
     iterations_run: int
-    inertia_history: tuple[float, ...]
 
 
 # the k-means++ stream key of a seed, derived once per seed
@@ -378,7 +377,6 @@ def kmeans_fit(
         raise ValueError(f"init holds {len(init)} centroids, k={k}")
     else:
         centroids = init[:k]
-    history: list[float] = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
         d2 = _sq_dists(x, centroids)
@@ -404,7 +402,6 @@ def kmeans_fit(
         new_centroids /= counts[:, None]
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        history.append(float(((x - centroids[labels]) ** 2).sum()))
         if movement < tol:
             break
 
@@ -412,7 +409,6 @@ def kmeans_fit(
     d2 = _sq_dists(x, centroids)
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
-    history.append(inertia)
     return KMeansModel(
         k=k,
         centroids=centroids,
@@ -420,7 +416,6 @@ def kmeans_fit(
         inertia=inertia,
         seed=seed,
         iterations_run=iterations,
-        inertia_history=tuple(history),
     )
 
 
@@ -517,20 +512,9 @@ def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
     return out if lab.ndim > 1 else out[0]
 
 
-@dataclass(frozen=True)
-class SegmentSummary:
-    segment_index: int
-    block_range: tuple[int, int]
-    cluster_label: int
-    mean: tuple[float, ...]
-    peak: tuple[float, ...]
-    duration_blocks: int
-
-
 def segment_stats(features, seg: Segmentation) -> list[tuple]:
-    """The part of segment_features that depends only on the segmentation:
-    per segment, its block range (a, b) with the tuples of its per-axis mean
-    and max."""
+    """Per segment of seg, its block range (a, b) with the tuples of its
+    per-axis mean and max: everything of a segment's record but its label."""
     x = _as_matrix(features)
     if seg.n_blocks != x.shape[0]:
         raise LengthMismatch(f"segmentation over {seg.n_blocks} != {x.shape[0]} blocks")
@@ -539,31 +523,3 @@ def segment_stats(features, seg: Segmentation) -> list[tuple]:
         block = x[a:b]
         out.append(((a, b), tuple(block.mean(axis=0).tolist()), tuple(block.max(axis=0).tolist())))
     return out
-
-
-def label_segments(stats: Sequence[tuple], labels) -> list[SegmentSummary]:
-    """The part of segment_features that depends on the labelling: each
-    segment of segment_stats' output with its majority block label (ties to
-    the lowest label)."""
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.shape[0] != stats[-1][0][1]:
-        raise LengthMismatch(f"{lab.shape[0]} labels for {stats[-1][0][1]} blocks")
-    return [
-        SegmentSummary(
-            segment_index=i,
-            block_range=(a, b),
-            cluster_label=int(np.bincount(lab[a:b]).argmax()),
-            mean=mean,
-            peak=peak,
-            duration_blocks=b - a,
-        )
-        for i, ((a, b), mean, peak) in enumerate(stats)
-    ]
-
-
-def segment_features(features, seg: Segmentation, labels) -> list[SegmentSummary]:
-    """Per-segment statistics: per-axis mean and max, duration, and the
-    majority block label (ties to the lowest label). The composition of
-    segment_stats, computed once per segmentation, and label_segments, once
-    per labelling."""
-    return label_segments(segment_stats(features, seg), labels)

@@ -60,13 +60,27 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _machine_id(value) -> str:
+    """A machine id read from a scenario file, which must be a string."""
+    if type(value) is not str:
+        raise TypeError(f"machine id must be a string, got {value!r}")
+    return value
+
+
 def parse_scenario_file(path) -> ScenarioSpec:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidSpec(
+            f"bad scenario file {path}: expected a JSON object, got {type(payload).__name__}"
+        )
     try:
+        machines = payload.get("machines", DEFAULT_MACHINES)
+        if not isinstance(machines, (list, tuple)):  # a string would split into ids
+            raise TypeError(f"machines must be a list, got {type(machines).__name__}")
         schedule = tuple(
             PhaseInterval(
-                machine=iv["machine"],
+                machine=_machine_id(iv["machine"]),
                 start_s=float(iv["start_s"]),
                 end_s=float(iv["end_s"]),
                 state=MachineState[iv["state"]],
@@ -75,16 +89,16 @@ def parse_scenario_file(path) -> ScenarioSpec:
         )
         return ScenarioSpec(
             seed=int(payload.get("seed", DEFAULT_SEED)),
-            machines=tuple(payload.get("machines", DEFAULT_MACHINES)),
+            machines=tuple(machines),
             duration_s=float(payload.get("duration_s", DEFAULT_DURATION_S)),
             sample_rate=int(payload.get("sample_rate", DEFAULT_SAMPLE_RATE)),
             phase_schedule=schedule,
             failure_windows=tuple(
-                (w[0], float(w[1]), float(w[2]))
+                (_machine_id(w[0]), float(w[1]), float(w[2]))
                 for w in payload.get("failure_windows", [])
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"bad scenario file {path}: {exc}") from exc
 
 

@@ -70,6 +70,11 @@ class AxisLengthMismatch(TwinForgeError):
     pass
 
 
+class FeatureOutOfRange(TwinForgeError, ValueError):
+    """Block features that are not finite, or too large for the analytics to
+    square. Also a ValueError, the error of a value out of its domain."""
+
+
 # -- analytics ---------------------------------------------------------------
 
 class SeriesTooShort(TwinForgeError):

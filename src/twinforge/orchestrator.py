@@ -6,7 +6,9 @@ events back into the twin.
 A sweep runs one fixed plan (_plan): each stage reads only part of the
 hyperparameters, so each runs once per distinct input, and the plan's last
 step builds every replica's versioned result from the shared stage outputs.
-A result's segments are its archive records, labelled when first read.
+A result's segments are its archive records, built straight from the shared
+per-segment statistics and the replica's block labels when first read; the
+timeline is derived from the same records.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .analytics import (
     Segmentation,
     _kmeanspp_init,
     kmeans_fit,
-    label_segments,
     pelt_segment,
     segment_stats,
     silhouette_score,
@@ -115,20 +116,21 @@ class ReplicaResult:
     @cached_property
     def segments(self) -> tuple[SegmentRecord, ...]:
         """This replica's archive records, labelled at first read: a live
-        sweep reads only its winner's. created_ts is the data timestamp of a
-        segment's first block at the window's nominal sample spacing, so
+        sweep reads only its winner's. A segment's label is its majority
+        block label, ties to the lowest. created_ts is the data timestamp of
+        a segment's first block at the window's nominal sample spacing, so
         records are reproducible across runs."""
         block_ns = self.hyperparams.block_size * self.per_sample_ns
         return tuple(
             SegmentRecord(
                 replica_version=self.replica_version,
-                segment_index=s.segment_index,
-                block_range=s.block_range,
-                cluster_label=s.cluster_label,
-                stats=SegmentStats(s.mean, s.peak, s.duration_blocks),
-                created_ts=self.window_start_ts + s.block_range[0] * block_ns,
+                segment_index=i,
+                block_range=(a, b),
+                cluster_label=int(np.bincount(self.labels[a:b]).argmax()),
+                stats=SegmentStats(mean, peak, b - a),
+                created_ts=self.window_start_ts + a * block_ns,
             )
-            for s in label_segments(self.segment_stats, self.labels)
+            for i, ((a, b), mean, peak) in enumerate(self.segment_stats)
         )
 
 
@@ -157,7 +159,12 @@ class Timeline:
     """Segment rows tiling [0, n_blocks) exactly once."""
 
     rows: tuple[tuple[int, int, int, bool], ...]  # (start, end, cluster, is_anomaly)
-    change_points: tuple[int, ...]
+
+    @property
+    def change_points(self) -> tuple[int, ...]:
+        """The first block of every row but the first: the rows tile the
+        blocks, so these are the segmentation's change points."""
+        return tuple(row[0] for row in self.rows[1:])
 
     def to_csv(self) -> str:
         lines = ["block_start,block_end,cluster,is_anomaly"]
@@ -362,19 +369,17 @@ def flag_anomalies(
 
 
 def build_timeline(
-    segments: Sequence[SegmentRecord],
-    segmentation: Segmentation,
-    anomalies: Sequence[AnomalyEvent],
+    segments: Sequence[SegmentRecord], anomalies: Sequence[AnomalyEvent]
 ) -> Timeline:
     """Segment rows (block range, majority cluster, anomaly flag) of a
-    segmentation's labelled segment records plus its change-point list,
-    tiling [0, n_blocks) exactly once."""
+    segmentation's labelled segment records, tiling [0, n_blocks) exactly
+    once."""
     flagged = {a.segment_index for a in anomalies}
     rows = tuple(
         (s.block_range[0], s.block_range[1], s.cluster_label, s.segment_index in flagged)
         for s in segments
     )
-    return Timeline(rows=rows, change_points=segmentation.change_points)
+    return Timeline(rows=rows)
 
 
 def emit_augmentation_event(
@@ -423,7 +428,7 @@ def zeroconf_run(
             archive.record_segment_stats(record)
 
     anomalies = flag_anomalies(winner.segments, rarity_threshold, machine=machine)
-    timeline = build_timeline(winner.segments, winner.segmentation, anomalies)
+    timeline = build_timeline(winner.segments, anomalies)
     if twin is not None:
         for anomaly in anomalies:
             emit_augmentation_event(twin, anomaly)

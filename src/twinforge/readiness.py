@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import AllMissing, AxisLengthMismatch, EmptySeries, WindowTooLarge
+from .errors import AllMissing, AxisLengthMismatch, EmptySeries, FeatureOutOfRange, WindowTooLarge
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -32,6 +32,14 @@ def _scale(x: np.ndarray) -> float:
     its largest |value| is finite and at least 2**_SCALE_EXP."""
     exp = math.frexp(float(np.abs(x).max()))[1]  # 0 for inf and nan
     return math.ldexp(1.0, exp - _SCALE_EXP) if exp > _SCALE_EXP else 1.0
+
+
+# The analytics square features unscaled. Below 2**_SCALE_EXP every square
+# is below 2**960, so PELT's squared segment sums (under n**2 * 2**960 over n
+# blocks), k-means' and silhouette's squared distances over d columns (under
+# 4 * d * 2**960) and their sums over n blocks stay below the largest float64,
+# about 2**1024, for every window of fewer than 2**31 blocks and d <= 7.
+_FEATURE_BOUND = math.ldexp(1.0, _SCALE_EXP)
 
 
 @dataclass(frozen=True)
@@ -64,16 +72,19 @@ class ReadinessConfig:
 
 @dataclass(frozen=True)
 class FeatureSeries:
-    """Block-wise peak vectors: peaks[i] = (x, y, z) peak of block i, with
-    spans[i] the half-open source sample range."""
+    """Block-wise peak vectors: peaks[i] = (x, y, z) peak of block i, each
+    finite and below _FEATURE_BOUND in magnitude."""
 
     peaks: np.ndarray  # (n_blocks, 3)
-    spans: tuple[tuple[int, int], ...]
-    config_used: ReadinessConfig
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.peaks)):
-            raise ValueError("feature vectors must be finite")
+        peak = float(np.abs(self.peaks).max(initial=0.0))  # nan if any is nan
+        if not math.isfinite(peak):
+            raise FeatureOutOfRange("feature vectors must be finite")
+        if peak >= _FEATURE_BOUND:
+            raise FeatureOutOfRange(
+                f"feature peak {peak:.3g} reaches 2**{_SCALE_EXP}, too large for the analytics"
+            )
 
     def __len__(self) -> int:
         return self.peaks.shape[0]
@@ -174,12 +185,6 @@ def rolling_max(series, block_size: int) -> np.ndarray:
     return np.maximum.reduceat(x, np.arange(0, x.size, block_size))
 
 
-def block_spans(n: int, block_size: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (start, min(start + block_size, n)) for start in range(0, n, block_size)
-    )
-
-
 def clean_axis(series, config: ReadinessConfig) -> np.ndarray:
     """One axis through detect_outliers -> fill_gaps -> smooth ->
     zscore_normalize (if enabled): everything of readiness but the blocks."""
@@ -216,16 +221,11 @@ def run_readiness(
     lengths = {a.size for a in axes}
     if len(lengths) != 1:
         raise AxisLengthMismatch(f"axis lengths differ: {[a.size for a in axes]}")
-    n = axes[0].size
-    if n == 0:
+    if axes[0].size == 0:
         raise EmptySeries("run_readiness needs non-empty axes")
     cleaned = [clean_axis(axis, configs[0]) for axis in axes]
     out = tuple(
-        FeatureSeries(
-            peaks=np.column_stack([rolling_max(c, cfg.block_size) for c in cleaned]),
-            spans=block_spans(n, cfg.block_size),
-            config_used=cfg,
-        )
+        FeatureSeries(np.column_stack([rolling_max(c, cfg.block_size) for c in cleaned]))
         for cfg in configs
     )
     return out[0] if single else out

@@ -40,6 +40,11 @@ DEFAULT_DURATION_S = 120.0
 DEFAULT_SAMPLE_RATE = 100
 DEFAULT_MACHINES = ("m1", "m2", "m3", "m4")
 
+# Most samples per channel a scenario may hold. The simulator draws each
+# sample's gaussian from 12 uint64 counters, 96 bytes, and numpy refuses an
+# array of 2**63 bytes or more: 2**56 samples take 1.5 * 2**62 bytes.
+MAX_SAMPLES = 2**56
+
 
 @dataclass(frozen=True)
 class PhaseInterval:
@@ -97,10 +102,14 @@ class ScenarioSpec:
             raise InvalidSpec(f"duration must be finite, got {self.duration_s!r}")
         if self.duration_s < 0:
             raise InvalidSpec("duration must be >= 0")
+        # the rate is checked alone first: an int past the float range cannot
+        # be multiplied by a float
+        if self.sample_rate > MAX_SAMPLES or self.duration_s * self.sample_rate > MAX_SAMPLES:
+            raise InvalidSpec("duration times sample_rate must be at most 2**56 samples per channel")
         if not self.machines:
             raise InvalidSpec("at least one machine required")
         for machine in self.machines:
-            if not machine or "/" in machine:
+            if type(machine) is not str or not machine or "/" in machine:
                 raise InvalidSpec(f"bad machine id {machine!r}")
         if len(set(self.machines)) != len(self.machines):
             raise InvalidSpec("duplicate machine ids")

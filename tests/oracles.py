@@ -171,10 +171,11 @@ def reference_pelt_segment(features, config) -> Segmentation:
 def reference_kmeans_fit(
     vectors, k: int, seed: int, max_iter: int = 100, tol: float = 1e-9
 ) -> KMeansModel:
-    """The library's original kmeans_fit, kept verbatim: a full repair scan
+    """The library's original kmeans_fit, kept verbatim but for the
+    per-iteration inertia history it no longer returns: a full repair scan
     every iteration and one mean per cluster. kmeans_fit must return equal
-    labels, inertia, history and iteration count, and centroids equal byte
-    for byte."""
+    labels, inertia and iteration count, and centroids equal byte for
+    byte."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -188,7 +189,6 @@ def reference_kmeans_fit(
 
     centroids = _kmeanspp_init(x, k, seed)
     labels = np.zeros(n, dtype=np.int64)
-    history: list[float] = []
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
@@ -203,7 +203,6 @@ def reference_kmeans_fit(
         new_centroids = np.vstack([x[labels == j].mean(axis=0) for j in range(k)])
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        history.append(float(((x - centroids[labels]) ** 2).sum()))
         if movement < tol:
             break
 
@@ -211,7 +210,6 @@ def reference_kmeans_fit(
     d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
-    history.append(inertia)
     return KMeansModel(
         k=k,
         centroids=centroids,
@@ -219,7 +217,6 @@ def reference_kmeans_fit(
         inertia=inertia,
         seed=seed,
         iterations_run=iterations,
-        inertia_history=tuple(history),
     )
 
 

@@ -26,9 +26,7 @@ from twinforge.analytics import (
     brute_force_segment,
     kmeans_assign,
     kmeans_fit,
-    label_segments,
     pelt_segment,
-    segment_features,
     segment_stats,
     silhouette_score,
 )
@@ -178,14 +176,17 @@ class TestKMeans:
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.labels, b.labels)
         assert a.inertia == b.inertia
-        assert a.inertia_history == b.inertia_history
 
-    def test_inertia_history_non_increasing(self):
+    def test_inertia_non_increasing_over_iterations(self):
+        # stopping Lloyd's loop after j iterations never leaves a higher
+        # inertia than stopping it earlier
         for seed in range(8):
             x = random_step_series(seed + 40, max_n=100)
-            model = kmeans_fit(x, k=min(4, len(x)), seed=seed)
-            hist = model.inertia_history
-            assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
+            k = min(4, len(x))
+            model = kmeans_fit(x, k=k, seed=seed)
+            inertias = [kmeans_fit(x, k, seed, max_iter=j).inertia for j in range(1, model.iterations_run + 1)]
+            assert inertias[-1] == model.inertia
+            assert all(a >= b - 1e-9 for a, b in zip(inertias, inertias[1:]))
 
     def test_local_optimality(self):
         # no single-point relabeling lowers inertia at convergence
@@ -229,7 +230,6 @@ def assert_same_fit(got, want):
     assert np.array_equal(got.labels, want.labels)
     assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
     assert got.iterations_run == want.iterations_run
-    assert np.array(got.inertia_history).tobytes() == np.array(want.inertia_history).tobytes()
 
 
 class TestKMeansOracle:
@@ -277,9 +277,7 @@ class TestKMeansOracle:
         # puts everything in cluster 0 and the repair fills clusters 1..k-1
         x = np.full((7, 2), -0.25)
         for k in range(2, 7):
-            got, want = kmeans_fit(x, k, seed=k), reference_kmeans_fit(x, k, seed=k)
-            assert got.centroids.tobytes() == want.centroids.tobytes()
-            assert got.inertia_history == want.inertia_history
+            assert_same_fit(kmeans_fit(x, k, seed=k), reference_kmeans_fit(x, k, seed=k))
 
 
 class TestSharedSeeding:
@@ -622,49 +620,17 @@ class TestBacktrack:
 
 
 class TestSegmentStats:
-    def test_halves_compose_to_segment_features(self):
+    def test_ranges_means_and_peaks_of_each_segment(self):
         x = random_step_series(5, max_n=60, max_d=3)
         seg = pelt_segment(x, PeltConfig(penalty=1.0))
         stats = segment_stats(x, seg)
         assert [s[0] for s in stats] == seg.segments
-        for k in (1, 2, 3):
-            labels = np.arange(len(x)) % k
-            assert label_segments(stats, labels) == segment_features(x, seg, labels)
+        for (a, b), mean, peak in stats:
+            assert mean == tuple(x[a:b].mean(axis=0).tolist())
+            assert peak == tuple(x[a:b].max(axis=0).tolist())
 
     def test_mismatches(self):
         x = np.zeros((9, 2))
         seg = Segmentation(change_points=(4,), n_blocks=9, total_cost=0.0)
         with pytest.raises(LengthMismatch, match="segmentation over 9 != 8 blocks"):
             segment_stats(x[:8], seg)
-        with pytest.raises(LengthMismatch, match="8 labels for 9 blocks"):
-            label_segments(segment_stats(x, seg), [0] * 8)
-
-
-class TestSegmentFeatures:
-    def features(self):
-        return np.array([[float(i), -float(i), 0.5] for i in range(9)])
-
-    def test_single_segment_uniform_labels(self):
-        seg = Segmentation(change_points=(), n_blocks=9, total_cost=0.0)
-        out = segment_features(self.features(), seg, [2] * 9)
-        assert len(out) == 1
-        assert out[0].cluster_label == 2
-        assert out[0].duration_blocks == 9
-        assert out[0].mean == pytest.approx((4.0, -4.0, 0.5))
-        assert out[0].peak == pytest.approx((8.0, -0.0, 0.5))
-
-    def test_majority_label(self):
-        seg = Segmentation(change_points=(3,), n_blocks=9, total_cost=0.0)
-        out = segment_features(self.features(), seg, [1, 1, 2, 0, 0, 0, 0, 1, 0])
-        assert out[0].cluster_label == 1
-        assert out[1].cluster_label == 0
-
-    def test_tie_to_lowest_label(self):
-        seg = Segmentation(change_points=(), n_blocks=9, total_cost=0.0)
-        out = segment_features(self.features(), seg, [1, 2, 1, 2, 1, 2, 1, 2, 0])
-        assert out[0].cluster_label == 1
-
-    def test_length_mismatch(self):
-        seg = Segmentation(change_points=(), n_blocks=9, total_cost=0.0)
-        with pytest.raises(LengthMismatch):
-            segment_features(self.features(), seg, [0] * 8)

@@ -46,10 +46,42 @@ class TestSimulate:
         assert run_cli("simulate", "--duration", "0", "--out", str(tmp_path)) == 0
         assert (tmp_path / "trace.jsonl").read_text() == ""
 
-    def test_malformed_spec_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        assert run_cli("simulate", "--spec", str(bad), "--out", str(tmp_path)) == 2
+    @pytest.mark.parametrize(
+        "spec, flags, reason",
+        [
+            ("{not json", (), "Expecting property name"),
+            ("[]", (), "expected a JSON object, got list"),
+            ('"x"', (), "expected a JSON object, got str"),
+            ("null", (), "expected a JSON object, got NoneType"),
+            ('{"failure_windows": [["m1"]]}', (), "list index out of range"),
+            ('{"machines": "m1"}', (), "machines must be a list, got str"),
+            ('{"machines": [5]}', (), "bad machine id 5"),
+            ('{"machines": [["m1"]]}', (), "bad machine id ['m1']"),
+            ('{"seed": 1e400}', (), "cannot convert float infinity to integer"),
+            ('{"failure_windows": [[["m1"], 1, 2]]}', (), "machine id must be a string"),
+            ('{"schedule": [{"machine": ["m1"], "start_s": 0, "end_s": 4, "state": "Failure"}]}',
+             (), "machine id must be a string"),
+            ('{"sample_rate": 1e30, "duration_s": 10}', (), "at most 2**56 samples"),
+            ('{"sample_rate": 1e300, "duration_s": 1e300}', (), "at most 2**56 samples"),
+            (None, ("--rate", "1" + "0" * 30, "--duration", "10"), "at most 2**56 samples"),
+            (None, ("--rate", "1" + "0" * 400), "at most 2**56 samples"),
+            (None, ("--duration", "1e30"), "at most 2**56 samples"),
+        ],
+        ids=[
+            "not-json", "list", "string", "null", "short-failure-window", "string-machines", "int-machine",
+            "list-machine", "infinite-seed", "list-failure-machine", "list-schedule-machine",
+            "spec-rate", "spec-rate-and-duration", "flag-rate",
+            "flag-rate-past-float", "flag-duration",
+        ],
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, flags, reason):
+        argv = list(flags)
+        if spec is not None:
+            (tmp_path / "bad.json").write_text(spec, encoding="utf-8")
+            argv += ["--spec", str(tmp_path / "bad.json")]
+        assert run_cli("simulate", *argv, "--out", str(tmp_path / "out")) == 2
+        assert_one_line_error(capsys, "invalid scenario: ", reason)
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_schedule_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -369,7 +401,8 @@ class TestRunIngestsOnlyItsMachine:
 class TestHugeValue:
     """One accel sample past the square root of the largest float64 is an
     outlier like any other: the run keeps the clean trace's winner and
-    warns of no overflow."""
+    warns of no overflow. Block features too large for the analytics end in
+    exit 4."""
 
     @pytest.mark.parametrize("value", ["1e155", "1.7e308"])
     def test_run_keeps_the_clean_winner(self, tmp_path, capsys, value):
@@ -388,6 +421,28 @@ class TestHugeValue:
         assert err.startswith("selected v15-1039b0bb: ") and err.count("\n") == 1, err
         report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert report["selected"] == "v15-1039b0bb"
+
+    def test_unnormalized_features_too_large_exit_4(self, tmp_path, capsys):
+        # every accel value x 1e160: none is an outlier, and with normalize
+        # off the block peaks would overflow PELT, k-means and silhouette
+        assert run_cli("simulate", "--seed", "42", "--duration", "12", "--machines", "m1",
+                       "--out", str(tmp_path)) == 0
+        rows = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        for row in rows:
+            if row["ch"].startswith("accel_"):
+                row["v"] *= 1e160
+        (tmp_path / "huge.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        grid = '{"normalize": [false], "k": [2]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", str(tmp_path / "huge.jsonl"), "--grid", grid,
+                           "--out", str(tmp_path / "out"))
+            assert code == 4
+            assert_one_line_error(capsys, "pipeline error: v1-bfd34981: feature peak", "2**480")
+            # normalized, the same trace is an ordinary one
+            assert run_cli("run", str(tmp_path / "huge.jsonl"), "--out", str(tmp_path / "out")) == 0
+        assert capsys.readouterr().err.startswith("selected v15-1039b0bb: ")
 
 
 class TestReport:

@@ -6,6 +6,7 @@ import pytest
 from conftest import archive_of
 
 from twinforge import analytics, orchestrator
+from twinforge.analytics import Segmentation, segment_stats
 from twinforge.archive import SegmentRecord, SegmentStats, WindowQuery
 from twinforge.errors import (
     AxisLengthMismatch,
@@ -21,6 +22,7 @@ from twinforge.orchestrator import (
     DEFAULT_GRID,
     AnomalyEvent,
     HyperParams,
+    ReplicaResult,
     build_timeline,
     emit_augmentation_event,
     flag_anomalies,
@@ -28,6 +30,7 @@ from twinforge.orchestrator import (
     spawn_replica_grid,
     zeroconf_run,
 )
+from twinforge.readiness import FeatureSeries
 from twinforge.simulate import default_scenario, simulate_scenario
 from twinforge.twin import LifecycleEvent, LifecyclePhase, TwinInstance
 from twinforge.wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample, encode_sample
@@ -159,6 +162,23 @@ def one_replica(window, hp, seed):
     return result
 
 
+def labelled_segments(peaks, change_points, labels):
+    """The segment records of a replica with the given block features,
+    change points and block labels."""
+    seg = Segmentation(change_points=change_points, n_blocks=len(peaks), total_cost=0.0)
+    return ReplicaResult(
+        replica_version="v1-x",
+        hyperparams=HyperParams(),
+        segmentation=seg,
+        labels=np.array(labels),
+        silhouette=0.0,
+        features=FeatureSeries(peaks),
+        segment_stats=segment_stats(peaks, seg),
+        window_start_ts=0,
+        per_sample_ns=10**7,
+    ).segments
+
+
 class TestRunReplica:
     def test_recovers_clean_three_phase_segments(self):
         window, truth = clean_three_phase_window()
@@ -200,6 +220,26 @@ class TestRunReplica:
         assert [s.created_ts for s in result.segments] == [
             a * 50 * 10**7 for a, _ in result.segmentation.segments
         ]
+
+    def peaks(self):
+        return np.array([[float(i), -float(i), 0.5] for i in range(9)])
+
+    def test_single_segment_uniform_labels(self):
+        (s,) = labelled_segments(self.peaks(), (), [2] * 9)
+        assert s.block_range == (0, 9)
+        assert s.cluster_label == 2
+        assert s.stats.duration_blocks == 9
+        assert s.stats.mean == pytest.approx((4.0, -4.0, 0.5))
+        assert s.stats.peak == pytest.approx((8.0, -0.0, 0.5))
+
+    def test_segment_takes_its_majority_label(self):
+        out = labelled_segments(self.peaks(), (3,), [1, 1, 2, 0, 0, 0, 0, 1, 0])
+        assert [s.cluster_label for s in out] == [1, 0]
+        assert [s.segment_index for s in out] == [0, 1]
+
+    def test_majority_tie_goes_to_the_lowest_label(self):
+        (s,) = labelled_segments(self.peaks(), (), [1, 2, 1, 2, 1, 2, 1, 2, 0])
+        assert s.cluster_label == 1
 
     def test_missing_axis_error_tagged_with_version(self, small_run):
         _, samples, _, _ = small_run
@@ -342,17 +382,13 @@ class TestTimeline:
             assert b == c
 
     def test_csv_format(self):
-        from twinforge.analytics import Segmentation, segment_features
-        from twinforge.readiness import FeatureSeries, ReadinessConfig
-
-        fs = FeatureSeries(
-            peaks=np.array([[1.0, 1.0, 1.0]] * 6),
-            spans=tuple((i * 50, (i + 1) * 50) for i in range(6)),
-            config_used=ReadinessConfig(),
-        )
-        seg = Segmentation(change_points=(2, 4), n_blocks=6, total_cost=0.0)
-        segments = segment_features(fs, seg, [0, 0, 1, 1, 0, 0])
-        timeline = build_timeline(segments, seg, [anomaly(1, (2, 4))])
+        segments = [
+            seg_record("v1-x", 0, (0, 2), 0),
+            seg_record("v1-x", 1, (2, 4), 1),
+            seg_record("v1-x", 2, (4, 6), 0),
+        ]
+        timeline = build_timeline(segments, [anomaly(1, (2, 4))])
+        assert timeline.change_points == (2, 4)
         text = timeline.to_csv()
         lines = text.splitlines()
         assert lines[0] == "block_start,block_end,cluster,is_anomaly"
@@ -464,7 +500,8 @@ class TestZeroconf:
         ]
         want_anomalies = flag_anomalies(winner.segments, machine="m1")
         assert anomalies == want_anomalies
-        assert timeline == build_timeline(winner.segments, winner.segmentation, want_anomalies)
+        assert timeline == build_timeline(winner.segments, want_anomalies)
+        assert timeline.change_points == winner.segmentation.change_points
 
     def test_sweep_runs_each_stage_once_per_distinct_input(self, small_run, monkeypatch):
         calls = dict.fromkeys(("run_readiness", "pelt_segment", "kmeans_fit", "silhouette_score"), 0)
@@ -504,46 +541,45 @@ class TestZeroconf:
         assert len({n for n, _ in seedings}) == len(DEFAULT_GRID["block_size"])
 
     def test_segment_stats_once_per_segmentation(self, small_run, monkeypatch):
-        calls = {"segment_stats": 0, "label_segments": 0}
-
-        def counted(attr):
-            fn = getattr(orchestrator, attr)
-
-            def wrapper(*args, **kwargs):
-                calls[attr] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for attr in calls:
-            monkeypatch.setattr(orchestrator, attr, counted(attr))
+        calls = []
+        monkeypatch.setattr(
+            orchestrator, "segment_stats", lambda *args: calls.append(args) or segment_stats(*args)
+        )
         _, _, _, archive = small_run
         report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
         assert len(report.results) == 24
+
+        def labelled():
+            return sum("segments" in vars(r) for r in report.results)
+
         # 2 block sizes x 3 penalties segmentations; a sweep reads only the
         # winner's labelled segments
-        assert calls == {"segment_stats": 6, "label_segments": 1}
+        assert (len(calls), labelled()) == (6, 1)
         # reading every replica's segments, twice, labels each other one once
-        for _ in range(2):
-            for r in report.results:
-                r.segments
-        assert calls == {"segment_stats": 6, "label_segments": 24}
+        first = [r.segments for r in report.results]
+        assert [r.segments for r in report.results] == first
+        assert all(r.segments is s for r, s in zip(report.results, first))
+        assert (len(calls), labelled()) == (6, 24)
 
     def test_timeline_reuses_the_winners_segments(self, small_run):
         _, _, _, archive = small_run
         report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18))
         winner = report.results[0]
-        assert timeline == build_timeline(winner.segments, winner.segmentation, anomalies)
-        # the winner's segments are its labelled segmentation, recomputed
-        want = analytics.segment_features(winner.features, winner.segmentation, winner.labels)
+        assert timeline == build_timeline(winner.segments, anomalies)
+        # the winner's segments are its labelled segmentation, recomputed:
+        # per segment, the most frequent block label (ties to the lowest)
+        # and the per-axis mean and max of its block features
+        peaks, labels = winner.features.peaks, winner.labels.tolist()
+        want = []
+        for i, (a, b) in enumerate(winner.segmentation.segments):
+            majority = min(set(labels[a:b]), key=lambda l: (-labels[a:b].count(l), l))
+            mean, peak = peaks[a:b].mean(axis=0).tolist(), peaks[a:b].max(axis=0).tolist()
+            want.append((i, (a, b), majority, tuple(mean), tuple(peak), b - a))
         assert [
             (s.segment_index, s.block_range, s.cluster_label, s.stats.mean, s.stats.peak,
              s.stats.duration_blocks)
             for s in winner.segments
-        ] == [
-            (w.segment_index, w.block_range, w.cluster_label, w.mean, w.peak, w.duration_blocks)
-            for w in want
-        ]
+        ] == want
 
     def test_archived_records_are_the_winners_segments(self, small_run):
         _, samples, _, _ = small_run

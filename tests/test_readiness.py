@@ -8,6 +8,7 @@ from twinforge.errors import (
     AllMissing,
     AxisLengthMismatch,
     EmptySeries,
+    FeatureOutOfRange,
     WindowTooLarge,
 )
 from twinforge.readiness import (
@@ -228,9 +229,9 @@ class TestPipeline:
         with pytest.raises(AxisLengthMismatch):
             run_readiness(np.zeros(100), np.zeros(100), np.zeros(99))
 
-    def test_block_spans_cover_input(self):
+    def test_partial_final_block_is_kept(self):
         fs = run_readiness(np.zeros(130), np.zeros(130), np.zeros(130), ReadinessConfig(block_size=50))
-        assert fs.spans == ((0, 50), (50, 100), (100, 130))
+        assert len(fs) == 3
 
     def test_deterministic(self):
         x = bounded_base(500, seed=5)
@@ -238,13 +239,28 @@ class TestPipeline:
         b = run_readiness(x, x + 1, x - 1)
         assert np.array_equal(a.peaks, b.peaks)
 
-    def test_feature_series_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            FeatureSeries(
-                peaks=np.array([[np.nan, 0, 0]]),
-                spans=((0, 50),),
-                config_used=ReadinessConfig(),
-            )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_feature_series_rejects_non_finite(self, value):
+        # a FeatureOutOfRange is a ValueError, as invalid features always were
+        with pytest.raises(ValueError, match="must be finite") as caught:
+            FeatureSeries(peaks=np.array([[0.0, value, 0.0]]))
+        assert caught.type is FeatureOutOfRange
+
+    @pytest.mark.parametrize("value", [2.0**480, -(2.0**480), 1e160, 1.7e308])
+    def test_feature_series_rejects_peaks_the_analytics_cannot_square(self, value):
+        with pytest.raises(FeatureOutOfRange, match=r"reaches 2\*\*480"):
+            FeatureSeries(peaks=np.array([[1.0, 2.0, 3.0], [4.0, value, 6.0]]))
+
+    def test_feature_series_takes_peaks_just_below_the_bound(self):
+        below = np.nextafter(2.0**480, 0.0)
+        assert len(FeatureSeries(peaks=np.array([[below, -below, 0.0]]))) == 1
+
+    def test_unnormalized_huge_axes_are_refused(self):
+        x = bounded_base(500) * 1e160
+        with pytest.raises(FeatureOutOfRange):
+            run_readiness(x, x, x, ReadinessConfig(normalize=False))
+        # normalized, the same axes are ordinary features
+        assert np.abs(run_readiness(x, x, x).peaks).max() < 10
 
 
 def spiked_window_with_gaps(n=997):
@@ -267,8 +283,6 @@ class TestSequenceForm:
         for cfg, got in zip(configs, many):
             want = run_readiness(x, y, z, cfg)
             assert np.array_equal(got.peaks, want.peaks)
-            assert got.spans == want.spans
-            assert got.config_used == want.config_used == cfg
 
     @pytest.mark.parametrize(
         "configs",
