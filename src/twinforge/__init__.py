@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .analytics import (
     KMeansModel,
-    PeltConfig,
     Segmentation,
     brute_force_segment,
     kmeans_assign,

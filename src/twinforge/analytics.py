@@ -59,18 +59,12 @@ _PELT_TILE = 32
 _PRUNE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class PeltConfig:
-    penalty: float = 40.0
-    min_segment: int = 2
-
-    def __post_init__(self):
-        if self.penalty < 0:
-            raise ValueError("penalty must be >= 0")
-        if not self.penalty <= sys.float_info.max:  # nan, inf or an int no float holds
-            raise ValueError(f"penalty must be finite, got {self.penalty!r}")
-        if self.min_segment < 1:
-            raise ValueError("min_segment must be >= 1")
+def check_penalty(penalty) -> None:
+    """Raise ValueError unless penalty is a finite number >= 0."""
+    if penalty < 0:
+        raise ValueError("penalty must be >= 0")
+    if not penalty <= sys.float_info.max:  # nan, inf or an int no float holds
+        raise ValueError(f"penalty must be finite, got {penalty!r}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +162,8 @@ def _backtrack(prev: np.ndarray, n: int) -> list[int]:
 
 
 def pelt_segment(
-    features, config: Union[PeltConfig, Sequence[PeltConfig]]
-) -> Union[Segmentation, tuple[Segmentation, ...]]:
+    features, penalties: Sequence[float], min_segment: int = 2
+) -> tuple[Segmentation, ...]:
     """Exact penalized segmentation via PELT.
 
     Recursion F(t) = min over admissible s of F(s) + C(s, t) + penalty, with
@@ -178,10 +172,8 @@ def pelt_segment(
     past t + min_segment (the dominating split at t is not admissible
     earlier); this keeps the result identical to the unpruned DP.
 
-    config is one PeltConfig, which returns one Segmentation, or a sequence
-    of PeltConfigs sharing one min_segment, which returns a tuple of
-    Segmentations in the same order. A single config is the one-penalty case
-    of the same loop.
+    Returns one Segmentation per penalty, in order; every penalty runs in
+    the same loop.
 
     The loop advances _PELT_TILE steps at a time. Per tile, one
     _segment_costs call builds C(s, t) for every step t of the tile and every
@@ -197,23 +189,23 @@ def pelt_segment(
     unmasked until then, such a start trails start t by more than the slack
     from t + m on, so it is never a first minimum. Costs are computed element
     by element, so a cost has the same bits whatever else the tile holds, and
-    each Segmentation equals the one its config gives alone.
+    each Segmentation equals the one its penalty gives alone.
     """
-    configs = (config,) if isinstance(config, PeltConfig) else tuple(config)
-    if not configs:
-        raise ValueError("pelt_segment needs at least one config")
-    m = configs[0].min_segment
-    if any(c.min_segment != m for c in configs):
-        found = sorted({c.min_segment for c in configs})
-        raise ValueError(f"lockstep configs must share one min_segment, got {found}")
+    if not penalties:
+        raise ValueError("pelt_segment needs at least one penalty")
+    for penalty in penalties:
+        check_penalty(penalty)
+    if min_segment < 1:
+        raise ValueError("min_segment must be >= 1")
+    m = min_segment
     x = _as_matrix(features)
     n = x.shape[0]
     if n < m:
         raise SeriesTooShort(f"{n} blocks < min_segment {m}")
     s1, s2 = _prefix_sums(x)
-    n_pen = len(configs)
+    n_pen = len(penalties)
     rows = np.arange(n_pen)
-    betas = np.array([c.penalty for c in configs], dtype=np.float64)
+    betas = np.array(penalties, dtype=np.float64)
     f = np.full((n_pen, n + 1), np.inf)
     f[:, 0] = -betas
     prev = np.zeros((n_pen, n + 1), dtype=np.int64)
@@ -251,21 +243,22 @@ def pelt_segment(
         dead = dead[:, kept]
 
     cuts = [_backtrack(back, n) for back in prev]
-    objectives = _objectives(s1, s2, n, cuts, [c.penalty for c in configs])
-    out = tuple(
+    objectives = _objectives(s1, s2, n, cuts, penalties)
+    return tuple(
         Segmentation(change_points=tuple(cps), n_blocks=n, total_cost=total)
         for cps, total in zip(cuts, objectives)
     )
-    return out[0] if isinstance(config, PeltConfig) else out
 
 
-def brute_force_segment(features, config: PeltConfig) -> Segmentation:
+def brute_force_segment(features, penalty: float, min_segment: int = 2) -> Segmentation:
     """Exact optimal segmentation by full O(n^2) dynamic programming over all
     admissible last-change positions. Exactness oracle for pelt_segment."""
+    check_penalty(penalty)
+    if min_segment < 1:
+        raise ValueError("min_segment must be >= 1")
     x = _as_matrix(features)
     n = x.shape[0]
-    m = config.min_segment
-    beta = config.penalty
+    m = min_segment
     if n < m:
         raise SeriesTooShort(f"{n} blocks < min_segment {m}")
     if n > BRUTE_FORCE_MAX_N:
@@ -273,13 +266,13 @@ def brute_force_segment(features, config: PeltConfig) -> Segmentation:
     s1, s2 = _prefix_sums(x)
 
     f = np.full(n + 1, np.inf)
-    f[0] = -beta
+    f[0] = -penalty
     prev = np.zeros(n + 1, dtype=np.int64)
     for t in range(m, n + 1):
         starts = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.arange(m, t - m + 1, dtype=np.int64))
         )
-        totals = f[starts] + _segment_costs(s1, s2, starts, t) + beta
+        totals = f[starts] + _segment_costs(s1, s2, starts, t) + penalty
         best = int(np.argmin(totals))
         f[t] = totals[best]
         prev[t] = starts[best]
@@ -290,11 +283,9 @@ def brute_force_segment(features, config: PeltConfig) -> Segmentation:
 
 @dataclass(frozen=True)
 class KMeansModel:
-    k: int
     centroids: np.ndarray  # (k, d)
     labels: np.ndarray  # (n,)
     inertia: float
-    seed: int
     iterations_run: int
 
 
@@ -410,11 +401,9 @@ def kmeans_fit(
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
     return KMeansModel(
-        k=k,
         centroids=centroids,
         labels=labels,
         inertia=inertia,
-        seed=seed,
         iterations_run=iterations,
     )
 

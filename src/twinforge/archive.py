@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import OverlappingSegment, UnknownAsset, UnknownReplicaVersion
-from .wire import Channel, Quality, TelemetrySample, encode_sample, replay_trace
+from .wire import Channel, Quality, TelemetrySample, replay_trace, write_trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,10 +311,7 @@ class Archive:
         with self._lock:
             entries = [e for asset in sorted(self._entries) for e in self._entries[asset]]
             segments = {v: list(records) for v, records in self._segments.items()}
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            for entry in entries:
-                fh.write(encode_sample(entry.sample))
-                fh.write("\n")
+        write_trace(trace_path, (e.sample for e in entries))
         sidecar = {
             version: [
                 {

@@ -123,6 +123,8 @@ def cmd_simulate(args) -> int:
         samples, truth = simulate_scenario(spec)
     except (InvalidSpec, OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_ARGS, f"invalid scenario: {exc}")
+    except MemoryError as exc:  # a valid scenario whose samples no memory holds
+        return _fail(EXIT_BAD_ARGS, f"invalid scenario: too large to simulate: {exc}")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

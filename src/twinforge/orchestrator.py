@@ -23,9 +23,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .analytics import (
-    PeltConfig,
     Segmentation,
     _kmeanspp_init,
+    check_penalty,
     kmeans_fit,
     pelt_segment,
     segment_stats,
@@ -70,11 +70,17 @@ class HyperParams:
     def __post_init__(self):
         if type(self.k) is not int or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        PeltConfig(penalty=self.penalty)
+        check_penalty(self.penalty)
+        if type(self.block_size) is not int:  # a bool is no block size
+            raise ValueError(f"block_size must be an integer, got {self.block_size!r}")
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
+        if self.block_size > 2**63 - 1:  # no numpy index reaches it
+            raise ValueError("block_size must be at most 2**63 - 1")
         self.readiness_config()
 
     def readiness_config(self) -> ReadinessConfig:
-        return ReadinessConfig(block_size=self.block_size, **dict(self.readiness))
+        return ReadinessConfig(**dict(self.readiness))
 
     def canonical(self) -> str:
         return json.dumps(
@@ -270,15 +276,15 @@ def _plan(
         for same_readiness in _group(hps, members, "readiness").values():
             members = same_readiness
             by_size = _group(hps, same_readiness, "block_size")
-            configs = [hps[g[0]].readiness_config() for g in by_size.values()]
-            features_by_size = run_readiness(x, y, z, configs)
+            config = hps[same_readiness[0]].readiness_config()
+            sizes = [hps[g[0]].block_size for g in by_size.values()]
+            features_by_size = run_readiness(x, y, z, config, sizes)
             for same_size, features in zip(by_size.values(), features_by_size):
                 members = same_size
                 by_penalty = _group(hps, same_size, "penalty")
                 by_k = _group(hps, same_size, "k")
-                segmentations = pelt_segment(
-                    features, [PeltConfig(penalty=hps[g[0]].penalty) for g in by_penalty.values()]
-                )
+                penalties = [hps[g[0]].penalty for g in by_penalty.values()]
+                segmentations = pelt_segment(features, penalties)
                 ks = [hps[g[0]].k for g in by_k.values()]
                 # init is passed by position, as the benchmark's tracer digests
                 # an array argument by its bytes and a keyword one by its repr

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AllMissing, AxisLengthMismatch, EmptySeries, FeatureOutOfRange, WindowTooLarge
 
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 # Past 2**_SCALE_EXP a |value|'s square, or the sum of a long series, can
 # overflow float64, so statistics are taken on the series divided by a power
@@ -46,24 +44,18 @@ _FEATURE_BOUND = math.ldexp(1.0, _SCALE_EXP)
 class ReadinessConfig:
     sigma_threshold: float = 7.0
     smooth_window: int = 5
-    block_size: int = 50
     gap_fill: str = "linear"  # or "hold"
     normalize: bool = True
 
     def __post_init__(self):
-        for name in ("smooth_window", "block_size"):  # a bool is no window or block size
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.smooth_window) is not int:  # a bool is no window
+            raise ValueError(f"smooth_window must be an integer, got {self.smooth_window!r}")
         if not 0 < self.sigma_threshold <= sys.float_info.max:  # nan, inf or an int no float holds
             raise ValueError(
                 f"sigma_threshold must be positive and finite, got {self.sigma_threshold!r}"
             )
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ValueError("smooth_window must be odd and >= 1")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.block_size > _INT64_MAX:  # no numpy index reaches it
-            raise ValueError("block_size must be at most 2**63 - 1")
         if type(self.normalize) is not bool:
             raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         if self.gap_fill not in ("linear", "hold"):
@@ -197,35 +189,28 @@ def run_readiness(
     x: Sequence[float],
     y: Sequence[float],
     z: Sequence[float],
-    config: Union[None, ReadinessConfig, Sequence[ReadinessConfig]] = None,
-) -> Union[FeatureSeries, tuple[FeatureSeries, ...]]:
+    config: ReadinessConfig,
+    block_sizes: Sequence[int],
+) -> tuple[FeatureSeries, ...]:
     """Full per-axis pipeline: clean_axis, then rolling_max, axes zipped into
     3-vectors.
 
     The three axis series must be time-aligned and equal length. Non-finite
     input values are treated as missing and filled alongside outliers.
 
-    config is one ReadinessConfig (default: ReadinessConfig()), which returns
-    one FeatureSeries, or a sequence of configs that differ only in
-    block_size, which returns a tuple of FeatureSeries in the same order: each
-    axis is cleaned once and only rolling_max runs per config.
+    Returns one FeatureSeries per block size, in order: each axis is cleaned
+    once and only rolling_max runs per block size.
     """
-    single = config is None or isinstance(config, ReadinessConfig)
-    configs = (config or ReadinessConfig(),) if single else tuple(config)
-    if not configs:
-        raise ValueError("run_readiness needs at least one config")
-    # compared by repr, so equal values of different types (7 and 7.0) stay apart
-    if len({repr(replace(c, block_size=1)) for c in configs}) != 1:
-        raise ValueError("configs of one readiness pass may differ only in block_size")
+    if not block_sizes:
+        raise ValueError("run_readiness needs at least one block size")
     axes = [np.asarray(a, dtype=np.float64) for a in (x, y, z)]
     lengths = {a.size for a in axes}
     if len(lengths) != 1:
         raise AxisLengthMismatch(f"axis lengths differ: {[a.size for a in axes]}")
     if axes[0].size == 0:
         raise EmptySeries("run_readiness needs non-empty axes")
-    cleaned = [clean_axis(axis, configs[0]) for axis in axes]
-    out = tuple(
-        FeatureSeries(np.column_stack([rolling_max(c, cfg.block_size) for c in cleaned]))
-        for cfg in configs
+    cleaned = [clean_axis(axis, config) for axis in axes]
+    return tuple(
+        FeatureSeries(np.column_stack([rolling_max(c, size) for c in cleaned]))
+        for size in block_sizes
     )
-    return out[0] if single else out

@@ -109,7 +109,7 @@ def reference_segment_costs(s1, s2, starts, end):
     return (dsq - dsum * dsum / lengths[:, None]).sum(axis=1)
 
 
-def reference_pelt_segment(features, config) -> Segmentation:
+def reference_pelt_segment(features, penalty, min_segment=2) -> Segmentation:
     """The library's original pelt_segment, kept verbatim with its own copies
     of the prefix sums, the cost kernel and the objective sum: candidates in a
     Python list, pruning deadlines in a dict. pelt_segment must return an
@@ -118,8 +118,8 @@ def reference_pelt_segment(features, config) -> Segmentation:
     if x.ndim == 1:
         x = x[:, None]
     n = x.shape[0]
-    m = config.min_segment
-    beta = config.penalty
+    m = min_segment
+    beta = penalty
     if n < m:
         raise SeriesTooShort(f"{n} blocks < min_segment {m}")
     s1 = np.zeros((n + 1, x.shape[1]))
@@ -211,11 +211,9 @@ def reference_kmeans_fit(
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
     return KMeansModel(
-        k=k,
         centroids=centroids,
         labels=labels,
         inertia=inertia,
-        seed=seed,
         iterations_run=iterations,
     )
 

@@ -14,7 +14,6 @@ from oracles import naive_silhouette, random_step_series
 
 import twinforge.rng as rng
 from twinforge.analytics import (
-    PeltConfig,
     brute_force_segment,
     pelt_segment,
     silhouette_score,
@@ -141,9 +140,8 @@ def test_criterion_3_pelt_matches_brute_force():
     for seed in range(200):
         x = random_step_series(seed, max_n=128)
         for beta in (1.0, 10.0, 40.0, 160.0):
-            cfg = PeltConfig(penalty=beta)
-            fast = pelt_segment(x, cfg)
-            oracle = brute_force_segment(x, cfg)
+            (fast,) = pelt_segment(x, [beta])
+            oracle = brute_force_segment(x, beta)
             assert fast.change_points == oracle.change_points, (seed, beta)
             assert abs(fast.total_cost - oracle.total_cost) <= 1e-9, (seed, beta)
             checks += 1

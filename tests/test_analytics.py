@@ -17,7 +17,6 @@ from twinforge.analytics import (
     _PELT_TILE,
     _SILHOUETTE_ROWS,
     BRUTE_FORCE_MAX_N,
-    PeltConfig,
     Segmentation,
     _backtrack,
     _kmeanspp_init,
@@ -44,52 +43,54 @@ from twinforge.errors import (
 class TestPelt:
     def test_single_step(self):
         x = np.array([0.0] * 10 + [10.0] * 10)
-        seg = pelt_segment(x, PeltConfig(penalty=10.0))
-        oracle = brute_force_segment(x, PeltConfig(penalty=10.0))
+        (seg,) = pelt_segment(x, [10.0])
+        oracle = brute_force_segment(x, 10.0)
         assert seg.change_points == (10,)
         assert seg.change_points == oracle.change_points
 
     def test_huge_penalty_no_change_points(self):
         x = np.arange(20.0) % 10
-        seg = pelt_segment(x, PeltConfig(penalty=1e9))
+        (seg,) = pelt_segment(x, [1e9])
         assert seg.change_points == ()
 
     def test_constant_series_no_change_points(self):
-        seg = pelt_segment(np.ones(30), PeltConfig(penalty=1.0))
+        (seg,) = pelt_segment(np.ones(30), [1.0])
         assert seg.change_points == ()
         assert seg.total_cost == pytest.approx(0.0, abs=1e-12)
 
     def test_two_steps(self):
         x = np.array([0.0] * 8 + [5.0] * 8 + [0.0] * 8)
-        seg = pelt_segment(x, PeltConfig(penalty=1.0))
+        (seg,) = pelt_segment(x, [1.0])
         assert seg.change_points == (8, 16)
 
     def test_lockstep_forms(self):
         x = random_step_series(3)
-        cfg = PeltConfig(penalty=10.0)
-        assert pelt_segment(x, [cfg]) == (pelt_segment(x, cfg),)
-        with pytest.raises(ValueError, match="min_segment"):
-            pelt_segment(x, [cfg, PeltConfig(penalty=10.0, min_segment=3)])
+        assert pelt_segment(x, [10.0, 40.0]) == pelt_segment(x, [10.0]) + pelt_segment(x, [40.0])
         with pytest.raises(ValueError):
             pelt_segment(x, [])
         with pytest.raises(SeriesTooShort):
-            pelt_segment(np.zeros(1), [cfg, PeltConfig(penalty=40.0)])
+            pelt_segment(np.zeros(1), [10.0, 40.0])
 
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):
-            pelt_segment(np.zeros(1), PeltConfig(min_segment=2))
+            pelt_segment(np.zeros(1), [40.0], min_segment=2)
 
     @pytest.mark.parametrize(
         "penalty",
         [-1.0, float("-inf"), float("nan"), float("inf"), pytest.param(10**400, id="401-digit-int")],
     )
-    def test_penalty_must_be_finite_and_non_negative(self, penalty):
+    @pytest.mark.parametrize(
+        "segment",
+        [lambda x, p: pelt_segment(x, [40.0, p]), brute_force_segment],
+        ids=["pelt", "brute-force"],
+    )
+    def test_penalty_must_be_finite_and_non_negative(self, penalty, segment):
         with pytest.raises(ValueError, match="^penalty must be"):
-            PeltConfig(penalty=penalty)
+            segment(np.zeros(4), penalty)
 
     def test_segments_partition_range(self):
         x = random_step_series(123)
-        seg = pelt_segment(x, PeltConfig(penalty=5.0))
+        (seg,) = pelt_segment(x, [5.0])
         segs = seg.segments
         assert segs[0][0] == 0 and segs[-1][1] == len(x)
         for (a, b), (c, d) in zip(segs, segs[1:]):
@@ -99,7 +100,7 @@ class TestPelt:
     def test_penalty_monotonicity(self):
         x = random_step_series(9)
         counts = [
-            len(pelt_segment(x, PeltConfig(penalty=beta)).change_points)
+            len(pelt_segment(x, [beta])[0].change_points)
             for beta in (0.5, 1, 5, 10, 40, 160, 1000)
         ]
         assert counts == sorted(counts, reverse=True)
@@ -108,27 +109,23 @@ class TestPelt:
     def test_matches_brute_force(self, seed):
         x = random_step_series(seed)
         for beta in (1.0, 10.0, 40.0, 160.0):
-            cfg = PeltConfig(penalty=beta)
-            fast = pelt_segment(x, cfg)
-            oracle = brute_force_segment(x, cfg)
+            (fast,) = pelt_segment(x, [beta])
+            oracle = brute_force_segment(x, beta)
             assert fast.change_points == oracle.change_points
             assert fast.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
 
     def test_min_segment_three_matches_oracle(self):
         for seed in range(6):
             x = random_step_series(seed + 500)
-            cfg = PeltConfig(penalty=2.0, min_segment=3)
-            assert (
-                pelt_segment(x, cfg).change_points
-                == brute_force_segment(x, cfg).change_points
-            )
+            (seg,) = pelt_segment(x, [2.0], min_segment=3)
+            assert seg.change_points == brute_force_segment(x, 2.0, min_segment=3).change_points
 
     def test_brute_force_size_cap(self):
         with pytest.raises(SeriesTooLong):
-            brute_force_segment(np.zeros(513), PeltConfig())
+            brute_force_segment(np.zeros(513), 40.0)
 
     def test_n_equals_min_segment(self):
-        seg = brute_force_segment(np.array([1.0, 2.0]), PeltConfig(penalty=1.0))
+        seg = brute_force_segment(np.array([1.0, 2.0]), 1.0)
         assert seg.change_points == ()
 
 
@@ -194,7 +191,7 @@ class TestKMeans:
         model = kmeans_fit(x, k=3, seed=2)
         for i in range(len(x)):
             own = ((x[i] - model.centroids[model.labels[i]]) ** 2).sum()
-            for j in range(model.k):
+            for j in range(len(model.centroids)):
                 other = ((x[i] - model.centroids[j]) ** 2).sum()
                 assert other >= own - 1e-12
 
@@ -497,25 +494,23 @@ class TestLongWindowKernels:
         x = random_step_series(seed, max_n=600, max_d=5)
         for series in (x, np.round(x)):  # rounded: exact cost ties
             for m in range(1, 5):
-                cfgs = [PeltConfig(penalty=beta, min_segment=m) for beta in PENALTIES]
-                got = pelt_segment(series, cfgs)
-                assert got == tuple(reference_pelt_segment(series, cfg) for cfg in cfgs)
-                assert got == tuple(pelt_segment(series, cfg) for cfg in cfgs)
+                got = pelt_segment(series, PENALTIES, min_segment=m)
+                assert got == tuple(reference_pelt_segment(series, beta, m) for beta in PENALTIES)
+                assert got == tuple(pelt_segment(series, [beta], m)[0] for beta in PENALTIES)
                 if len(series) <= BRUTE_FORCE_MAX_N:
-                    for seg, cfg in zip(got, cfgs):
-                        oracle = brute_force_segment(series, cfg)
+                    for seg, beta in zip(got, PENALTIES):
+                        oracle = brute_force_segment(series, beta, m)
                         assert seg.change_points == oracle.change_points
                         # the oracle's F carries -penalty from F(0): up to
                         # half an ulp of the penalty lost per step
-                        slack = 1e-9 + len(series) * cfg.penalty * 2.0**-53
+                        slack = 1e-9 + len(series) * beta * 2.0**-53
                         assert seg.total_cost == pytest.approx(oracle.total_cost, abs=slack)
 
     def test_pelt_constant_series_and_minimal_length(self):
         for m in range(1, 5):
             for beta in PENALTIES:
-                cfg = PeltConfig(penalty=beta, min_segment=m)
                 for x in (np.full((97, 3), 2.5), np.arange(m * 3.0).reshape(m, 3)):
-                    assert pelt_segment(x, cfg) == reference_pelt_segment(x, cfg)
+                    assert pelt_segment(x, [beta], m) == (reference_pelt_segment(x, beta, m),)
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_segment_costs_equal_axis_sum(self, d):
@@ -546,9 +541,8 @@ class TestLongWindowKernels:
             assert got == pytest.approx(naive_silhouette(x.tolist(), lab.tolist()), abs=1e-9)
         series = 0.2 * np.repeat(x[:8], 10, axis=0) + 0.3 * x  # 8 noisy levels
         for beta in (0.5, 5.0, 40.0, 200.0):
-            cfg = PeltConfig(penalty=beta)
-            fast = pelt_segment(series, cfg)
-            oracle = brute_force_segment(series, cfg)
+            (fast,) = pelt_segment(series, [beta])
+            oracle = brute_force_segment(series, beta)
             assert fast.change_points == oracle.change_points
             assert fast.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
 
@@ -590,22 +584,21 @@ class TestPeltTiles:
         for n in tile_lengths(m):
             for name, x in tile_series(n, seed=n * 10 + m).items():
                 for penalties in PENALTY_SETS:
-                    cfgs = [PeltConfig(penalty=beta, min_segment=m) for beta in penalties]
-                    got = pelt_segment(x, cfgs)
-                    want = tuple(reference_pelt_segment(x, cfg) for cfg in cfgs)
+                    got = pelt_segment(x, penalties, m)
+                    want = tuple(reference_pelt_segment(x, beta, m) for beta in penalties)
                     assert got == want, (n, name, penalties)
-                    for cfg, seg in zip(cfgs, got):
-                        assert pelt_segment(x, [cfg]) == (pelt_segment(x, cfg),) == (seg,)
+                    for beta, seg in zip(penalties, got):
+                        assert pelt_segment(x, [beta], m) == (seg,)
 
 
     @pytest.mark.parametrize("m", range(1, 4))
     def test_many_penalties_equal_reference(self, m):
         penalties = (0.0, 0.01, 0.5, 5.0, 40.0, 160.0, 1e6)
-        cfgs = [PeltConfig(penalty=beta, min_segment=m) for beta in penalties]
         for n in tile_lengths(m) + [m - 1 + 3 * _PELT_TILE]:
             for name, x in tile_series(n, seed=n * 7 + m).items():
-                got = pelt_segment(x, cfgs)
-                assert got == tuple(reference_pelt_segment(x, cfg) for cfg in cfgs), (n, name)
+                got = pelt_segment(x, penalties, m)
+                want = tuple(reference_pelt_segment(x, beta, m) for beta in penalties)
+                assert got == want, (n, name)
 
 
 class TestBacktrack:
@@ -622,7 +615,7 @@ class TestBacktrack:
 class TestSegmentStats:
     def test_ranges_means_and_peaks_of_each_segment(self):
         x = random_step_series(5, max_n=60, max_d=3)
-        seg = pelt_segment(x, PeltConfig(penalty=1.0))
+        (seg,) = pelt_segment(x, [1.0])
         stats = segment_stats(x, seg)
         assert [s[0] for s in stats] == seg.segments
         for (a, b), mean, peak in stats:

@@ -363,6 +363,12 @@ class TestPersistence:
                 e.sample for e in archive.scan(asset)
             ]
         assert loaded.segments_for("v1-abc") == archive.segments_for("v1-abc")
+        # one machine's log keeps its file order, so its dump is the trace itself
+        trace = tmp_path / "m1.jsonl"
+        channels = (Channel.accel_x, Channel.accel_y)
+        wire.write_trace(trace, [sample(i, channel=channels[i % 2], value=i / 3) for i in range(20)])
+        Archive.load(trace).dump(path)
+        assert path.read_bytes() == trace.read_bytes()
 
     @pytest.mark.parametrize(
         "bad, reason",

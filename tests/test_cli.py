@@ -66,12 +66,14 @@ class TestSimulate:
             (None, ("--rate", "1" + "0" * 30, "--duration", "10"), "at most 2**56 samples"),
             (None, ("--rate", "1" + "0" * 400), "at most 2**56 samples"),
             (None, ("--duration", "1e30"), "at most 2**56 samples"),
+            # valid, but its 10**14 samples per channel fit no address space
+            (None, ("--duration", "1e12", "--machines", "m1"), "too large to simulate: "),
         ],
         ids=[
             "not-json", "list", "string", "null", "short-failure-window", "string-machines", "int-machine",
             "list-machine", "infinite-seed", "list-failure-machine", "list-schedule-machine",
             "spec-rate", "spec-rate-and-duration", "flag-rate",
-            "flag-rate-past-float", "flag-duration",
+            "flag-rate-past-float", "flag-duration", "flag-duration-past-memory",
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, flags, reason):

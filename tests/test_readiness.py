@@ -209,7 +209,7 @@ class TestRollingMax:
 class TestPipeline:
     def test_constant_input_all_zero_features(self):
         x = np.ones(200)
-        fs = run_readiness(x, x, x, ReadinessConfig(block_size=50))
+        (fs,) = run_readiness(x, x, x, ReadinessConfig(), [50])
         assert fs.peaks.shape == (4, 3)
         assert np.all(fs.peaks == 0.0)
 
@@ -220,23 +220,22 @@ class TestPipeline:
         base = np.linspace(0.0, 1.0, n)
         spiked = base.copy()
         spiked[400] = base.mean() + 10 * base.std()
-        cfg = ReadinessConfig(block_size=50)
-        clean = run_readiness(base, base, base, cfg)
-        despiked = run_readiness(spiked, spiked, spiked, cfg)
+        (clean,) = run_readiness(base, base, base, ReadinessConfig(), [50])
+        (despiked,) = run_readiness(spiked, spiked, spiked, ReadinessConfig(), [50])
         np.testing.assert_allclose(despiked.peaks, clean.peaks, atol=1e-9)
 
     def test_axis_length_mismatch(self):
         with pytest.raises(AxisLengthMismatch):
-            run_readiness(np.zeros(100), np.zeros(100), np.zeros(99))
+            run_readiness(np.zeros(100), np.zeros(100), np.zeros(99), ReadinessConfig(), [50])
 
     def test_partial_final_block_is_kept(self):
-        fs = run_readiness(np.zeros(130), np.zeros(130), np.zeros(130), ReadinessConfig(block_size=50))
+        (fs,) = run_readiness(np.zeros(130), np.zeros(130), np.zeros(130), ReadinessConfig(), [50])
         assert len(fs) == 3
 
     def test_deterministic(self):
         x = bounded_base(500, seed=5)
-        a = run_readiness(x, x + 1, x - 1)
-        b = run_readiness(x, x + 1, x - 1)
+        (a,) = run_readiness(x, x + 1, x - 1, ReadinessConfig(), [50])
+        (b,) = run_readiness(x, x + 1, x - 1, ReadinessConfig(), [50])
         assert np.array_equal(a.peaks, b.peaks)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -258,9 +257,10 @@ class TestPipeline:
     def test_unnormalized_huge_axes_are_refused(self):
         x = bounded_base(500) * 1e160
         with pytest.raises(FeatureOutOfRange):
-            run_readiness(x, x, x, ReadinessConfig(normalize=False))
+            run_readiness(x, x, x, ReadinessConfig(normalize=False), [50])
         # normalized, the same axes are ordinary features
-        assert np.abs(run_readiness(x, x, x).peaks).max() < 10
+        (fs,) = run_readiness(x, x, x, ReadinessConfig(), [50])
+        assert np.abs(fs.peaks).max() < 10
 
 
 def spiked_window_with_gaps(n=997):
@@ -277,25 +277,18 @@ class TestSequenceForm:
     @pytest.mark.parametrize("overrides", [{}, {"gap_fill": "hold", "normalize": False, "smooth_window": 9}])
     def test_each_series_equals_its_single_config_call(self, overrides):
         x, y, z = spiked_window_with_gaps()
-        configs = [ReadinessConfig(block_size=b, **overrides) for b in (25, 50, 7)]  # 7 does not divide n
-        many = run_readiness(x, y, z, configs)
+        cfg = ReadinessConfig(**overrides)
+        sizes = [25, 50, 7]  # 7 does not divide n
+        many = run_readiness(x, y, z, cfg, sizes)
         assert isinstance(many, tuple) and len(many) == 3
-        for cfg, got in zip(configs, many):
-            want = run_readiness(x, y, z, cfg)
+        for size, got in zip(sizes, many):
+            (want,) = run_readiness(x, y, z, cfg, [size])
             assert np.array_equal(got.peaks, want.peaks)
 
-    @pytest.mark.parametrize(
-        "configs",
-        [
-            [],
-            [ReadinessConfig(block_size=25), ReadinessConfig(block_size=50, sigma_threshold=5.0)],
-        ],
-        ids=["empty", "sigma_threshold"],
-    )
-    def test_configs_that_differ_beyond_block_size_rejected(self, configs):
+    def test_no_block_size_rejected(self):
         x = bounded_base(200)
-        with pytest.raises(ValueError, match="at least one config|differ only in block_size"):
-            run_readiness(x, x, x, configs)
+        with pytest.raises(ValueError, match="at least one block size"):
+            run_readiness(x, x, x, ReadinessConfig(), [])
 
     @pytest.mark.parametrize("overrides", [{}, {"gap_fill": "hold"}, {"normalize": False}])
     def test_clean_axis_is_the_per_axis_prefix(self, overrides):
@@ -305,7 +298,8 @@ class TestSequenceForm:
         if cfg.normalize:
             want = zscore_normalize(want)
         assert np.array_equal(clean_axis(x, cfg), want)
-        assert np.array_equal(run_readiness(x, x, x, cfg).peaks[:, 0], rolling_max(want, cfg.block_size))
+        (fs,) = run_readiness(x, x, x, cfg, [50])
+        assert np.array_equal(fs.peaks[:, 0], rolling_max(want, 50))
 
 
 class TestSpikeRemovalGuarantee:
@@ -340,7 +334,7 @@ class TestSpikeRemovalGuarantee:
 class TestConfig:
     def test_defaults(self):
         cfg = ReadinessConfig()
-        assert (cfg.sigma_threshold, cfg.smooth_window, cfg.block_size) == (7.0, 5, 50)
+        assert (cfg.sigma_threshold, cfg.smooth_window) == (7.0, 5)
         assert cfg.gap_fill == "linear" and cfg.normalize
 
     @pytest.mark.parametrize(
@@ -349,19 +343,14 @@ class TestConfig:
             {"sigma_threshold": 0},
             {"smooth_window": 4},
             {"smooth_window": 0},
-            {"block_size": 0},
             {"gap_fill": "cubic"},
-            # a float or bool window or block size never reaches a readiness pass
+            # a float or bool window never reaches a readiness pass
             {"smooth_window": 5.0},
-            {"block_size": 50.0},
             {"smooth_window": True},
-            {"block_size": True},
             # nan fails every comparison and inf passes the sign check: finiteness is its own check
             {"sigma_threshold": float("nan")},
             {"sigma_threshold": float("inf")},
             {"sigma_threshold": 10**400},
-            # rolling_max indexes numpy arrays by block size
-            {"block_size": 2**63},
             {"normalize": ["x"]},
             {"normalize": 0},
             {"normalize": "false"},
