@@ -3,12 +3,16 @@ ZeroConf orchestrator.
 
 Exit codes: 0 ok, 2 bad arguments/malformed input, 3 no data, 4 pipeline
 error (message names the replica version). Diagnostics go to stderr; stdout
-stays machine-parseable where a format is stated.
+stays machine-parseable where a format is stated. A reader that closes
+stdout early (`twinforge report out/report.json | head -1`) ends the command
+quietly: main points stdout at os.devnull and returns 0, with nothing on
+stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -410,7 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: let nothing else try to reach it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -17,8 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +30,8 @@ from .analytics import (
     segment_stats,
     silhouette_score,
 )
-from .archive import Archive, SegmentRecord, SegmentStats, WindowQuery
+from .archive import Archive, Rows, SegmentRecord, SegmentStats, WindowQuery
 from .errors import (
-    AxisLengthMismatch,
     EmptyGrid,
     InvalidSpec,
     MixedVersions,
@@ -43,7 +41,7 @@ from .errors import (
 )
 from .readiness import FeatureSeries, ReadinessConfig, run_readiness
 from .twin import DigitalEvent, LifecyclePhase, TwinInstance
-from .wire import ACCEL_CHANNELS, Quality, TelemetrySample
+from .wire import ACCEL_CHANNELS
 
 DEFAULT_RARITY_THRESHOLD = 0.05
 
@@ -210,32 +208,6 @@ def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
 _DEFAULT_REPLICAS = tuple(spawn_replica_grid(DEFAULT_GRID))
 
 
-def _axis_series(window: Iterable[TelemetrySample]):
-    """Split a queried window into three aligned accel arrays plus the ts
-    array of the first axis, in one pass that skips every other channel.
-    Missing-quality samples become NaN (filled by the readiness stage)."""
-    ch_x, ch_y, ch_z = ACCEL_CHANNELS
-    missing = Quality.missing
-    nan = float("nan")
-    xs: list[float] = []
-    ys: list[float] = []
-    zs: list[float] = []
-    ts: list[int] = []
-    for s in window:
-        ch = s.channel
-        if ch is ch_x:
-            xs.append(nan if s.quality is missing else s.value)
-            ts.append(s.ts)
-        elif ch is ch_y:
-            ys.append(nan if s.quality is missing else s.value)
-        elif ch is ch_z:
-            zs.append(nan if s.quality is missing else s.value)
-    if not len(xs) == len(ys) == len(zs) or not ts:
-        lengths = {ch.value: len(v) for ch, v in zip(ACCEL_CHANNELS, (xs, ys, zs))}
-        raise AxisLengthMismatch(f"accel channels misaligned: {lengths}")
-    return np.array(xs), np.array(ys), np.array(zs), ts
-
-
 def _group(hps: Sequence[HyperParams], members, field: str) -> dict[str, list[int]]:
     """Indices of members by the repr of one hyperparameter field, in
     first-seen order, so penalties 40 and 40.0 stay distinct stage inputs."""
@@ -249,18 +221,16 @@ def _version(seq: int, hp: HyperParams) -> str:
     return f"v{seq}-{hp.digest()}"
 
 
-def _plan(
-    window: Iterable[TelemetrySample], hps: Sequence[HyperParams], seed: int
-) -> list[ReplicaResult]:
-    """The results of the replicas hps over one window, in order, versioned
-    v1..vN; the last step per replica is run_replica.
+def _plan(window: Rows, hps: Sequence[HyperParams], seed: int) -> list[ReplicaResult]:
+    """The results of the replicas hps over one queried window, in order,
+    versioned v1..vN; the last step per replica is run_replica.
 
-    The window is split into axes once. Replicas with the same readiness
-    overrides share one run_readiness call over their block sizes. Per block
-    size, one lockstep pelt_segment call covers every penalty, segment_stats
-    runs once per penalty, one k-means++ seeding for the largest k serves
-    kmeans_fit once per k, and one silhouette_score call scores every k's
-    labels.
+    The window's axes are read from the archive's columns once. Replicas
+    with the same readiness overrides share one run_readiness call over
+    their block sizes. Per block size, one lockstep pelt_segment call covers
+    every penalty, segment_stats runs once per penalty, one k-means++
+    seeding for the largest k serves kmeans_fit once per k, and one
+    silhouette_score call scores every k's labels.
     Replicas share these objects, so their arrays must not be modified in
     place.
 
@@ -270,8 +240,9 @@ def _plan(
     """
     members = range(len(hps))
     try:
-        x, y, z, ts = _axis_series(window)
-        per_sample_ns = (ts[-1] - ts[0]) // (len(ts) - 1) if len(ts) > 1 else 0
+        x, y, z, ts = window.axis_arrays()
+        window_start_ts = int(ts[0])
+        per_sample_ns = (int(ts[-1]) - window_start_ts) // (len(ts) - 1) if len(ts) > 1 else 0
         results: list = [None] * len(hps)
         for same_readiness in _group(hps, members, "readiness").values():
             members = same_readiness
@@ -305,7 +276,7 @@ def _plan(
                         results[i] = run_replica(
                             hps[i], i + 1, features=features, segmentation=segmentation,
                             segment_stats=stats, labels=model.labels, silhouette=score,
-                            window_start_ts=ts[0], per_sample_ns=per_sample_ns,
+                            window_start_ts=window_start_ts, per_sample_ns=per_sample_ns,
                         )
     except TwinForgeError as exc:
         i = members[0]
@@ -410,24 +381,24 @@ def zeroconf_run(
 ) -> tuple[BenchmarkReport, Timeline, list[AnomalyEvent]]:
     """End-to-end ZeroConf pipeline over one machine's archived window.
 
-    Queries the window (every channel, read once by the axis split), sweeps
-    the default replica grid as one plan, ranks by silhouette, records the
-    winner's segment records back to the archive, flags rare-cluster
-    anomalies, assembles the timeline from the same records, and emits
-    augmentation events to the twin when one is attached. The raw sample log
-    is never touched.
+    Queries the window (its accel axes read once from the archive's
+    columns), sweeps the default replica grid as one plan, ranks by
+    silhouette, records the winner's segment records back to the archive,
+    flags rare-cluster anomalies, assembles the timeline from the same
+    records, and emits augmentation events to the twin when one is attached.
+    The raw sample log is never touched.
 
     Records are written only when the winner's version has none archived
     yet. A rerun of the same window is therefore idempotent, but a new window
     won by an already-archived version is silently not recorded.
     """
-    entries = archive.query_window(WindowQuery(machine, time_range[0], time_range[1]))
-    # the first accel row ends the search; the axis split skips the others
-    if not any(e.sample.channel in ACCEL_CHANNELS for e in entries):
+    window = archive.query_window(WindowQuery(machine, time_range[0], time_range[1]))
+    # the first accel row ends the search; the axis read skips the others
+    if not any(e.sample.channel in ACCEL_CHANNELS for e in window):
         raise NoData(f"no samples for {machine} in {time_range}")
 
     hps = _DEFAULT_REPLICAS if grid is None else spawn_replica_grid(grid)
-    report = rank_replicas(_plan(map(attrgetter("sample"), entries), hps, seed))
+    report = rank_replicas(_plan(window, hps, seed))
     winner = report.results[0]
     if winner.replica_version not in archive.replica_versions():
         for record in winner.segments:

@@ -41,13 +41,15 @@ _GOOD = Quality.good
 _CHANNELS = {ch.value: ch for ch in Channel}
 _QUALITIES = {q.value: q for q in Quality}
 
+_MAX_TS = 2**63 - 1  # the archive keeps ts as an int64
+
 
 @dataclass(frozen=True, slots=True)
 class TelemetrySample:
     """One timestamped reading from one asset channel.
 
-    ts is integer nanoseconds since epoch. For plc_state the value is the
-    machine-state code 0..3 stored as a float.
+    ts is integer nanoseconds since epoch, at most 2**63 - 1. For plc_state
+    the value is the machine-state code 0..3 stored as a float.
     """
 
     asset_id: str
@@ -61,6 +63,8 @@ class TelemetrySample:
             raise InvalidAssetId(f"bad asset id {self.asset_id!r}")
         if self.ts < 0:
             raise MalformedLine(f"negative ts {self.ts}")
+        if self.ts > _MAX_TS:
+            raise MalformedLine(f"ts {self.ts} is past 2**63 - 1")
         if not math.isfinite(self.value):
             raise MalformedLine(f"non-finite value {self.value!r}")
         if (

@@ -2,12 +2,14 @@
 deliberately naive: literal definitions, no shortcuts from the library code."""
 import json
 import math
+from typing import Iterable
 
 import numpy as np
 
 import twinforge.rng as rng
 from twinforge.analytics import KMeansModel, Segmentation, _kmeanspp_init
 from twinforge.errors import (
+    AxisLengthMismatch,
     EmptyInput,
     KExceedsN,
     LengthMismatch,
@@ -15,7 +17,7 @@ from twinforge.errors import (
     SeriesTooShort,
     TooFewPoints,
 )
-from twinforge.wire import Channel, Quality, TelemetrySample
+from twinforge.wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample
 
 _KEYS = {"asset", "ch", "ts", "v", "q"}
 
@@ -236,6 +238,36 @@ def reference_query_window(archive, q):
         out.append(entry)
     out.sort(key=lambda e: e.sample.ts)
     return out
+
+
+def reference_axis_series(window: Iterable[TelemetrySample]):
+    """The library's original _axis_series, kept verbatim: the row objects of
+    a queried window walked one by one. Rows.axis_arrays must return the same
+    arrays bit for bit and raise the same AxisLengthMismatch text.
+
+    Split a queried window into three aligned accel arrays plus the ts
+    array of the first axis, in one pass that skips every other channel.
+    Missing-quality samples become NaN (filled by the readiness stage)."""
+    ch_x, ch_y, ch_z = ACCEL_CHANNELS
+    missing = Quality.missing
+    nan = float("nan")
+    xs: list[float] = []
+    ys: list[float] = []
+    zs: list[float] = []
+    ts: list[int] = []
+    for s in window:
+        ch = s.channel
+        if ch is ch_x:
+            xs.append(nan if s.quality is missing else s.value)
+            ts.append(s.ts)
+        elif ch is ch_y:
+            ys.append(nan if s.quality is missing else s.value)
+        elif ch is ch_z:
+            zs.append(nan if s.quality is missing else s.value)
+    if not len(xs) == len(ys) == len(zs) or not ts:
+        lengths = {ch.value: len(v) for ch, v in zip(ACCEL_CHANNELS, (xs, ys, zs))}
+        raise AxisLengthMismatch(f"accel channels misaligned: {lengths}")
+    return np.array(xs), np.array(ys), np.array(zs), ts
 
 
 def reference_fnv1a64(text: str) -> np.uint64:

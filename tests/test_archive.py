@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
+import sys
 import threading
+from array import array
+from collections.abc import Sequence
 import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
 import pytest
-from oracles import reference_query_window
+from oracles import reference_axis_series, reference_query_window
 
 import twinforge.rng as rng
 from twinforge import archive as archive_module
@@ -19,12 +23,13 @@ from twinforge.archive import (
     validate_quality,
 )
 from twinforge.errors import (
+    AxisLengthMismatch,
     MalformedLine,
     OverlappingSegment,
     UnknownAsset,
     UnknownReplicaVersion,
 )
-from twinforge.wire import Channel, Quality, TelemetrySample
+from twinforge.wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample
 
 
 def sample(ts, asset="m1", channel=Channel.accel_x, value=0.0, quality=Quality.good):
@@ -65,9 +70,9 @@ _RECORDS = {
 
 
 class TestRecordConstructors:
-    """decode_sample and append_sample build their records through private
-    constructors that fill the slots directly; the records must be the ones
-    the public constructors build."""
+    """decode_sample and the archive's reads build their records through
+    private constructors that fill the slots directly; the records must be
+    the ones the public constructors build."""
 
     @pytest.mark.parametrize("name", sorted(_RECORDS))
     def test_same_record_as_public_constructor(self, name):
@@ -171,7 +176,7 @@ class TestTags:
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert (after - before) / len(samples) <= 128
+        assert (after - before) / len(samples) <= 32
 
 
 class TestQuery:
@@ -449,49 +454,52 @@ class TestProperties:
         assert not failures
 
 
+class CountingTs(array):
+    """An int64 ts column that records every position read from it."""
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
 class TestTimeIndexTracksOrderAtAppend:
-    def counting_key(self, monkeypatch):
-        calls = []
-        by_ts = archive_module._BY_TS
+    def count_ts_reads(self, archive, asset="m1"):
+        cols = archive._columns[asset]
+        counted = CountingTs("q", cols.ts)
+        counted.reads = []
+        cols.ts = counted
+        return counted.reads
 
-        def counted(entry):
-            calls.append(entry)
-            return by_ts(entry)
-
-        monkeypatch.setattr(archive_module, "_BY_TS", counted)
-        return calls
-
-    def test_in_order_log_is_its_own_index_and_a_query_reads_only_its_bisects(
-        self, monkeypatch
-    ):
+    def test_in_order_log_is_its_own_index_and_a_query_reads_only_its_bisects(self):
         archive = Archive()
         for ts in range(0, 1000, 10):
             archive.append_sample(sample(ts))
-        calls = self.counting_key(monkeypatch)
+        calls = self.count_ts_reads(archive)
         hits = archive.query_window(WindowQuery("m1", 200, 400))
+        reads = len(calls)  # before the entries are read, which reads ts too
         assert [e.sample.ts for e in hits] == list(range(200, 400, 10))
         # two binary searches over 100 rows, no walk over the appended rows
-        assert 0 < len(calls) <= 2 * (100).bit_length()
-        index = archive._index["m1"]
-        assert index.rows is archive._entries["m1"] and not index.late
+        assert 0 < reads <= 2 * (100).bit_length()
+        cols = archive._columns["m1"]
+        assert cols.order is None and not cols.late
         for ts in range(1000, 2000, 10):
             archive.append_sample(sample(ts))
         calls.clear()
         archive.query_window(WindowQuery("m1", 1500, 1600))
         assert 0 < len(calls) <= 2 * (200).bit_length()
-        assert index.rows is archive._entries["m1"]
+        assert cols.order is None
 
     def test_one_late_append_switches_to_a_permutation(self):
         archive = Archive()
         for ts in (10, 20, 20, 30):
             archive.append_sample(sample(ts))
-        assert not archive._index["m1"].late  # an equal ts is in order
+        assert not archive._columns["m1"].late  # an equal ts is in order
         archive.query_window(WindowQuery("m1", 0, 100))
         archive.append_sample(sample(15))
-        index = archive._index["m1"]
-        assert index.late and index.rows is archive._entries["m1"]
+        cols = archive._columns["m1"]
+        assert cols.late and cols.order is None
         hits = archive.query_window(WindowQuery("m1", 0, 100))
-        assert index.rows is not archive._entries["m1"]
+        assert cols.order is not None
         assert [(e.sample.ts, e.seq) for e in hits] == [(10, 1), (15, 5), (20, 2), (20, 3), (30, 4)]
 
     def test_unfiltered_query_is_the_window_slice(self):
@@ -595,3 +603,233 @@ class TestQueryCostAgainstHistory:
             assert hits_after == hits
             per_history[factor] = (in_order, folded)
         assert per_history[1] == per_history[20] == (self.WINDOW, self.WINDOW)
+
+
+def rows_of_four():
+    archive = Archive()
+    for seq, ts in enumerate((30, 10, 20, 20), start=1):
+        archive.append_sample(sample(ts, value=seq / 10), {"phase": "Bound"})
+    expected = [
+        ArchiveEntry(seq, sample(ts, value=seq / 10), {"phase": "Bound"})
+        for seq, ts in ((2, 10), (3, 20), (4, 20), (1, 30))
+    ]
+    return archive, expected
+
+
+class TestRows:
+    def test_sequence_of_entries(self):
+        archive, expected = rows_of_four()
+        rows = archive.query_window(WindowQuery("m1", 0, 100))
+        assert isinstance(rows, Sequence) and len(rows) == 4
+        assert rows == expected and expected == rows
+        assert rows == tuple(expected) and tuple(expected) == rows
+        assert list(rows) == expected
+        assert [rows[i] for i in range(-4, 4)] == expected * 2
+        assert rows[1:3] == expected[1:3]
+        assert rows[::-1] == expected[::-1] and rows[::2] == expected[::2]
+        assert rows.index(expected[2]) == 2 and expected[3] in rows
+        assert rows != expected[:3] and rows != [*expected[:3], expected[0]]
+        assert rows != "rows" and rows != {1: 2}
+        with pytest.raises(IndexError):
+            rows[4]
+        with pytest.raises(TypeError):
+            hash(rows)
+        scan = archive.scan("m1")
+        by_seq = sorted(expected, key=lambda e: e.seq)
+        assert scan == by_seq and scan[::-1] == by_seq[::-1] and scan[-1] == by_seq[-1]
+        assert repr(scan[:2]) == f"Rows([{scan[0]!r}, {scan[1]!r}])"
+
+    def test_fixed_at_query_time(self):
+        archive, expected = rows_of_four()
+        rows = archive.query_window(WindowQuery("m1", 0, 100))
+        scan = archive.scan("m1")
+        for ts in (15, 25, 5):
+            archive.append_sample(sample(ts))
+        assert rows == expected and len(scan) == 4
+        assert len(archive.query_window(WindowQuery("m1", 0, 100))) == 7
+
+    def test_entries_are_built_when_read(self, monkeypatch):
+        archive = Archive()
+        for ts in range(1000):
+            archive.append_sample(sample(ts), {"phase": "Bound"})
+        built = []
+        entry = archive_module._entry
+        monkeypatch.setattr(archive_module, "_entry", lambda *a: built.append(a) or entry(*a))
+        scan = archive.scan("m1")
+        rows = archive.query_window(WindowQuery("m1", 100, 900, tag_filter={"phase": "Bound"}))
+        assert (len(scan), len(rows), len(built)) == (1000, 800, 0)
+        assert rows[0].seq == 101 and len(built) == 1
+        # rebuilt on every read: equal, not the same object; tags are shared
+        assert scan[5] == scan[5] and scan[5] is not scan[5]
+        assert scan[5].tags is scan[6].tags
+
+
+class TestAppendThatRaisesChangesNoColumn:
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (sample(2**63), OverflowError),
+            (sample(-(2**63) - 1), OverflowError),
+            (sample(5, value=None), TypeError),
+            (sample(5, value="1.5"), TypeError),
+            (sample(5, channel="accel_w"), KeyError),
+        ],
+        ids=["ts-past-int64", "ts-below-int64", "value-none", "value-str", "channel"],
+    )
+    def test_raises_and_leaves_every_column(self, bad, error):
+        archive = Archive()
+        for ts in (10, 20):
+            archive.append_sample(sample(ts), {"phase": "Bound"})
+        cols = archive._columns["m1"]
+        before = [column.tolist() for column in cols.fields()]
+        with pytest.raises(error):
+            archive.append_sample(bad, {"phase": "Synchronized"})
+        assert [column.tolist() for column in cols.fields()] == before
+        assert not cols.late
+        assert archive.append_sample(sample(30)) == 3
+        with pytest.raises(error):
+            archive.append_sample(dataclasses.replace(bad, asset_id="m2"))
+        assert archive.assets() == ("m1",)
+        assert [e.sample.ts for e in archive.query_window(WindowQuery("m1", 0, 100))] == [10, 20, 30]
+
+    def test_largest_int64_ts_is_kept(self):
+        archive = Archive()
+        archive.append_sample(sample(2**63 - 1))
+        archive.append_sample(sample(0))
+        assert [e.sample.ts for e in archive.scan("m1")] == [2**63 - 1, 0]
+        assert archive.time_span("m1") == (0, 2**63)
+
+
+def axis_outcome(read):
+    """read()'s axes as (dtype, bytes) pairs plus its ts as int64 bytes, or
+    its AxisLengthMismatch text."""
+    try:
+        x, y, z, ts = read()
+    except AxisLengthMismatch as exc:
+        return str(exc)
+    return [(a.dtype.str, a.tobytes()) for a in (x, y, z)] + [
+        np.array(ts, dtype=np.int64).tobytes()
+    ]
+
+
+class TestAxisArraysOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_windows_equal_reference_by_bits(self, seed):
+        # accel triples at one ts, plc_state rows between them, missing and
+        # suspect values, -0.0, and from a random point on triples that
+        # arrive late or repeat a ts; a dropped row now and then misaligns
+        # the windows that hold it
+        key = rng.stream_key(seed, "axis-oracle")
+        u = rng.uniforms(key, np.arange(8 * 700, dtype=np.uint64)).reshape(700, 8)
+        archive = Archive()
+        clock, disorder_from = 0, 100 + int(u[0, 0] * 400)
+        for i, r in enumerate(u):
+            if i >= disorder_from and r[0] < 0.15:
+                ts = max(0, clock - int(r[1] * 40))
+            else:
+                clock += int(r[1] * 3)
+                ts = clock
+            for j, ch in enumerate(ACCEL_CHANNELS):
+                if r[2 + j] < 0.002:
+                    continue
+                value = -0.0 if r[2 + j] < 0.03 else (r[2 + j] - 0.5) * 10
+                quality = QUALITIES[int(r[5] * 3)] if r[5] < 0.3 else Quality.good
+                archive.append_sample(TelemetrySample("m1", ch, ts, value, quality),
+                                      {"phase": "Bound"})
+            if r[6] < 0.3:
+                archive.append_sample(sample(ts, channel=Channel.plc_state, value=2.0))
+        outcomes = {"aligned": 0, "misaligned": 0}
+        span = archive.time_span("m1")
+        queries = [WindowQuery("m1", *span)]
+        for r in u[:300]:
+            t0 = span[0] - 5 + int(r[1] * (span[1] - span[0]))
+            tag_filter = {"phase": "Bound"} if r[2] < 0.3 else None
+            qualities = frozenset({Quality.good, Quality.suspect}) if r[3] < 0.1 else None
+            queries.append(WindowQuery("m1", t0, t0 + 1 + int(r[4] * 80), None, tag_filter,
+                                       qualities))
+        for q in queries:
+            got = axis_outcome(lambda: archive.query_window(q).axis_arrays())
+            want = axis_outcome(
+                lambda: reference_axis_series(e.sample for e in reference_query_window(archive, q))
+            )
+            assert got == want, q
+            outcomes["misaligned" if isinstance(got, str) else "aligned"] += 1
+        assert min(outcomes.values()) > 20, outcomes
+
+
+class TestConcurrentReadsAndAppends:
+    def test_readers_see_fixed_windows_while_a_writer_appends(self):
+        # m1 rows arrive in ts order, ts == seq - 1, accel axes in turn; m2
+        # rows arrive with some late, so its reads go through the permutation
+        archive = Archive()
+        n_rows = 3000
+        failures: list = []
+        done = threading.Event()
+
+        def write():
+            try:
+                for i in range(n_rows):
+                    tags = {"phase": "Bound" if i % 4 else "Synchronized"}
+                    quality = Quality.missing if i % 7 == 0 else Quality.good
+                    archive.append_sample(
+                        TelemetrySample("m1", ACCEL_CHANNELS[i % 3], i, float(i), quality), tags
+                    )
+                    ts2 = i - 50 if i % 5 == 0 else i
+                    archive.append_sample(
+                        TelemetrySample("m2", ACCEL_CHANNELS[i % 3], max(ts2, 0), -float(i)), tags
+                    )
+            except BaseException as exc:
+                failures.append(exc)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                for k in itertools.count():
+                    if done.is_set():
+                        break
+                    if "m2" not in archive.assets():
+                        continue
+                    n = len(archive.scan("m1"))
+                    end = n - n % 3
+                    if not end:
+                        continue
+                    # every row with ts < end is in: the window is final
+                    q = WindowQuery("m1", 0, end)
+                    rows = archive.query_window(q)
+                    x, y, z, ts = rows.axis_arrays()
+                    assert len(ts) == end // 3 and ts[-1] == end - 3
+                    if k % 8 == 0:  # the full checks read every entry
+                        assert [e.seq for e in rows] == list(range(1, end + 1))
+                        assert rows == reference_query_window(archive, q)
+                        assert axis_outcome(rows.axis_arrays) == axis_outcome(
+                            lambda: reference_axis_series(e.sample for e in rows)
+                        )
+                        tagged = WindowQuery("m1", 0, end, tag_filter={"phase": "Bound"},
+                                             channels=frozenset({Channel.accel_x}))
+                        assert archive.query_window(tagged) == reference_query_window(archive, tagged)
+                    growing = archive.query_window(WindowQuery("m2", 0, 10**9))
+                    seqs = [e.seq for e in growing]
+                    assert sorted(seqs) == list(range(1, len(seqs) + 1))
+                    assert [e.sample.ts for e in growing] == sorted(e.sample.ts for e in growing)
+                    try:
+                        growing.axis_arrays()
+                    except AxisLengthMismatch:
+                        pass  # a window of m2 can end inside a triple
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            threads.append(threading.Thread(target=write))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[0]
+        assert len(archive.scan("m1")) == len(archive.scan("m2")) == n_rows

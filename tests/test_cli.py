@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,9 @@ from twinforge.archive import Archive
 from twinforge.cli import ingest, main
 from twinforge.twin import LifecyclePhase, TwinInstance
 from twinforge.wire import Channel, TelemetrySample, write_trace
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -159,6 +166,7 @@ MALFORMED_TRACES = {
     "int-over-float": b'{"asset":"m1","ch":"accel_x","ts":2,"v":1' + b"0" * 400 + b',"q":"good"}\n',
     "int-digit-limit": b'{"asset":"m1","ch":"accel_x","ts":' + b"9" * 5000 + b',"v":0.5,"q":"good"}\n',
     "non-utf8": b'{"asset":"m\xff","ch":"accel_x","ts":2,"v":0.5,"q":"good"}\n',
+    "ts-past-int64": b'{"asset":"m1","ch":"accel_x","ts":9223372036854775808,"v":0.5,"q":"good"}\n',
 }
 
 
@@ -447,7 +455,28 @@ class TestHugeValue:
         assert capsys.readouterr().err.startswith("selected v15-1039b0bb: ")
 
 
+def _report_into_closed_pipe(report):
+    """`python -m twinforge report` with stdout on a pipe whose read end is
+    closed before the child starts, so its first write fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "twinforge", "report", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
 class TestReport:
+    def test_closed_stdout_ends_quietly(self, run_dir):
+        proc = _report_into_closed_pipe(run_dir / "report.json")
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+
     def test_table(self, run_dir, capsys):
         assert run_cli("report", str(run_dir / "report.json")) == 0
         out = capsys.readouterr().out

@@ -179,9 +179,18 @@ def clean_three_phase_window():
     return [s for s in samples if s.channel is not Channel.plc_state], truth
 
 
+def rows_of(samples):
+    """One machine's samples archived and queried back whole: the window a
+    sweep reads."""
+    archive = archive_of(samples)
+    (machine,) = archive.assets()
+    return archive.query_window(WindowQuery(machine, *archive.time_span(machine)))
+
+
 def one_replica(window, hp, seed):
-    """The one-replica reference: the sweep's plan over [hp] alone, v1."""
-    (result,) = orchestrator._plan(window, [hp], seed)
+    """The one-replica reference: the sweep's plan over [hp] alone, v1, on
+    the window of one machine's samples."""
+    (result,) = orchestrator._plan(rows_of(window), [hp], seed)
     return result
 
 
@@ -227,7 +236,7 @@ class TestRunReplica:
     def test_plan_versions_replicas_in_grid_order(self, small_run):
         _, samples, _, _ = small_run
         hps = spawn_replica_grid({"penalty": [160, 10], "k": [3, 2], "block_size": [50]})
-        results = orchestrator._plan(samples, hps, seed=1)
+        results = orchestrator._plan(rows_of(samples), hps, seed=1)
         assert [r.hyperparams for r in results] == hps
         assert [r.replica_version for r in results] == [
             f"v{i + 1}-{hp.digest()}" for i, hp in enumerate(hps)
@@ -268,7 +277,7 @@ class TestRunReplica:
         _, samples, _, _ = small_run
         window = [s for s in samples if s.channel in (Channel.accel_x, Channel.accel_y)]
         with pytest.raises(AxisLengthMismatch, match=r"^v1-"):
-            orchestrator._plan(window, [HyperParams()], seed=1)
+            orchestrator._plan(rows_of(window), [HyperParams()], seed=1)
 
 
 class TestAxisSeries:
@@ -283,11 +292,11 @@ class TestAxisSeries:
             TelemetrySample("m1", y, 20, 5.0),
             TelemetrySample("m1", z, 20, 6.0),
         ]
-        xs, ys, zs, ts = orchestrator._axis_series(window)
+        xs, ys, zs, ts = rows_of(window).axis_arrays()
         np.testing.assert_array_equal(xs, [1.0, np.nan])
         np.testing.assert_array_equal(ys, [np.nan, 5.0])
         np.testing.assert_array_equal(zs, [3.0, 6.0])
-        assert ts == [10, 20]
+        assert ts.tolist() == [10, 20]
 
     @pytest.mark.parametrize(
         "channels, message",
@@ -297,9 +306,11 @@ class TestAxisSeries:
         ],
     )
     def test_misaligned_error_text(self, channels, message):
-        window = [TelemetrySample("m1", ACCEL_CHANNELS[c], i, 0.0) for i, c in enumerate(channels)]
+        # a plc_state row, which the axis read skips, keeps the window non-empty
+        window = [TelemetrySample("m1", Channel.plc_state, 0, 1.0)]
+        window += [TelemetrySample("m1", ACCEL_CHANNELS[c], i, 0.0) for i, c in enumerate(channels)]
         with pytest.raises(AxisLengthMismatch) as exc:
-            orchestrator._axis_series(window)
+            rows_of(window).axis_arrays()
         assert str(exc.value) == message
 
 

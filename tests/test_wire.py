@@ -154,6 +154,15 @@ class TestDecode:
         with pytest.raises(MalformedLine):
             decode_sample(line)
 
+    def test_ts_bounded_to_int64(self):
+        line = '{"asset":"x","ch":"accel_x","ts":%d,"v":0,"q":"good"}'
+        assert decode_sample(line % (2**63 - 1)).ts == 9223372036854775807
+        with pytest.raises(MalformedLine) as got:
+            decode_sample(line % 2**63)
+        assert str(got.value) == "ts 9223372036854775808 is past 2**63 - 1"
+        with pytest.raises(MalformedLine):
+            encode_sample(TelemetrySample("x", Channel.accel_x, 2**63, 0.0))
+
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_lines(self, line):
         with pytest.raises(MalformedLine):
