@@ -61,6 +61,8 @@ _PRUNE_SLACK = 1e-9
 
 def check_penalty(penalty) -> None:
     """Raise ValueError unless penalty is a finite number >= 0."""
+    if type(penalty) is bool:  # True would run as 1 under another version digest
+        raise ValueError(f"penalty must be a number, got {penalty!r}")
     if penalty < 0:
         raise ValueError("penalty must be >= 0")
     if not penalty <= sys.float_info.max:  # nan, inf or an int no float holds

@@ -4,23 +4,24 @@ quality validation, and segment-statistics memorization.
 In-memory store, single logical writer per asset stream, unlimited concurrent
 readers. Each asset's rows are typed columns, one array.array each: ts
 (int64), value (float64), channel and quality codes (uint8) and the id of the
-row's tag set among read-only tag views the whole archive shares. A row's seq
-is its position plus one. Out-of-order arrivals are stored as-is (seq records
-arrival order), so ingestion stays O(1) and the columns remain the ground
-truth of what arrived when. The columns are their own (ts, seq) order until
-an append's ts is below the previous row's; from then on a (ts, seq)-ordered
-permutation of the rows gives the order, and queries extend it over the rows
-appended since. A window query is two binary searches over ts.
+row's tag set among read-only tag views the whole archive shares. An append
+keeps no object per row, so a bulk load starts no garbage collection. A row's
+seq is its position plus one. Out-of-order arrivals are stored as-is (seq
+records arrival order), so ingestion stays O(1) and the columns remain the
+ground truth of what arrived when. The columns are their own (ts, seq) order
+until an append's ts is below the previous row's; from then on a (ts,
+seq)-ordered permutation of the rows gives the order, and queries extend it
+over the rows appended since. A window query is two binary searches over ts.
 
 scan and query_window return Rows, a read-only sequence fixed at query time
-that builds each ArchiveEntry when it is read: an entry read back is equal to
-the one appended, not the same object, and its tags are the shared view.
+that builds each ArchiveEntry, with the public constructors, when it is read:
+an entry read back is equal to the one appended, not the same object, and its
+tags are the shared view.
 Filters are masks over the window's columns, and Rows.axis_arrays reads the
 accelerometer axes straight from the columns.
 """
 from __future__ import annotations
 
-import gc
 import json
 import threading
 from array import array
@@ -38,7 +39,6 @@ from .wire import (
     Channel,
     Quality,
     TelemetrySample,
-    _sample,
     replay_trace,
     write_trace,
 )
@@ -54,23 +54,6 @@ class ArchiveEntry:
     tags: Mapping[str, str]
 
 
-_new = object.__new__
-_set_seq = ArchiveEntry.seq.__set__
-_set_sample = ArchiveEntry.sample.__set__
-_set_tags = ArchiveEntry.tags.__set__
-
-
-def _entry(seq: int, sample: TelemetrySample, tags: Mapping[str, str]) -> ArchiveEntry:
-    """ArchiveEntry(seq, sample, tags) for the read path, its slots filled
-    through their descriptors instead of the frozen __init__'s
-    object.__setattr__ calls."""
-    e = _new(ArchiveEntry)
-    _set_seq(e, seq)
-    _set_sample(e, sample)
-    _set_tags(e, tags)
-    return e
-
-
 # Column codes: a member's position in its enum. Both enums are str enums
 # whose values are their names, so a plain string codes as its member.
 _CHANNELS = tuple(Channel)
@@ -79,32 +62,6 @@ _CHANNEL_CODE = {ch: code for code, ch in enumerate(_CHANNELS)}
 _QUALITY_CODE = {q: code for code, q in enumerate(_QUALITIES)}
 _ACCEL_CODES = tuple(_CHANNEL_CODE[ch] for ch in ACCEL_CHANNELS)
 _MISSING_CODE = _QUALITY_CODE[Quality.missing]
-
-
-class _collector_paused:
-    """Context manager: automatic garbage collection stays off for a bulk
-    load, and is turned back on at exit only if it was on at entry.
-
-    A bulk load allocates a few objects per sample and frees few, so the
-    collector's allocation counter triggers collection after collection,
-    each rescanning what the load keeps. All are wasted: decoded samples,
-    twin state and tag views refer only to objects that existed before them,
-    never back, so a load builds no reference cycle and no collection could
-    free anything. Reference counting still frees every temporary at once.
-    The objects allocated meanwhile are counted, and the first allocation
-    after exit starts one collection of them; exit itself allocates nothing,
-    so that collection runs in the caller's code.
-    """
-
-    __slots__ = ("was_enabled",)
-
-    def __enter__(self) -> None:
-        self.was_enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info) -> None:
-        if self.was_enabled:
-            gc.enable()
 
 
 class _Columns:
@@ -183,10 +140,10 @@ class Rows(_SequenceABC):
 
     def _row(self, p: int) -> ArchiveEntry:
         c = self._cols
-        sample = _sample(
+        sample = TelemetrySample(
             c.asset_id, _CHANNELS[c.channel[p]], c.ts[p], c.value[p], _QUALITIES[c.quality[p]]
         )
-        return _entry(p + 1, sample, self._views[c.tag[p]])
+        return ArchiveEntry(p + 1, sample, self._views[c.tag[p]])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -509,33 +466,32 @@ class Archive:
     def load(cls, trace_path) -> "Archive":
         """Read back what dump wrote. A malformed or non-UTF-8 trace line
         raises MalformedLine naming its line number."""
-        with _collector_paused():
-            archive = cls()
-            for sample in replay_trace(trace_path):
-                archive.append_sample(sample)
-            sidecar_path = str(trace_path) + ".segments.json"
-            try:
-                with open(sidecar_path, encoding="utf-8") as fh:
-                    sidecar = json.load(fh)
-            except FileNotFoundError:
-                return archive
-            for version, records in sidecar.items():
-                for r in records:
-                    archive.record_segment_stats(
-                        SegmentRecord(
-                            replica_version=version,
-                            segment_index=r["segment_index"],
-                            block_range=tuple(r["block_range"]),
-                            cluster_label=r["cluster_label"],
-                            stats=SegmentStats(
-                                mean=tuple(r["mean"]),
-                                peak=tuple(r["peak"]),
-                                duration_blocks=r["duration_blocks"],
-                            ),
-                            created_ts=r["created_ts"],
-                        )
-                    )
+        archive = cls()
+        for sample in replay_trace(trace_path):
+            archive.append_sample(sample)
+        sidecar_path = str(trace_path) + ".segments.json"
+        try:
+            with open(sidecar_path, encoding="utf-8") as fh:
+                sidecar = json.load(fh)
+        except FileNotFoundError:
             return archive
+        for version, records in sidecar.items():
+            for r in records:
+                archive.record_segment_stats(
+                    SegmentRecord(
+                        replica_version=version,
+                        segment_index=r["segment_index"],
+                        block_range=tuple(r["block_range"]),
+                        cluster_label=r["cluster_label"],
+                        stats=SegmentStats(
+                            mean=tuple(r["mean"]),
+                            peak=tuple(r["peak"]),
+                            duration_blocks=r["duration_blocks"],
+                        ),
+                        created_ts=r["created_ts"],
+                    )
+                )
+        return archive
 
 
 def validate_quality(

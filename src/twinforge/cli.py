@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import __version__
-from .archive import Archive, _collector_paused
+from .archive import Archive
 from .errors import (
     EmptyGrid,
     InvalidSpec,
@@ -71,6 +71,22 @@ def _machine_id(value) -> str:
     return value
 
 
+def _integer(name: str, value) -> int:
+    """An integer read from a scenario file, as the --seed and --rate flags
+    take: a JSON integer, not a bool or a float."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    """A time read from a scenario file: a JSON number, not a bool or a
+    string."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_scenario_file(path) -> ScenarioSpec:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -85,20 +101,24 @@ def parse_scenario_file(path) -> ScenarioSpec:
         schedule = tuple(
             PhaseInterval(
                 machine=_machine_id(iv["machine"]),
-                start_s=float(iv["start_s"]),
-                end_s=float(iv["end_s"]),
+                start_s=_number("start_s", iv["start_s"]),
+                end_s=_number("end_s", iv["end_s"]),
                 state=MachineState[iv["state"]],
             )
             for iv in payload.get("schedule", [])
         )
         return ScenarioSpec(
-            seed=int(payload.get("seed", DEFAULT_SEED)),
+            seed=_integer("seed", payload.get("seed", DEFAULT_SEED)),
             machines=tuple(machines),
-            duration_s=float(payload.get("duration_s", DEFAULT_DURATION_S)),
-            sample_rate=int(payload.get("sample_rate", DEFAULT_SAMPLE_RATE)),
+            duration_s=_number("duration_s", payload.get("duration_s", DEFAULT_DURATION_S)),
+            sample_rate=_integer("sample_rate", payload.get("sample_rate", DEFAULT_SAMPLE_RATE)),
             phase_schedule=schedule,
             failure_windows=tuple(
-                (_machine_id(w[0]), float(w[1]), float(w[2]))
+                (
+                    _machine_id(w[0]),
+                    _number("failure window start", w[1]),
+                    _number("failure window end", w[2]),
+                )
                 for w in payload.get("failure_windows", [])
             ),
         )
@@ -154,29 +174,25 @@ def ingest(
     """Shadow samples into a fresh twin runtime and archive them, driving
     each twin Unbound -> Bound -> Synchronized on first contact. Every
     archived sample is tagged with its twin's phase. With machine given,
-    every sample is still read but only that machine's are kept.
-
-    Automatic garbage collection is paused meanwhile (see
-    archive._collector_paused): the load builds no reference cycles."""
-    with _collector_paused():
-        runtime = TwinRuntime()
-        archive = Archive()
-        twins: dict[str, TwinInstance] = {}
-        tagged_phase = tags = None  # tags are rebuilt only when the phase changes
-        for sample in samples:
-            twin = twins.get(sample.asset_id)
-            if twin is None:
-                if machine is not None and sample.asset_id != machine:
-                    continue
-                twin = twins[sample.asset_id] = runtime.create_twin(sample.asset_id)
-                twin.apply_lifecycle_event(LifecycleEvent.Bind)
-                twin.apply_lifecycle_event(LifecycleEvent.SyncEstablished)
-            twin.shadow_sample(sample)
-            phase = twin.phase
-            if phase is not tagged_phase:
-                tagged_phase, tags = phase, {"phase": phase.name}
-            archive.append_sample(sample, tags=tags)
-        return runtime, archive
+    every sample is still read but only that machine's are kept."""
+    runtime = TwinRuntime()
+    archive = Archive()
+    twins: dict[str, TwinInstance] = {}
+    tagged_phase = tags = None  # tags are rebuilt only when the phase changes
+    for sample in samples:
+        twin = twins.get(sample.asset_id)
+        if twin is None:
+            if machine is not None and sample.asset_id != machine:
+                continue
+            twin = twins[sample.asset_id] = runtime.create_twin(sample.asset_id)
+            twin.apply_lifecycle_event(LifecycleEvent.Bind)
+            twin.apply_lifecycle_event(LifecycleEvent.SyncEstablished)
+        twin.shadow_sample(sample)
+        phase = twin.phase
+        if phase is not tagged_phase:
+            tagged_phase, tags = phase, {"phase": phase.name}
+        archive.append_sample(sample, tags=tags)
+    return runtime, archive
 
 
 def _ingest_trace(path, machine: Optional[str] = None):

@@ -50,6 +50,8 @@ class ReadinessConfig:
     def __post_init__(self):
         if type(self.smooth_window) is not int:  # a bool is no window
             raise ValueError(f"smooth_window must be an integer, got {self.smooth_window!r}")
+        if type(self.sigma_threshold) is bool:
+            raise ValueError(f"sigma_threshold must be a number, got {self.sigma_threshold!r}")
         if not 0 < self.sigma_threshold <= sys.float_info.max:  # nan, inf or an int no float holds
             raise ValueError(
                 f"sigma_threshold must be positive and finite, got {self.sigma_threshold!r}"

@@ -10,7 +10,6 @@ import enum
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -97,11 +96,6 @@ def _sample(asset_id, channel, ts, value, quality) -> TelemetrySample:
     return s
 
 
-# Every sample of an asset holds one shared asset-id string, not a copy per
-# decoded line.
-_intern = sys.intern
-
-
 def topic_for(asset_id: str, channel: Channel) -> str:
     """Topic string "mf/<asset_id>/<channel>"."""
     if not asset_id or "/" in asset_id:
@@ -154,8 +148,7 @@ def decode_sample(line: str) -> TelemetrySample:
 
     A line in encode_sample's own form is read by one regex match; any other
     line goes through json.loads and the type checks below, so both paths
-    accept the same lines and build equal samples. Both intern the asset id,
-    so the samples of one asset share one string. An integer literal
+    accept the same lines and build equal samples. An integer literal
     becomes float(int(text)), as JSON's -0 is the int 0; a literal with a
     fraction or exponent becomes float(text), as in the JSON scanner.
     """
@@ -166,7 +159,7 @@ def decode_sample(line: str) -> TelemetrySample:
     if m is not None:
         asset, ch, ts, v, frac, q = m.groups()
         sample = _sample(
-            _intern(asset),
+            asset,
             _CHANNELS[ch],
             int(ts),
             float(v) if frac else float(int(v)),
@@ -200,7 +193,7 @@ def decode_sample(line: str) -> TelemetrySample:
             raise MalformedLine(f"value out of float range: {v!r}") from exc
     else:
         raise MalformedLine(f"bad value {v!r}")
-    sample = _sample(_intern(asset), channel, ts, value, quality)
+    sample = _sample(asset, channel, ts, value, quality)
     try:
         sample.validate()
     except InvalidAssetId as exc:

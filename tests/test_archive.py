@@ -5,7 +5,6 @@ import threading
 from array import array
 from collections.abc import Sequence
 import tracemalloc
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -61,18 +60,13 @@ def _hash_or_error(obj):
 _SAMPLE_ARGS = ("m1", Channel.plc_state, 7, -0.0, Quality.suspect)
 _RECORDS = {
     "sample": (wire._sample, TelemetrySample, _SAMPLE_ARGS),
-    "entry": (
-        archive_module._entry,
-        ArchiveEntry,
-        (3, TelemetrySample(*_SAMPLE_ARGS), MappingProxyType({"phase": "Bound"})),
-    ),
 }
 
 
 class TestRecordConstructors:
-    """decode_sample and the archive's reads build their records through
-    private constructors that fill the slots directly; the records must be
-    the ones the public constructors build."""
+    """decode_sample builds its samples through a private constructor that
+    fills the slots directly; the records must be the ones the public
+    constructor builds. The archive's reads use the public constructors."""
 
     @pytest.mark.parametrize("name", sorted(_RECORDS))
     def test_same_record_as_public_constructor(self, name):
@@ -104,6 +98,9 @@ class TestRecordConstructors:
         assert entry == ArchiveEntry(1, TelemetrySample("m1", Channel.plc_state, 7, 0.0,
                                                         Quality.suspect), {"phase": "Bound"})
         assert not hasattr(entry, "__dict__") and not hasattr(decoded, "__dict__")
+        for field in dataclasses.fields(ArchiveEntry):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(entry, field.name, None)
 
 
 class TestAppend:
@@ -653,8 +650,8 @@ class TestRows:
         for ts in range(1000):
             archive.append_sample(sample(ts), {"phase": "Bound"})
         built = []
-        entry = archive_module._entry
-        monkeypatch.setattr(archive_module, "_entry", lambda *a: built.append(a) or entry(*a))
+        entry = archive_module.ArchiveEntry
+        monkeypatch.setattr(archive_module, "ArchiveEntry", lambda *a: built.append(a) or entry(*a))
         scan = archive.scan("m1")
         rows = archive.query_window(WindowQuery("m1", 100, 900, tag_filter={"phase": "Bound"}))
         assert (len(scan), len(rows), len(built)) == (1000, 800, 0)

@@ -1,7 +1,7 @@
-"""Bulk loads (cli.ingest, Archive.load) run with automatic garbage
-collection paused, restore the caller's collector state, and leave no
-garbage; append_sample reuses the shared view of a tags mapping passed
-again unchanged."""
+"""Bulk loads (cli.ingest, Archive.load) keep no object per row: with
+automatic garbage collection on, they start no collection, leave the
+caller's collector state as it was, and leave no garbage; append_sample
+reuses the shared view of a tags mapping passed again unchanged."""
 import gc
 from contextlib import contextmanager
 
@@ -97,11 +97,16 @@ def test_ingest_of_default_trace_leaves_no_garbage(tmp_path):
     trace = tmp_path / "trace.jsonl"
     write_trace(trace, samples)
     del samples
-    with collector(True):
+    with collector(True), collections_started() as starts:
         gc.collect()
-        runtime, archive = ingest(replay_trace(trace))
+        del starts[:]
+        loaded = ingest(replay_trace(trace))
+        during = len(starts)
         assert gc.collect() == 0
+    runtime, archive = loaded
     assert sorted(archive.assets()) == ["m1", "m2", "m3", "m4"]
+    assert sum(len(archive.scan(m)) for m in archive.assets()) == 144_016
+    assert during == 0
 
 
 def sample(ts, asset="m1"):

@@ -64,23 +64,39 @@ class TestSimulate:
             ('{"machines": "m1"}', (), "machines must be a list, got str"),
             ('{"machines": [5]}', (), "bad machine id 5"),
             ('{"machines": [["m1"]]}', (), "bad machine id ['m1']"),
-            ('{"seed": 1e400}', (), "cannot convert float infinity to integer"),
+            ('{"seed": 1e400}', (), "seed must be an integer, got inf"),
             ('{"failure_windows": [[["m1"], 1, 2]]}', (), "machine id must be a string"),
             ('{"schedule": [{"machine": ["m1"], "start_s": 0, "end_s": 4, "state": "Failure"}]}',
              (), "machine id must be a string"),
-            ('{"sample_rate": 1e30, "duration_s": 10}', (), "at most 2**56 samples"),
-            ('{"sample_rate": 1e300, "duration_s": 1e300}', (), "at most 2**56 samples"),
+            ('{"sample_rate": 1%s, "duration_s": 10}' % ("0" * 30), (), "at most 2**56 samples"),
+            ('{"sample_rate": 1%s, "duration_s": 1e300}' % ("0" * 300), (), "at most 2**56 samples"),
             (None, ("--rate", "1" + "0" * 30, "--duration", "10"), "at most 2**56 samples"),
             (None, ("--rate", "1" + "0" * 400), "at most 2**56 samples"),
             (None, ("--duration", "1e30"), "at most 2**56 samples"),
             # valid, but its 10**14 samples per channel fit no address space
             (None, ("--duration", "1e12", "--machines", "m1"), "too large to simulate: "),
+            # numbers are taken as written, never rounded or parsed from a string
+            ('{"sample_rate": 99.9}', (), "sample_rate must be an integer, got 99.9"),
+            ('{"sample_rate": "50"}', (), "sample_rate must be an integer, got '50'"),
+            ('{"sample_rate": true}', (), "sample_rate must be an integer, got True"),
+            ('{"seed": 4.9}', (), "seed must be an integer, got 4.9"),
+            ('{"seed": true}', (), "seed must be an integer, got True"),
+            ('{"duration_s": "4"}', (), "duration_s must be a number, got '4'"),
+            ('{"duration_s": false}', (), "duration_s must be a number, got False"),
+            ('{"schedule": [{"machine": "m1", "start_s": "0", "end_s": 4, "state": "Failure"}]}',
+             (), "start_s must be a number, got '0'"),
+            ('{"schedule": [{"machine": "m1", "start_s": 0, "end_s": true, "state": "Failure"}]}',
+             (), "end_s must be a number, got True"),
+            ('{"failure_windows": [["m1", "1", 2]]}', (), "failure window start must be a number, got '1'"),
+            ('{"failure_windows": [["m1", 1, null]]}', (), "failure window end must be a number, got None"),
         ],
         ids=[
             "not-json", "list", "string", "null", "short-failure-window", "string-machines", "int-machine",
             "list-machine", "infinite-seed", "list-failure-machine", "list-schedule-machine",
             "spec-rate", "spec-rate-and-duration", "flag-rate",
             "flag-rate-past-float", "flag-duration", "flag-duration-past-memory",
+            "float-rate", "string-rate", "bool-rate", "float-seed", "bool-seed", "string-duration",
+            "bool-duration", "string-start", "bool-end", "string-failure-start", "null-failure-end",
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, flags, reason):
@@ -314,7 +330,8 @@ class TestRun:
          pytest.param('{"sigma_threshold":[1%s]}' % ("0" * 400), id="sigma-401-digit-int"),
          '{"block_size":[10000000000000000000]}', '{"block_size":[9223372036854775808]}',
          pytest.param('{"block_size":[1%s]}' % ("0" * 5000), id="block-5001-digit-int"),
-         '{"normalize":["x"]}', '{"normalize":[0]}'],
+         '{"normalize":["x"]}', '{"normalize":[0]}', '{"penalty":[false],"k":[2]}',
+         '{"penalty":[true]}', '{"sigma_threshold":[true]}', '{"sigma_threshold":[false]}'],
     )
     def test_invalid_grid_exits_2_before_ingest(self, tmp_path, capsys, grid):
         # the trace does not exist: the grid is rejected before any ingest

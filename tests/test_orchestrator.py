@@ -90,6 +90,11 @@ INVALID_REPLICAS = [
     ({"penalty": [10**400]}, f"penalty must be finite, got {10**400!r}"),
     # rolling_max indexes numpy arrays by block size
     ({"block_size": [2**63]}, "block_size must be at most 2**63 - 1"),
+    # a bool is no number: True would run as 1 under another version digest
+    ({"penalty": [False]}, "penalty must be a number, got False"),
+    ({"penalty": [True]}, "penalty must be a number, got True"),
+    ({"sigma_threshold": [True]}, "sigma_threshold must be a number, got True"),
+    ({"sigma_threshold": [False]}, "sigma_threshold must be a number, got False"),
 ]
 
 

@@ -134,16 +134,6 @@ class TestDecode:
         s = TelemetrySample("m1", Channel.accel_y, 123456789, 3.14159, Quality.suspect)
         assert decode_sample(encode_sample(s)) == s
 
-    def test_samples_of_one_asset_share_one_asset_string(self):
-        asset = "".join(["press", "-", "7"])  # built at run time, not a constant
-        canonical = [_line(asset=f'"{asset}"', ts=str(ts)) for ts in (1, 2)]
-        # key order and whitespace send these through json.loads
-        other = [' {"q":"good","v":0.5,"ts":%d,"ch":"accel_x","asset":"%s"}' % (ts, asset)
-                 for ts in (3, 4)]
-        ids = [decode_sample(line).asset_id for line in canonical + other]
-        assert ids == [asset] * 4
-        assert all(i is ids[0] for i in ids)
-
     def test_bad_channel(self):
         line = '{"asset":"x","ch":"accel_w","ts":1,"v":0,"q":"good"}'
         with pytest.raises(MalformedLine):
