@@ -7,7 +7,6 @@ from .analytics import (
     KMeansModel,
     Segmentation,
     brute_force_segment,
-    kmeans_assign,
     kmeans_fit,
     pelt_segment,
     silhouette_score,
@@ -59,11 +58,9 @@ from .twin import (
     LifecycleEvent,
     LifecyclePhase,
     MachineState,
-    OeeInputs,
     TwinInstance,
     TwinRuntime,
     TwinState,
-    compute_oee,
 )
 from .wire import (
     Channel,
@@ -72,6 +69,5 @@ from .wire import (
     decode_sample,
     encode_sample,
     replay_trace,
-    topic_for,
     write_trace,
 )

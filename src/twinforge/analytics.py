@@ -34,7 +34,6 @@ import numpy as np
 
 from . import rng
 from .errors import (
-    DimensionMismatch,
     EmptyInput,
     KExceedsN,
     LengthMismatch,
@@ -408,16 +407,6 @@ def kmeans_fit(
         inertia=inertia,
         iterations_run=iterations,
     )
-
-
-def kmeans_assign(model: KMeansModel, vector) -> int:
-    """Index of the nearest centroid (squared Euclidean, ties to lowest)."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape != (model.centroids.shape[1],):
-        raise DimensionMismatch(
-            f"vector shape {v.shape} vs centroid dim {model.centroids.shape[1]}"
-        )
-    return int(((model.centroids - v) ** 2).sum(axis=1).argmin())
 
 
 def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:

@@ -22,7 +22,6 @@ accelerometer axes straight from the columns.
 """
 from __future__ import annotations
 
-import json
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
@@ -39,8 +38,6 @@ from .wire import (
     Channel,
     Quality,
     TelemetrySample,
-    replay_trace,
-    write_trace,
 )
 
 
@@ -433,65 +430,6 @@ class Archive:
             if t0 <= rec.created_ts < t1:
                 hist[rec.cluster_label] = hist.get(rec.cluster_label, 0) + 1
         return hist
-
-    # -- persistence -----------------------------------------------------------
-
-    def dump(self, trace_path) -> None:
-        """Write the raw log in trace format plus a JSON sidecar of segment
-        records (trace_path + ".segments.json")."""
-        with self._lock:
-            logs = [self.scan(asset) for asset in sorted(self._columns)]
-            segments = {v: list(records) for v, records in self._segments.items()}
-        write_trace(trace_path, (e.sample for log in logs for e in log))
-        sidecar = {
-            version: [
-                {
-                    "segment_index": r.segment_index,
-                    "block_range": list(r.block_range),
-                    "cluster_label": r.cluster_label,
-                    "mean": list(r.stats.mean),
-                    "peak": list(r.stats.peak),
-                    "duration_blocks": r.stats.duration_blocks,
-                    "created_ts": r.created_ts,
-                }
-                for r in records
-            ]
-            for version, records in segments.items()
-        }
-        with open(str(trace_path) + ".segments.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, trace_path) -> "Archive":
-        """Read back what dump wrote. A malformed or non-UTF-8 trace line
-        raises MalformedLine naming its line number."""
-        archive = cls()
-        for sample in replay_trace(trace_path):
-            archive.append_sample(sample)
-        sidecar_path = str(trace_path) + ".segments.json"
-        try:
-            with open(sidecar_path, encoding="utf-8") as fh:
-                sidecar = json.load(fh)
-        except FileNotFoundError:
-            return archive
-        for version, records in sidecar.items():
-            for r in records:
-                archive.record_segment_stats(
-                    SegmentRecord(
-                        replica_version=version,
-                        segment_index=r["segment_index"],
-                        block_range=tuple(r["block_range"]),
-                        cluster_label=r["cluster_label"],
-                        stats=SegmentStats(
-                            mean=tuple(r["mean"]),
-                            peak=tuple(r["peak"]),
-                            duration_blocks=r["duration_blocks"],
-                        ),
-                        created_ts=r["created_ts"],
-                    )
-                )
-        return archive
 
 
 def validate_quality(

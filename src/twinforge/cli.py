@@ -45,6 +45,7 @@ from .simulate import (
     MachineState,
     PhaseInterval,
     ScenarioSpec,
+    check_seed,
     default_scenario,
     simulate_scenario,
 )
@@ -136,7 +137,9 @@ def cmd_simulate(args) -> int:
         if args.spec:
             spec = parse_scenario_file(args.spec)
         else:
-            machines = tuple(args.machines.split(",")) if args.machines else DEFAULT_MACHINES
+            machines = (
+                tuple(args.machines.split(",")) if args.machines is not None else DEFAULT_MACHINES
+            )
             spec = default_scenario(
                 seed=args.seed,
                 duration_s=args.duration,
@@ -267,6 +270,7 @@ def report_payload(report, machine: str, seed: int, threshold: float) -> dict:
 def cmd_run(args) -> int:
     try:
         grid = _parse_grid(args.grid)
+        check_seed(args.seed)
     except InvalidSpec as exc:
         return _fail(EXIT_BAD_ARGS, str(exc))
     if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
@@ -367,6 +371,10 @@ def ranking_table(replicas: list, selected: str) -> str:
 def cmd_bench(args) -> int:
     """Time run's own path without the artifact write: ingest the trace once,
     then sweep every machine with the default grid."""
+    try:
+        check_seed(args.seed)
+    except InvalidSpec as exc:
+        return _fail(EXIT_BAD_ARGS, str(exc))
     started = time.perf_counter()
     ingested = _ingest_trace(args.trace)
     if isinstance(ingested, int):

@@ -93,10 +93,6 @@ class KExceedsN(TwinForgeError):
     pass
 
 
-class DimensionMismatch(TwinForgeError):
-    pass
-
-
 class TooFewPoints(TwinForgeError):
     pass
 

@@ -46,6 +46,13 @@ DEFAULT_MACHINES = ("m1", "m2", "m3", "m4")
 MAX_SAMPLES = 2**56
 
 
+def check_seed(seed: int) -> None:
+    """A seed names one run only inside [0, 2**64): rng keys its streams on
+    the seed modulo 2**64."""
+    if not 0 <= seed < 2**64:
+        raise InvalidSpec(f"seed must be in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class PhaseInterval:
     machine: str
@@ -96,6 +103,7 @@ class ScenarioSpec:
     def _validate_scalars(self) -> None:
         """The checks that need no schedule; default_scenario runs them
         before it rounds any phase boundary."""
+        check_seed(self.seed)
         if self.sample_rate < 1:
             raise InvalidSpec("sample_rate must be >= 1")
         if not math.isfinite(self.duration_s):
@@ -257,21 +265,6 @@ class GroundTruth:
             for machine, t in self.machines.items()
         }
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        payload = json.loads(text)
-        return cls(
-            machines={
-                machine: MachineTruth(
-                    n_samples=entry["n_samples"],
-                    sample_rate=entry["sample_rate"],
-                    boundaries=tuple(entry["boundaries"]),
-                    phases=tuple(MachineState[p] for p in entry["phases"]),
-                )
-                for machine, entry in payload.items()
-            }
-        )
 
 
 def _axis_values(spec: ScenarioSpec, machine: str, channel: Channel):

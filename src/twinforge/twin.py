@@ -1,4 +1,4 @@
-"""Twin lifecycle state machine, shadowed digital state, and OEE derivation.
+"""Twin lifecycle state machine and shadowed digital state.
 
 Each TwinInstance serializes its own mutations behind a lock; snapshots are
 plain immutable values safe to hand across threads.
@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from .errors import DuplicateAssetId, InvalidAssetId, InvalidTransition, TwinNotBound
 from .wire import Channel, TelemetrySample
@@ -43,8 +43,6 @@ TRANSITIONS: dict[tuple[LifecyclePhase, LifecycleEvent], LifecyclePhase] = {
     (LifecyclePhase.Synchronized, LifecycleEvent.WorkComplete): LifecyclePhase.Done,
     (LifecyclePhase.Done, LifecycleEvent.Stop): LifecyclePhase.Stopped,
 }
-
-DEFAULT_FRESHNESS_TIMEOUT_NS = 5_000_000_000  # 5 s on the simulated clock
 
 # shadow_sample runs once per sample: it tests phases and channels by identity
 # against these constants, as enum class attribute lookups and hashes of plain
@@ -86,42 +84,12 @@ class TwinState:
 
     properties: Mapping[str, tuple[Any, int]]
     events: tuple[DigitalEvent, ...]
-    relationships: Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class OeeInputs:
-    uptime: float
-    downtime: float
-    actual_rate: float
-    ideal_rate: float
-    quality_factor: float = 1.0
-
-    def __post_init__(self):
-        if min(self.uptime, self.downtime, self.actual_rate, self.ideal_rate) < 0:
-            raise ValueError("OEE inputs must be non-negative")
-        if self.ideal_rate <= 0:
-            raise ValueError("ideal_rate must be positive")
-        if not 0.0 <= self.quality_factor <= 1.0:
-            raise ValueError("quality_factor must be in [0, 1]")
-
-
-def compute_oee(inputs: OeeInputs) -> float:
-    """Availability x Performance x Quality, each clamped to [0, 1].
-
-    A = uptime / (uptime + downtime), zero when both are zero.
-    P = min(1, actual_rate / ideal_rate) so over-ideal bursts never inflate it.
-    """
-    total = inputs.uptime + inputs.downtime
-    availability = inputs.uptime / total if total > 0 else 0.0
-    performance = min(1.0, inputs.actual_rate / inputs.ideal_rate)
-    return availability * performance * inputs.quality_factor
 
 
 class TwinInstance:
     """Lifecycle-aware digital twin of one machine."""
 
-    def __init__(self, asset_id: str, relationships: Optional[Mapping[str, str]] = None):
+    def __init__(self, asset_id: str):
         if not asset_id:
             raise InvalidAssetId("asset_id must be non-empty")
         self.asset_id = asset_id
@@ -129,7 +97,6 @@ class TwinInstance:
         self._phase = LifecyclePhase.Unbound
         self._properties: dict[str, tuple[Any, int]] = {}
         self._events: list[DigitalEvent] = []
-        self._relationships: dict[str, str] = dict(relationships or {})
 
     @property
     def phase(self) -> LifecyclePhase:
@@ -196,28 +163,12 @@ class TwinInstance:
                 )
             return True
 
-    def check_freshness(
-        self, now: int, timeout: int = DEFAULT_FRESHNESS_TIMEOUT_NS
-    ) -> Optional[LifecycleEvent]:
-        """SyncLost if Synchronized and the newest property is older than
-        timeout; None otherwise (including when nothing was shadowed yet)."""
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        with self._lock:
-            if self._phase is not LifecyclePhase.Synchronized or not self._properties:
-                return None
-            latest = max(ts for _, ts in self._properties.values())
-            if now - latest > timeout:
-                return LifecycleEvent.SyncLost
-            return None
-
     def snapshot_state(self) -> TwinState:
-        """Consistent immutable copy of properties/events/relationships."""
+        """Consistent immutable copy of properties and events."""
         with self._lock:
             return TwinState(
                 properties=dict(self._properties),
                 events=tuple(self._events),
-                relationships=dict(self._relationships),
             )
 
 
@@ -228,15 +179,13 @@ class TwinRuntime:
         self._twins: dict[str, TwinInstance] = {}
         self._lock = threading.Lock()
 
-    def create_twin(
-        self, asset_id: str, relationships: Optional[Mapping[str, str]] = None
-    ) -> TwinInstance:
+    def create_twin(self, asset_id: str) -> TwinInstance:
         if not asset_id:
             raise InvalidAssetId("asset_id must be non-empty")
         with self._lock:
             if asset_id in self._twins:
                 raise DuplicateAssetId(asset_id)
-            twin = TwinInstance(asset_id, relationships)
+            twin = TwinInstance(asset_id)
             self._twins[asset_id] = twin
             return twin
 

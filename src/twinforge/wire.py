@@ -1,8 +1,6 @@
-"""Telemetry wire format: sample type, topic scheme, line codec, trace replay.
+"""Telemetry wire format: sample type, line codec, trace replay.
 
-One sample per UTF-8 line, LF-terminated files. The topic string is a naming
-contract only; a real broker adapter can be layered on without touching
-anything downstream.
+One sample per UTF-8 line, LF-terminated files.
 """
 from __future__ import annotations
 
@@ -94,13 +92,6 @@ def _sample(asset_id, channel, ts, value, quality) -> TelemetrySample:
     _set_value(s, value)
     _set_quality(s, quality)
     return s
-
-
-def topic_for(asset_id: str, channel: Channel) -> str:
-    """Topic string "mf/<asset_id>/<channel>"."""
-    if not asset_id or "/" in asset_id:
-        raise InvalidAssetId(f"bad asset id {asset_id!r}")
-    return f"mf/{asset_id}/{Channel(channel).value}"
 
 
 def encode_sample(sample: TelemetrySample) -> str:

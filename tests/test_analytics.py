@@ -23,14 +23,12 @@ from twinforge.analytics import (
     _prefix_sums,
     _segment_costs,
     brute_force_segment,
-    kmeans_assign,
     kmeans_fit,
     pelt_segment,
     segment_stats,
     silhouette_score,
 )
 from twinforge.errors import (
-    DimensionMismatch,
     EmptyInput,
     KExceedsN,
     LengthMismatch,
@@ -312,24 +310,6 @@ class TestSharedSeeding:
         x = kmeans_inputs(1, 10, 3, "normal")
         with pytest.raises(ValueError, match="init holds 2 centroids, k=3"):
             kmeans_fit(x, 3, 1, _kmeanspp_init(x, 2, 1))
-
-
-class TestAssign:
-    def test_exact_centroid(self):
-        model = kmeans_fit(np.array([[0.0], [10.0]]), k=2, seed=0)
-        for j in range(2):
-            assert kmeans_assign(model, model.centroids[j]) == j
-
-    def test_tie_goes_to_lowest_index(self):
-        model = kmeans_fit(np.array([[0.0], [0.0], [2.0], [2.0]]), k=2, seed=0)
-        centroids = sorted(model.centroids[:, 0])
-        midpoint = np.array([(centroids[0] + centroids[1]) / 2])
-        assert kmeans_assign(model, midpoint) == 0
-
-    def test_dimension_mismatch(self):
-        model = kmeans_fit(np.zeros((4, 2)), k=2, seed=0)
-        with pytest.raises(DimensionMismatch):
-            kmeans_assign(model, np.zeros(3))
 
 
 class TestSilhouette:

@@ -23,7 +23,6 @@ from twinforge.archive import (
 )
 from twinforge.errors import (
     AxisLengthMismatch,
-    MalformedLine,
     OverlappingSegment,
     UnknownAsset,
     UnknownReplicaVersion,
@@ -348,44 +347,6 @@ class TestSegmentRecords:
         archive = Archive()
         archive.record_segment_stats(record(created_ts=1000))
         assert archive.cluster_frequency_histogram("v1-abc", (0, 10)) == {}
-
-
-class TestPersistence:
-    def test_dump_load_round_trip(self, tmp_path):
-        archive = Archive()
-        for i in range(20):
-            archive.append_sample(sample(i, asset="m1" if i % 2 else "m2", value=i / 3))
-        archive.record_segment_stats(record(block_range=(0, 5), created_ts=3))
-        archive.record_segment_stats(record(index=1, block_range=(5, 9), created_ts=7))
-        path = tmp_path / "dump.jsonl"
-        archive.dump(path)
-        loaded = Archive.load(path)
-        for asset in ("m1", "m2"):
-            assert [e.sample for e in loaded.scan(asset)] == [
-                e.sample for e in archive.scan(asset)
-            ]
-        assert loaded.segments_for("v1-abc") == archive.segments_for("v1-abc")
-        # one machine's log keeps its file order, so its dump is the trace itself
-        trace = tmp_path / "m1.jsonl"
-        channels = (Channel.accel_x, Channel.accel_y)
-        wire.write_trace(trace, [sample(i, channel=channels[i % 2], value=i / 3) for i in range(20)])
-        Archive.load(trace).dump(path)
-        assert path.read_bytes() == trace.read_bytes()
-
-    @pytest.mark.parametrize(
-        "bad, reason",
-        [(b'{"asset": "m1"}\n', "wrong key set"), (b"\xff\xfe\n", "not UTF-8")],
-    )
-    def test_load_names_the_malformed_line(self, tmp_path, bad, reason):
-        archive = Archive()
-        for i in range(4):
-            archive.append_sample(sample(i))
-        path = tmp_path / "dump.jsonl"
-        archive.dump(path)
-        lines = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(b"".join(lines[:2]) + bad + b"".join(lines[2:]))
-        with pytest.raises(MalformedLine, match=f"^line 3: .*{reason}"):
-            Archive.load(path)
 
 
 class TestProperties:

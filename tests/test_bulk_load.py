@@ -1,7 +1,7 @@
-"""Bulk loads (cli.ingest, Archive.load) keep no object per row: with
-automatic garbage collection on, they start no collection, leave the
-caller's collector state as it was, and leave no garbage; append_sample
-reuses the shared view of a tags mapping passed again unchanged."""
+"""A bulk load (cli.ingest) keeps no object per row: with automatic garbage
+collection on, it starts no collection, leaves the caller's collector state
+as it was, and leaves no garbage; append_sample reuses the shared view of a
+tags mapping passed again unchanged."""
 import gc
 from contextlib import contextmanager
 
@@ -60,35 +60,20 @@ def test_no_collection_during_ingest(trace_10k):
     assert during == 0
 
 
-def test_no_collection_during_load(trace_10k):
-    with collector(True), collections_started() as starts:
-        gc.collect()
-        del starts[:]
-        archive = Archive.load(trace_10k)
-        during = len(starts)
-    assert len(archive.scan("m1")) == 10_000
-    assert during == 0
-
-
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("load", ["ingest", "Archive.load"])
-def test_collector_state_restored(trace_10k, enabled, load):
+def test_collector_state_restored(trace_10k, enabled):
     with collector(enabled):
-        if load == "ingest":
-            ingest(replay_trace(trace_10k))
-        else:
-            Archive.load(trace_10k)
+        ingest(replay_trace(trace_10k))
         assert gc.isenabled() is enabled
 
 
-@pytest.mark.parametrize("load", ["ingest", "Archive.load"])
-def test_collector_back_on_after_malformed_line(trace_10k, tmp_path, load):
+def test_collector_back_on_after_malformed_line(trace_10k, tmp_path):
     lines = trace_10k.read_text(encoding="utf-8").splitlines(keepends=True)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(lines[:5000]) + "{not json\n" + "".join(lines[5000:]), encoding="utf-8")
     with collector(True):
         with pytest.raises(MalformedLine, match="^line 5001: "):
-            ingest(replay_trace(bad)) if load == "ingest" else Archive.load(bad)
+            ingest(replay_trace(bad))
         assert gc.isenabled()
 
 

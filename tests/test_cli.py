@@ -89,6 +89,12 @@ class TestSimulate:
              (), "end_s must be a number, got True"),
             ('{"failure_windows": [["m1", "1", 2]]}', (), "failure window start must be a number, got '1'"),
             ('{"failure_windows": [["m1", 1, null]]}', (), "failure window end must be a number, got None"),
+            # a seed outside [0, 2**64) would alias another seed's streams
+            (None, ("--seed=-1",), "seed must be in [0, 2**64), got -1"),
+            (None, ("--seed", str(2**64)), f"seed must be in [0, 2**64), got {2**64}"),
+            ('{"seed": -1}', (), "seed must be in [0, 2**64), got -1"),
+            ('{"seed": %d}' % 2**64, (), f"seed must be in [0, 2**64), got {2**64}"),
+            (None, ("--machines", ""), "bad machine id ''"),
         ],
         ids=[
             "not-json", "list", "string", "null", "short-failure-window", "string-machines", "int-machine",
@@ -97,6 +103,8 @@ class TestSimulate:
             "flag-rate-past-float", "flag-duration", "flag-duration-past-memory",
             "float-rate", "string-rate", "bool-rate", "float-seed", "bool-seed", "string-duration",
             "bool-duration", "string-start", "bool-end", "string-failure-start", "null-failure-end",
+            "flag-negative-seed", "flag-seed-2**64", "spec-negative-seed", "spec-seed-2**64",
+            "flag-empty-machines",
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, flags, reason):
@@ -107,6 +115,11 @@ class TestSimulate:
         assert run_cli("simulate", *argv, "--out", str(tmp_path / "out")) == 2
         assert_one_line_error(capsys, "invalid scenario: ", reason)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_at_either_end_of_its_range_runs(self, tmp_path, seed):
+        assert run_cli("simulate", "--seed", seed, "--duration", "1", "--machines", "m1",
+                       "--out", str(tmp_path)) == 0
 
     def test_invalid_schedule_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -183,6 +196,7 @@ MALFORMED_TRACES = {
     "int-digit-limit": b'{"asset":"m1","ch":"accel_x","ts":' + b"9" * 5000 + b',"v":0.5,"q":"good"}\n',
     "non-utf8": b'{"asset":"m\xff","ch":"accel_x","ts":2,"v":0.5,"q":"good"}\n',
     "ts-past-int64": b'{"asset":"m1","ch":"accel_x","ts":9223372036854775808,"v":0.5,"q":"good"}\n',
+    "wrong-key-set": b'{"asset": "m1"}\n',
 }
 
 
@@ -351,6 +365,12 @@ class TestRun:
         assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
                        "--threshold", threshold) == 2
         assert_one_line_error(capsys, "--threshold")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_invalid_seed_exits_2_before_ingest(self, tmp_path, capsys, seed):
+        assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
+                       f"--seed={seed}") == 2
+        assert_one_line_error(capsys, f"seed must be in [0, 2**64), got {seed}")
 
     def test_malformed_trace_exits_2(self, malformed_trace, tmp_path, capsys):
         assert run_cli("run", str(malformed_trace), "--out", str(tmp_path / "out")) == 2
@@ -556,6 +576,10 @@ class TestBench:
     def test_trace_is_a_directory_exits_2(self, tmp_path, capsys):
         assert run_cli("bench", str(tmp_path)) == 2
         assert_one_line_error(capsys, "cannot read trace")
+
+    def test_invalid_seed_exits_2_before_ingest(self, tmp_path, capsys):
+        assert run_cli("bench", str(tmp_path / "none.jsonl"), "--seed=-1") == 2
+        assert_one_line_error(capsys, "seed must be in [0, 2**64), got -1")
 
     def test_malformed_trace_exits_2(self, malformed_trace, capsys):
         assert run_cli("bench", str(malformed_trace)) == 2

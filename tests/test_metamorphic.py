@@ -1,0 +1,91 @@
+"""Whole-pipeline metamorphic invariants: `run` on a transform of a trace
+writes the same artifact bytes as on the trace itself.
+
+The trace is the default 120 s scenario at seed 42 for m1 and m2, and every
+run sweeps m1. Each transform leaves what `run --machine m1` reads unchanged
+up to a scale the pipeline normalizes away:
+- m1's lines interleaved at random with m2's, keeping m1's order;
+- every line re-serialized with its keys reversed and json.dumps' default
+  spacing, so that decode takes its json.loads path instead of the regex;
+- m1's accel values multiplied by 2**10, which is exact and which the
+  z-score normalization removes;
+- every ts shifted by +1000 s. The winner flags no anomaly on this trace, so
+  no ts reaches the artifacts.
+"""
+import json
+import random
+import re
+
+import pytest
+
+from twinforge.cli import main
+
+ARTIFACTS = ("report.json", "timeline.csv", "changepoints.txt", "anomalies.json")
+NS_PER_S = 10**9
+
+
+def run_m1(trace_text: str, out) -> dict[str, bytes]:
+    trace = out / "trace.jsonl"
+    trace.write_text(trace_text, encoding="utf-8")
+    assert main(["run", str(trace), "--machine", "m1", "--out", str(out / "run")]) == 0
+    return {name: (out / "run" / name).read_bytes() for name in ARTIFACTS}
+
+
+@pytest.fixture(scope="module")
+def trace_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("metamorphic")
+    assert main(["simulate", "--seed", "42", "--machines", "m1,m2", "--out", str(out)]) == 0
+    return (out / "trace.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@pytest.fixture(scope="module")
+def base_artifacts(trace_lines, tmp_path_factory):
+    artifacts = run_m1("".join(trace_lines), tmp_path_factory.mktemp("base"))
+    # the winner finds the schedule's three boundaries and flags nothing,
+    # which the ts shift below relies on
+    assert artifacts["changepoints.txt"] == b"110\n140\n230\n"
+    assert artifacts["anomalies.json"] == b"[]\n"
+    return artifacts
+
+
+def interleave_machines(lines):
+    m1 = [line for line in lines if '"asset":"m1"' in line]
+    m2 = [line for line in lines if '"asset":"m1"' not in line]
+    sources = [iter(m1)] * len(m1) + [iter(m2)] * len(m2)
+    random.Random(7).shuffle(sources)
+    # each machine's iterator is shared by its slots, so its order is kept
+    return [next(source) for source in sources]
+
+
+def reserialize(lines):
+    return [json.dumps(dict(reversed(json.loads(line).items()))) + "\n" for line in lines]
+
+
+_M1_ACCEL_VALUE = re.compile(r'("asset":"m1","ch":"accel_[xyz]","ts":[0-9]+,"v":)([^,]+)')
+_TS = re.compile(r'"ts":([0-9]+)')
+
+
+def scale_m1_accel(lines):
+    # repr of a float is a number the canonical form accepts, so the lines
+    # still take the regex path
+    def scaled(m):
+        return m[1] + repr(float(m[2]) * 2**10)
+
+    return [_M1_ACCEL_VALUE.sub(scaled, line) for line in lines]
+
+
+def shift_ts(lines):
+    def shifted(m):
+        return f'"ts":{int(m[1]) + 1000 * NS_PER_S}'
+
+    return [_TS.sub(shifted, line) for line in lines]
+
+
+@pytest.mark.parametrize(
+    "transform", [interleave_machines, reserialize, scale_m1_accel, shift_ts],
+    ids=lambda transform: transform.__name__,
+)
+def test_artifacts_are_invariant(trace_lines, base_artifacts, tmp_path, transform):
+    transformed = transform(trace_lines)
+    assert transformed != trace_lines
+    assert run_m1("".join(transformed), tmp_path) == base_artifacts

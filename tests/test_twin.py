@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from twinforge.errors import (
     DuplicateAssetId,
@@ -9,14 +7,11 @@ from twinforge.errors import (
     TwinNotBound,
 )
 from twinforge.twin import (
-    DEFAULT_FRESHNESS_TIMEOUT_NS,
     LifecycleEvent,
     LifecyclePhase,
     MachineState,
-    OeeInputs,
     TwinInstance,
     TwinRuntime,
-    compute_oee,
 )
 from twinforge.wire import Channel, Quality, TelemetrySample
 
@@ -35,12 +30,11 @@ def synced_twin(asset="drill-1"):
 class TestRuntime:
     def test_create_twin_starts_unbound(self):
         runtime = TwinRuntime()
-        twin = runtime.create_twin("drill-1", {"downstream": "oven-1"})
+        twin = runtime.create_twin("drill-1")
         assert twin.phase is LifecyclePhase.Unbound
         snap = twin.snapshot_state()
         assert snap.properties == {}
         assert snap.events == ()
-        assert snap.relationships == {"downstream": "oven-1"}
 
     def test_empty_id_rejected(self):
         with pytest.raises(InvalidAssetId):
@@ -160,31 +154,6 @@ class TestShadowing:
         assert twins[0].snapshot_state() == twins[1].snapshot_state()
 
 
-class TestFreshness:
-    S = 1_000_000_000
-
-    def test_sync_lost_past_timeout(self):
-        twin = synced_twin()
-        twin.shadow_sample(sample(ts=0))
-        assert (
-            twin.check_freshness(now=6 * self.S, timeout=5 * self.S)
-            is LifecycleEvent.SyncLost
-        )
-
-    def test_fresh_within_window(self):
-        twin = synced_twin()
-        twin.shadow_sample(sample(ts=4 * self.S))
-        assert twin.check_freshness(now=6 * self.S, timeout=5 * self.S) is None
-
-    def test_only_synchronized_degrades(self):
-        twin = TwinInstance("m")
-        twin.apply_lifecycle_event(LifecycleEvent.Bind)
-        assert twin.check_freshness(now=100 * self.S) is None
-
-    def test_default_timeout_is_5s(self):
-        assert DEFAULT_FRESHNESS_TIMEOUT_NS == 5 * self.S
-
-
 class TestSnapshot:
     def test_snapshot_is_isolated_from_later_mutation(self):
         twin = synced_twin()
@@ -203,50 +172,3 @@ class TestSnapshot:
             "accel_y": 7,
             "accel_z": 7,
         }
-
-
-class TestOee:
-    def test_worked_example(self):
-        assert compute_oee(OeeInputs(90, 10, 45, 50, 1.0)) == pytest.approx(0.81)
-
-    def test_zero_uptime(self):
-        assert compute_oee(OeeInputs(0, 10, 30, 50, 1.0)) == 0.0
-
-    def test_perfect_run(self):
-        assert compute_oee(OeeInputs(100, 0, 50, 50, 1.0)) == 1.0
-
-    def test_over_ideal_rate_clamped(self):
-        assert compute_oee(OeeInputs(100, 0, 80, 50, 1.0)) == 1.0
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            OeeInputs(-1, 0, 1, 1, 1.0)
-        with pytest.raises(ValueError):
-            OeeInputs(1, 0, 1, 0, 1.0)
-        with pytest.raises(ValueError):
-            OeeInputs(1, 0, 1, 1, 1.5)
-
-    @given(
-        uptime=st.floats(0, 1e6),
-        downtime=st.floats(0, 1e6),
-        actual=st.floats(0, 1e6),
-        ideal=st.floats(1e-3, 1e6),
-        q=st.floats(0, 1),
-    )
-    def test_bounds(self, uptime, downtime, actual, ideal, q):
-        value = compute_oee(OeeInputs(uptime, downtime, actual, ideal, q))
-        assert 0.0 <= value <= 1.0
-
-    @given(
-        uptime=st.floats(0, 1e6),
-        downtime=st.floats(0.001, 1e6),
-        extra=st.floats(0.001, 1e6),
-        actual=st.floats(0, 1e6),
-        ideal=st.floats(1e-3, 1e6),
-    )
-    def test_monotone_in_uptime_and_rate(self, uptime, downtime, extra, actual, ideal):
-        base = compute_oee(OeeInputs(uptime, downtime, actual, ideal, 1.0))
-        more_up = compute_oee(OeeInputs(uptime + extra, downtime, actual, ideal, 1.0))
-        more_rate = compute_oee(OeeInputs(uptime, downtime, actual + extra, ideal, 1.0))
-        assert more_up >= base - 1e-12
-        assert more_rate >= base - 1e-12

@@ -19,23 +19,8 @@ from twinforge.wire import (
     decode_sample,
     encode_sample,
     replay_trace,
-    topic_for,
     write_trace,
 )
-
-
-class TestTopic:
-    def test_format(self):
-        assert topic_for("drill-1", Channel.accel_x) == "mf/drill-1/accel_x"
-        assert topic_for("oven-1", Channel.plc_state) == "mf/oven-1/plc_state"
-
-    def test_separator_forbidden(self):
-        with pytest.raises(InvalidAssetId):
-            topic_for("a/b", Channel.accel_y)
-
-    def test_empty_id_forbidden(self):
-        with pytest.raises(InvalidAssetId):
-            topic_for("", Channel.accel_x)
 
 
 class TestEncode:
