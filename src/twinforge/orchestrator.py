@@ -40,6 +40,7 @@ from .errors import (
     TwinForgeError,
 )
 from .readiness import FeatureSeries, ReadinessConfig, run_readiness
+from .simulate import check_seed
 from .twin import DigitalEvent, LifecyclePhase, TwinInstance
 from .wire import ACCEL_CHANNELS
 
@@ -386,12 +387,14 @@ def zeroconf_run(
     silhouette, records the winner's segment records back to the archive,
     flags rare-cluster anomalies, assembles the timeline from the same
     records, and emits augmentation events to the twin when one is attached.
-    The raw sample log is never touched.
+    The raw sample log is never touched. A seed outside [0, 2**64) is
+    InvalidSpec, as it would seed k-means++ as its value modulo 2**64.
 
     Records are written only when the winner's version has none archived
     yet. A rerun of the same window is therefore idempotent, but a new window
     won by an already-archived version is silently not recorded.
     """
+    check_seed(seed)
     window = archive.query_window(WindowQuery(machine, time_range[0], time_range[1]))
     # the first accel row ends the search; the axis read skips the others
     if not any(e.sample.channel in ACCEL_CHANNELS for e in window):

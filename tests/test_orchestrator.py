@@ -490,6 +490,17 @@ class TestZeroconf:
             zeroconf_run(archive, "m1", (0, 100))
         assert str(caught.value) == "no samples for m1 in (0, 100)"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
+    def test_seed_outside_its_range_is_invalid_spec(self, small_run, seed):
+        # k-means++ would take the seed modulo 2**64: -1 would rank as
+        # 2**64 - 1 and 2**64 + 42 as 42
+        archive = small_run[3]
+        versions = archive.replica_versions()
+        with pytest.raises(InvalidSpec) as info:
+            zeroconf_run(archive, "m1", (0, 10**18), seed=seed)
+        assert str(info.value) == f"seed must be in [0, 2**64), got {seed}"
+        assert archive.replica_versions() == versions
+
     def test_master_isolation(self, small_run):
         _, _, _, archive = small_run
         before = [e.sample for e in archive.scan("m1")]

@@ -13,8 +13,9 @@ example, would be matched by json.dump and json.load.
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "twinforge"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
 # Public definitions that stay without a caller, each for one reason.
@@ -30,10 +31,11 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
-def public_definitions() -> list[tuple[str, Path, int, int]]:
-    """(name, file, first line, last line) of every public definition."""
+def public_definitions(root: Path) -> list[tuple[str, Path, int, int]]:
+    """(name, file, first line, last line) of every public definition in
+    root/src/twinforge."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted((root / "src" / "twinforge").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -48,11 +50,12 @@ def public_definitions() -> list[tuple[str, Path, int, int]]:
     return found
 
 
-def references() -> dict[str, list[tuple[Path, int]]]:
-    """Name -> (file, line) of each ast.Name or ast.Attribute of that name."""
+def references(root: Path) -> dict[str, list[tuple[Path, int]]]:
+    """Name -> (file, line) of each ast.Name or ast.Attribute of that name
+    under root's caller directories."""
     refs: dict[str, list[tuple[Path, int]]] = {}
     for directory in CALLER_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
+        for path in sorted((root / directory).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
@@ -65,13 +68,13 @@ def references() -> dict[str, list[tuple[Path, int]]]:
     return refs
 
 
-def uncalled() -> dict[str, str]:
+def uncalled(root: Path = ROOT) -> dict[str, str]:
     """Name -> "file:line" of each public definition that has no reference
     outside its own lines."""
-    refs = references()
+    refs = references(root)
     return {
-        name: f"{path.relative_to(ROOT)}:{first}"
-        for name, path, first, last in public_definitions()
+        name: f"{path.relative_to(root)}:{first}"
+        for name, path, first, last in public_definitions(root)
         if all(
             ref_path == path and first <= line <= last for ref_path, line in refs.get(name, ())
         )
@@ -86,3 +89,30 @@ def test_every_public_definition_has_a_caller():
 def test_allowed_names_are_defined_and_uncalled():
     # an entry whose definition is gone or has gained a caller is removed
     assert sorted(uncalled()) == sorted(ALLOWED)
+
+
+FUNCTION = "def f(n):\n    return f(n - 1)\n"  # its own call is not a caller
+METHOD = "class C:\n    def m(self):\n        pass\n"
+F_DEAD = {"f": "src/twinforge/m.py:1"}
+M_DEAD = {"m": "src/twinforge/m.py:2"}
+
+# (module source, caller source, what the scan must report)
+SCAN_CASES = {
+    "uncalled-function": (FUNCTION, "", F_DEAD),
+    "import-is-not-a-caller": (FUNCTION, "from twinforge.m import f\n", F_DEAD),
+    "called-from-scripts": (FUNCTION, "from twinforge.m import f\nf(3)\n", {}),
+    "uncalled-method": (METHOD, "C()\n", M_DEAD),
+    "method-called-by-attribute": (METHOD, "C().m()\n", {}),
+    "private-names-are-not-scanned": ("def _f():\n    pass\n", "", {}),
+}
+
+
+@pytest.mark.parametrize("module, caller, expected", SCAN_CASES.values(), ids=SCAN_CASES)
+def test_scan_on_a_small_tree(tmp_path, module, caller, expected):
+    package = tmp_path / "src" / "twinforge"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(module, encoding="utf-8")
+    for directory in CALLER_DIRS[1:]:
+        (tmp_path / directory).mkdir()
+    (tmp_path / "scripts" / "use.py").write_text(caller, encoding="utf-8")
+    assert uncalled(tmp_path) == expected
