@@ -16,9 +16,8 @@ over the rows appended since. A window query is two binary searches over ts.
 scan and query_window return Rows, a read-only sequence fixed at query time
 that builds each ArchiveEntry, with the public constructors, when it is read:
 an entry read back is equal to the one appended, not the same object, and its
-tags are the shared view.
-Filters are masks over the window's columns, and Rows.axis_arrays reads the
-accelerometer axes straight from the columns.
+tags are the shared view. Rows.axis_arrays reads the accelerometer axes
+straight from the columns.
 """
 from __future__ import annotations
 
@@ -186,15 +185,11 @@ class Rows(_SequenceABC):
 
 @dataclass(frozen=True)
 class WindowQuery:
-    """Sliding-window selection: [t_start, t_end) plus optional channel, tag
-    and quality filters."""
+    """Sliding-window selection: one asset's rows with t_start <= ts < t_end."""
 
     asset_id: str
     t_start: int
     t_end: int
-    channels: Optional[frozenset] = None
-    tag_filter: Optional[Mapping[str, str]] = None
-    quality_filter: Optional[frozenset] = None
 
     def __post_init__(self):
         if self.t_start >= self.t_end:
@@ -237,11 +232,11 @@ class Archive:
         self._columns: dict[str, _Columns] = {}
         self._segments: dict[str, list[SegmentRecord]] = {}
         # a row's tag id indexes _tag_views: read-only views of private
-        # copies, one per distinct hashable tag set (tuple(tags.items()) ->
-        # id in _tag_ids) and one per append of an unhashable one
+        # copies, one per distinct tag set (tuple(tags.items()) -> id in
+        # _tag_ids)
         self._tag_views: list[Mapping[str, str]] = [MappingProxyType({})]
         self._tag_ids: dict[tuple, int] = {(): 0}
-        # the caller's last hashable tags mapping, its shared view and id: a
+        # the caller's last tags mapping, its shared view and id: a
         # caller that passes one mapping again, unchanged, skips the key
         self._last_tags: Optional[Mapping[str, str]] = None
         self._last_stored = self._tag_views[0]
@@ -251,18 +246,15 @@ class Archive:
 
     def _tag_id(self, tags: Optional[Mapping[str, str]]) -> int:
         """The id of the read-only view of a tags mapping that is not the
-        last one passed, unchanged. Call with the lock held."""
+        last one passed, unchanged. An unhashable tag value raises TypeError
+        and stores nothing. Call with the lock held."""
         key = tuple(tags.items()) if tags else ()
         views = self._tag_views
-        try:
-            tag_id = self._tag_ids.get(key)
-            if tag_id is None:
-                tag_id = self._tag_ids[key] = len(views)
-                views.append(MappingProxyType(dict(key)))
-            self._last_tags, self._last_stored, self._last_id = tags, views[tag_id], tag_id
-        except TypeError:  # unhashable tag value
-            tag_id = len(views)
+        tag_id = self._tag_ids.get(key)
+        if tag_id is None:
+            tag_id = self._tag_ids[key] = len(views)
             views.append(MappingProxyType(dict(key)))
+        self._last_tags, self._last_stored, self._last_id = tags, views[tag_id], tag_id
         return tag_id
 
     def append_sample(
@@ -271,10 +263,10 @@ class Archive:
         """Append and return the per-asset sequence number (1-based).
 
         The row keeps a read-only copy of tags, so later changes to the
-        caller's mapping do not reach it. Equal tag sets share one copy; a
-        tag set with an unhashable value gets its own. A sample no column
-        can hold (a ts outside int64, a value that is no float) raises and
-        changes no column.
+        caller's mapping do not reach it. Equal tag sets share one copy. A
+        tag set with an unhashable value, or a sample no column can hold (a
+        ts outside int64, a value that is no float), raises and changes no
+        column.
         """
         with self._lock:
             stored = self._last_stored
@@ -334,7 +326,7 @@ class Archive:
 
     def _window_rows(self, cols: _Columns, t_start: int, t_end: int) -> Positions:
         """Positions of the rows with t_start <= ts < t_end in (ts, seq)
-        order: the rows a query filters. Call with the lock held."""
+        order. Call with the lock held."""
         ts, order = cols.ts, cols.ordered()
         if order is None:
             lo = bisect_left(ts, t_start)
@@ -354,40 +346,15 @@ class Archive:
             return ts[order[0]], ts[order[-1]] + 1
 
     def query_window(self, q: WindowQuery) -> Rows:
-        """All and only the matching entries, sorted by (ts, seq).
+        """All and only the window's entries, sorted by (ts, seq).
 
         The result is fixed from one consistent snapshot of the columns: an
         append concurrent with the query is either wholly visible or wholly
-        absent, never partial. Each filter is a mask over the window's
-        column of codes or tag ids.
+        absent, never partial.
         """
-        channels, qualities, tag_filter = q.channels, q.quality_filter, q.tag_filter
         with self._lock:
             cols = self._cols(q.asset_id)
-            positions = self._window_rows(cols, q.t_start, q.t_end)
-            if channels is None and qualities is None and not tag_filter:
-                return self._rows(cols, positions)
-            keep = np.ones(len(positions), dtype=bool)
-            if channels is not None:
-                codes = [c for ch, c in _CHANNEL_CODE.items() if ch in channels]
-                keep &= np.isin(_gather(cols.channel, positions), codes)
-            if qualities is not None:
-                codes = [c for q_, c in _QUALITY_CODE.items() if q_ in qualities]
-                keep &= np.isin(_gather(cols.quality, positions), codes)
-            if tag_filter:
-                tag_ids = _gather(cols.tag, positions)
-                views = self._tag_views
-                ids = [  # only the window's tag sets: unhashable ones grow with the log
-                    i
-                    for i in np.unique(tag_ids).tolist()
-                    if all(views[i].get(k) == v for k, v in tag_filter.items())
-                ]
-                keep &= np.isin(tag_ids, ids)
-        if type(positions) is range:
-            index = np.arange(positions.start, positions.stop, dtype=np.int64)
-        else:
-            index = np.frombuffer(positions, dtype=np.int64)
-        return self._rows(cols, array("q", index[keep].tobytes()))
+            return self._rows(cols, self._window_rows(cols, q.t_start, q.t_end))
 
     # -- segment records -------------------------------------------------------
 

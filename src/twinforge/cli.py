@@ -88,6 +88,41 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
+_SPEC_KEYS = ("duration_s", "failure_windows", "machines", "sample_rate", "schedule", "seed")
+_INTERVAL_KEYS = ("end_s", "machine", "start_s", "state")
+
+
+def _object(obj, keys: tuple[str, ...], what: str) -> dict:
+    """obj, a JSON object with no key but keys: a misspelt key would
+    otherwise leave its field at the default."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}; the keys are {', '.join(keys)}")
+    return obj
+
+
+def _interval(iv) -> PhaseInterval:
+    iv = _object(iv, _INTERVAL_KEYS, "a schedule interval")
+    return PhaseInterval(
+        machine=_machine_id(iv["machine"]),
+        start_s=_number("start_s", iv["start_s"]),
+        end_s=_number("end_s", iv["end_s"]),
+        state=MachineState[iv["state"]],
+    )
+
+
+def _failure_window(w) -> tuple[str, float, float]:
+    if len(w) != 3:
+        raise ValueError(f"a failure window is [machine, start, end], got {w!r}")
+    return (
+        _machine_id(w[0]),
+        _number("failure window start", w[1]),
+        _number("failure window end", w[2]),
+    )
+
+
 def parse_scenario_file(path) -> ScenarioSpec:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -96,34 +131,20 @@ def parse_scenario_file(path) -> ScenarioSpec:
             f"bad scenario file {path}: expected a JSON object, got {type(payload).__name__}"
         )
     try:
+        _object(payload, _SPEC_KEYS, "the scenario")
         machines = payload.get("machines", DEFAULT_MACHINES)
         if not isinstance(machines, (list, tuple)):  # a string would split into ids
             raise TypeError(f"machines must be a list, got {type(machines).__name__}")
-        schedule = tuple(
-            PhaseInterval(
-                machine=_machine_id(iv["machine"]),
-                start_s=_number("start_s", iv["start_s"]),
-                end_s=_number("end_s", iv["end_s"]),
-                state=MachineState[iv["state"]],
-            )
-            for iv in payload.get("schedule", [])
-        )
+        schedule = tuple(map(_interval, payload.get("schedule", [])))
         return ScenarioSpec(
             seed=_integer("seed", payload.get("seed", DEFAULT_SEED)),
             machines=tuple(machines),
             duration_s=_number("duration_s", payload.get("duration_s", DEFAULT_DURATION_S)),
             sample_rate=_integer("sample_rate", payload.get("sample_rate", DEFAULT_SAMPLE_RATE)),
             phase_schedule=schedule,
-            failure_windows=tuple(
-                (
-                    _machine_id(w[0]),
-                    _number("failure window start", w[1]),
-                    _number("failure window end", w[2]),
-                )
-                for w in payload.get("failure_windows", [])
-            ),
+            failure_windows=tuple(map(_failure_window, payload.get("failure_windows", []))),
         )
-    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"bad scenario file {path}: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -57,6 +57,7 @@ DEFAULT_GRID: dict[str, list] = {
 RANKING_RULE = "silhouette desc, segment_count asc, penalty asc, version asc"
 
 _HP_FIELDS = ("block_size", "penalty", "k")
+_GRID_NAMES = sorted({*_HP_FIELDS, *(f.name for f in fields(ReadinessConfig))})
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,17 @@ class Timeline:
 
 def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
     """Cartesian product of the grid, parameters iterated in sorted-name
-    order with values kept in their given order. Unknown parameter names are
-    treated as readiness-stage overrides. Raises InvalidSpec, naming the
-    parameter, for a value that is not a list or tuple, EmptyGrid for an empty
-    one, and InvalidSpec, naming the replica, for one HyperParams rejects."""
+    order with values kept in their given order. Names other than block_size,
+    penalty and k are readiness-stage overrides. Raises InvalidSpec, naming
+    the parameter, for a name that is neither or a value that is not a list
+    or tuple, EmptyGrid for an empty one, and InvalidSpec, naming the
+    replica, for one HyperParams rejects."""
     names = sorted(grids)
     for name in names:
+        if name not in _GRID_NAMES:
+            raise InvalidSpec(
+                f"unknown grid parameter {name!r}; the parameters are {', '.join(_GRID_NAMES)}"
+            )
         values = grids[name]
         if not isinstance(values, (list, tuple)):
             raise InvalidSpec(

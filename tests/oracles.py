@@ -221,21 +221,10 @@ def reference_kmeans_fit(
 
 
 def reference_query_window(archive, q):
-    """The library's original query_window over archive.scan: a filter over
-    the whole log in seq order, then a stable sort by ts, which gives
+    """The library's original query_window over archive.scan: a time filter
+    over the whole log in seq order, then a stable sort by ts, which gives
     (ts, seq) order."""
-    out = []
-    for entry in archive.scan(q.asset_id):
-        s = entry.sample
-        if not q.t_start <= s.ts < q.t_end:
-            continue
-        if q.channels is not None and s.channel not in q.channels:
-            continue
-        if q.quality_filter is not None and s.quality not in q.quality_filter:
-            continue
-        if q.tag_filter and any(entry.tags.get(k) != v for k, v in q.tag_filter.items()):
-            continue
-        out.append(entry)
+    out = [e for e in archive.scan(q.asset_id) if q.t_start <= e.sample.ts < q.t_end]
     out.sort(key=lambda e: e.sample.ts)
     return out
 

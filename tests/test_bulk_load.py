@@ -136,15 +136,6 @@ class TestRepeatedTags:
         assert list(second.tags) == ["b", "a"]
         assert first.tags is not second.tags
 
-    def test_unhashable_value_gets_its_own_copy_each_time(self):
-        archive = Archive()
-        tags = {"ops": ["a"]}
-        archive.append_sample(sample(1), tags)
-        archive.append_sample(sample(2), tags)
-        first, second = archive.scan("m1")
-        assert first.tags == second.tags == {"ops": ["a"]}
-        assert first.tags is not second.tags
-
     def test_no_tags_after_tags(self):
         archive = Archive()
         archive.append_sample(sample(1), {"phase": "Bound"})

@@ -60,7 +60,7 @@ class TestSimulate:
             ("[]", (), "expected a JSON object, got list"),
             ('"x"', (), "expected a JSON object, got str"),
             ("null", (), "expected a JSON object, got NoneType"),
-            ('{"failure_windows": [["m1"]]}', (), "list index out of range"),
+            ('{"failure_windows": [["m1"]]}', (), "a failure window is [machine, start, end], got ['m1']"),
             ('{"machines": "m1"}', (), "machines must be a list, got str"),
             ('{"machines": [5]}', (), "bad machine id 5"),
             ('{"machines": [["m1"]]}', (), "bad machine id ['m1']"),
@@ -95,6 +95,16 @@ class TestSimulate:
             ('{"seed": -1}', (), "seed must be in [0, 2**64), got -1"),
             ('{"seed": %d}' % 2**64, (), f"seed must be in [0, 2**64), got {2**64}"),
             (None, ("--machines", ""), "bad machine id ''"),
+            # a misspelt or extra key would leave its field at the default
+            ('{"sample_rat": 10}', (), "unknown key 'sample_rat' in the scenario; the keys are "
+             "duration_s, failure_windows, machines, sample_rate, schedule, seed"),
+            ('{"failure_window": [["m1", 1, 2]]}', (), "unknown key 'failure_window' in the scenario"),
+            ('{"schedule": [{"machine": "m1", "start_s": 0, "end_s": 4, "state": "Failure", '
+             '"colour": "red"}]}', (),
+             "unknown key 'colour' in a schedule interval; the keys are end_s, machine, start_s, state"),
+            ('{"schedule": [["m1", 0, 4, "Failure"]]}', (), "a schedule interval must be an object, got list"),
+            ('{"failure_windows": [["m1", 1, 2, 3]]}', (),
+             "a failure window is [machine, start, end], got ['m1', 1, 2, 3]"),
         ],
         ids=[
             "not-json", "list", "string", "null", "short-failure-window", "string-machines", "int-machine",
@@ -104,7 +114,8 @@ class TestSimulate:
             "float-rate", "string-rate", "bool-rate", "float-seed", "bool-seed", "string-duration",
             "bool-duration", "string-start", "bool-end", "string-failure-start", "null-failure-end",
             "flag-negative-seed", "flag-seed-2**64", "spec-negative-seed", "spec-seed-2**64",
-            "flag-empty-machines",
+            "flag-empty-machines", "misspelt-key", "singular-failure-window", "extra-interval-key",
+            "list-interval", "long-failure-window",
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, flags, reason):

@@ -11,6 +11,10 @@ up to a scale the pipeline normalizes away:
   z-score normalization removes;
 - every ts shifted by +1000 s. The winner flags no anomaly on this trace, so
   no ts reaches the artifacts.
+
+The ts shift is also run on quiet-failure traces (60 s, m1) whose winner
+flags the failure burst: there every artifact is the same except that each
+anomaly's ts moves by the shift.
 """
 import json
 import random
@@ -19,6 +23,8 @@ import re
 import pytest
 
 from twinforge.cli import main
+from twinforge.simulate import quiet_failure_scenario, simulate_scenario
+from twinforge.wire import encode_sample
 
 ARTIFACTS = ("report.json", "timeline.csv", "changepoints.txt", "anomalies.json")
 NS_PER_S = 10**9
@@ -89,3 +95,19 @@ def test_artifacts_are_invariant(trace_lines, base_artifacts, tmp_path, transfor
     transformed = transform(trace_lines)
     assert transformed != trace_lines
     assert run_m1("".join(transformed), tmp_path) == base_artifacts
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_ts_shift_moves_only_the_anomaly_ts(tmp_path, seed):
+    samples, _ = simulate_scenario(quiet_failure_scenario(seed))
+    lines = [encode_sample(s) + "\n" for s in samples]
+    base = run_m1("".join(lines), tmp_path)
+    shifted = run_m1("".join(shift_ts(lines)), tmp_path)
+    for name in ("report.json", "timeline.csv", "changepoints.txt"):
+        assert shifted[name] == base[name], name
+    anomalies = json.loads(base["anomalies.json"])
+    assert anomalies
+    for anomaly in anomalies:
+        anomaly["ts"] += 1000 * NS_PER_S
+    expected = json.dumps(anomalies, sort_keys=True, indent=1) + "\n"
+    assert shifted["anomalies.json"] == expected.encode()

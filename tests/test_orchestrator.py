@@ -65,7 +65,8 @@ def seg_record(version, index, block_range, label):
 
 # (grid, the reason its one replica is refused for)
 INVALID_REPLICAS = [
-    ({"foo": [1]}, "ReadinessConfig.__init__() got an unexpected keyword argument 'foo'"),
+    ({"foo": [1]}, "unknown grid parameter 'foo'; the parameters are block_size, gap_fill, k, "
+                   "normalize, penalty, sigma_threshold, smooth_window"),
     ({"penalty": [-1]}, "penalty must be >= 0"),
     ({"k": [0]}, "k must be an integer >= 1, got 0"),
     ({"block_size": [0]}, "block_size must be >= 1"),
@@ -147,11 +148,12 @@ class TestGrid:
     )
     def test_invalid_replica_is_invalid_spec(self, small_run, grid, reason):
         (name, values), = grid.items()
-        if isinstance(values, list):
+        if isinstance(values, list) and name in orchestrator._GRID_NAMES:
             expected = f"{reason}, in replica {{{name!r}: {values[0]!r}}}"
         else:
-            # a value that is not a list is refused by name, before any replica
-            # is spawned: a string would otherwise be one replica per character
+            # an unknown name, or a value that is not a list, is refused by
+            # name before any replica is spawned: a string would otherwise be
+            # one replica per character
             expected = reason
         for call in (lambda: spawn_replica_grid(grid),
                      lambda: zeroconf_run(small_run[3], "m1", (0, 10**18), grid=grid)):
@@ -524,8 +526,8 @@ class TestZeroconf:
         grid = {"penalty": [10, 40, 160], "k": [2, 3], "block_size": [25, 50]}
         report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18), grid=grid, seed=7)
 
-        query = WindowQuery("m1", 0, 10**18, channels=frozenset(ACCEL_CHANNELS))
-        window = [e.sample for e in archive.query_window(query)]
+        rows = archive.query_window(WindowQuery("m1", 0, 10**18))
+        window = [e.sample for e in rows if e.sample.channel in ACCEL_CHANNELS]
         expected = rank_replicas(
             [
                 replace(one_replica(window, hp, 7), replica_version=f"v{i + 1}-{hp.digest()}")
