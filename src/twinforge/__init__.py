@@ -16,7 +16,6 @@ from .archive import (
     ArchiveEntry,
     QualityReport,
     SegmentRecord,
-    SegmentStats,
     WindowQuery,
     validate_quality,
 )

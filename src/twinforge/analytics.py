@@ -1,5 +1,5 @@
 """Change-point detection (exact PELT plus a brute-force DP oracle), seeded
-K-means, silhouette scoring, and segment-statistics extraction.
+K-means and silhouette scoring.
 
 Cost model is multivariate L2: sum over dimensions of within-segment squared
 deviation from the segment mean. The objective minimized is
@@ -286,7 +286,6 @@ def brute_force_segment(features, penalty: float, min_segment: int = 2) -> Segme
 class KMeansModel:
     centroids: np.ndarray  # (k, d)
     labels: np.ndarray  # (n,)
-    inertia: float
     iterations_run: int
 
 
@@ -398,15 +397,8 @@ def kmeans_fit(
             break
 
     # settle labels against the converged centroids
-    d2 = _sq_dists(x, centroids)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return KMeansModel(
-        centroids=centroids,
-        labels=labels,
-        inertia=inertia,
-        iterations_run=iterations,
-    )
+    labels = _sq_dists(x, centroids).argmin(axis=1)
+    return KMeansModel(centroids=centroids, labels=labels, iterations_run=iterations)
 
 
 def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
@@ -491,15 +483,3 @@ def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
     out = tuple(next(score_of) if sizes.size > 1 else 0.0 for _, sizes in clusters)
     return out if lab.ndim > 1 else out[0]
 
-
-def segment_stats(features, seg: Segmentation) -> list[tuple]:
-    """Per segment of seg, its block range (a, b) with the tuples of its
-    per-axis mean and max: everything of a segment's record but its label."""
-    x = _as_matrix(features)
-    if seg.n_blocks != x.shape[0]:
-        raise LengthMismatch(f"segmentation over {seg.n_blocks} != {x.shape[0]} blocks")
-    out = []
-    for a, b in seg.segments:
-        block = x[a:b]
-        out.append(((a, b), tuple(block.mean(axis=0).tolist()), tuple(block.max(axis=0).tolist())))
-    return out

@@ -1,5 +1,5 @@
 """Versioned append-only time-series archive with tagging, window queries,
-quality validation, and segment-statistics memorization.
+quality validation, and versioned segment records.
 
 In-memory store, single logical writer per asset stream, unlimited concurrent
 readers. Each asset's rows are typed columns, one array.array each: ts
@@ -206,21 +206,13 @@ class QualityReport:
 
 
 @dataclass(frozen=True)
-class SegmentStats:
-    mean: tuple[float, float, float]
-    peak: tuple[float, float, float]
-    duration_blocks: int
-
-
-@dataclass(frozen=True)
 class SegmentRecord:
-    """One segment's archived statistics under a replica version."""
+    """One labelled segment of a replica version's segmentation."""
 
     replica_version: str
     segment_index: int
     block_range: tuple[int, int]
     cluster_label: int
-    stats: SegmentStats
     created_ts: int
 
 
@@ -236,25 +228,24 @@ class Archive:
         # _tag_ids)
         self._tag_views: list[Mapping[str, str]] = [MappingProxyType({})]
         self._tag_ids: dict[tuple, int] = {(): 0}
-        # the caller's last tags mapping, its shared view and id: a
-        # caller that passes one mapping again, unchanged, skips the key
-        self._last_tags: Optional[Mapping[str, str]] = None
+        # the last tag set's view and id: a mapping equal to it, with the
+        # same key order, skips the key
         self._last_stored = self._tag_views[0]
         self._last_id = 0
 
     # -- raw samples ---------------------------------------------------------
 
     def _tag_id(self, tags: Optional[Mapping[str, str]]) -> int:
-        """The id of the read-only view of a tags mapping that is not the
-        last one passed, unchanged. An unhashable tag value raises TypeError
-        and stores nothing. Call with the lock held."""
+        """The id of the read-only view of a tags mapping other than the
+        last tag set. An unhashable tag value raises TypeError and stores
+        nothing. Call with the lock held."""
         key = tuple(tags.items()) if tags else ()
         views = self._tag_views
         tag_id = self._tag_ids.get(key)
         if tag_id is None:
             tag_id = self._tag_ids[key] = len(views)
             views.append(MappingProxyType(dict(key)))
-        self._last_tags, self._last_stored, self._last_id = tags, views[tag_id], tag_id
+        self._last_stored, self._last_id = views[tag_id], tag_id
         return tag_id
 
     def append_sample(
@@ -270,11 +261,8 @@ class Archive:
         """
         with self._lock:
             stored = self._last_stored
-            if (
-                tags is self._last_tags
-                and tags == stored
-                and (len(tags) < 2 or list(tags) == list(stored))  # keys not reordered
-            ):
+            if tags == stored and (len(tags) < 2 or list(tags) == list(stored)):
+                # the last tag set, its keys in the same order
                 tag_id = self._last_id
             else:
                 tag_id = self._tag_id(tags)

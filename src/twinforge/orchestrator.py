@@ -6,9 +6,9 @@ events back into the twin.
 A sweep runs one fixed plan (_plan): each stage reads only part of the
 hyperparameters, so each runs once per distinct input, and the plan's last
 step builds every replica's versioned result from the shared stage outputs.
-A result's segments are its archive records, built straight from the shared
-per-segment statistics and the replica's block labels when first read; the
-timeline is derived from the same records.
+A result's segments are its archive records, built from the replica's
+segmentation and block labels when first read; the timeline is derived from
+the same records.
 """
 from __future__ import annotations
 
@@ -27,10 +27,9 @@ from .analytics import (
     check_penalty,
     kmeans_fit,
     pelt_segment,
-    segment_stats,
     silhouette_score,
 )
-from .archive import Archive, Rows, SegmentRecord, SegmentStats, WindowQuery
+from .archive import Archive, Rows, SegmentRecord, WindowQuery
 from .errors import (
     EmptyGrid,
     InvalidSpec,
@@ -111,7 +110,6 @@ class ReplicaResult:
     labels: np.ndarray
     silhouette: float
     features: FeatureSeries
-    segment_stats: list[tuple]  # segment_stats(features, segmentation), shared
     window_start_ts: int  # ts of the window's first accel sample
     per_sample_ns: int  # the window's nominal accel sample spacing
 
@@ -133,10 +131,9 @@ class ReplicaResult:
                 segment_index=i,
                 block_range=(a, b),
                 cluster_label=int(np.bincount(self.labels[a:b]).argmax()),
-                stats=SegmentStats(mean, peak, b - a),
                 created_ts=self.window_start_ts + a * block_ns,
             )
-            for i, ((a, b), mean, peak) in enumerate(self.segment_stats)
+            for i, (a, b) in enumerate(self.segmentation.segments)
         )
 
 
@@ -235,9 +232,8 @@ def _plan(window: Rows, hps: Sequence[HyperParams], seed: int) -> list[ReplicaRe
     The window's axes are read from the archive's columns once. Replicas
     with the same readiness overrides share one run_readiness call over
     their block sizes. Per block size, one lockstep pelt_segment call covers
-    every penalty, segment_stats runs once per penalty, one k-means++
-    seeding for the largest k serves kmeans_fit once per k, and one
-    silhouette_score call scores every k's labels.
+    every penalty, one k-means++ seeding for the largest k serves kmeans_fit
+    once per k, and one silhouette_score call scores every k's labels.
     Replicas share these objects, so their arrays must not be modified in
     place.
 
@@ -273,16 +269,16 @@ def _plan(window: Rows, hps: Sequence[HyperParams], seed: int) -> list[ReplicaRe
                     models.append(kmeans_fit(features.peaks, k, seed, init))
                 members = same_size
                 scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
-                segmentation_of = {}
-                for members, segmentation in zip(by_penalty.values(), segmentations):
-                    stats = segment_stats(features, segmentation)
-                    segmentation_of.update(dict.fromkeys(members, (segmentation, stats)))
+                segmentation_of = {
+                    i: segmentation
+                    for same_penalty, segmentation in zip(by_penalty.values(), segmentations)
+                    for i in same_penalty
+                }
                 for same_k, model, score in zip(by_k.values(), models, scores):
                     for i in same_k:
-                        segmentation, stats = segmentation_of[i]
                         results[i] = run_replica(
-                            hps[i], i + 1, features=features, segmentation=segmentation,
-                            segment_stats=stats, labels=model.labels, silhouette=score,
+                            hps[i], i + 1, features=features, segmentation=segmentation_of[i],
+                            labels=model.labels, silhouette=score,
                             window_start_ts=window_start_ts, per_sample_ns=per_sample_ns,
                         )
     except TwinForgeError as exc:
@@ -328,12 +324,11 @@ def flag_anomalies(
     versions = {r.replica_version for r in records}
     if len(versions) != 1:
         raise MixedVersions(f"records span versions {sorted(versions)}")
-    total_blocks = sum(r.stats.duration_blocks for r in records)
     cluster_blocks: dict[int, int] = {}
     for r in records:
-        cluster_blocks[r.cluster_label] = (
-            cluster_blocks.get(r.cluster_label, 0) + r.stats.duration_blocks
-        )
+        a, b = r.block_range
+        cluster_blocks[r.cluster_label] = cluster_blocks.get(r.cluster_label, 0) + b - a
+    total_blocks = sum(cluster_blocks.values())
     events = []
     for r in records:
         rarity = cluster_blocks[r.cluster_label] / total_blocks

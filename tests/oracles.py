@@ -174,9 +174,9 @@ def reference_kmeans_fit(
     vectors, k: int, seed: int, max_iter: int = 100, tol: float = 1e-9
 ) -> KMeansModel:
     """The library's original kmeans_fit, kept verbatim but for the
-    per-iteration inertia history it no longer returns: a full repair scan
-    every iteration and one mean per cluster. kmeans_fit must return equal
-    labels, inertia and iteration count, and centroids equal byte for
+    inertia, per iteration and final, that it no longer returns: a full
+    repair scan every iteration and one mean per cluster. kmeans_fit must
+    return equal labels and iteration count, and centroids equal byte for
     byte."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
@@ -211,13 +211,7 @@ def reference_kmeans_fit(
     # settle labels against the converged centroids
     d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return KMeansModel(
-        centroids=centroids,
-        labels=labels,
-        inertia=inertia,
-        iterations_run=iterations,
-    )
+    return KMeansModel(centroids=centroids, labels=labels, iterations_run=iterations)
 
 
 def reference_query_window(archive, q):

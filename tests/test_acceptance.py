@@ -18,7 +18,7 @@ from twinforge.analytics import (
     pelt_segment,
     silhouette_score,
 )
-from twinforge.archive import Archive, SegmentRecord, SegmentStats, WindowQuery
+from twinforge.archive import Archive, SegmentRecord, WindowQuery
 from twinforge.errors import InvalidTransition
 from twinforge.orchestrator import zeroconf_run
 from twinforge.readiness import detect_outliers, fill_gaps
@@ -339,7 +339,6 @@ def test_criterion_9_archive_properties():
                 segment_index=i,
                 block_range=(start, start + 1 + int(b * 5)),
                 cluster_label=int(c * 6),
-                stats=SegmentStats((0.0,) * 3, (0.0,) * 3, 1 + int(b * 5)),
                 created_ts=int(b * 10**6),
             )
         )

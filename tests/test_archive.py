@@ -17,7 +17,6 @@ from twinforge.archive import (
     Archive,
     ArchiveEntry,
     SegmentRecord,
-    SegmentStats,
     WindowQuery,
     validate_quality,
 )
@@ -40,11 +39,6 @@ def record(version="v1-abc", index=0, block_range=(0, 10), label=0, created_ts=0
         segment_index=index,
         block_range=block_range,
         cluster_label=label,
-        stats=SegmentStats(
-            mean=(0.0, 0.0, 0.0),
-            peak=(1.0, 1.0, 1.0),
-            duration_blocks=block_range[1] - block_range[0],
-        ),
         created_ts=created_ts,
     )
 

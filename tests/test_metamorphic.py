@@ -12,9 +12,11 @@ up to a scale the pipeline normalizes away:
 - every ts shifted by +1000 s. The winner flags no anomaly on this trace, so
   no ts reaches the artifacts.
 
-The ts shift is also run on quiet-failure traces (60 s, m1) whose winner
-flags the failure burst: there every artifact is the same except that each
-anomaly's ts moves by the shift.
+Every transform is also run on quiet-failure traces (60 s, m1) whose winner
+flags the failure burst, interleaving m1 with the m2 lines of a 60 s default
+scenario at the same seed. The other three transforms leave every artifact
+byte-identical there too; under the ts shift every artifact is the same
+except that each anomaly's ts moves by the shift.
 """
 import json
 import random
@@ -23,7 +25,7 @@ import re
 import pytest
 
 from twinforge.cli import main
-from twinforge.simulate import quiet_failure_scenario, simulate_scenario
+from twinforge.simulate import default_scenario, quiet_failure_scenario, simulate_scenario
 from twinforge.wire import encode_sample
 
 ARTIFACTS = ("report.json", "timeline.csv", "changepoints.txt", "anomalies.json")
@@ -97,16 +99,43 @@ def test_artifacts_are_invariant(trace_lines, base_artifacts, tmp_path, transfor
     assert run_m1("".join(transformed), tmp_path) == base_artifacts
 
 
-@pytest.mark.parametrize("seed", [3, 5])
-def test_ts_shift_moves_only_the_anomaly_ts(tmp_path, seed):
-    samples, _ = simulate_scenario(quiet_failure_scenario(seed))
-    lines = [encode_sample(s) + "\n" for s in samples]
-    base = run_m1("".join(lines), tmp_path)
+def encode_lines(spec):
+    samples, _ = simulate_scenario(spec)
+    return [encode_sample(s) + "\n" for s in samples]
+
+
+@pytest.fixture(scope="module", params=[3, 5])
+def quiet_failure(request, tmp_path_factory):
+    """A quiet-failure trace's seed, lines and artifacts, which flag at
+    least one anomaly."""
+    seed = request.param
+    lines = encode_lines(quiet_failure_scenario(seed))
+    artifacts = run_m1("".join(lines), tmp_path_factory.mktemp(f"quiet{seed}"))
+    assert json.loads(artifacts["anomalies.json"])
+    return seed, lines, artifacts
+
+
+@pytest.mark.parametrize(
+    "transform", [interleave_machines, reserialize, scale_m1_accel],
+    ids=lambda transform: transform.__name__,
+)
+def test_artifacts_with_anomalies_are_invariant(quiet_failure, tmp_path, transform):
+    seed, lines, base = quiet_failure
+    if transform is interleave_machines:
+        m2 = encode_lines(default_scenario(seed, duration_s=60.0, machines=("m2",)))
+        transformed = transform(lines + m2)
+    else:
+        transformed = transform(lines)
+    assert transformed != lines
+    assert run_m1("".join(transformed), tmp_path) == base
+
+
+def test_ts_shift_moves_only_the_anomaly_ts(quiet_failure, tmp_path):
+    _, lines, base = quiet_failure
     shifted = run_m1("".join(shift_ts(lines)), tmp_path)
     for name in ("report.json", "timeline.csv", "changepoints.txt"):
         assert shifted[name] == base[name], name
     anomalies = json.loads(base["anomalies.json"])
-    assert anomalies
     for anomaly in anomalies:
         anomaly["ts"] += 1000 * NS_PER_S
     expected = json.dumps(anomalies, sort_keys=True, indent=1) + "\n"

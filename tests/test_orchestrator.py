@@ -6,8 +6,8 @@ import pytest
 from conftest import archive_of
 
 from twinforge import analytics, orchestrator
-from twinforge.analytics import Segmentation, segment_stats
-from twinforge.archive import SegmentRecord, SegmentStats, WindowQuery
+from twinforge.analytics import Segmentation
+from twinforge.archive import SegmentRecord, WindowQuery
 from twinforge.errors import (
     AxisLengthMismatch,
     EmptyGrid,
@@ -54,11 +54,6 @@ def seg_record(version, index, block_range, label):
         segment_index=index,
         block_range=block_range,
         cluster_label=label,
-        stats=SegmentStats(
-            mean=(0.0,) * 3,
-            peak=(0.0,) * 3,
-            duration_blocks=block_range[1] - block_range[0],
-        ),
         created_ts=block_range[0] * 1000,
     )
 
@@ -212,7 +207,6 @@ def labelled_segments(peaks, change_points, labels):
         labels=np.array(labels),
         silhouette=0.0,
         features=FeatureSeries(peaks),
-        segment_stats=segment_stats(peaks, seg),
         window_start_ts=0,
         per_sample_ns=10**7,
     ).segments
@@ -267,9 +261,6 @@ class TestRunReplica:
         (s,) = labelled_segments(self.peaks(), (), [2] * 9)
         assert s.block_range == (0, 9)
         assert s.cluster_label == 2
-        assert s.stats.duration_blocks == 9
-        assert s.stats.mean == pytest.approx((4.0, -4.0, 0.5))
-        assert s.stats.peak == pytest.approx((8.0, -0.0, 0.5))
 
     def test_segment_takes_its_majority_label(self):
         out = labelled_segments(self.peaks(), (3,), [1, 1, 2, 0, 0, 0, 0, 1, 0])
@@ -592,11 +583,7 @@ class TestZeroconf:
         assert [k for _, k in seedings] == [max(DEFAULT_GRID["k"])] * len(DEFAULT_GRID["block_size"])
         assert len({n for n, _ in seedings}) == len(DEFAULT_GRID["block_size"])
 
-    def test_segment_stats_once_per_segmentation(self, small_run, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            orchestrator, "segment_stats", lambda *args: calls.append(args) or segment_stats(*args)
-        )
+    def test_a_sweep_labels_only_the_winners_segments(self, small_run):
         _, _, _, archive = small_run
         report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
         assert len(report.results) == 24
@@ -604,14 +591,13 @@ class TestZeroconf:
         def labelled():
             return sum("segments" in vars(r) for r in report.results)
 
-        # 2 block sizes x 3 penalties segmentations; a sweep reads only the
-        # winner's labelled segments
-        assert (len(calls), labelled()) == (6, 1)
+        # a sweep reads only the winner's labelled segments
+        assert labelled() == 1
         # reading every replica's segments, twice, labels each other one once
         first = [r.segments for r in report.results]
         assert [r.segments for r in report.results] == first
         assert all(r.segments is s for r, s in zip(report.results, first))
-        assert (len(calls), labelled()) == (6, 24)
+        assert labelled() == 24
 
     def test_timeline_reuses_the_winners_segments(self, small_run):
         _, _, _, archive = small_run
@@ -620,17 +606,13 @@ class TestZeroconf:
         assert timeline == build_timeline(winner.segments, anomalies)
         # the winner's segments are its labelled segmentation, recomputed:
         # per segment, the most frequent block label (ties to the lowest)
-        # and the per-axis mean and max of its block features
-        peaks, labels = winner.features.peaks, winner.labels.tolist()
+        labels = winner.labels.tolist()
         want = []
         for i, (a, b) in enumerate(winner.segmentation.segments):
             majority = min(set(labels[a:b]), key=lambda l: (-labels[a:b].count(l), l))
-            mean, peak = peaks[a:b].mean(axis=0).tolist(), peaks[a:b].max(axis=0).tolist()
-            want.append((i, (a, b), majority, tuple(mean), tuple(peak), b - a))
+            want.append((i, (a, b), majority))
         assert [
-            (s.segment_index, s.block_range, s.cluster_label, s.stats.mean, s.stats.peak,
-             s.stats.duration_blocks)
-            for s in winner.segments
+            (s.segment_index, s.block_range, s.cluster_label) for s in winner.segments
         ] == want
 
     def test_archived_records_are_the_winners_segments(self, small_run):
@@ -728,10 +710,11 @@ class TestZeroconf:
         _, _, _, archive = small_run
         report, _, anomalies = zeroconf_run(archive, "m1", (0, 10**18))
         records = archive.segments_for(report.selected)
-        total = sum(r.stats.duration_blocks for r in records)
+        total = sum(b - a for a, b in (r.block_range for r in records))
         freq = {}
         for r in records:
-            freq[r.cluster_label] = freq.get(r.cluster_label, 0) + r.stats.duration_blocks
+            a, b = r.block_range
+            freq[r.cluster_label] = freq.get(r.cluster_label, 0) + b - a
         flagged = {a.segment_index for a in anomalies}
         for r in records:
             rarity = freq[r.cluster_label] / total

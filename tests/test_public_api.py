@@ -1,14 +1,23 @@
-"""Every public definition in the package has a caller outside the tests.
+"""Every public definition in the package has a caller outside the tests,
+and every public field of a public dataclass has a reader.
 
-The scan parses src/twinforge/*.py and collects each public module-level
-function and class and each public method of a module-level class. Each must
-be referenced somewhere in src/, scripts/ or perfbench/, outside its own
-definition, by an ast.Name or an ast.Attribute of that name. An import is
-not a reference, so a package export alone does not keep a name alive.
+The definition scan parses src/twinforge/*.py and collects each public
+module-level function and class and each public method of a module-level
+class. Each must be referenced somewhere in src/, scripts/ or perfbench/,
+outside its own definition, by an ast.Name or an ast.Attribute of that name.
+An import is not a reference, so a package export alone does not keep a name
+alive.
 
-Blind spot: the match is by name alone, so a definition whose name equals a
-common attribute passes whoever calls it. Archive.dump and Archive.load, for
-example, would be matched by json.dump and json.load.
+The field scan collects each public annotated field of each public
+module-level dataclass. Each must be read somewhere in src/, scripts/ or
+perfbench/ by an ast.Attribute of its name. Passing it by keyword, as a
+constructor does, is no read.
+
+Blind spot: both matches are by name alone, so a definition or a field whose
+name equals a common attribute passes whoever uses that attribute.
+Archive.dump and Archive.load, for example, would be matched by json.dump and
+json.load, and a field named mean by numpy's .mean. A field that only
+dataclasses.asdict reads must be read by attribute somewhere else too.
 """
 import ast
 from pathlib import Path
@@ -24,6 +33,18 @@ ALLOWED = {
     "cluster_frequency_histogram": "an acceptance criterion tests it",
     "snapshot_state": "the twin's read API for its properties and events",
     "validate_quality": "the quality report that the run metrics still to come will call",
+}
+
+# Public dataclass fields that stay unread, each for one reason; a class name
+# stands for every field of that class.
+_TWIN_READ_API = "the twin's read API for its properties and events (snapshot_state)"
+ALLOWED_FIELDS = {
+    "KMeansModel.centroids": "the bit-exactness oracles compare fits by their centroids",
+    "ArchiveEntry.seq": "the archive's read API",
+    "ArchiveEntry.tags": "the archive's read API; perfbench writes tags",
+    "QualityReport": "the quality report that the run metrics still to come will read",
+    "TwinState": _TWIN_READ_API,
+    "DigitalEvent.payload": _TWIN_READ_API,
 }
 
 
@@ -50,20 +71,44 @@ def public_definitions(root: Path) -> list[tuple[str, Path, int, int]]:
     return found
 
 
-def references(root: Path) -> dict[str, list[tuple[Path, int]]]:
-    """Name -> (file, line) of each ast.Name or ast.Attribute of that name
-    under root's caller directories."""
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if (getattr(decorator, "id", None) or getattr(decorator, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def public_fields(root: Path) -> list[tuple[str, str, Path, int]]:
+    """(class, field, file, line) of every public annotated field of every
+    public dataclass in root/src/twinforge."""
+    found = []
+    for path in sorted((root / "src" / "twinforge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _public(node.name) and _is_dataclass(node):
+                for member in node.body:
+                    if (
+                        isinstance(member, ast.AnnAssign)
+                        and isinstance(member.target, ast.Name)
+                        and _public(member.target.id)
+                    ):
+                        found.append((node.name, member.target.id, path, member.lineno))
+    return found
+
+
+def references(root: Path, kinds=(ast.Name, ast.Attribute)) -> dict[str, list[tuple[Path, int]]]:
+    """Name -> (file, line) of each node of kinds, ast.Name or ast.Attribute,
+    of that name under root's caller directories."""
     refs: dict[str, list[tuple[Path, int]]] = {}
     for directory in CALLER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
+                if not isinstance(node, kinds):
                     continue
+                name = node.id if isinstance(node, ast.Name) else node.attr
                 refs.setdefault(name, []).append((path, node.lineno))
     return refs
 
@@ -81,6 +126,17 @@ def uncalled(root: Path = ROOT) -> dict[str, str]:
     }
 
 
+def unread(root: Path = ROOT) -> dict[str, str]:
+    """The "Class.field" -> "file:line" of each public dataclass field that
+    no ast.Attribute reads."""
+    reads = references(root, kinds=ast.Attribute)
+    return {
+        f"{cls}.{field}": f"{path.relative_to(root)}:{line}"
+        for cls, field, path, line in public_fields(root)
+        if field not in reads
+    }
+
+
 def test_every_public_definition_has_a_caller():
     dead = [f"{name} ({where})" for name, where in uncalled().items() if name not in ALLOWED]
     assert not dead, "public definitions that only tests call: " + ", ".join(dead)
@@ -89,6 +145,31 @@ def test_every_public_definition_has_a_caller():
 def test_allowed_names_are_defined_and_uncalled():
     # an entry whose definition is gone or has gained a caller is removed
     assert sorted(uncalled()) == sorted(ALLOWED)
+
+
+def allowed_fields() -> dict[str, str]:
+    """Each public dataclass field that an ALLOWED_FIELDS entry names, by
+    itself or by its class, as "Class.field" -> that entry."""
+    allowed = {}
+    for cls, field, _, _ in public_fields(ROOT):
+        name = f"{cls}.{field}"
+        entry = name if name in ALLOWED_FIELDS else cls
+        if entry in ALLOWED_FIELDS:
+            allowed[name] = entry
+    return allowed
+
+
+def test_every_public_field_is_read():
+    allowed = allowed_fields()
+    dead = [f"{name} ({where})" for name, where in unread().items() if name not in allowed]
+    assert not dead, "public fields that nobody reads: " + ", ".join(dead)
+
+
+def test_allowed_fields_are_defined_and_unread():
+    # an entry whose fields are gone or have gained a reader is removed
+    allowed = allowed_fields()
+    assert sorted(unread()) == sorted(allowed)
+    assert set(allowed.values()) == set(ALLOWED_FIELDS)
 
 
 FUNCTION = "def f(n):\n    return f(n - 1)\n"  # its own call is not a caller
@@ -107,12 +188,37 @@ SCAN_CASES = {
 }
 
 
-@pytest.mark.parametrize("module, caller, expected", SCAN_CASES.values(), ids=SCAN_CASES)
-def test_scan_on_a_small_tree(tmp_path, module, caller, expected):
-    package = tmp_path / "src" / "twinforge"
+DATACLASS = "@dataclass(frozen=True)\nclass D:\n    x: int\n    _y: int = 0\n"
+X_UNREAD = {"D.x": "src/twinforge/m.py:3"}
+
+# (module source, caller source, what the field scan must report)
+FIELD_SCAN_CASES = {
+    "unread-field": (DATACLASS, "D(1)\n", X_UNREAD),
+    "keyword-is-not-a-read": (DATACLASS, "D(x=1)\nx = 2\n", X_UNREAD),
+    "read-by-attribute": (DATACLASS, "print(D(1).x)\n", {}),
+    "plain-classes-are-not-scanned": ("class D:\n    x: int\n", "", {}),
+}
+
+
+def small_tree(root: Path, module: str, caller: str) -> Path:
+    """root with src/twinforge/m.py holding module and scripts/use.py
+    holding caller."""
+    package = root / "src" / "twinforge"
     package.mkdir(parents=True)
     (package / "m.py").write_text(module, encoding="utf-8")
     for directory in CALLER_DIRS[1:]:
-        (tmp_path / directory).mkdir()
-    (tmp_path / "scripts" / "use.py").write_text(caller, encoding="utf-8")
-    assert uncalled(tmp_path) == expected
+        (root / directory).mkdir()
+    (root / "scripts" / "use.py").write_text(caller, encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("module, caller, expected", SCAN_CASES.values(), ids=SCAN_CASES)
+def test_scan_on_a_small_tree(tmp_path, module, caller, expected):
+    assert uncalled(small_tree(tmp_path, module, caller)) == expected
+
+
+@pytest.mark.parametrize(
+    "module, caller, expected", FIELD_SCAN_CASES.values(), ids=FIELD_SCAN_CASES
+)
+def test_field_scan_on_a_small_tree(tmp_path, module, caller, expected):
+    assert unread(small_tree(tmp_path, module, caller)) == expected
