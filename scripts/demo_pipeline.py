@@ -13,7 +13,7 @@ import numpy as np
 
 from twinforge.cli import ingest, ranking_table, report_payload
 from twinforge.orchestrator import DEFAULT_RARITY_THRESHOLD, zeroconf_run
-from twinforge.readiness import ReadinessConfig, clean_axis
+from twinforge.readiness import clean_axis
 from twinforge.simulate import default_scenario, simulate_scenario
 from twinforge.wire import Channel
 
@@ -54,7 +54,7 @@ def main() -> int:
         [s.value for s in samples
          if s.asset_id == args.machine and s.channel is Channel.accel_x]
     )
-    cleaned = clean_axis(raw, ReadinessConfig())
+    cleaned = clean_axis(raw)
     with open(out / "signal.csv", "w") as fh:
         fh.write("sample,raw_x,cleaned_x\n")
         for i, (r, c) in enumerate(zip(raw.tolist(), cleaned.tolist())):

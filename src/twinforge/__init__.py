@@ -35,7 +35,6 @@ from .orchestrator import (
 )
 from .readiness import (
     FeatureSeries,
-    ReadinessConfig,
     detect_outliers,
     fill_gaps,
     rolling_max,

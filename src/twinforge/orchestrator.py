@@ -4,8 +4,9 @@ outputs, flag rare-cluster segments as anomalies, and feed augmentation
 events back into the twin.
 
 A sweep runs one fixed plan (_plan): each stage reads only part of the
-hyperparameters, so each runs once per distinct input, and the plan's last
-step builds every replica's versioned result from the shared stage outputs.
+hyperparameters (readiness, which has no settings, only the block sizes), so
+each runs once per distinct input, and the plan's last step builds every
+replica's versioned result from the shared stage outputs.
 A result's segments are its archive records, built from the replica's
 segmentation and block labels when first read; the timeline is derived from
 the same records.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -38,7 +39,7 @@ from .errors import (
     NoResults,
     TwinForgeError,
 )
-from .readiness import FeatureSeries, ReadinessConfig, run_readiness
+from .readiness import FeatureSeries, run_readiness
 from .simulate import check_seed
 from .twin import DigitalEvent, LifecyclePhase, TwinInstance
 from .wire import ACCEL_CHANNELS
@@ -55,8 +56,7 @@ DEFAULT_GRID: dict[str, list] = {
 
 RANKING_RULE = "silhouette desc, segment_count asc, penalty asc, version asc"
 
-_HP_FIELDS = ("block_size", "penalty", "k")
-_GRID_NAMES = sorted({*_HP_FIELDS, *(f.name for f in fields(ReadinessConfig))})
+_GRID_NAMES = ("block_size", "k", "penalty")
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class HyperParams:
     block_size: int = 50
     penalty: float = 40.0
     k: int = 4
-    readiness: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
         if type(self.k) is not int or self.k < 1:
@@ -76,10 +75,6 @@ class HyperParams:
             raise ValueError("block_size must be >= 1")
         if self.block_size > 2**63 - 1:  # no numpy index reaches it
             raise ValueError("block_size must be at most 2**63 - 1")
-        self.readiness_config()
-
-    def readiness_config(self) -> ReadinessConfig:
-        return ReadinessConfig(**dict(self.readiness))
 
     def canonical(self) -> str:
         return json.dumps(
@@ -87,7 +82,7 @@ class HyperParams:
                 "block_size": self.block_size,
                 "penalty": self.penalty,
                 "k": self.k,
-                "readiness": dict(self.readiness),
+                "readiness": {},  # readiness has no settings; the key keeps every digest
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -178,11 +173,10 @@ class Timeline:
 
 def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
     """Cartesian product of the grid, parameters iterated in sorted-name
-    order with values kept in their given order. Names other than block_size,
-    penalty and k are readiness-stage overrides. Raises InvalidSpec, naming
-    the parameter, for a name that is neither or a value that is not a list
-    or tuple, EmptyGrid for an empty one, and InvalidSpec, naming the
-    replica, for one HyperParams rejects."""
+    order with values kept in their given order. Raises InvalidSpec, naming
+    the parameter, for a name other than block_size, k and penalty or a value
+    that is not a list or tuple, EmptyGrid for an empty one, and InvalidSpec,
+    naming the replica, for one HyperParams rejects."""
     names = sorted(grids)
     for name in names:
         if name not in _GRID_NAMES:
@@ -200,11 +194,10 @@ def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
     out = []
     for combo in combos:
         assignment = dict(zip(names, combo))
-        fields = {k: assignment.pop(k) for k in _HP_FIELDS if k in assignment}
         try:
-            hp = HyperParams(readiness=tuple(sorted(assignment.items())), **fields)
+            hp = HyperParams(**assignment)
         except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"{exc}, in replica {dict(zip(names, combo))}") from exc
+            raise InvalidSpec(f"{exc}, in replica {assignment}") from exc
         out.append(hp)
     return out
 
@@ -229,13 +222,12 @@ def _plan(window: Rows, hps: Sequence[HyperParams], seed: int) -> list[ReplicaRe
     """The results of the replicas hps over one queried window, in order,
     versioned v1..vN; the last step per replica is run_replica.
 
-    The window's axes are read from the archive's columns once. Replicas
-    with the same readiness overrides share one run_readiness call over
-    their block sizes. Per block size, one lockstep pelt_segment call covers
-    every penalty, one k-means++ seeding for the largest k serves kmeans_fit
-    once per k, and one silhouette_score call scores every k's labels.
-    Replicas share these objects, so their arrays must not be modified in
-    place.
+    The window's axes are read from the archive's columns once, and one
+    run_readiness call cleans them for every block size. Per block size, one
+    lockstep pelt_segment call covers every penalty, one k-means++ seeding
+    for the largest k serves kmeans_fit once per k, and one silhouette_score
+    call scores every k's labels. Replicas share these objects, so their
+    arrays must not be modified in place.
 
     A TwinForgeError from a stage is re-raised under the version of the first
     replica that stage serves (members), so the first failure in plan order
@@ -247,40 +239,36 @@ def _plan(window: Rows, hps: Sequence[HyperParams], seed: int) -> list[ReplicaRe
         window_start_ts = int(ts[0])
         per_sample_ns = (int(ts[-1]) - window_start_ts) // (len(ts) - 1) if len(ts) > 1 else 0
         results: list = [None] * len(hps)
-        for same_readiness in _group(hps, members, "readiness").values():
-            members = same_readiness
-            by_size = _group(hps, same_readiness, "block_size")
-            config = hps[same_readiness[0]].readiness_config()
-            sizes = [hps[g[0]].block_size for g in by_size.values()]
-            features_by_size = run_readiness(x, y, z, config, sizes)
-            for same_size, features in zip(by_size.values(), features_by_size):
-                members = same_size
-                by_penalty = _group(hps, same_size, "penalty")
-                by_k = _group(hps, same_size, "k")
-                penalties = [hps[g[0]].penalty for g in by_penalty.values()]
-                segmentations = pelt_segment(features, penalties)
-                ks = [hps[g[0]].k for g in by_k.values()]
-                # init is passed by position, as the benchmark's tracer digests
-                # an array argument by its bytes and a keyword one by its repr
-                init = _kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), seed)
-                models = []
-                for members, k in zip(by_k.values(), ks):
-                    # a k past the block count raises KExceedsN before init is read
-                    models.append(kmeans_fit(features.peaks, k, seed, init))
-                members = same_size
-                scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
-                segmentation_of = {
-                    i: segmentation
-                    for same_penalty, segmentation in zip(by_penalty.values(), segmentations)
-                    for i in same_penalty
-                }
-                for same_k, model, score in zip(by_k.values(), models, scores):
-                    for i in same_k:
-                        results[i] = run_replica(
-                            hps[i], i + 1, features=features, segmentation=segmentation_of[i],
-                            labels=model.labels, silhouette=score,
-                            window_start_ts=window_start_ts, per_sample_ns=per_sample_ns,
-                        )
+        by_size = _group(hps, members, "block_size")
+        features_by_size = run_readiness(x, y, z, [hps[g[0]].block_size for g in by_size.values()])
+        for same_size, features in zip(by_size.values(), features_by_size):
+            members = same_size
+            by_penalty = _group(hps, same_size, "penalty")
+            by_k = _group(hps, same_size, "k")
+            penalties = [hps[g[0]].penalty for g in by_penalty.values()]
+            segmentations = pelt_segment(features, penalties)
+            ks = [hps[g[0]].k for g in by_k.values()]
+            # init is passed by position, as the benchmark's tracer digests
+            # an array argument by its bytes and a keyword one by its repr
+            init = _kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), seed)
+            models = []
+            for members, k in zip(by_k.values(), ks):
+                # a k past the block count raises KExceedsN before init is read
+                models.append(kmeans_fit(features.peaks, k, seed, init))
+            members = same_size
+            scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
+            segmentation_of = {
+                i: segmentation
+                for same_penalty, segmentation in zip(by_penalty.values(), segmentations)
+                for i in same_penalty
+            }
+            for same_k, model, score in zip(by_k.values(), models, scores):
+                for i in same_k:
+                    results[i] = run_replica(
+                        hps[i], i + 1, features=features, segmentation=segmentation_of[i],
+                        labels=model.labels, silhouette=score,
+                        window_start_ts=window_start_ts, per_sample_ns=per_sample_ns,
+                    )
     except TwinForgeError as exc:
         i = members[0]
         raise type(exc)(f"{_version(i + 1, hps[i])}: {exc}") from exc

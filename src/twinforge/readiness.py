@@ -1,15 +1,15 @@
 """Preprocessing stages: outlier removal, gap filling, smoothing,
 normalization, rolling-maximum peak extraction.
 
-All stages are pure functions on 1-D float arrays. clean_axis composes all
-but rolling_max in a fixed order; run_readiness runs it per axis, takes block
-peaks per block size and zips the three axes into block-level 3-vectors for
-segmentation and clustering.
+All stages are pure functions on 1-D float arrays. Readiness is one fixed
+pipeline with no settings: clean_axis removes 7-sigma outliers, fills them
+and missing values linearly, smooths over 5 samples and z-scores the axis;
+run_readiness runs it per axis, takes block peaks per block size and zips
+the three axes into block-level 3-vectors for segmentation and clustering.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,30 +38,6 @@ def _scale(x: np.ndarray) -> float:
 # 4 * d * 2**960) and their sums over n blocks stay below the largest float64,
 # about 2**1024, for every window of fewer than 2**31 blocks and d <= 7.
 _FEATURE_BOUND = math.ldexp(1.0, _SCALE_EXP)
-
-
-@dataclass(frozen=True)
-class ReadinessConfig:
-    sigma_threshold: float = 7.0
-    smooth_window: int = 5
-    gap_fill: str = "linear"  # or "hold"
-    normalize: bool = True
-
-    def __post_init__(self):
-        if type(self.smooth_window) is not int:  # a bool is no window
-            raise ValueError(f"smooth_window must be an integer, got {self.smooth_window!r}")
-        if type(self.sigma_threshold) is bool:
-            raise ValueError(f"sigma_threshold must be a number, got {self.sigma_threshold!r}")
-        if not 0 < self.sigma_threshold <= sys.float_info.max:  # nan, inf or an int no float holds
-            raise ValueError(
-                f"sigma_threshold must be positive and finite, got {self.sigma_threshold!r}"
-            )
-        if self.smooth_window < 1 or self.smooth_window % 2 == 0:
-            raise ValueError("smooth_window must be odd and >= 1")
-        if type(self.normalize) is not bool:
-            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
-        if self.gap_fill not in ("linear", "hold"):
-            raise ValueError(f"unknown gap_fill mode {self.gap_fill!r}")
 
 
 @dataclass(frozen=True)
@@ -109,13 +85,10 @@ def detect_outliers(series, sigma_threshold: float = 7.0) -> np.ndarray:
     return mask
 
 
-def fill_gaps(series, mask, mode: str = "linear") -> np.ndarray:
-    """Replace flagged/missing positions.
-
-    linear: interior points by interpolation between nearest valid
-    neighbours, leading/trailing by the nearest valid value. hold: carry the
-    last valid value forward (leading positions take the first valid one).
-    """
+def fill_gaps(series, mask) -> np.ndarray:
+    """Replace flagged/missing positions: interior points by linear
+    interpolation between the nearest valid neighbours, leading/trailing
+    ones by the nearest valid value."""
     x = np.asarray(series, dtype=np.float64)
     bad = np.asarray(mask, dtype=bool) | ~np.isfinite(x)
     if bad.all():
@@ -123,17 +96,9 @@ def fill_gaps(series, mask, mode: str = "linear") -> np.ndarray:
     if not bad.any():
         return x.copy()
     idx = np.arange(x.size)
-    valid = idx[~bad]
-    if mode == "linear":
-        out = x.copy()
-        out[bad] = np.interp(idx[bad], valid, x[valid])
-        return out
-    if mode == "hold":
-        # index of the most recent valid point at or before each position
-        last = np.maximum.accumulate(np.where(~bad, idx, -1))
-        last[last < 0] = valid[0]  # leading run: take first valid
-        return x[last]
-    raise ValueError(f"unknown gap_fill mode {mode!r}")
+    out = x.copy()
+    out[bad] = np.interp(idx[bad], idx[~bad], x[~bad])
+    return out
 
 
 def smooth(series, window: int) -> np.ndarray:
@@ -179,19 +144,17 @@ def rolling_max(series, block_size: int) -> np.ndarray:
     return np.maximum.reduceat(x, np.arange(0, x.size, block_size))
 
 
-def clean_axis(series, config: ReadinessConfig) -> np.ndarray:
-    """One axis through detect_outliers -> fill_gaps -> smooth ->
-    zscore_normalize (if enabled): everything of readiness but the blocks."""
-    mask = detect_outliers(series, config.sigma_threshold)
-    cleaned = smooth(fill_gaps(series, mask, config.gap_fill), config.smooth_window)
-    return zscore_normalize(cleaned) if config.normalize else cleaned
+def clean_axis(series) -> np.ndarray:
+    """One axis through detect_outliers (7 sigma) -> fill_gaps -> smooth (5
+    samples) -> zscore_normalize: everything of readiness but the blocks."""
+    mask = detect_outliers(series)
+    return zscore_normalize(smooth(fill_gaps(series, mask), 5))
 
 
 def run_readiness(
     x: Sequence[float],
     y: Sequence[float],
     z: Sequence[float],
-    config: ReadinessConfig,
     block_sizes: Sequence[int],
 ) -> tuple[FeatureSeries, ...]:
     """Full per-axis pipeline: clean_axis, then rolling_max, axes zipped into
@@ -211,7 +174,7 @@ def run_readiness(
         raise AxisLengthMismatch(f"axis lengths differ: {[a.size for a in axes]}")
     if axes[0].size == 0:
         raise EmptySeries("run_readiness needs non-empty axes")
-    cleaned = [clean_axis(axis, config) for axis in axes]
+    cleaned = [clean_axis(axis) for axis in axes]
     return tuple(
         FeatureSeries(np.column_stack([rolling_max(c, size) for c in cleaned]))
         for size in block_sizes

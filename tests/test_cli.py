@@ -344,6 +344,15 @@ class TestRun:
         assert run_cli("run", str(sim_dir / "trace.jsonl"), "--out", str(tmp_path),
                        "--grid", "{bad") == 2
 
+    @pytest.mark.parametrize("name", ["sigma_threshold", "smooth_window", "gap_fill", "normalize"])
+    def test_readiness_names_are_unknown_grid_parameters(self, tmp_path, capsys, name):
+        # readiness has no settings: a grid naming one is refused by name
+        assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
+                       "--grid", f'{{"{name}":[1]}}') == 2
+        assert_one_line_error(
+            capsys, f"unknown grid parameter {name!r}; the parameters are block_size, k, penalty"
+        )
+
     @pytest.mark.parametrize(
         "grid",
         ['[1]', '{"k":5}', '{"foo":[1]}', '{"penalty":[-1]}', '{"k":[0]}',
@@ -459,8 +468,8 @@ class TestRunIngestsOnlyItsMachine:
 class TestHugeValue:
     """One accel sample past the square root of the largest float64 is an
     outlier like any other: the run keeps the clean trace's winner and
-    warns of no overflow. Block features too large for the analytics end in
-    exit 4."""
+    warns of no overflow. A trace whose every accel value is scaled up is
+    z-scored back into ordinary features."""
 
     @pytest.mark.parametrize("value", ["1e155", "1.7e308"])
     def test_run_keeps_the_clean_winner(self, tmp_path, capsys, value):
@@ -480,9 +489,9 @@ class TestHugeValue:
         report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert report["selected"] == "v15-1039b0bb"
 
-    def test_unnormalized_features_too_large_exit_4(self, tmp_path, capsys):
-        # every accel value x 1e160: none is an outlier, and with normalize
-        # off the block peaks would overflow PELT, k-means and silhouette
+    def test_huge_trace_is_normalized_exit_0(self, tmp_path, capsys):
+        # every accel value x 1e160: none is an outlier, and readiness
+        # z-scores every axis, so the block peaks are ordinary features
         assert run_cli("simulate", "--seed", "42", "--duration", "12", "--machines", "m1",
                        "--out", str(tmp_path)) == 0
         rows = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
@@ -491,14 +500,8 @@ class TestHugeValue:
                 row["v"] *= 1e160
         (tmp_path / "huge.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
         capsys.readouterr()
-        grid = '{"normalize": [false], "k": [2]}'
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run_cli("run", str(tmp_path / "huge.jsonl"), "--grid", grid,
-                           "--out", str(tmp_path / "out"))
-            assert code == 4
-            assert_one_line_error(capsys, "pipeline error: v1-bfd34981: feature peak", "2**480")
-            # normalized, the same trace is an ordinary one
             assert run_cli("run", str(tmp_path / "huge.jsonl"), "--out", str(tmp_path / "out")) == 0
         assert capsys.readouterr().err.startswith("selected v15-1039b0bb: ")
 

@@ -60,37 +60,44 @@ def seg_record(version, index, block_range, label):
 
 # (grid, the reason its one replica is refused for)
 INVALID_REPLICAS = [
-    ({"foo": [1]}, "unknown grid parameter 'foo'; the parameters are block_size, gap_fill, k, "
-                   "normalize, penalty, sigma_threshold, smooth_window"),
+    ({"foo": [1]}, "unknown grid parameter 'foo'; the parameters are block_size, k, penalty"),
     ({"penalty": [-1]}, "penalty must be >= 0"),
     ({"k": [0]}, "k must be an integer >= 1, got 0"),
     ({"block_size": [0]}, "block_size must be >= 1"),
     ({"k": [2.5]}, "k must be an integer >= 1, got 2.5"),
     ({"block_size": [25.5]}, "block_size must be an integer, got 25.5"),
-    ({"smooth_window": [3.0]}, "smooth_window must be an integer, got 3.0"),
+    # readiness has no settings: its former overrides are unknown names
+    ({"smooth_window": [3.0]}, "unknown grid parameter 'smooth_window'; the parameters are "
+                               "block_size, k, penalty"),
     ({"block_size": [True]}, "block_size must be an integer, got True"),
     ({"penalty": ["x"]}, "'<' not supported between instances of 'str' and 'int'"),
-    ({"smooth_window": [5.0]}, "smooth_window must be an integer, got 5.0"),
+    ({"smooth_window": [5]}, "unknown grid parameter 'smooth_window'; the parameters are "
+                             "block_size, k, penalty"),
     ({"block_size": [50.0]}, "block_size must be an integer, got 50.0"),
     ({"k": [2.0]}, "k must be an integer >= 1, got 2.0"),
     ({"k": [True]}, "k must be an integer >= 1, got True"),
     ({"k": 5}, "'k' must map to a list of values, got int"),
     ({"k": "2"}, "'k' must map to a list of values, got str"),
-    ({"gap_fill": "hold"}, "'gap_fill' must map to a list of values, got str"),
+    ({"gap_fill": "hold"}, "unknown grid parameter 'gap_fill'; the parameters are "
+                           "block_size, k, penalty"),
     ({"k": {2: 1}}, "'k' must map to a list of values, got dict"),
     # nan fails every comparison and inf passes the sign check: finiteness is its own check
     ({"penalty": [float("nan")]}, "penalty must be finite, got nan"),
     ({"penalty": [float("inf")]}, "penalty must be finite, got inf"),
-    ({"sigma_threshold": [float("nan")]}, "sigma_threshold must be positive and finite, got nan"),
-    ({"sigma_threshold": [float("inf")]}, "sigma_threshold must be positive and finite, got inf"),
+    ({"sigma_threshold": [float("nan")]}, "unknown grid parameter 'sigma_threshold'; the "
+                                          "parameters are block_size, k, penalty"),
+    ({"sigma_threshold": [7.0]}, "unknown grid parameter 'sigma_threshold'; the parameters are "
+                                 "block_size, k, penalty"),
     ({"penalty": [10**400]}, f"penalty must be finite, got {10**400!r}"),
     # rolling_max indexes numpy arrays by block size
     ({"block_size": [2**63]}, "block_size must be at most 2**63 - 1"),
     # a bool is no number: True would run as 1 under another version digest
     ({"penalty": [False]}, "penalty must be a number, got False"),
     ({"penalty": [True]}, "penalty must be a number, got True"),
-    ({"sigma_threshold": [True]}, "sigma_threshold must be a number, got True"),
-    ({"sigma_threshold": [False]}, "sigma_threshold must be a number, got False"),
+    ({"normalize": [True]}, "unknown grid parameter 'normalize'; the parameters are "
+                            "block_size, k, penalty"),
+    ({"normalize": [False]}, "unknown grid parameter 'normalize'; the parameters are "
+                             "block_size, k, penalty"),
 ]
 
 
@@ -116,11 +123,6 @@ class TestGrid:
         with pytest.raises(EmptyGrid):
             spawn_replica_grid({"penalty": []})
 
-    def test_unknown_params_become_readiness_overrides(self):
-        grid = spawn_replica_grid({"smooth_window": [3], "k": [2]})
-        assert grid[0].readiness == (("smooth_window", 3),)
-        assert grid[0].readiness_config().smooth_window == 3
-
     def test_default_grid_size(self):
         assert len(spawn_replica_grid(DEFAULT_GRID)) == 3 * 4 * 2
 
@@ -129,6 +131,12 @@ class TestGrid:
         assert list(cached) == spawn_replica_grid(DEFAULT_GRID)
         fresh = [hashlib.sha256(hp.canonical().encode()).hexdigest()[:8] for hp in cached]
         assert [hp.digest() for hp in cached] == fresh
+
+    def test_canonical_form_keeps_the_empty_readiness_map(self):
+        # readiness has no settings, but its key stays in the hashed form, so
+        # the version digests of archived records and goldens do not move
+        assert HyperParams().canonical() == '{"block_size":50,"k":4,"penalty":40.0,"readiness":{}}'
+        assert HyperParams(block_size=25, k=2).digest() == "b99b1fcc"
 
     def test_digest_is_computed_once(self, monkeypatch):
         hp = HyperParams(k=3)
@@ -643,32 +651,33 @@ class TestZeroconf:
         assert [(type(p), p) for p in seen[0]] == [(type(p), p) for p in pelt_penalties]
 
     @pytest.mark.parametrize(
-        "grid, error, version",
+        "grid, t_end, error, version",
         [
             # 2 s is 8 blocks at block size 25 and 4 at 50: k = 5 fails only
             # at 50, in v22, although v13 fits every k of that block size
-            (None, KExceedsN, "v22-62596441: k=5 > n=4"),
+            (None, 10**18, KExceedsN, "v22-62596441: k=5 > n=4"),
             # v1 and v2 share one PELT call and one k-means call; the k-means
             # failure is raised under v1, the first replica that shares it
-            ({"penalty": [10.0, 160.0], "k": [5]}, KExceedsN, "v1-"),
+            ({"penalty": [10.0, 160.0], "k": [5]}, 10**18, KExceedsN, "v1-"),
             # a bad penalty or block size is refused when the grid is spawned,
             # as an InvalidSpec, which is also a ValueError
-            ({"penalty": [10.0, -1.0], "k": [2]}, ValueError, "penalty must be >= 0"),
-            # the replica whose own smooth window fails raises
-            ({"smooth_window": [3, 100001], "k": [2]}, WindowTooLarge,
-             "v2-37e4fe62: window 100001 > length 200"),
-            ({"block_size": [50, 0], "k": [2]}, ValueError, "block_size must be >= 1"),
-            # the first failure in plan order raises: the plan finishes the
-            # smooth_window=3 readiness group, where k = 5 fails in v7 at
-            # block size 50, before it cleans v2's axes with a window of 100001
-            ({"block_size": [25, 50], "smooth_window": [3, 100001], "k": [2, 5]}, KExceedsN,
-             "v7-14bfcf6b: k=5 > n=4"),
+            ({"penalty": [10.0, -1.0], "k": [2]}, 10**18, ValueError, "penalty must be >= 0"),
+            # 4 accel samples per axis are fewer than the smoothing window:
+            # the one readiness call that every block size shares fails under
+            # v1, the first replica it serves
+            ({"block_size": [25, 50], "k": [2]}, 4 * 10**7, WindowTooLarge,
+             "v1-b99b1fcc: window 5 > length 4"),
+            ({"block_size": [50, 0], "k": [2]}, 10**18, ValueError, "block_size must be >= 1"),
+            # the first failure in plan order raises: the plan finishes block
+            # size 25, where every k fits, before k = 5 fails in v4 at 50
+            ({"block_size": [25, 50], "k": [2, 5]}, 10**18, KExceedsN,
+             "v4-2147182a: k=5 > n=4"),
         ],
     )
-    def test_shared_stage_failure_is_raised_by_its_replica(self, grid, error, version):
+    def test_shared_stage_failure_is_raised_by_its_replica(self, grid, t_end, error, version):
         samples, _ = simulate_scenario(default_scenario(duration_s=2, machines=("m1",)))
         with pytest.raises(error) as info:
-            zeroconf_run(archive_of(samples), "m1", (0, 10**18), grid=grid)
+            zeroconf_run(archive_of(samples), "m1", (0, t_end), grid=grid)
         assert str(info.value).startswith(version)
 
     def test_failing_sweep_runs_its_plan_once(self, monkeypatch):

@@ -13,7 +13,6 @@ from twinforge.errors import (
 )
 from twinforge.readiness import (
     FeatureSeries,
-    ReadinessConfig,
     clean_axis,
     detect_outliers,
     fill_gaps,
@@ -86,13 +85,13 @@ class TestFillGaps:
         out = fill_gaps([np.nan, 5.0, 5.0], [True, False, False])
         assert out.tolist() == [5.0, 5.0, 5.0]
 
+    def test_trailing_takes_the_last_valid(self):
+        out = fill_gaps([1.0, 2.0, 9.0, np.nan], [False, False, True, False])
+        assert out.tolist() == [1.0, 2.0, 2.0, 2.0]
+
     def test_no_missing_is_identity(self):
         x = np.array([1.0, 2.0, 3.0])
         assert fill_gaps(x, np.zeros(3, dtype=bool)).tolist() == x.tolist()
-
-    def test_hold_mode(self):
-        out = fill_gaps([1.0, 0.0, 0.0, 4.0], [False, True, True, False], mode="hold")
-        assert out.tolist() == [1.0, 1.0, 1.0, 4.0]
 
     def test_all_missing(self):
         with pytest.raises(AllMissing):
@@ -162,9 +161,7 @@ class TestHugeValues:
         spiked[500] = 1e155
         small = x.copy()
         small[500] = 1e6  # flagged at ordinary magnitude: filled the same way
-        assert clean_axis(spiked, ReadinessConfig()).tolist() == (
-            clean_axis(small, ReadinessConfig()).tolist()
-        )
+        assert clean_axis(spiked).tolist() == clean_axis(small).tolist()
 
     @pytest.mark.parametrize("scale_exp", [500, 1000])
     def test_stages_commute_with_power_of_two_scaling(self, scale_exp):
@@ -209,7 +206,7 @@ class TestRollingMax:
 class TestPipeline:
     def test_constant_input_all_zero_features(self):
         x = np.ones(200)
-        (fs,) = run_readiness(x, x, x, ReadinessConfig(), [50])
+        (fs,) = run_readiness(x, x, x, [50])
         assert fs.peaks.shape == (4, 3)
         assert np.all(fs.peaks == 0.0)
 
@@ -220,22 +217,28 @@ class TestPipeline:
         base = np.linspace(0.0, 1.0, n)
         spiked = base.copy()
         spiked[400] = base.mean() + 10 * base.std()
-        (clean,) = run_readiness(base, base, base, ReadinessConfig(), [50])
-        (despiked,) = run_readiness(spiked, spiked, spiked, ReadinessConfig(), [50])
+        (clean,) = run_readiness(base, base, base, [50])
+        (despiked,) = run_readiness(spiked, spiked, spiked, [50])
         np.testing.assert_allclose(despiked.peaks, clean.peaks, atol=1e-9)
 
     def test_axis_length_mismatch(self):
         with pytest.raises(AxisLengthMismatch):
-            run_readiness(np.zeros(100), np.zeros(100), np.zeros(99), ReadinessConfig(), [50])
+            run_readiness(np.zeros(100), np.zeros(100), np.zeros(99), [50])
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_axes_shorter_than_the_smoothing_window_are_refused(self, n):
+        x = np.arange(n, dtype=np.float64)
+        with pytest.raises(WindowTooLarge, match=f"window 5 > length {n}"):
+            run_readiness(x, x, x, [50])
 
     def test_partial_final_block_is_kept(self):
-        (fs,) = run_readiness(np.zeros(130), np.zeros(130), np.zeros(130), ReadinessConfig(), [50])
+        (fs,) = run_readiness(np.zeros(130), np.zeros(130), np.zeros(130), [50])
         assert len(fs) == 3
 
     def test_deterministic(self):
         x = bounded_base(500, seed=5)
-        (a,) = run_readiness(x, x + 1, x - 1, ReadinessConfig(), [50])
-        (b,) = run_readiness(x, x + 1, x - 1, ReadinessConfig(), [50])
+        (a,) = run_readiness(x, x + 1, x - 1, [50])
+        (b,) = run_readiness(x, x + 1, x - 1, [50])
         assert np.array_equal(a.peaks, b.peaks)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -254,12 +257,9 @@ class TestPipeline:
         below = np.nextafter(2.0**480, 0.0)
         assert len(FeatureSeries(peaks=np.array([[below, -below, 0.0]]))) == 1
 
-    def test_unnormalized_huge_axes_are_refused(self):
+    def test_huge_axes_are_normalized_into_ordinary_features(self):
         x = bounded_base(500) * 1e160
-        with pytest.raises(FeatureOutOfRange):
-            run_readiness(x, x, x, ReadinessConfig(normalize=False), [50])
-        # normalized, the same axes are ordinary features
-        (fs,) = run_readiness(x, x, x, ReadinessConfig(), [50])
+        (fs,) = run_readiness(x, x, x, [50])
         assert np.abs(fs.peaks).max() < 10
 
 
@@ -274,31 +274,26 @@ def spiked_window_with_gaps(n=997):
 
 
 class TestSequenceForm:
-    @pytest.mark.parametrize("overrides", [{}, {"gap_fill": "hold", "normalize": False, "smooth_window": 9}])
-    def test_each_series_equals_its_single_config_call(self, overrides):
+    def test_each_series_equals_its_single_size_call(self):
         x, y, z = spiked_window_with_gaps()
-        cfg = ReadinessConfig(**overrides)
         sizes = [25, 50, 7]  # 7 does not divide n
-        many = run_readiness(x, y, z, cfg, sizes)
+        many = run_readiness(x, y, z, sizes)
         assert isinstance(many, tuple) and len(many) == 3
         for size, got in zip(sizes, many):
-            (want,) = run_readiness(x, y, z, cfg, [size])
+            (want,) = run_readiness(x, y, z, [size])
             assert np.array_equal(got.peaks, want.peaks)
 
     def test_no_block_size_rejected(self):
         x = bounded_base(200)
         with pytest.raises(ValueError, match="at least one block size"):
-            run_readiness(x, x, x, ReadinessConfig(), [])
+            run_readiness(x, x, x, [])
 
-    @pytest.mark.parametrize("overrides", [{}, {"gap_fill": "hold"}, {"normalize": False}])
-    def test_clean_axis_is_the_per_axis_prefix(self, overrides):
+    def test_clean_axis_is_the_per_axis_prefix(self):
+        # the fixed pipeline: 7-sigma outliers, linear fill, a 5-sample window, z-score
         x = spiked_window_with_gaps()[0]
-        cfg = ReadinessConfig(**overrides)
-        want = smooth(fill_gaps(x, detect_outliers(x, cfg.sigma_threshold), cfg.gap_fill), cfg.smooth_window)
-        if cfg.normalize:
-            want = zscore_normalize(want)
-        assert np.array_equal(clean_axis(x, cfg), want)
-        (fs,) = run_readiness(x, x, x, cfg, [50])
+        want = zscore_normalize(smooth(fill_gaps(x, detect_outliers(x, 7.0)), 5))
+        assert np.array_equal(clean_axis(x), want)
+        (fs,) = run_readiness(x, x, x, [50])
         assert np.array_equal(fs.peaks[:, 0], rolling_max(want, 50))
 
 
@@ -330,32 +325,3 @@ class TestSpikeRemovalGuarantee:
         assert len(zscore_normalize(x)) == 501
         assert len(rolling_max(x, 50)) == 11
 
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = ReadinessConfig()
-        assert (cfg.sigma_threshold, cfg.smooth_window) == (7.0, 5)
-        assert cfg.gap_fill == "linear" and cfg.normalize
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"sigma_threshold": 0},
-            {"smooth_window": 4},
-            {"smooth_window": 0},
-            {"gap_fill": "cubic"},
-            # a float or bool window never reaches a readiness pass
-            {"smooth_window": 5.0},
-            {"smooth_window": True},
-            # nan fails every comparison and inf passes the sign check: finiteness is its own check
-            {"sigma_threshold": float("nan")},
-            {"sigma_threshold": float("inf")},
-            {"sigma_threshold": 10**400},
-            {"normalize": ["x"]},
-            {"normalize": 0},
-            {"normalize": "false"},
-        ],
-    )
-    def test_invalid_configs(self, kwargs):
-        with pytest.raises(ValueError):
-            ReadinessConfig(**kwargs)
