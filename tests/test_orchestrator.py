@@ -164,6 +164,16 @@ class TestGrid:
                 call()
             assert str(info.value) == expected
 
+    @pytest.mark.parametrize("name", ["sigma_threshold", "smooth_window", "gap_fill", "normalize"])
+    def test_readiness_names_are_refused_beside_valid_ones(self, name):
+        # readiness has no settings: naming one refuses the whole grid, even
+        # when every other name is a parameter
+        with pytest.raises(InvalidSpec) as info:
+            spawn_replica_grid({"block_size": [25], "k": [2, 3], name: [1], "penalty": [10.0]})
+        assert str(info.value) == (
+            f"unknown grid parameter {name!r}; the parameters are block_size, k, penalty"
+        )
+
     def test_empty_value_list_is_empty_grid_in_a_sweep_too(self, small_run):
         with pytest.raises(EmptyGrid):
             zeroconf_run(small_run[3], "m1", (0, 10**18), grid={"k": []})

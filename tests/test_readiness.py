@@ -257,6 +257,16 @@ class TestPipeline:
         below = np.nextafter(2.0**480, 0.0)
         assert len(FeatureSeries(peaks=np.array([[below, -below, 0.0]]))) == 1
 
+    @pytest.mark.parametrize("magnitude_sigma, removed", [(5.0, False), (6.5, False), (7.5, True), (15.0, True)])
+    def test_clean_axis_fills_only_spikes_past_seven_sigma(self, magnitude_sigma, removed):
+        # one spike on a 3-sigma-bounded base barely moves the statistics, so
+        # it is filled exactly when it lies past the fixed 7-sigma threshold
+        spiked, (position,) = inject_spikes(bounded_base(5000, seed=3), 1, magnitude_sigma)
+        mask = np.zeros(spiked.size, dtype=bool)
+        mask[position] = removed
+        want = zscore_normalize(smooth(fill_gaps(spiked, mask), 5))
+        assert np.array_equal(clean_axis(spiked), want)
+
     def test_huge_axes_are_normalized_into_ordinary_features(self):
         x = bounded_base(500) * 1e160
         (fs,) = run_readiness(x, x, x, [50])
@@ -274,9 +284,10 @@ def spiked_window_with_gaps(n=997):
 
 
 class TestSequenceForm:
-    def test_each_series_equals_its_single_size_call(self):
+    # 7 does not divide n; 997 is the whole window and 10**6 is past it
+    @pytest.mark.parametrize("sizes", [[25, 50, 7], [997, 1, 10**6]])
+    def test_each_series_equals_its_single_size_call(self, sizes):
         x, y, z = spiked_window_with_gaps()
-        sizes = [25, 50, 7]  # 7 does not divide n
         many = run_readiness(x, y, z, sizes)
         assert isinstance(many, tuple) and len(many) == 3
         for size, got in zip(sizes, many):
@@ -288,9 +299,10 @@ class TestSequenceForm:
         with pytest.raises(ValueError, match="at least one block size"):
             run_readiness(x, x, x, [])
 
-    def test_clean_axis_is_the_per_axis_prefix(self):
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_clean_axis_is_the_per_axis_prefix(self, axis):
         # the fixed pipeline: 7-sigma outliers, linear fill, a 5-sample window, z-score
-        x = spiked_window_with_gaps()[0]
+        x = spiked_window_with_gaps()[axis]
         want = zscore_normalize(smooth(fill_gaps(x, detect_outliers(x, 7.0)), 5))
         assert np.array_equal(clean_axis(x), want)
         (fs,) = run_readiness(x, x, x, [50])
