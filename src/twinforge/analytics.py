@@ -5,7 +5,8 @@ Cost model is multivariate L2: sum over dimensions of within-segment squared
 deviation from the segment mean. The objective minimized is
 sum(segment costs) + penalty * (number of change points). Everything here is
 a pure function, and every floating-point reduction has a fixed order, so
-results are identical across runs.
+results are identical across runs. The stages take data and the values a
+sweep varies, no settings.
 
 The long-window kernels, the PELT segment costs and the k-means and
 silhouette distances, reduce over the feature axis one column at a time in
@@ -50,6 +51,9 @@ _SILHOUETTE_ROWS = 64
 
 # Steps pelt_segment advances per tile, sharing one segment-cost pass.
 _PELT_TILE = 32
+
+# Blocks per segment at least: a one-block segment costs 0 whatever the block.
+_MIN_SEGMENT = 2
 
 # Guard band on the pruning inequality: a candidate within this margin of
 # optimal is kept, so rounding noise can never prune a candidate the
@@ -162,15 +166,13 @@ def _backtrack(prev: np.ndarray, n: int) -> list[int]:
     return cps
 
 
-def pelt_segment(
-    features, penalties: Sequence[float], min_segment: int = 2
-) -> tuple[Segmentation, ...]:
+def pelt_segment(features, penalties: Sequence[float]) -> tuple[Segmentation, ...]:
     """Exact penalized segmentation via PELT.
 
     Recursion F(t) = min over admissible s of F(s) + C(s, t) + penalty, with
     candidates pruned once F(s) + C(s, t) > F(t). Because segments must be at
-    least min_segment blocks, a pruned candidate is only dropped for steps
-    past t + min_segment (the dominating split at t is not admissible
+    least _MIN_SEGMENT (2) blocks, a pruned candidate is only dropped for
+    steps past t + _MIN_SEGMENT (the dominating split at t is not admissible
     earlier); this keeps the result identical to the unpruned DP.
 
     Returns one Segmentation per penalty, in order; every penalty runs in
@@ -180,7 +182,7 @@ def pelt_segment(
     _segment_costs call builds C(s, t) for every step t of the tile and every
     start s that some penalty still holds or that the tile admits, in
     ascending order. Start 0 and starts m..t-m are admissible at step t (m is
-    min_segment), so the admissible starts are a prefix of that order. Each
+    _MIN_SEGMENT), so the admissible starts are a prefix of that order. Each
     step then moves all penalties at once as a penalties x starts array: F
     of the admissible starts plus the step's cost row, whose first minimum
     per row (the smallest s wins ties) gives F(t) and the back-pointer. A
@@ -196,9 +198,7 @@ def pelt_segment(
         raise ValueError("pelt_segment needs at least one penalty")
     for penalty in penalties:
         check_penalty(penalty)
-    if min_segment < 1:
-        raise ValueError("min_segment must be >= 1")
-    m = min_segment
+    m = _MIN_SEGMENT
     x = _as_matrix(features)
     n = x.shape[0]
     if n < m:
@@ -251,15 +251,13 @@ def pelt_segment(
     )
 
 
-def brute_force_segment(features, penalty: float, min_segment: int = 2) -> Segmentation:
+def brute_force_segment(features, penalty: float) -> Segmentation:
     """Exact optimal segmentation by full O(n^2) dynamic programming over all
     admissible last-change positions. Exactness oracle for pelt_segment."""
     check_penalty(penalty)
-    if min_segment < 1:
-        raise ValueError("min_segment must be >= 1")
     x = _as_matrix(features)
     n = x.shape[0]
-    m = min_segment
+    m = _MIN_SEGMENT
     if n < m:
         raise SeriesTooShort(f"{n} blocks < min_segment {m}")
     if n > BRUTE_FORCE_MAX_N:
@@ -288,6 +286,11 @@ class KMeansModel:
     labels: np.ndarray  # (n,)
     iterations_run: int
 
+
+# Lloyd's loop stops after _KMEANS_MAX_ITER iterations, bounding a fit's
+# cost, or once no centroid moves _KMEANS_TOL or more in an iteration.
+_KMEANS_MAX_ITER = 100
+_KMEANS_TOL = 1e-9
 
 # the k-means++ stream key of a seed, derived once per seed
 _kmeanspp_key = lru_cache(maxsize=16)(lambda seed: rng.stream_key(seed, "kmeans++"))
@@ -325,14 +328,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     return np.array(centroids)
 
 
-def kmeans_fit(
-    vectors,
-    k: int,
-    seed: int,
-    init: Optional[np.ndarray] = None,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-) -> KMeansModel:
+def kmeans_fit(vectors, k: int, seed: int, init: Optional[np.ndarray] = None) -> KMeansModel:
     """Lloyd's algorithm with k-means++ seeding, fully deterministic given
     (vectors, k, seed).
 
@@ -341,9 +337,10 @@ def kmeans_fit(
     on the seed and j, never on the number of draws, so those rows equal
     _kmeanspp_init(vectors, k, seed) and one seeding serves every k <= K.
 
-    Assignment ties break toward the lowest centroid index; an empty cluster
-    is repaired by re-seeding it on the point farthest from its assigned
-    centroid. Iterates until max centroid movement < tol or max_iter.
+    Assignment ties break toward the lowest centroid index; in index order,
+    an empty cluster j takes the point farthest from its assigned centroid
+    whose cluster keeps another member or comes after j, so none stays
+    empty. Iterates until max centroid movement < 1e-9 or 100 iterations.
 
     For d >= 2 the Lloyd step sums every cluster with one np.add.at into
     +0.0, adding rows in index order: the same additions in the same order
@@ -368,19 +365,19 @@ def kmeans_fit(
         raise ValueError(f"init holds {len(init)} centroids, k={k}")
     else:
         centroids = init[:k]
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _KMEANS_MAX_ITER + 1):
         d2 = _sq_dists(x, centroids)
         labels = d2.argmin(axis=1)
         counts = np.bincount(labels, minlength=k)
         if not counts.all():
             assigned = d2[np.arange(n), labels]
             for j in range(k):
-                if not (labels == j).any():
-                    p = int(assigned.argmax())
+                if counts[j] == 0:
+                    ok = (counts[labels] > 1) | (labels > j)
+                    p = int(np.where(ok, assigned, -np.inf).argmax())
+                    counts[labels[p]] -= 1
+                    counts[j] += 1
                     labels[p] = j
-                    assigned[p] = -1.0
-            counts = np.bincount(labels, minlength=k)
         # each row is x[labels == j].mean(axis=0) bit for bit: mean is the
         # same sum followed by a division by the count
         if d > 1:
@@ -393,7 +390,7 @@ def kmeans_fit(
         new_centroids /= counts[:, None]
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if movement < tol:
+        if movement < _KMEANS_TOL:
             break
 
     # settle labels against the converged centroids
@@ -401,17 +398,17 @@ def kmeans_fit(
     return KMeansModel(centroids=centroids, labels=labels, iterations_run=iterations)
 
 
-def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
-    """Mean silhouette in [-1, 1] (Rousseeuw 1987).
+def silhouette_score(vectors, labelings) -> tuple[float, ...]:
+    """Mean silhouette in [-1, 1] (Rousseeuw 1987) of each labeling.
 
     s_i = (b_i - a_i) / max(a_i, b_i) with a_i the mean intra-cluster
     distance and b_i the lowest mean distance to another cluster; singleton
     clusters score 0, as does a degenerate single-cluster labeling.
 
-    labels of shape (n,) returns one float; labels of shape (m, n), m
-    labelings of the same points, returns a tuple of m floats. The distance
-    matrix is built _SILHOUETTE_ROWS rows at a time and each block serves
-    every labeling, so memory is O(rows * n) plus a few n-vectors per
+    labelings of shape (m, n), m labelings of the same n points, returns a
+    tuple of m floats; an array of any other shape raises ValueError. The
+    distance matrix is built _SILHOUETTE_ROWS rows at a time and each block
+    serves every labeling, so memory is O(rows * n) plus a few n-vectors per
     labeling rather than O(n^2), and the rows are built once however many
     labelings there are; a, b and s of every labeling come from one
     labelings x rows x clusters array of row sums. Squared distances are
@@ -428,12 +425,13 @@ def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
     n = x.shape[0]
     if n < 2:
         raise TooFewPoints("silhouette needs at least 2 points")
-    lab = np.asarray(labels)
-    if lab.shape[-1] != n:
-        raise LengthMismatch(f"{lab.shape[-1]} labels for {n} points")
+    rows = np.asarray(labelings)
+    if rows.ndim != 2:
+        raise ValueError(f"labelings must be a (labelings, n) array, got shape {rows.shape}")
+    if rows.shape[1] != n:
+        raise LengthMismatch(f"{rows.shape[1]} labels for {n} points")
     # per labeling, each point's cluster index 0..k-1 and the cluster sizes;
     # labels that are 0..k-1 with every cluster present are their own index
-    rows = lab if lab.ndim > 1 else lab[None]
     dense = rows.dtype.kind == "i" and rows.size > 0 and rows.min() >= 0 and rows.max() < n
     clusters = []
     for row in rows:
@@ -480,6 +478,5 @@ def silhouette_score(vectors, labels) -> Union[float, tuple[float, ...]]:
         scores[:, lo:hi] = block
     # each row's mean is the same pairwise sum as the row's alone
     score_of = iter(scores.mean(axis=1).tolist())
-    out = tuple(next(score_of) if sizes.size > 1 else 0.0 for _, sizes in clusters)
-    return out if lab.ndim > 1 else out[0]
+    return tuple(next(score_of) if sizes.size > 1 else 0.0 for _, sizes in clusters)
 

@@ -1,11 +1,12 @@
 """Preprocessing stages: outlier removal, gap filling, smoothing,
 normalization, rolling-maximum peak extraction.
 
-All stages are pure functions on 1-D float arrays. Readiness is one fixed
-pipeline with no settings: clean_axis removes 7-sigma outliers, fills them
-and missing values linearly, smooths over 5 samples and z-scores the axis;
-run_readiness runs it per axis, takes block peaks per block size and zips
-the three axes into block-level 3-vectors for segmentation and clustering.
+All stages are pure functions on 1-D float arrays that take data, not
+settings. Readiness is one fixed pipeline: clean_axis removes 7-sigma
+outliers, fills them and missing values linearly, smooths over 5 samples
+and z-scores the axis; run_readiness runs it per axis, takes block peaks
+per block size and zips the three axes into block-level 3-vectors for
+segmentation and clustering.
 """
 from __future__ import annotations
 
@@ -60,8 +61,14 @@ class FeatureSeries:
         return self.peaks.shape[0]
 
 
-def detect_outliers(series, sigma_threshold: float = 7.0) -> np.ndarray:
-    """Mask of points strictly beyond sigma_threshold population deviations.
+# Outlier cut in population deviations, above the simulator's 6-sigma noise.
+_SIGMA_THRESHOLD = 7.0
+# Samples per moving-average window, odd so that the window is centered.
+_SMOOTH_WINDOW = 5
+
+
+def detect_outliers(series) -> np.ndarray:
+    """Mask of points strictly beyond 7 (_SIGMA_THRESHOLD) population deviations.
 
     Mean and sigma are taken over the full input, spikes included (single
     pass, reproducible); non-finite entries are excluded from the statistics
@@ -81,7 +88,7 @@ def detect_outliers(series, sigma_threshold: float = 7.0) -> np.ndarray:
     if sigma == 0.0:
         return np.zeros(x.shape, dtype=bool)
     mask = np.zeros(x.shape, dtype=bool)
-    mask[finite] = np.abs(values - mu) > sigma_threshold * sigma
+    mask[finite] = np.abs(values - mu) > _SIGMA_THRESHOLD * sigma
     return mask
 
 
@@ -101,19 +108,15 @@ def fill_gaps(series, mask) -> np.ndarray:
     return out
 
 
-def smooth(series, window: int) -> np.ndarray:
-    """Centered moving average; edges use the truncated window so length is
-    preserved."""
+def smooth(series) -> np.ndarray:
+    """Centered moving average over _SMOOTH_WINDOW (5) samples; edges use the
+    truncated window so length is preserved."""
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         raise EmptySeries("smooth needs a non-empty series")
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 1")
-    if window > x.size:
-        raise WindowTooLarge(f"window {window} > length {x.size}")
-    if window == 1:
-        return x.copy()
-    half = window // 2
+    if _SMOOTH_WINDOW > x.size:
+        raise WindowTooLarge(f"window {_SMOOTH_WINDOW} > length {x.size}")
+    half = _SMOOTH_WINDOW // 2
     scale = _scale(x)
     csum = np.concatenate(([0.0], np.cumsum(x / scale)))
     idx = np.arange(x.size)
@@ -148,7 +151,7 @@ def clean_axis(series) -> np.ndarray:
     """One axis through detect_outliers (7 sigma) -> fill_gaps -> smooth (5
     samples) -> zscore_normalize: everything of readiness but the blocks."""
     mask = detect_outliers(series)
-    return zscore_normalize(smooth(fill_gaps(series, mask), 5))
+    return zscore_normalize(smooth(fill_gaps(series, mask)))
 
 
 def run_readiness(

@@ -174,10 +174,11 @@ def reference_kmeans_fit(
     vectors, k: int, seed: int, max_iter: int = 100, tol: float = 1e-9
 ) -> KMeansModel:
     """The library's original kmeans_fit, kept verbatim but for the
-    inertia, per iteration and final, that it no longer returns: a full
-    repair scan every iteration and one mean per cluster. kmeans_fit must
-    return equal labels and iteration count, and centroids equal byte for
-    byte."""
+    inertia, per iteration and final, that it no longer returns, and for the
+    repair rule that leaves no cluster empty: a full repair scan every
+    iteration and one mean per cluster. kmeans_fit must return equal labels
+    and iteration count, and centroids equal byte for byte; max_iter stops
+    the loop early for tests of the iterations on the way."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -197,11 +198,16 @@ def reference_kmeans_fit(
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         assigned = d2[np.arange(n), labels]
+        counts = np.bincount(labels, minlength=k)
         for j in range(k):
             if not (labels == j).any():
-                p = int(assigned.argmax())
+                # only a point whose cluster keeps a member or is still to
+                # be scanned, so no cluster stays empty
+                ok = (counts[labels] > 1) | (labels > j)
+                p = int(np.where(ok, assigned, -np.inf).argmax())
+                counts[labels[p]] -= 1
+                counts[j] += 1
                 labels[p] = j
-                assigned[p] = -1.0
         new_centroids = np.vstack([x[labels == j].mean(axis=0) for j in range(k)])
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids

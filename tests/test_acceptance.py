@@ -116,7 +116,7 @@ def test_criterion_2_spike_removal():
         for axis in range(3):
             base, spiked, positions = spike_fixture(seed * 3 + axis)
             assert np.abs(base - base.mean()).max() <= 3 * base.std()
-            mask = detect_outliers(spiked, 7.0)
+            mask = detect_outliers(spiked)
             flagged = set(np.flatnonzero(mask))
             assert flagged == set(positions), "must flag all and only the spikes"
             cleaned = fill_gaps(spiked, mask)
@@ -166,7 +166,7 @@ def test_criterion_4_silhouette_matches_naive_definition():
         d = 1 + int(u[1] * 3)
         x = (u[2 : 2 + n * d].reshape(n, d) - 0.5) * 20
         labels = (u[2 + n * d : 2 + n * d + n] * (2 + int(u[3] * 4))).astype(int)
-        got = silhouette_score(x, labels)
+        (got,) = silhouette_score(x, labels[None])
         want = naive_silhouette(x.tolist(), labels.tolist())
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-9

@@ -14,6 +14,7 @@ from oracles import (
 
 import twinforge.rng as rng
 from twinforge.analytics import (
+    _MIN_SEGMENT,
     _PELT_TILE,
     _SILHOUETTE_ROWS,
     BRUTE_FORCE_MAX_N,
@@ -69,7 +70,7 @@ class TestPelt:
 
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):
-            pelt_segment(np.zeros(1), [40.0], min_segment=2)
+            pelt_segment(np.zeros(1), [40.0])
 
     @pytest.mark.parametrize(
         "penalty",
@@ -109,12 +110,6 @@ class TestPelt:
             oracle = brute_force_segment(x, beta)
             assert fast.change_points == oracle.change_points
             assert fast.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
-
-    def test_min_segment_three_matches_oracle(self):
-        for seed in range(6):
-            x = random_step_series(seed + 500)
-            (seg,) = pelt_segment(x, [2.0], min_segment=3)
-            assert seg.change_points == brute_force_segment(x, 2.0, min_segment=3).change_points
 
     def test_brute_force_size_cap(self):
         with pytest.raises(SeriesTooLong):
@@ -185,7 +180,7 @@ class TestKMeans:
             k = min(4, len(x))
             model = kmeans_fit(x, k=k, seed=seed)
             inertias = [
-                inertia(x, kmeans_fit(x, k, seed, max_iter=j))
+                inertia(x, reference_kmeans_fit(x, k, seed, max_iter=j))
                 for j in range(1, model.iterations_run + 1)
             ]
             assert inertias[-1] == inertia(x, model)
@@ -235,10 +230,6 @@ def assert_same_fit(got, want):
 
 
 class TestKMeansOracle:
-    # Fewer distinct points than k can leave a cluster empty after the
-    # repair; both versions then divide 0 by 0 (NaN centroids), and the
-    # library's mean warns about it.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", KMEANS_KINDS)
     def test_equals_reference_bit_for_bit(self, kind):
         cases = 0
@@ -252,7 +243,6 @@ class TestKMeansOracle:
                     cases += 1
         assert cases == 5 * 6 * 4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", KMEANS_KINDS)
     def test_long_inputs_equal_reference(self, kind):
         # the add.at Lloyd step (d >= 2) over clusters of hundreds of rows,
@@ -274,6 +264,16 @@ class TestKMeansOracle:
             assert_same_fit(got, reference_kmeans_fit(x, 3, seed=d))
             assert not np.signbit(got.centroids[:, d // 2]).any()
 
+    def test_repair_leaves_no_cluster_empty(self):
+        # 5 distinct points for k = 6: the repair used to take the only
+        # member of a cluster its scan had passed, leaving a 0/0 mean, a NaN
+        # centroid and every later label 0 (warnings are errors here)
+        x = [[-1, -1], [0, -1], [0, -1], [1, 1], [0, -1], [0, 1], [-1, 0], [-1, 0]]
+        got = kmeans_fit(x, 6, seed=1453)
+        assert np.isfinite(got.centroids).all()
+        assert got.iterations_run == 2
+        assert_same_fit(got, reference_kmeans_fit(x, 6, seed=1453))
+
     def test_identical_points_run_the_repair(self):
         # every k-means++ draw picks the same point, so the first assignment
         # puts everything in cluster 0 and the repair fills clusters 1..k-1
@@ -286,7 +286,6 @@ class TestSharedSeeding:
     """One k-means++ seeding for the largest k serves every smaller k: its
     first k rows are the seeding for k, so the fit is the same bit for bit."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", KMEANS_KINDS)
     def test_prefix_of_a_larger_seeding_gives_the_same_fit(self, kind):
         for d in (1, 3):
@@ -323,7 +322,7 @@ class TestSilhouette:
     def test_two_tight_pairs(self):
         x = np.array([[0.0], [0.1], [10.0], [10.1]])
         labels = [0, 0, 1, 1]
-        score = silhouette_score(x, labels)
+        (score,) = silhouette_score(x, [labels])
         # hand computation: a=0.1; b in {9.95, 10.05}
         expected = (
             (10.05 - 0.1) / 10.05
@@ -335,23 +334,24 @@ class TestSilhouette:
         assert score == pytest.approx(0.99, abs=1e-3)
 
     def test_single_cluster_is_zero(self):
-        assert silhouette_score(np.random.rand(10, 2), [1] * 10) == 0.0
+        assert silhouette_score(np.random.rand(10, 2), [[1] * 10]) == (0.0,)
 
     def test_singleton_cluster_scores_zero(self):
         x = np.array([[0.0], [0.1], [5.0]])
-        score = silhouette_score(x, [0, 0, 1])
+        (score,) = silhouette_score(x, [[0, 0, 1]])
         assert score == pytest.approx(naive_silhouette(x.tolist(), [0, 0, 1]), abs=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            silhouette_score(np.zeros((1, 1)), [0])
+            silhouette_score(np.zeros((1, 1)), [[0]])
 
     def test_in_range(self):
         key = rng.stream_key(5, "sil")
         u = rng.uniforms(key, np.arange(300, dtype=np.uint64))
         x = u.reshape(100, 3)
         labels = (u[:100] * 4).astype(int)
-        assert -1.0 <= silhouette_score(x, labels) <= 1.0
+        (score,) = silhouette_score(x, labels[None])
+        assert -1.0 <= score <= 1.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle(self, seed):
@@ -361,7 +361,7 @@ class TestSilhouette:
         d = 1 + int(u[1] * 3)
         x = (u[2 : 2 + n * d].reshape(n, d) - 0.5) * 10
         labels = (u[2 + n * d : 2 + n * d + n] * (2 + int(u[1] * 3))).astype(int)
-        got = silhouette_score(x, labels)
+        (got,) = silhouette_score(x, labels[None])
         want = naive_silhouette(x.tolist(), labels.tolist())
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -385,24 +385,26 @@ class TestSilhouetteRowBlocks:
     )
     def test_equals_per_point_loop(self, n):
         x, labels = labelled_points(n, n, 3, k=min(4, n))
-        assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels)
+        assert silhouette_score(x, labels[None]) == (reference_silhouette_loop(x, labels),)
 
     def test_uneven_clusters_with_singleton(self):
         x, labels = labelled_points(7, 2401, 3, k=5, skew=3.0)
         labels[1234] = 9  # a singleton cluster
         sizes = np.bincount(labels)
         assert sizes[9] == 1 and sizes[0] > 5 * sizes[4] > 0
-        assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels)
+        assert silhouette_score(x, labels[None]) == (reference_silhouette_loop(x, labels),)
 
     def test_one_dimensional_and_string_labels(self):
         x, labels = labelled_points(8, 600, 1, k=3)
         names = np.array(["idle", "active", "failure"])[labels]
-        assert silhouette_score(x[:, 0], names) == reference_silhouette_loop(x[:, 0], names)
+        want = reference_silhouette_loop(x[:, 0], names)
+        assert silhouette_score(x[:, 0], names[None]) == (want,)
 
     def test_single_cluster_labelling(self):
         x, _ = labelled_points(9, 2401, 3, k=1)
         labels = np.full(2401, 3)
-        assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels) == 0.0
+        assert reference_silhouette_loop(x, labels) == 0.0
+        assert silhouette_score(x, labels[None]) == (0.0,)
 
     def test_memory_stays_in_row_blocks(self):
         x, labels = labelled_points(10, 2400, 3, k=4)
@@ -433,7 +435,7 @@ class TestSilhouetteRowBlocks:
         stack = np.stack([labels, np.full(n, 3), singleton, uneven])
         got = silhouette_score(x, stack)
         assert got == tuple(reference_silhouette_loop(x, lab) for lab in stack)
-        assert got == tuple(silhouette_score(x, lab) for lab in stack)
+        assert got == tuple(silhouette_score(x, [lab])[0] for lab in stack)
         assert got[1] == 0.0
 
     @pytest.mark.parametrize("n", [20, 40, _SILHOUETTE_ROWS + 1])
@@ -447,19 +449,22 @@ class TestSilhouetteRowBlocks:
         floats = np.stack([labels / 2, gapped - 0.5, np.full(n, 1.5)])
         for stack in (ints, floats):
             got = silhouette_score(x, stack)
-            assert got == tuple(silhouette_score(x, lab) for lab in stack)
+            assert got == tuple(silhouette_score(x, [lab])[0] for lab in stack)
             for score, lab in zip(got, stack):
                 if len(set(lab.tolist())) > 1:  # the literal definition has no one-cluster case
                     want = naive_silhouette(x.tolist(), lab.tolist())
                     assert score == pytest.approx(want, abs=1e-9)
         assert silhouette_score(x, ints)[3] == silhouette_score(x, floats)[2] == 0.0
         # the same partition under other label values scores the same
-        assert silhouette_score(x, ints)[:3] == (silhouette_score(x, labels),) * 3
+        assert silhouette_score(x, ints)[:3] == silhouette_score(x, labels[None]) * 3
 
     def test_labeling_forms(self):
+        # one form: a (labelings, n) array, scored as a tuple
         x, labels = labelled_points(11, 40, 3, k=3)
-        assert silhouette_score(x, labels[None]) == (silhouette_score(x, labels),)
         assert silhouette_score(x, np.empty((0, 40), dtype=int)) == ()
+        for wrong in (labels, labels[None, None]):
+            with pytest.raises(ValueError, match=r"must be a \(labelings, n\) array"):
+                silhouette_score(x, wrong)
         with pytest.raises(LengthMismatch):
             silhouette_score(x, np.stack([labels, labels])[:, :39])
 
@@ -473,31 +478,29 @@ class TestLongWindowKernels:
     change points, total costs and silhouettes byte for byte), and stay
     within the documented oracles above that."""
 
-    @pytest.mark.parametrize("seed", range(900, 912))
+    @pytest.mark.parametrize("seed", range(900, 948))
     def test_pelt_equals_reference(self, seed):
-        # seeds 900-911 cover d = 1..5 and n from 59 to 579
+        # seeds 900-947 cover d = 1..5 and n from 28 to 589
         # one lockstep call over all PENALTIES: 0 and 1e9 prune very
         # differently, so the penalties' candidate sets diverge
         x = random_step_series(seed, max_n=600, max_d=5)
         for series in (x, np.round(x)):  # rounded: exact cost ties
-            for m in range(1, 5):
-                got = pelt_segment(series, PENALTIES, min_segment=m)
-                assert got == tuple(reference_pelt_segment(series, beta, m) for beta in PENALTIES)
-                assert got == tuple(pelt_segment(series, [beta], m)[0] for beta in PENALTIES)
-                if len(series) <= BRUTE_FORCE_MAX_N:
-                    for seg, beta in zip(got, PENALTIES):
-                        oracle = brute_force_segment(series, beta, m)
-                        assert seg.change_points == oracle.change_points
-                        # the oracle's F carries -penalty from F(0): up to
-                        # half an ulp of the penalty lost per step
-                        slack = 1e-9 + len(series) * beta * 2.0**-53
-                        assert seg.total_cost == pytest.approx(oracle.total_cost, abs=slack)
+            got = pelt_segment(series, PENALTIES)
+            assert got == tuple(reference_pelt_segment(series, beta) for beta in PENALTIES)
+            assert got == tuple(pelt_segment(series, [beta])[0] for beta in PENALTIES)
+            if len(series) <= BRUTE_FORCE_MAX_N:
+                for seg, beta in zip(got, PENALTIES):
+                    oracle = brute_force_segment(series, beta)
+                    assert seg.change_points == oracle.change_points
+                    # the oracle's F carries -penalty from F(0): up to
+                    # half an ulp of the penalty lost per step
+                    slack = 1e-9 + len(series) * beta * 2.0**-53
+                    assert seg.total_cost == pytest.approx(oracle.total_cost, abs=slack)
 
     def test_pelt_constant_series_and_minimal_length(self):
-        for m in range(1, 5):
-            for beta in PENALTIES:
-                for x in (np.full((97, 3), 2.5), np.arange(m * 3.0).reshape(m, 3)):
-                    assert pelt_segment(x, [beta], m) == (reference_pelt_segment(x, beta, m),)
+        for beta in PENALTIES:
+            for x in (np.full((97, 3), 2.5), np.arange(6.0).reshape(2, 3)):
+                assert pelt_segment(x, [beta]) == (reference_pelt_segment(x, beta),)
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_segment_costs_equal_axis_sum(self, d):
@@ -515,7 +518,7 @@ class TestLongWindowKernels:
     def test_silhouette_equals_per_point_loop(self, d, scale):
         x, labels = labelled_points(d, 700, d, k=4)
         x *= scale
-        assert silhouette_score(x, labels) == reference_silhouette_loop(x, labels)
+        assert silhouette_score(x, labels[None]) == (reference_silhouette_loop(x, labels),)
 
     @pytest.mark.parametrize("d", [8, 12])
     def test_wide_features_stay_within_oracles(self, d):
@@ -534,10 +537,11 @@ class TestLongWindowKernels:
             assert fast.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
 
 
-def tile_lengths(m):
+def tile_lengths():
     """Series lengths around the tile boundaries of pelt_segment, whose steps
-    run from m to n: one step below, at and above one and two full tiles,
-    plus the shortest series, n = m."""
+    run from m = _MIN_SEGMENT to n: one step below, at and above one and two
+    full tiles, plus the shortest series, n = m."""
+    m = _MIN_SEGMENT
     out = {m}
     for tiles in (1, 2):
         out.update(m - 1 + tiles * _PELT_TILE + d for d in (-1, 0, 1))
@@ -566,25 +570,24 @@ class TestPeltTiles:
     tiles only the starts some penalty still holds. Results at and around
     the tile boundaries must equal the original per-step code."""
 
-    @pytest.mark.parametrize("m", range(1, 5))
-    def test_lockstep_equals_reference_around_tile_boundaries(self, m):
-        for n in tile_lengths(m):
-            for name, x in tile_series(n, seed=n * 10 + m).items():
+    @pytest.mark.parametrize("rep", range(1, 5))
+    def test_lockstep_equals_reference_around_tile_boundaries(self, rep):
+        for n in tile_lengths():
+            for name, x in tile_series(n, seed=n * 10 + rep).items():
                 for penalties in PENALTY_SETS:
-                    got = pelt_segment(x, penalties, m)
-                    want = tuple(reference_pelt_segment(x, beta, m) for beta in penalties)
+                    got = pelt_segment(x, penalties)
+                    want = tuple(reference_pelt_segment(x, beta) for beta in penalties)
                     assert got == want, (n, name, penalties)
                     for beta, seg in zip(penalties, got):
-                        assert pelt_segment(x, [beta], m) == (seg,)
+                        assert pelt_segment(x, [beta]) == (seg,)
 
-
-    @pytest.mark.parametrize("m", range(1, 4))
-    def test_many_penalties_equal_reference(self, m):
+    @pytest.mark.parametrize("rep", range(1, 4))
+    def test_many_penalties_equal_reference(self, rep):
         penalties = (0.0, 0.01, 0.5, 5.0, 40.0, 160.0, 1e6)
-        for n in tile_lengths(m) + [m - 1 + 3 * _PELT_TILE]:
-            for name, x in tile_series(n, seed=n * 7 + m).items():
-                got = pelt_segment(x, penalties, m)
-                want = tuple(reference_pelt_segment(x, beta, m) for beta in penalties)
+        for n in tile_lengths() + [_MIN_SEGMENT - 1 + 3 * _PELT_TILE]:
+            for name, x in tile_series(n, seed=n * 7 + rep).items():
+                got = pelt_segment(x, penalties)
+                want = tuple(reference_pelt_segment(x, beta) for beta in penalties)
                 assert got == want, (n, name)
 
 

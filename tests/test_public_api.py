@@ -13,14 +13,25 @@ module-level dataclass. Each must be read somewhere in src/, scripts/ or
 perfbench/ by an ast.Attribute of its name. Passing it by keyword, as a
 constructor does, is no read.
 
-Blind spot: both matches are by name alone, so a definition or a field whose
-name equals a common attribute passes whoever uses that attribute.
-Archive.dump and Archive.load, for example, would be matched by json.dump and
-json.load, and a field named mean by numpy's .mean. A field that only
-dataclasses.asdict reads must be read by attribute somewhere else too.
+The knob scan collects each parameter with a default of each public function
+and method. Each must be passed at some call in src/, scripts/ or
+perfbench/, outside its own definition, to a function or method of that
+name: by keyword, by position, or by a **kwargs splat (a *args splat passes
+every positional parameter). A parameter no caller passes has one value in
+use, its default, and belongs in a module constant. A required parameter
+that every caller gives the same literal, as smooth's window once was, is
+outside the scan.
+
+Blind spot: all three matches are by name alone, so a definition, a field
+or a parameter whose name equals a common attribute passes whoever uses that
+attribute. Archive.dump and Archive.load, for example, would be matched by
+json.dump and json.load, and a field named mean by numpy's .mean. A field
+that only dataclasses.asdict reads must be read by attribute somewhere else
+too.
 """
 import ast
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -46,6 +57,11 @@ ALLOWED_FIELDS = {
     "TwinState": _TWIN_READ_API,
     "DigitalEvent.payload": _TWIN_READ_API,
 }
+
+
+# Defaulted parameters that no caller passes, "function.parameter" -> the
+# one reason each stays.
+ALLOWED_KNOBS: dict[str, str] = {}
 
 
 def _public(name: str) -> bool:
@@ -113,6 +129,67 @@ def references(root: Path, kinds=(ast.Name, ast.Attribute)) -> dict[str, list[tu
     return refs
 
 
+def defaulted_parameters(root: Path) -> list[tuple[str, str, Optional[int], Path, int, int]]:
+    """(function, parameter, position or None for keyword-only, file, first
+    line, last line) of each defaulted parameter of each public function and
+    method in root/src/twinforge. A method's position counts from the
+    argument after self, as a call by attribute passes them."""
+    found = []
+    for path in sorted((root / "src" / "twinforge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = [(node, 0) for node in tree.body]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                functions += [(member, 1) for member in node.body]  # skip self
+        for node, skip in functions:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not _public(node.name):
+                continue
+            args = node.args
+            positional = (args.posonlyargs + args.args)[skip:]
+            where = (path, node.lineno, node.end_lineno)
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                found.append((node.name, positional[index].arg, index, *where))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((node.name, arg.arg, None, *where))
+    return found
+
+
+def _passes(call: ast.Call, parameter: str, position: Optional[int]) -> bool:
+    """Whether call gives parameter, at position if it is positional."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unset_knobs(root: Path = ROOT) -> dict[str, str]:
+    """The "function.parameter" -> "file:line" of each defaulted parameter of
+    a public function or method that no call outside its own definition
+    passes."""
+    calls: dict[str, list[tuple[ast.Call, Path]]] = {}
+    for directory in CALLER_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append((node, path))
+    return {
+        f"{function}.{parameter}": f"{path.relative_to(root)}:{first}"
+        for function, parameter, position, path, first, last in defaulted_parameters(root)
+        if not any(
+            _passes(call, parameter, position)
+            for call, call_path in calls.get(function, ())
+            if not (call_path == path and first <= call.lineno <= last)
+        )
+    }
+
+
 def uncalled(root: Path = ROOT) -> dict[str, str]:
     """Name -> "file:line" of each public definition that has no reference
     outside its own lines."""
@@ -145,6 +222,18 @@ def test_every_public_definition_has_a_caller():
 def test_allowed_names_are_defined_and_uncalled():
     # an entry whose definition is gone or has gained a caller is removed
     assert sorted(uncalled()) == sorted(ALLOWED)
+
+
+def test_every_defaulted_parameter_is_passed():
+    knobs = [
+        f"{name} ({where})" for name, where in unset_knobs().items() if name not in ALLOWED_KNOBS
+    ]
+    assert not knobs, "parameters that no caller sets, one value in use: " + ", ".join(knobs)
+
+
+def test_allowed_knobs_are_defined_and_unset():
+    # an entry whose parameter is gone or has gained a caller is removed
+    assert sorted(unset_knobs()) == sorted(ALLOWED_KNOBS)
 
 
 def allowed_fields() -> dict[str, str]:
@@ -222,3 +311,30 @@ def test_scan_on_a_small_tree(tmp_path, module, caller, expected):
 )
 def test_field_scan_on_a_small_tree(tmp_path, module, caller, expected):
     assert unread(small_tree(tmp_path, module, caller)) == expected
+
+
+KNOB = "def f(x, knob=1):\n    return f(x, knob)\n"  # its own call is not a caller
+KNOB_UNSET = {"f.knob": "src/twinforge/m.py:1"}
+METHOD_KNOB = "class C:\n    def m(self, knob=1):\n        pass\n"
+
+# (module source, caller source, what the knob scan must report)
+KNOB_SCAN_CASES = {
+    "unset-knob": (KNOB, "f(1)\n", KNOB_UNSET),
+    "passed-by-position": (KNOB, "f(1, 2)\n", {}),
+    "passed-by-keyword": (KNOB, "f(1, knob=2)\n", {}),
+    "passed-by-kwargs-splat": (KNOB, "f(1, **options)\n", {}),
+    "method-position-skips-self": (METHOD_KNOB, "C().m(2)\n", {}),
+    "required-parameters-are-not-scanned": ("def f(x, n):\n    pass\n", "f(1, 5)\n", {}),
+}
+
+
+@pytest.mark.parametrize("module, caller, expected", KNOB_SCAN_CASES.values(), ids=KNOB_SCAN_CASES)
+def test_knob_scan_on_a_small_tree(tmp_path, module, caller, expected):
+    assert unset_knobs(small_tree(tmp_path, module, caller)) == expected
+
+
+def test_knob_passed_only_from_tests_is_unset(tmp_path):
+    root = small_tree(tmp_path, KNOB, "f(1)\n")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_m.py").write_text("f(1, 2)\nf(1, knob=2)\n", encoding="utf-8")
+    assert unset_knobs(root) == KNOB_UNSET

@@ -52,11 +52,11 @@ class TestDetectOutliers:
         sigma = np.sqrt(((series - mu) ** 2).sum() / len(series))
         assert abs(1000.0 - mu) > 7 * sigma
         assert abs(1.0 - mu) <= 7 * sigma
-        mask = detect_outliers(series, 7.0)
+        mask = detect_outliers(series)
         assert mask.sum() == 1 and mask[-1]
 
     def test_constant_series_no_flags(self):
-        assert not detect_outliers(np.ones(50), 7.0).any()
+        assert not detect_outliers(np.ones(50)).any()
 
     def test_boundary_value_survives(self):
         # value exactly at mu + 7 sigma is NOT flagged (strict inequality)
@@ -69,11 +69,11 @@ class TestDetectOutliers:
             x2[-1] = mu2 + 7 * sigma2
         mu2, sigma2 = x2.mean(), x2.std()
         if abs(x2[-1] - mu2) <= 7 * sigma2:  # converged onto the boundary
-            assert not detect_outliers(x2, 7.0)[-1]
+            assert not detect_outliers(x2)[-1]
 
     def test_empty_series(self):
         with pytest.raises(EmptySeries):
-            detect_outliers([], 7.0)
+            detect_outliers([])
 
 
 class TestFillGaps:
@@ -103,26 +103,23 @@ class TestFillGaps:
 
 
 class TestSmooth:
-    def test_window_one_identity(self):
-        x = np.array([3.0, 1.0, 4.0])
-        assert smooth(x, 1).tolist() == x.tolist()
-
     def test_truncated_edges(self):
-        assert smooth([0.0, 3.0, 0.0], 3).tolist() == [1.5, 1.0, 1.5]
+        # the window is 5: edges average 3 and 4 samples
+        assert smooth([0.0, 6.0, 0.0, 6.0, 0.0]).tolist() == [2.0, 3.0, 2.4, 3.0, 2.0]
 
     def test_constant_unchanged(self):
-        assert smooth(np.full(10, 2.5), 5).tolist() == [2.5] * 10
+        assert smooth(np.full(10, 2.5)).tolist() == [2.5] * 10
 
     def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
-            smooth([1.0, 2.0], 3)
+        with pytest.raises(WindowTooLarge, match="^window 5 > length 4$"):
+            smooth([1.0, 2.0, 3.0, 4.0])
 
     def test_matches_naive_oracle(self):
         key = rng.stream_key(1, "smooth")
         x = rng.uniforms(key, np.arange(101, dtype=np.uint64))
-        got = smooth(x, 7)
+        got = smooth(x)
         for i in range(101):
-            window = x[max(0, i - 3) : min(101, i + 4)]
+            window = x[max(0, i - 2) : min(101, i + 3)]
             assert got[i] == pytest.approx(window.mean(), abs=1e-12)
 
 
@@ -153,7 +150,7 @@ class TestHugeValues:
     def test_one_spike_is_flagged(self, huge):
         x = bounded_base(1200)
         x[500] = huge
-        assert np.flatnonzero(detect_outliers(x, 7.0)).tolist() == [500]
+        assert np.flatnonzero(detect_outliers(x)).tolist() == [500]
 
     def test_clean_axis_removes_the_spike_as_any_other(self):
         x = bounded_base(1200)
@@ -168,9 +165,9 @@ class TestHugeValues:
         x = bounded_base(301)
         big = x * 2.0**scale_exp  # exact; |big| reaches about 2**(scale_exp + 1)
         assert zscore_normalize(big).tolist() == zscore_normalize(x).tolist()
-        assert (smooth(big, 5) / 2.0**scale_exp).tolist() == smooth(x, 5).tolist()
+        assert (smooth(big) / 2.0**scale_exp).tolist() == smooth(x).tolist()
         spiked, positions = inject_spikes(bounded_base(1200), 3)
-        mask = detect_outliers(spiked * 2.0**scale_exp, 7.0)
+        mask = detect_outliers(spiked * 2.0**scale_exp)
         assert np.flatnonzero(mask).tolist() == positions.tolist()
 
     def test_ordinary_input_keeps_every_bit(self):
@@ -180,7 +177,7 @@ class TestHugeValues:
         csum = np.concatenate(([0.0], np.cumsum(x)))
         idx = np.arange(x.size)
         lo, hi = np.maximum(idx - 2, 0), np.minimum(idx + 3, x.size)
-        assert smooth(x, 5).tolist() == ((csum[hi] - csum[lo]) / (hi - lo)).tolist()
+        assert smooth(x).tolist() == ((csum[hi] - csum[lo]) / (hi - lo)).tolist()
 
 
 class TestRollingMax:
@@ -264,7 +261,7 @@ class TestPipeline:
         spiked, (position,) = inject_spikes(bounded_base(5000, seed=3), 1, magnitude_sigma)
         mask = np.zeros(spiked.size, dtype=bool)
         mask[position] = removed
-        want = zscore_normalize(smooth(fill_gaps(spiked, mask), 5))
+        want = zscore_normalize(smooth(fill_gaps(spiked, mask)))
         assert np.array_equal(clean_axis(spiked), want)
 
     def test_huge_axes_are_normalized_into_ordinary_features(self):
@@ -303,7 +300,7 @@ class TestSequenceForm:
     def test_clean_axis_is_the_per_axis_prefix(self, axis):
         # the fixed pipeline: 7-sigma outliers, linear fill, a 5-sample window, z-score
         x = spiked_window_with_gaps()[axis]
-        want = zscore_normalize(smooth(fill_gaps(x, detect_outliers(x, 7.0)), 5))
+        want = zscore_normalize(smooth(fill_gaps(x, detect_outliers(x))))
         assert np.array_equal(clean_axis(x), want)
         (fs,) = run_readiness(x, x, x, [50])
         assert np.array_equal(fs.peaks[:, 0], rolling_max(want, 50))
@@ -315,7 +312,7 @@ class TestSpikeRemovalGuarantee:
         base = bounded_base(5000, seed=seed)
         assert np.abs(base - base.mean()).max() <= 3 * base.std()
         spiked, positions = inject_spikes(base, n_spikes=50, seed=seed)
-        mask = detect_outliers(spiked, 7.0)
+        mask = detect_outliers(spiked)
         assert set(np.flatnonzero(mask)) == set(positions)
         filled = fill_gaps(spiked, mask)
         non_spike = np.ones(len(base), dtype=bool)
@@ -325,15 +322,15 @@ class TestSpikeRemovalGuarantee:
     def test_idempotent_on_cleaned_series(self):
         base = bounded_base(5000, seed=11)
         spiked, _ = inject_spikes(base, n_spikes=50, seed=11)
-        cleaned = fill_gaps(spiked, detect_outliers(spiked, 7.0))
-        assert not detect_outliers(cleaned, 7.0).any()
+        cleaned = fill_gaps(spiked, detect_outliers(spiked))
+        assert not detect_outliers(cleaned).any()
 
     def test_length_conserved_by_every_stage_but_rolling_max(self):
         x = bounded_base(501, seed=2)
-        mask = detect_outliers(x, 7.0)
+        mask = detect_outliers(x)
         assert len(mask) == 501
         assert len(fill_gaps(x, mask)) == 501
-        assert len(smooth(x, 5)) == 501
+        assert len(smooth(x)) == 501
         assert len(zscore_normalize(x)) == 501
         assert len(rolling_max(x, 50)) == 11
 
