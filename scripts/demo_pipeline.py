@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from twinforge.cli import ingest, ranking_table, report_payload
-from twinforge.orchestrator import DEFAULT_RARITY_THRESHOLD, zeroconf_run
+from twinforge.orchestrator import zeroconf_run
 from twinforge.readiness import clean_axis
 from twinforge.simulate import default_scenario, simulate_scenario
 from twinforge.wire import Channel
@@ -38,7 +38,7 @@ def main() -> int:
         archive, args.machine, (0, 10**18), twin=runtime.get(args.machine)
     )
 
-    payload = report_payload(report, args.machine, args.seed, DEFAULT_RARITY_THRESHOLD)
+    payload = report_payload(report, args.machine, args.seed)
     print("\n" + ranking_table(payload["replicas"], report.selected))
 
     winner = report.results[0]

@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .analytics import (
     KMeansModel,
     Segmentation,
-    brute_force_segment,
     kmeans_fit,
     pelt_segment,
     silhouette_score,
@@ -30,7 +29,6 @@ from .orchestrator import (
     emit_augmentation_event,
     flag_anomalies,
     rank_replicas,
-    spawn_replica_grid,
     zeroconf_run,
 )
 from .readiness import (

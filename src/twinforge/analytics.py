@@ -1,5 +1,5 @@
-"""Change-point detection (exact PELT plus a brute-force DP oracle), seeded
-K-means and silhouette scoring.
+"""Change-point detection (exact PELT), seeded K-means and silhouette
+scoring.
 
 Cost model is multivariate L2: sum over dimensions of within-segment squared
 deviation from the segment mean. The objective minimized is
@@ -15,7 +15,8 @@ axis shorter than 8 sequentially from index 0, so for the runtime's 3-axis
 features (and any d <= 7) this equals .sum(axis=-1) bit for bit. From d = 8 numpy unrolls
 its sum eight ways and the two orders can differ in the last ulp; results
 stay deterministic, silhouette stays within 1e-9 of the naive definition, and
-PELT still equals brute_force_segment, which shares _segment_costs.
+PELT still equals the tests' brute-force DP oracle, which shares
+_segment_costs.
 
 pelt_segment runs every penalty in lockstep and advances one tile of
 _PELT_TILE steps at a time: one _segment_costs pass per tile builds the costs
@@ -38,13 +39,10 @@ from .errors import (
     EmptyInput,
     KExceedsN,
     LengthMismatch,
-    SeriesTooLong,
     SeriesTooShort,
     TooFewPoints,
 )
 from .readiness import FeatureSeries
-
-BRUTE_FORCE_MAX_N = 512
 
 # Rows of the distance matrix silhouette_score holds at once.
 _SILHOUETTE_ROWS = 64
@@ -249,35 +247,6 @@ def pelt_segment(features, penalties: Sequence[float]) -> tuple[Segmentation, ..
         Segmentation(change_points=tuple(cps), n_blocks=n, total_cost=total)
         for cps, total in zip(cuts, objectives)
     )
-
-
-def brute_force_segment(features, penalty: float) -> Segmentation:
-    """Exact optimal segmentation by full O(n^2) dynamic programming over all
-    admissible last-change positions. Exactness oracle for pelt_segment."""
-    check_penalty(penalty)
-    x = _as_matrix(features)
-    n = x.shape[0]
-    m = _MIN_SEGMENT
-    if n < m:
-        raise SeriesTooShort(f"{n} blocks < min_segment {m}")
-    if n > BRUTE_FORCE_MAX_N:
-        raise SeriesTooLong(f"{n} blocks > {BRUTE_FORCE_MAX_N}")
-    s1, s2 = _prefix_sums(x)
-
-    f = np.full(n + 1, np.inf)
-    f[0] = -penalty
-    prev = np.zeros(n + 1, dtype=np.int64)
-    for t in range(m, n + 1):
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.arange(m, t - m + 1, dtype=np.int64))
-        )
-        totals = f[starts] + _segment_costs(s1, s2, starts, t) + penalty
-        best = int(np.argmin(totals))
-        f[t] = totals[best]
-        prev[t] = starts[best]
-
-    cps = _backtrack(prev, n)
-    return Segmentation(change_points=tuple(cps), n_blocks=n, total_cost=float(f[n]))
 
 
 @dataclass(frozen=True)

@@ -21,20 +21,12 @@ from typing import Iterable, Optional
 
 from . import __version__
 from .archive import Archive
-from .errors import (
-    EmptyGrid,
-    InvalidSpec,
-    MalformedLine,
-    NoData,
-    TwinForgeError,
-    UnknownAsset,
-)
+from .errors import InvalidSpec, MalformedLine, NoData, TwinForgeError, UnknownAsset
 from .orchestrator import (
     DEFAULT_GRID,
     DEFAULT_RARITY_THRESHOLD,
     RANKING_RULE,
     flag_anomalies,
-    spawn_replica_grid,
     zeroconf_run,
 )
 from .simulate import (
@@ -238,32 +230,11 @@ def _sweep_fail(exc: TwinForgeError) -> int:
     return _fail(EXIT_PIPELINE, f"pipeline error: {exc}")
 
 
-def _parse_grid(text: Optional[str]) -> Optional[dict]:
-    """The --grid override (None: the default grid), checked before any
-    ingest: a JSON object of value lists that spawn_replica_grid accepts.
-    Raises InvalidSpec with a one-line reason otherwise."""
-    if not text:
-        return None
-    try:
-        grid = json.loads(text)
-    except ValueError as exc:  # also an int past the interpreter's digit limit
-        raise InvalidSpec(f"bad --grid JSON: {exc}") from exc
-    if not isinstance(grid, dict):
-        raise InvalidSpec(
-            f"bad --grid: expected a JSON object of value lists, got {type(grid).__name__}"
-        )
-    try:
-        spawn_replica_grid(grid)
-    except (EmptyGrid, InvalidSpec) as exc:
-        raise InvalidSpec(f"bad --grid: {exc}") from exc
-    return grid
-
-
-def report_payload(report, machine: str, seed: int, threshold: float) -> dict:
+def report_payload(report, machine: str, seed: int) -> dict:
     """report.json's content for a sweep's ranked report."""
     replicas = []
     for r in report.results:
-        anomaly_count = len(flag_anomalies(r.segments, threshold, machine=machine))
+        anomaly_count = len(flag_anomalies(r.segments, machine=machine))
         replicas.append(
             {
                 "version": r.replica_version,
@@ -281,7 +252,7 @@ def report_payload(report, machine: str, seed: int, threshold: float) -> dict:
         "format_version": FORMAT_VERSIONS["report"],
         "machine": machine,
         "seed": seed,
-        "rarity_threshold": threshold,
+        "rarity_threshold": DEFAULT_RARITY_THRESHOLD,
         "ranking_rule": RANKING_RULE,
         "selected": report.selected,
         "replicas": replicas,
@@ -290,12 +261,9 @@ def report_payload(report, machine: str, seed: int, threshold: float) -> dict:
 
 def cmd_run(args) -> int:
     try:
-        grid = _parse_grid(args.grid)
         check_seed(args.seed)
     except InvalidSpec as exc:
         return _fail(EXIT_BAD_ARGS, str(exc))
-    if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
-        return _fail(EXIT_BAD_ARGS, f"--threshold must be in [0, 1], got {args.threshold!r}")
     ingested = _ingest_trace(args.trace, args.machine)  # the one machine it sweeps
     if isinstance(ingested, int):
         return ingested
@@ -309,8 +277,6 @@ def cmd_run(args) -> int:
             archive,
             args.machine,
             archive.time_span(args.machine),
-            grid=grid,
-            rarity_threshold=args.threshold,
             twin=twin,
             seed=args.seed,
         )
@@ -322,7 +288,7 @@ def cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _os_fail("cannot create output directory", args.out, exc)
-    payload = report_payload(report, args.machine, args.seed, args.threshold)
+    payload = report_payload(report, args.machine, args.seed)
     artifacts = {
         "report.json": json.dumps(payload, sort_keys=True, indent=1) + "\n",
         "timeline.csv": timeline.to_csv(),
@@ -335,8 +301,8 @@ def cmd_run(args) -> int:
         "trace": str(args.trace),
         "machine": args.machine,
         "seed": args.seed,
-        "rarity_threshold": args.threshold,
-        "grid": grid if grid is not None else DEFAULT_GRID,
+        "rarity_threshold": DEFAULT_RARITY_THRESHOLD,
+        "grid": DEFAULT_GRID,
         "format_versions": FORMAT_VERSIONS,
         "outputs": list(artifacts),
     }
@@ -391,7 +357,7 @@ def ranking_table(replicas: list, selected: str) -> str:
 
 def cmd_bench(args) -> int:
     """Time run's own path without the artifact write: ingest the trace once,
-    then sweep every machine with the default grid."""
+    then sweep every machine as run sweeps its one."""
     try:
         check_seed(args.seed)
     except InvalidSpec as exc:
@@ -441,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("trace")
     p_run.add_argument("--machine", default=DEFAULT_MACHINES[0])
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--grid", help="JSON grid override, e.g. '{\"penalty\":[40]}'")
-    p_run.add_argument("--threshold", type=float, default=DEFAULT_RARITY_THRESHOLD)
     p_run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_run.set_defaults(func=cmd_run)
 

@@ -34,8 +34,8 @@ class MalformedLine(TwinForgeError):
 
 
 class InvalidSpec(TwinForgeError, ValueError):
-    """A scenario or a replica grid that fails its checks. Also a ValueError,
-    the error the configs it is built from raise."""
+    """A scenario or a seed that fails its checks. Also a ValueError, the
+    error of a value out of its domain."""
 
 
 # -- archive -----------------------------------------------------------------
@@ -81,10 +81,6 @@ class SeriesTooShort(TwinForgeError):
     pass
 
 
-class SeriesTooLong(TwinForgeError):
-    pass
-
-
 class EmptyInput(TwinForgeError):
     pass
 
@@ -102,10 +98,6 @@ class LengthMismatch(TwinForgeError):
 
 
 # -- orchestrator ------------------------------------------------------------
-
-class EmptyGrid(TwinForgeError):
-    pass
-
 
 class NoResults(TwinForgeError):
     pass

@@ -1,7 +1,9 @@
-"""Zero-configuration replication: spawn a hyperparameter grid of pipeline
-replicas against an immutable window of archived data, version and rank their
-outputs, flag rare-cluster segments as anomalies, and feed augmentation
-events back into the twin.
+"""Zero-configuration replication: run the fixed 24-replica hyperparameter
+grid of pipelines against an immutable window of archived data, version and
+rank their outputs, flag rare-cluster segments as anomalies, and feed
+augmentation events back into the twin. The grid (DEFAULT_GRID) and the
+rarity cutoff (DEFAULT_RARITY_THRESHOLD) are constants: a sweep takes no
+settings.
 
 A sweep runs one fixed plan (_plan): each stage reads only part of the
 hyperparameters (readiness, which has no settings, only the block sizes), so
@@ -18,27 +20,19 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .analytics import (
     Segmentation,
     _kmeanspp_init,
-    check_penalty,
     kmeans_fit,
     pelt_segment,
     silhouette_score,
 )
 from .archive import Archive, Rows, SegmentRecord, WindowQuery
-from .errors import (
-    EmptyGrid,
-    InvalidSpec,
-    MixedVersions,
-    NoData,
-    NoResults,
-    TwinForgeError,
-)
+from .errors import MixedVersions, NoData, NoResults, TwinForgeError
 from .readiness import FeatureSeries, run_readiness
 from .simulate import check_seed
 from .twin import DigitalEvent, LifecyclePhase, TwinInstance
@@ -46,8 +40,8 @@ from .wire import ACCEL_CHANNELS
 
 DEFAULT_RARITY_THRESHOLD = 0.05
 
-# ZeroConf sweep: no caller-supplied configuration needed. Read-only: its
-# replicas are spawned once, at import (_DEFAULT_REPLICAS).
+# ZeroConf sweep: no caller-supplied configuration. Read-only: its replicas
+# are built once, at import (_REPLICAS).
 DEFAULT_GRID: dict[str, list] = {
     "penalty": [10.0, 40.0, 160.0],
     "k": [2, 3, 4, 5],
@@ -56,25 +50,12 @@ DEFAULT_GRID: dict[str, list] = {
 
 RANKING_RULE = "silhouette desc, segment_count asc, penalty asc, version asc"
 
-_GRID_NAMES = ("block_size", "k", "penalty")
-
 
 @dataclass(frozen=True)
 class HyperParams:
-    block_size: int = 50
-    penalty: float = 40.0
-    k: int = 4
-
-    def __post_init__(self):
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        check_penalty(self.penalty)
-        if type(self.block_size) is not int:  # a bool is no block size
-            raise ValueError(f"block_size must be an integer, got {self.block_size!r}")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.block_size > 2**63 - 1:  # no numpy index reaches it
-            raise ValueError("block_size must be at most 2**63 - 1")
+    block_size: int
+    penalty: float
+    k: int
 
     def canonical(self) -> str:
         return json.dumps(
@@ -171,38 +152,13 @@ class Timeline:
         return "\n".join(lines) + "\n"
 
 
-def spawn_replica_grid(grids: Mapping[str, Sequence]) -> list[HyperParams]:
-    """Cartesian product of the grid, parameters iterated in sorted-name
-    order with values kept in their given order. Raises InvalidSpec, naming
-    the parameter, for a name other than block_size, k and penalty or a value
-    that is not a list or tuple, EmptyGrid for an empty one, and InvalidSpec,
-    naming the replica, for one HyperParams rejects."""
-    names = sorted(grids)
-    for name in names:
-        if name not in _GRID_NAMES:
-            raise InvalidSpec(
-                f"unknown grid parameter {name!r}; the parameters are {', '.join(_GRID_NAMES)}"
-            )
-        values = grids[name]
-        if not isinstance(values, (list, tuple)):
-            raise InvalidSpec(
-                f"{name!r} must map to a list of values, got {type(values).__name__}"
-            )
-        if not values:
-            raise EmptyGrid(f"empty value list for {name!r}")
-    combos = itertools.product(*(grids[name] for name in names))
-    out = []
-    for combo in combos:
-        assignment = dict(zip(names, combo))
-        try:
-            hp = HyperParams(**assignment)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"{exc}, in replica {assignment}") from exc
-        out.append(hp)
-    return out
-
-
-_DEFAULT_REPLICAS = tuple(spawn_replica_grid(DEFAULT_GRID))
+# the grid's product in (block_size, k, penalty) order: v1..v24
+_REPLICAS = tuple(
+    HyperParams(block_size=block_size, penalty=penalty, k=k)
+    for block_size, k, penalty in itertools.product(
+        DEFAULT_GRID["block_size"], DEFAULT_GRID["k"], DEFAULT_GRID["penalty"]
+    )
+)
 
 
 def _group(hps: Sequence[HyperParams], members, field: str) -> dict[str, list[int]]:
@@ -300,13 +256,10 @@ def rank_replicas(results: Sequence[ReplicaResult]) -> BenchmarkReport:
     return BenchmarkReport(results=tuple(ranked))
 
 
-def flag_anomalies(
-    records: Sequence[SegmentRecord],
-    rarity_threshold: float = DEFAULT_RARITY_THRESHOLD,
-    machine: str = "",
-) -> list[AnomalyEvent]:
-    """Flag every segment whose cluster covers less than rarity_threshold of
-    all blocks; rarity is that cluster's block frequency."""
+def flag_anomalies(records: Sequence[SegmentRecord], *, machine: str = "") -> list[AnomalyEvent]:
+    """Flag every segment whose cluster covers less than
+    DEFAULT_RARITY_THRESHOLD (5%) of all blocks; rarity is that cluster's
+    block frequency."""
     if not records:
         return []
     versions = {r.replica_version for r in records}
@@ -320,7 +273,7 @@ def flag_anomalies(
     events = []
     for r in records:
         rarity = cluster_blocks[r.cluster_label] / total_blocks
-        if rarity < rarity_threshold:
+        if rarity < DEFAULT_RARITY_THRESHOLD:
             events.append(
                 AnomalyEvent(
                     machine=machine,
@@ -364,18 +317,18 @@ def zeroconf_run(
     archive: Archive,
     machine: str,
     time_range: tuple[int, int],
-    grid: Optional[Mapping[str, Sequence]] = None,
-    rarity_threshold: float = DEFAULT_RARITY_THRESHOLD,
+    *,
     twin: Optional[TwinInstance] = None,
     seed: int = 42,
 ) -> tuple[BenchmarkReport, Timeline, list[AnomalyEvent]]:
     """End-to-end ZeroConf pipeline over one machine's archived window.
 
     Queries the window (its accel axes read once from the archive's
-    columns), sweeps the default replica grid as one plan, ranks by
+    columns), sweeps the 24 replicas of DEFAULT_GRID as one plan, ranks by
     silhouette, records the winner's segment records back to the archive,
-    flags rare-cluster anomalies, assembles the timeline from the same
-    records, and emits augmentation events to the twin when one is attached.
+    flags rare-cluster anomalies at DEFAULT_RARITY_THRESHOLD, assembles the
+    timeline from the same records, and emits augmentation events to the
+    twin when one is attached.
     The raw sample log is never touched. A seed outside [0, 2**64) is
     InvalidSpec, as it would seed k-means++ as its value modulo 2**64.
 
@@ -389,14 +342,13 @@ def zeroconf_run(
     if not any(e.sample.channel in ACCEL_CHANNELS for e in window):
         raise NoData(f"no samples for {machine} in {time_range}")
 
-    hps = _DEFAULT_REPLICAS if grid is None else spawn_replica_grid(grid)
-    report = rank_replicas(_plan(window, hps, seed))
+    report = rank_replicas(_plan(window, _REPLICAS, seed))
     winner = report.results[0]
     if winner.replica_version not in archive.replica_versions():
         for record in winner.segments:
             archive.record_segment_stats(record)
 
-    anomalies = flag_anomalies(winner.segments, rarity_threshold, machine=machine)
+    anomalies = flag_anomalies(winner.segments, machine=machine)
     timeline = build_timeline(winner.segments, anomalies)
     if twin is not None:
         for anomaly in anomalies:

@@ -7,7 +7,17 @@ from typing import Iterable
 import numpy as np
 
 import twinforge.rng as rng
-from twinforge.analytics import KMeansModel, Segmentation, _kmeanspp_init
+from twinforge.analytics import (
+    _MIN_SEGMENT,
+    KMeansModel,
+    Segmentation,
+    _as_matrix,
+    _backtrack,
+    _kmeanspp_init,
+    _prefix_sums,
+    _segment_costs,
+    check_penalty,
+)
 from twinforge.errors import (
     AxisLengthMismatch,
     EmptyInput,
@@ -168,6 +178,75 @@ def reference_pelt_segment(features, penalty, min_segment=2) -> Segmentation:
     return Segmentation(
         change_points=tuple(cps), n_blocks=n, total_cost=total + beta * len(cps)
     )
+
+
+BRUTE_FORCE_MAX_N = 512
+
+
+def brute_force_segment(features, penalty: float) -> Segmentation:
+    """Exact optimal segmentation by full O(n^2) dynamic programming over all
+    admissible last-change positions. Exactness oracle for pelt_segment: it
+    takes the library's prefix sums and segment costs (_segment_costs), so
+    PELT must equal it bit for bit. A series past BRUTE_FORCE_MAX_N blocks
+    is a ValueError."""
+    check_penalty(penalty)
+    x = _as_matrix(features)
+    n = x.shape[0]
+    m = _MIN_SEGMENT
+    if n < m:
+        raise SeriesTooShort(f"{n} blocks < min_segment {m}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"{n} blocks > {BRUTE_FORCE_MAX_N}")
+    s1, s2 = _prefix_sums(x)
+
+    f = np.full(n + 1, np.inf)
+    f[0] = -penalty
+    prev = np.zeros(n + 1, dtype=np.int64)
+    for t in range(m, n + 1):
+        starts = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.arange(m, t - m + 1, dtype=np.int64))
+        )
+        totals = f[starts] + _segment_costs(s1, s2, starts, t) + penalty
+        best = int(np.argmin(totals))
+        f[t] = totals[best]
+        prev[t] = starts[best]
+
+    cps = _backtrack(prev, n)
+    return Segmentation(change_points=tuple(cps), n_blocks=n, total_cost=float(f[n]))
+
+
+def reference_objective(features, change_points, penalty) -> float:
+    """The segmentation objective by its definition: the naive L2 cost of
+    every segment that change_points cut, plus penalty per change point."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    bounds = [0, *change_points, len(x)]
+    total = penalty * len(change_points)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        segment = x[a:b]
+        total += float(((segment - segment.mean(axis=0)) ** 2).sum())
+    return total
+
+
+def exhaustive_segment(features, penalty) -> tuple[tuple[int, ...], float]:
+    """(change points, objective) of the best segmentation into segments of
+    at least two blocks, found by enumerating every such segmentation; the
+    first minimum wins. For short series only: the count grows like the
+    Fibonacci numbers."""
+    n = len(features)
+
+    def cuts(start):
+        # every admissible list of change points after start
+        if n - start >= 2:
+            yield ()
+        for c in range(start + 2, n - 1):
+            for rest in cuts(c):
+                yield (c, *rest)
+
+    scored = [(reference_objective(features, cps, penalty), cps) for cps in cuts(0)]
+    best, cps = min(scored, key=lambda item: item[0])
+    return cps, best
 
 
 def reference_kmeans_fit(

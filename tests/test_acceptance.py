@@ -10,11 +10,10 @@ import time
 import numpy as np
 import pytest
 from conftest import archive_of
-from oracles import naive_silhouette, random_step_series
+from oracles import brute_force_segment, naive_silhouette, random_step_series
 
 import twinforge.rng as rng
 from twinforge.analytics import (
-    brute_force_segment,
     pelt_segment,
     silhouette_score,
 )

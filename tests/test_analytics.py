@@ -4,9 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import (
+    BRUTE_FORCE_MAX_N,
+    brute_force_segment,
+    exhaustive_segment,
     naive_silhouette,
     random_step_series,
     reference_kmeans_fit,
+    reference_objective,
     reference_pelt_segment,
     reference_segment_costs,
     reference_silhouette_loop,
@@ -17,12 +21,10 @@ from twinforge.analytics import (
     _MIN_SEGMENT,
     _PELT_TILE,
     _SILHOUETTE_ROWS,
-    BRUTE_FORCE_MAX_N,
     _backtrack,
     _kmeanspp_init,
     _prefix_sums,
     _segment_costs,
-    brute_force_segment,
     kmeans_fit,
     pelt_segment,
     silhouette_score,
@@ -31,7 +33,6 @@ from twinforge.errors import (
     EmptyInput,
     KExceedsN,
     LengthMismatch,
-    SeriesTooLong,
     SeriesTooShort,
     TooFewPoints,
 )
@@ -112,12 +113,53 @@ class TestPelt:
             assert fast.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
 
     def test_brute_force_size_cap(self):
-        with pytest.raises(SeriesTooLong):
+        with pytest.raises(ValueError, match=r"^513 blocks > 512$"):
             brute_force_segment(np.zeros(513), 40.0)
 
     def test_n_equals_min_segment(self):
         seg = brute_force_segment(np.array([1.0, 2.0]), 1.0)
         assert seg.change_points == ()
+
+
+class TestBruteForceOracle:
+    """The DP oracle that PELT is held to, held in turn to first principles:
+    hand-worked optima and every admissible segmentation enumerated."""
+
+    @pytest.mark.parametrize(
+        "x, penalty, change_points, objective",
+        [
+            ([0.0, 0.0, 5.0, 5.0], 1.0, (2,), 1.0),
+            # one segment costs 4 * 2.5**2 = 25
+            ([0.0, 0.0, 5.0, 5.0], 100.0, (), 25.0),
+            # a tie between 25 and 0 + 0 + 25 goes to fewer change points
+            ([0.0, 0.0, 5.0, 5.0], 25.0, (), 25.0),
+            # three blocks admit no cut: either side would be one block
+            ([0.0, 9.0, 0.0], 0.0, (), 54.0),
+            ([0.0, 0.0, 0.0, 7.0, 7.0, 7.0], 1.0, (3,), 1.0),
+            ([0.0, 0.0, 4.0, 4.0, 0.0, 0.0], 1.0, (2, 4), 2.0),
+            # the cost sums over dimensions: 1 + 9 unsplit
+            ([[0.0, 0.0], [0.0, 0.0], [1.0, 3.0], [1.0, 3.0]], 1.0, (2,), 1.0),
+        ],
+        ids=["step", "step-high-penalty", "step-tie", "three-blocks", "wide-step", "two-steps",
+             "two-dimensions"],
+    )
+    def test_hand_worked_optimum(self, x, penalty, change_points, objective):
+        x = np.array(x)
+        for seg in (brute_force_segment(x, penalty), pelt_segment(x, [penalty])[0]):
+            assert seg.change_points == change_points
+            assert seg.total_cost == pytest.approx(objective, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equals_exhaustive_enumeration(self, seed):
+        x = random_step_series(seed, max_n=14)  # 4 to 13 blocks
+        for penalty in (0.0, 1.0, 10.0, 160.0):
+            seg = brute_force_segment(x, penalty)
+            change_points, best = exhaustive_segment(x, penalty)
+            assert seg.change_points == change_points
+            assert seg.total_cost == pytest.approx(best, abs=1e-9)
+            assert reference_objective(x, seg.change_points, penalty) == pytest.approx(
+                best, abs=1e-9
+            )
 
 
 def inertia(x, model) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from twinforge import cli
+from twinforge import __version__, cli
 from twinforge.archive import Archive
 from twinforge.cli import ingest, main
 from twinforge.twin import LifecyclePhase, TwinInstance
@@ -265,7 +265,7 @@ class TestRun:
         payload = json.loads((run_dir / "report.json").read_text())
         assert payload["machine"] == "m1"
         assert payload["selected"] == payload["replicas"][0]["version"]
-        assert len(payload["replicas"]) == 24  # default grid
+        assert len(payload["replicas"]) == 24  # the grid's replicas
         sils = [r["silhouette"] for r in payload["replicas"]]
         assert sils == sorted(sils, reverse=True)
 
@@ -273,6 +273,23 @@ class TestRun:
         truth = json.loads((sim_dir / "ground_truth.json").read_text())
         payload = json.loads((run_dir / "report.json").read_text())
         assert payload["replicas"][0]["segment_count"] == len(truth["m1"]["phases"])
+
+    def test_manifest_records_the_fixed_sweep(self, sim_dir, run_dir):
+        # the grid and the rarity cutoff are constants, written as before
+        manifest = {
+            "tool_version": __version__,
+            "trace": str(sim_dir / "trace.jsonl"),
+            "machine": "m1",
+            "seed": 42,
+            "rarity_threshold": 0.05,
+            "grid": {"penalty": [10.0, 40.0, 160.0], "k": [2, 3, 4, 5], "block_size": [25, 50]},
+            "format_versions": {"trace": 1, "report": 1, "timeline": 1, "anomalies": 1},
+            "outputs": ["report.json", "timeline.csv", "changepoints.txt", "anomalies.json"],
+        }
+        text = (run_dir / "manifest.json").read_text(encoding="utf-8")
+        assert text == json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+        report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["rarity_threshold"] == 0.05
 
     def test_timeline_header(self, run_dir):
         first = (run_dir / "timeline.csv").read_text().splitlines()[0]
@@ -295,7 +312,7 @@ class TestRun:
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
         code = run_cli("run", str(sim_dir / "trace.jsonl"), "--machine", "m1",
-                       "--grid", '{"penalty": [40], "k": [2]}', "--out", str(taken))
+                       "--out", str(taken))
         assert code == 2
         assert_one_line_error(capsys, "cannot create output directory")
         assert taken.read_text(encoding="utf-8") == ""
@@ -303,7 +320,7 @@ class TestRun:
     def test_artifact_is_a_directory_exits_2(self, sim_dir, tmp_path, capsys):
         (tmp_path / "timeline.csv").mkdir()
         code = run_cli("run", str(sim_dir / "trace.jsonl"), "--machine", "m1",
-                       "--grid", '{"penalty": [40], "k": [2]}', "--out", str(tmp_path))
+                       "--out", str(tmp_path))
         assert code == 2
         assert_one_line_error(capsys, "cannot write", "timeline.csv", "Is a directory")
 
@@ -332,59 +349,29 @@ class TestRun:
         assert run_cli("run", str(sim / "trace.jsonl"), "--out", str(tmp_path / "out")) == 4
         assert capsys.readouterr().err == "twinforge: pipeline error: v22-62596441: k=5 > n=4\n"
 
-    def test_grid_override(self, sim_dir, tmp_path):
-        out = tmp_path / "small"
-        code = run_cli("run", str(sim_dir / "trace.jsonl"), "--machine", "m1",
-                       "--out", str(out), "--grid", '{"penalty": [40], "k": [2]}')
-        assert code == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert len(payload["replicas"]) == 1
-
-    def test_bad_grid_exits_2(self, sim_dir, tmp_path):
-        assert run_cli("run", str(sim_dir / "trace.jsonl"), "--out", str(tmp_path),
-                       "--grid", "{bad") == 2
-
-    @pytest.mark.parametrize("name", ["sigma_threshold", "smooth_window", "gap_fill", "normalize"])
-    def test_readiness_names_are_unknown_grid_parameters(self, tmp_path, capsys, name):
-        # readiness has no settings: a grid naming one is refused by name
-        assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
-                       "--grid", f'{{"{name}":[1]}}') == 2
-        assert_one_line_error(
-            capsys, f"unknown grid parameter {name!r}; the parameters are block_size, k, penalty"
-        )
-
     @pytest.mark.parametrize(
-        "grid",
-        ['[1]', '{"k":5}', '{"foo":[1]}', '{"penalty":[-1]}', '{"k":[0]}',
-         '{"block_size":[0]}', '{"k":[]}', '{"k":[2.5]}', '{"block_size":[25.5]}',
-         '{"smooth_window":[3.0]}', '{"block_size":[true]}', '{"penalty":["x"]}',
-         '{"penalty":[NaN],"k":[2]}', '{"penalty":[Infinity]}', '{"sigma_threshold":[NaN]}',
-         '{"sigma_threshold":[Infinity]}',
-         pytest.param('{"penalty":[1%s]}' % ("0" * 400), id="penalty-401-digit-int"),
-         pytest.param('{"sigma_threshold":[1%s]}' % ("0" * 400), id="sigma-401-digit-int"),
-         '{"block_size":[10000000000000000000]}', '{"block_size":[9223372036854775808]}',
-         pytest.param('{"block_size":[1%s]}' % ("0" * 5000), id="block-5001-digit-int"),
-         '{"normalize":["x"]}', '{"normalize":[0]}', '{"penalty":[false],"k":[2]}',
-         '{"penalty":[true]}', '{"sigma_threshold":[true]}', '{"sigma_threshold":[false]}'],
+        "flags",
+        [["--grid", "{}"], ["--grid", '{"k":[2]}'], ['--grid={"penalty":[40],"k":[2]}'],
+         ["--threshold", "0.02"], ["--threshold=0.05"]],
     )
-    def test_invalid_grid_exits_2_before_ingest(self, tmp_path, capsys, grid):
-        # the trace does not exist: the grid is rejected before any ingest
-        assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
-                       "--grid", grid) == 2
-        assert_one_line_error(capsys, "--grid")
+    def test_removed_sweep_settings_exit_2(self, tmp_path, capsys, flags):
+        # the grid and the rarity cutoff are constants: an old invocation
+        # fails loudly before any ingest instead of running the fixed sweep
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path), *flags)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("block_size", ["100000", "1000000000000000000", "9223372036854775807"])
-    def test_block_past_the_window_exits_4(self, sim_dir, tmp_path, capsys, block_size):
-        code = run_cli("run", str(sim_dir / "trace.jsonl"), "--out", str(tmp_path),
-                       "--grid", f'{{"block_size":[{block_size}]}}')
-        assert code == 4
-        assert_one_line_error(capsys, "pipeline error: v1-", ": 1 blocks < min_segment 2")
-
-    @pytest.mark.parametrize("threshold", ["2", "nan", "-0.1", "inf"])
-    def test_invalid_threshold_exits_2_before_ingest(self, tmp_path, capsys, threshold):
-        assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
-                       "--threshold", threshold) == 2
-        assert_one_line_error(capsys, "--threshold")
+    def test_run_help_names_no_sweep_settings(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", "--help")
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--seed" in out
+        assert "--grid" not in out and "--threshold" not in out
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_invalid_seed_exits_2_before_ingest(self, tmp_path, capsys, seed):

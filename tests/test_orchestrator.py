@@ -1,16 +1,19 @@
 import hashlib
+import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import archive_of
+from oracles import reference_kmeans_fit, reference_pelt_segment, reference_silhouette_loop
 
 from twinforge import analytics, orchestrator
 from twinforge.analytics import Segmentation
 from twinforge.archive import SegmentRecord, WindowQuery
+from twinforge.cli import report_payload
 from twinforge.errors import (
     AxisLengthMismatch,
-    EmptyGrid,
     InvalidSpec,
     KExceedsN,
     MixedVersions,
@@ -27,7 +30,6 @@ from twinforge.orchestrator import (
     emit_augmentation_event,
     flag_anomalies,
     rank_replicas,
-    spawn_replica_grid,
     zeroconf_run,
 )
 from twinforge.readiness import FeatureSeries
@@ -58,125 +60,39 @@ def seg_record(version, index, block_range, label):
     )
 
 
-# (grid, the reason its one replica is refused for)
-INVALID_REPLICAS = [
-    ({"foo": [1]}, "unknown grid parameter 'foo'; the parameters are block_size, k, penalty"),
-    ({"penalty": [-1]}, "penalty must be >= 0"),
-    ({"k": [0]}, "k must be an integer >= 1, got 0"),
-    ({"block_size": [0]}, "block_size must be >= 1"),
-    ({"k": [2.5]}, "k must be an integer >= 1, got 2.5"),
-    ({"block_size": [25.5]}, "block_size must be an integer, got 25.5"),
-    # readiness has no settings: its former overrides are unknown names
-    ({"smooth_window": [3.0]}, "unknown grid parameter 'smooth_window'; the parameters are "
-                               "block_size, k, penalty"),
-    ({"block_size": [True]}, "block_size must be an integer, got True"),
-    ({"penalty": ["x"]}, "'<' not supported between instances of 'str' and 'int'"),
-    ({"smooth_window": [5]}, "unknown grid parameter 'smooth_window'; the parameters are "
-                             "block_size, k, penalty"),
-    ({"block_size": [50.0]}, "block_size must be an integer, got 50.0"),
-    ({"k": [2.0]}, "k must be an integer >= 1, got 2.0"),
-    ({"k": [True]}, "k must be an integer >= 1, got True"),
-    ({"k": 5}, "'k' must map to a list of values, got int"),
-    ({"k": "2"}, "'k' must map to a list of values, got str"),
-    ({"gap_fill": "hold"}, "unknown grid parameter 'gap_fill'; the parameters are "
-                           "block_size, k, penalty"),
-    ({"k": {2: 1}}, "'k' must map to a list of values, got dict"),
-    # nan fails every comparison and inf passes the sign check: finiteness is its own check
-    ({"penalty": [float("nan")]}, "penalty must be finite, got nan"),
-    ({"penalty": [float("inf")]}, "penalty must be finite, got inf"),
-    ({"sigma_threshold": [float("nan")]}, "unknown grid parameter 'sigma_threshold'; the "
-                                          "parameters are block_size, k, penalty"),
-    ({"sigma_threshold": [7.0]}, "unknown grid parameter 'sigma_threshold'; the parameters are "
-                                 "block_size, k, penalty"),
-    ({"penalty": [10**400]}, f"penalty must be finite, got {10**400!r}"),
-    # rolling_max indexes numpy arrays by block size
-    ({"block_size": [2**63]}, "block_size must be at most 2**63 - 1"),
-    # a bool is no number: True would run as 1 under another version digest
-    ({"penalty": [False]}, "penalty must be a number, got False"),
-    ({"penalty": [True]}, "penalty must be a number, got True"),
-    ({"normalize": [True]}, "unknown grid parameter 'normalize'; the parameters are "
-                            "block_size, k, penalty"),
-    ({"normalize": [False]}, "unknown grid parameter 'normalize'; the parameters are "
-                             "block_size, k, penalty"),
+# every replica of a sweep, v1..v24: block_size varies slowest, then k, then
+# penalty; a version is its sequence number and its hyperparameters' digest
+REPLICA_VERSIONS = [
+    "v1-1758d63c", "v2-b99b1fcc", "v3-ed599490", "v4-122e8ea7", "v5-f09ecf9e", "v6-bc5853e5",
+    "v7-9af2fafe", "v8-ecce8867", "v9-1a920d91", "v10-7bd83f2e", "v11-40abc517", "v12-e947bd5f",
+    "v13-b895a1c7", "v14-d5c08257", "v15-1039b0bb", "v16-3865b3fe", "v17-69a0de55",
+    "v18-3b667257", "v19-9e30cafd", "v20-20f89c27", "v21-a37a9777", "v22-62596441",
+    "v23-2147182a", "v24-ed1f3426",
 ]
 
 
 class TestGrid:
-    def test_default_penalty_sweep(self):
-        grid = spawn_replica_grid({"penalty": [10, 40, 160]})
-        assert [hp.penalty for hp in grid] == [10, 40, 160]
-
-    def test_single_combo(self):
-        assert len(spawn_replica_grid({"penalty": [10], "k": [3]})) == 1
-
-    def test_product_in_sorted_name_order(self):
-        grid = spawn_replica_grid({"penalty": [10, 40], "k": [2, 3]})
-        # "k" sorts before "penalty": k varies slowest
-        assert [(hp.k, hp.penalty) for hp in grid] == [
-            (2, 10),
-            (2, 40),
-            (3, 10),
-            (3, 40),
-        ]
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(EmptyGrid):
-            spawn_replica_grid({"penalty": []})
-
-    def test_default_grid_size(self):
-        assert len(spawn_replica_grid(DEFAULT_GRID)) == 3 * 4 * 2
-
-    def test_default_replicas_are_the_default_grid(self):
-        cached = orchestrator._DEFAULT_REPLICAS
-        assert list(cached) == spawn_replica_grid(DEFAULT_GRID)
-        fresh = [hashlib.sha256(hp.canonical().encode()).hexdigest()[:8] for hp in cached]
-        assert [hp.digest() for hp in cached] == fresh
+    def test_replicas_are_pinned(self):
+        replicas = orchestrator._REPLICAS
+        assert [f"v{i + 1}-{hp.digest()}" for i, hp in enumerate(replicas)] == REPLICA_VERSIONS
+        assert [(hp.block_size, hp.k, hp.penalty) for hp in replicas] == list(
+            itertools.product([25, 50], [2, 3, 4, 5], [10.0, 40.0, 160.0])
+        )
+        fresh = [hashlib.sha256(hp.canonical().encode()).hexdigest()[:8] for hp in replicas]
+        assert [hp.digest() for hp in replicas] == fresh
 
     def test_canonical_form_keeps_the_empty_readiness_map(self):
         # readiness has no settings, but its key stays in the hashed form, so
         # the version digests of archived records and goldens do not move
-        assert HyperParams().canonical() == '{"block_size":50,"k":4,"penalty":40.0,"readiness":{}}'
-        assert HyperParams(block_size=25, k=2).digest() == "b99b1fcc"
+        hp = HyperParams(block_size=50, penalty=40.0, k=4)
+        assert hp.canonical() == '{"block_size":50,"k":4,"penalty":40.0,"readiness":{}}'
+        assert HyperParams(block_size=25, penalty=40.0, k=2).digest() == "b99b1fcc"
 
     def test_digest_is_computed_once(self, monkeypatch):
-        hp = HyperParams(k=3)
+        hp = HyperParams(block_size=50, penalty=40.0, k=3)
         first = hp.digest()
         monkeypatch.setattr(HyperParams, "canonical", lambda self: pytest.fail("rehashed"))
         assert hp.digest() == first
-
-    @pytest.mark.parametrize(
-        "grid, reason",
-        INVALID_REPLICAS,
-        ids=[f"grid{i}" for i in range(len(INVALID_REPLICAS))],
-    )
-    def test_invalid_replica_is_invalid_spec(self, small_run, grid, reason):
-        (name, values), = grid.items()
-        if isinstance(values, list) and name in orchestrator._GRID_NAMES:
-            expected = f"{reason}, in replica {{{name!r}: {values[0]!r}}}"
-        else:
-            # an unknown name, or a value that is not a list, is refused by
-            # name before any replica is spawned: a string would otherwise be
-            # one replica per character
-            expected = reason
-        for call in (lambda: spawn_replica_grid(grid),
-                     lambda: zeroconf_run(small_run[3], "m1", (0, 10**18), grid=grid)):
-            with pytest.raises(InvalidSpec) as info:
-                call()
-            assert str(info.value) == expected
-
-    @pytest.mark.parametrize("name", ["sigma_threshold", "smooth_window", "gap_fill", "normalize"])
-    def test_readiness_names_are_refused_beside_valid_ones(self, name):
-        # readiness has no settings: naming one refuses the whole grid, even
-        # when every other name is a parameter
-        with pytest.raises(InvalidSpec) as info:
-            spawn_replica_grid({"block_size": [25], "k": [2, 3], name: [1], "penalty": [10.0]})
-        assert str(info.value) == (
-            f"unknown grid parameter {name!r}; the parameters are block_size, k, penalty"
-        )
-
-    def test_empty_value_list_is_empty_grid_in_a_sweep_too(self, small_run):
-        with pytest.raises(EmptyGrid):
-            zeroconf_run(small_run[3], "m1", (0, 10**18), grid={"k": []})
 
 
 def clean_three_phase_window():
@@ -220,7 +136,7 @@ def labelled_segments(peaks, change_points, labels):
     seg = Segmentation(change_points=change_points, n_blocks=len(peaks), total_cost=0.0)
     return ReplicaResult(
         replica_version="v1-x",
-        hyperparams=HyperParams(),
+        hyperparams=HyperParams(block_size=50, penalty=40.0, k=4),
         segmentation=seg,
         labels=np.array(labels),
         silhouette=0.0,
@@ -254,7 +170,7 @@ class TestRunReplica:
 
     def test_plan_versions_replicas_in_grid_order(self, small_run):
         _, samples, _, _ = small_run
-        hps = spawn_replica_grid({"penalty": [160, 10], "k": [3, 2], "block_size": [50]})
+        hps = [HyperParams(block_size=50, penalty=p, k=k) for k in (3, 2) for p in (160, 10)]
         results = orchestrator._plan(rows_of(samples), hps, seed=1)
         assert [r.hyperparams for r in results] == hps
         assert [r.replica_version for r in results] == [
@@ -293,7 +209,7 @@ class TestRunReplica:
         _, samples, _, _ = small_run
         window = [s for s in samples if s.channel in (Channel.accel_x, Channel.accel_y)]
         with pytest.raises(AxisLengthMismatch, match=r"^v1-"):
-            orchestrator._plan(rows_of(window), [HyperParams()], seed=1)
+            orchestrator._plan(rows_of(window), [HyperParams(block_size=50, penalty=40.0, k=4)], seed=1)
 
 
 class TestAxisSeries:
@@ -332,7 +248,7 @@ class TestAxisSeries:
 
 class TestRanking:
     def fake(self, version, sil, segs, penalty):
-        hp = HyperParams(penalty=penalty)
+        hp = HyperParams(block_size=50, penalty=penalty, k=4)
         return type(
             "R",
             (),
@@ -383,7 +299,7 @@ class TestFlagAnomalies:
             seg_record("v1-x", 1, (50, 53), 2),
             seg_record("v1-x", 2, (53, 100), 1),
         ]
-        events = flag_anomalies(records, rarity_threshold=0.05, machine="m1")
+        events = flag_anomalies(records, machine="m1")
         assert len(events) == 1
         assert events[0].segment_index == 1
         assert events[0].rarity == pytest.approx(0.03)
@@ -401,30 +317,38 @@ class TestFlagAnomalies:
         with pytest.raises(MixedVersions):
             flag_anomalies(records)
 
-    def test_boundary_frequency_not_flagged(self):
-        # exactly at the threshold is not rare (strict inequality)
-        records = [
-            seg_record("v1-x", 0, (0, 95), 0),
-            seg_record("v1-x", 1, (95, 100), 1),
-        ]
-        assert flag_anomalies(records, rarity_threshold=0.05) == []
-
     def test_split_rare_cluster_flags_all_its_segments(self):
         records = [
             seg_record("v1-x", 0, (0, 96), 0),
             seg_record("v1-x", 1, (96, 98), 1),
             seg_record("v1-x", 2, (98, 100), 1),
         ]
-        events = flag_anomalies(records, rarity_threshold=0.05)
+        events = flag_anomalies(records)
         assert [e.segment_index for e in events] == [1, 2]
+
+
+    @pytest.mark.parametrize(
+        "rare, total, flagged",
+        [(1, 19, False), (1, 20, False), (1, 21, True), (2, 40, False), (4, 100, True),
+         (5, 100, False), (49, 1000, True), (50, 1000, False), (51, 1000, False)],
+    )
+    def test_cutoff_is_a_strict_five_percent(self, rare, total, flagged):
+        # the cutoff is a constant: a cluster is rare below 5% of the blocks,
+        # and a share of exactly 5% (1/20, 2/40, 5/100, 50/1000) is not
+        # (strict inequality)
+        records = [
+            seg_record("v1-x", 0, (0, total - rare), 0),
+            seg_record("v1-x", 1, (total - rare, total), 1),
+        ]
+        events = flag_anomalies(records, machine="m1")
+        assert [e.segment_index for e in events] == ([1] if flagged else [])
+        assert all(e.rarity == rare / total for e in events)
 
 
 class TestTimeline:
     def test_rows_tile_blocks(self, small_run):
         _, samples, _, archive = small_run
-        report, timeline, _ = zeroconf_run(
-            archive, "m1", (0, 10**18), grid={"penalty": [40], "k": [3], "block_size": [50]}
-        )
+        report, timeline, _ = zeroconf_run(archive, "m1", (0, 10**18))
         rows = timeline.rows
         assert rows[0][0] == 0
         assert rows[-1][1] == len(report.results[0].features)
@@ -515,16 +439,15 @@ class TestZeroconf:
     def test_master_isolation(self, small_run):
         _, _, _, archive = small_run
         before = [e.sample for e in archive.scan("m1")]
-        zeroconf_run(archive, "m1", (0, 10**18), grid={"penalty": [10], "k": [2]})
+        zeroconf_run(archive, "m1", (0, 10**18))
         after = [e.sample for e in archive.scan("m1")]
         assert [encode_sample(s) for s in before] == [encode_sample(s) for s in after]
 
     def test_rerun_identical_and_idempotent(self, small_run):
         _, _, _, archive = small_run
-        grid = {"penalty": [10, 40], "k": [2], "block_size": [50]}
-        r1 = zeroconf_run(archive, "m1", (0, 10**18), grid=grid)
+        r1 = zeroconf_run(archive, "m1", (0, 10**18))
         records_1 = archive.segments_for(r1[0].selected)
-        r2 = zeroconf_run(archive, "m1", (0, 10**18), grid=grid)
+        r2 = zeroconf_run(archive, "m1", (0, 10**18))
         assert r1[0].selected == r2[0].selected
         assert r1[1] == r2[1]
         assert r1[2] == r2[2]
@@ -532,18 +455,17 @@ class TestZeroconf:
 
     def test_planned_sweep_equals_independent_replicas(self, small_run):
         _, _, _, archive = small_run
-        grid = {"penalty": [10, 40, 160], "k": [2, 3], "block_size": [25, 50]}
-        report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18), grid=grid, seed=7)
+        report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18), seed=7)
 
         rows = archive.query_window(WindowQuery("m1", 0, 10**18))
         window = [e.sample for e in rows if e.sample.channel in ACCEL_CHANNELS]
         expected = rank_replicas(
             [
                 replace(one_replica(window, hp, 7), replica_version=f"v{i + 1}-{hp.digest()}")
-                for i, hp in enumerate(spawn_replica_grid(grid))
+                for i, hp in enumerate(orchestrator._REPLICAS)
             ]
         )
-        assert len(report.results) == len(expected.results) == 12
+        assert len(report.results) == len(expected.results) == 24
         for got, want in zip(report.results, expected.results):
             assert got.replica_version == want.replica_version
             assert got.silhouette == want.silhouette
@@ -653,41 +575,39 @@ class TestZeroconf:
             return pelt(features, penalties)
 
         monkeypatch.setattr(orchestrator, "pelt_segment", recording)
-        _, _, _, archive = small_run
-        grid = {"penalty": penalties, "k": [2], "block_size": [50]}
-        report, _, _ = zeroconf_run(archive, "m1", (0, 10**18), grid=grid)
-        assert len(report.results) == len(penalties)
+        _, samples, _, _ = small_run
+        hps = [HyperParams(block_size=50, penalty=p, k=2) for p in penalties]
+        results = orchestrator._plan(rows_of(samples), hps, seed=42)
+        assert len(results) == len(penalties)
         assert len(seen) == 1
         assert [(type(p), p) for p in seen[0]] == [(type(p), p) for p in pelt_penalties]
 
     @pytest.mark.parametrize(
-        "grid, t_end, error, version",
+        "hps, t_end, error, version",
         [
             # 2 s is 8 blocks at block size 25 and 4 at 50: k = 5 fails only
             # at 50, in v22, although v13 fits every k of that block size
-            (None, 10**18, KExceedsN, "v22-62596441: k=5 > n=4"),
+            (orchestrator._REPLICAS, 10**18, KExceedsN, "v22-62596441: k=5 > n=4"),
             # v1 and v2 share one PELT call and one k-means call; the k-means
             # failure is raised under v1, the first replica that shares it
-            ({"penalty": [10.0, 160.0], "k": [5]}, 10**18, KExceedsN, "v1-"),
-            # a bad penalty or block size is refused when the grid is spawned,
-            # as an InvalidSpec, which is also a ValueError
-            ({"penalty": [10.0, -1.0], "k": [2]}, 10**18, ValueError, "penalty must be >= 0"),
+            ([HyperParams(block_size=50, penalty=p, k=5) for p in (10.0, 160.0)], 10**18,
+             KExceedsN, "v1-"),
             # 4 accel samples per axis are fewer than the smoothing window:
             # the one readiness call that every block size shares fails under
             # v1, the first replica it serves
-            ({"block_size": [25, 50], "k": [2]}, 4 * 10**7, WindowTooLarge,
-             "v1-b99b1fcc: window 5 > length 4"),
-            ({"block_size": [50, 0], "k": [2]}, 10**18, ValueError, "block_size must be >= 1"),
+            ([HyperParams(block_size=b, penalty=40.0, k=2) for b in (25, 50)], 4 * 10**7,
+             WindowTooLarge, "v1-b99b1fcc: window 5 > length 4"),
             # the first failure in plan order raises: the plan finishes block
             # size 25, where every k fits, before k = 5 fails in v4 at 50
-            ({"block_size": [25, 50], "k": [2, 5]}, 10**18, KExceedsN,
-             "v4-2147182a: k=5 > n=4"),
+            ([HyperParams(block_size=b, penalty=40.0, k=k) for b in (25, 50) for k in (2, 5)],
+             10**18, KExceedsN, "v4-2147182a: k=5 > n=4"),
         ],
     )
-    def test_shared_stage_failure_is_raised_by_its_replica(self, grid, t_end, error, version):
+    def test_shared_stage_failure_is_raised_by_its_replica(self, hps, t_end, error, version):
         samples, _ = simulate_scenario(default_scenario(duration_s=2, machines=("m1",)))
+        window = archive_of(samples).query_window(WindowQuery("m1", 0, t_end))
         with pytest.raises(error) as info:
-            zeroconf_run(archive_of(samples), "m1", (0, t_end), grid=grid)
+            orchestrator._plan(window, hps, seed=42)
         assert str(info.value).startswith(version)
 
     def test_failing_sweep_runs_its_plan_once(self, monkeypatch):
@@ -712,10 +632,9 @@ class TestZeroconf:
         assert calls["pelt_segment"] <= 2
 
     def test_ranking_is_total_order(self, small_run):
-        _, _, _, archive = small_run
-        report, _, _ = zeroconf_run(
-            archive, "m1", (0, 10**18), grid={"penalty": [10, 40], "k": [2, 3]}
-        )
+        _, samples, _, _ = small_run
+        hps = [HyperParams(block_size=50, penalty=p, k=k) for k in (2, 3) for p in (10, 40)]
+        report = rank_replicas(orchestrator._plan(rows_of(samples), hps, seed=42))
         keys = [
             (-r.silhouette, r.segment_count, r.hyperparams.penalty, r.replica_version)
             for r in report.results
@@ -750,3 +669,76 @@ class TestZeroconf:
         events = twin.snapshot_state().events
         assert len(events) == len(anomalies) > 0
         assert all(e.name == "anomaly_detected" for e in events)
+
+
+@pytest.fixture(scope="module")
+def swept(small_run):
+    """The window of the quiet-failure run and its 24 replicas' results, in
+    replica order, computed once."""
+    _, samples, _, _ = small_run
+    window = rows_of(samples)
+    return window, orchestrator._plan(window, orchestrator._REPLICAS, seed=42)
+
+
+class TestReplicas:
+    @pytest.mark.parametrize("i", range(24), ids=REPLICA_VERSIONS)
+    def test_replica_equals_the_reference_stages(self, swept, i):
+        # each replica's shared stage outputs are what the verbatim reference
+        # PELT, k-means and silhouette compute from its own block features
+        _, results = swept
+        result, hp = results[i], orchestrator._REPLICAS[i]
+        assert result.replica_version == REPLICA_VERSIONS[i]
+        assert result.hyperparams == hp
+        peaks = result.features.peaks
+        assert result.segmentation == reference_pelt_segment(peaks, hp.penalty)
+        assert np.array_equal(result.labels, reference_kmeans_fit(peaks, hp.k, seed=42).labels)
+        assert result.silhouette == reference_silhouette_loop(peaks, result.labels)
+
+    @pytest.mark.parametrize("order", ["reversed", "rotated", "shuffled", "doubled"])
+    def test_a_replica_does_not_depend_on_the_others(self, swept, order):
+        # the plan stays generic over its list: reordering or repeating the
+        # replicas renumbers their versions and changes no result
+        window, results = swept
+        by_hp = dict(zip(orchestrator._REPLICAS, results))
+        hps = list(orchestrator._REPLICAS)
+        if order == "reversed":
+            hps.reverse()
+        elif order == "rotated":
+            hps = hps[7:] + hps[:7]
+        elif order == "shuffled":
+            random.Random(7).shuffle(hps)
+        else:
+            hps = [hp for hp in hps for _ in range(2)]
+        got = orchestrator._plan(window, hps, seed=42)
+        assert [r.replica_version for r in got] == [
+            f"v{j + 1}-{hp.digest()}" for j, hp in enumerate(hps)
+        ]
+        for r, hp in zip(got, hps):
+            want = by_hp[hp]
+            assert r.segmentation == want.segmentation
+            assert np.array_equal(r.labels, want.labels)
+            assert r.silhouette == want.silhouette
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda archive: zeroconf_run(archive, "m1", (0, 10**18), grid={"k": [2]}),
+            lambda archive: zeroconf_run(archive, "m1", (0, 10**18), rarity_threshold=0.02),
+            # a grid in its old fourth position would bind to twin and run
+            lambda archive: zeroconf_run(archive, "m1", (0, 10**18), {"k": [2]}),
+            lambda archive: flag_anomalies([], rarity_threshold=0.05),
+            lambda archive: flag_anomalies([], 0.05),
+            lambda archive: report_payload(None, "m1", 42, 0.05),
+        ],
+        ids=["zeroconf_run-grid", "zeroconf_run-rarity_threshold", "zeroconf_run-positional",
+             "flag_anomalies-rarity_threshold", "flag_anomalies-positional",
+             "report_payload-threshold"],
+    )
+    def test_removed_settings_are_refused(self, call):
+        # the sweep takes no settings: an old call fails instead of running
+        # the fixed sweep, or binding a threshold to another parameter
+        samples, _ = simulate_scenario(default_scenario(duration_s=6, machines=("m1",)))
+        archive = archive_of(samples)
+        with pytest.raises(TypeError):
+            call(archive)
+        assert archive.replica_versions() == ()

@@ -40,7 +40,6 @@ CALLER_DIRS = ("src", "scripts", "perfbench")
 
 # Public definitions that stay without a caller, each for one reason.
 ALLOWED = {
-    "brute_force_segment": "the exact DP oracle that PELT is tested against",
     "cluster_frequency_histogram": "an acceptance criterion tests it",
     "snapshot_state": "the twin's read API for its properties and events",
     "validate_quality": "the quality report that the run metrics still to come will call",
