@@ -64,14 +64,6 @@ def _machine_id(value) -> str:
     return value
 
 
-def _integer(name: str, value) -> int:
-    """An integer read from a scenario file, as the --seed and --rate flags
-    take: a JSON integer, not a bool or a float."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _number(name: str, value) -> float:
     """A time read from a scenario file: a JSON number, not a bool or a
     string."""
@@ -129,10 +121,10 @@ def parse_scenario_file(path) -> ScenarioSpec:
             raise TypeError(f"machines must be a list, got {type(machines).__name__}")
         schedule = tuple(map(_interval, payload.get("schedule", [])))
         return ScenarioSpec(
-            seed=_integer("seed", payload.get("seed", DEFAULT_SEED)),
+            seed=payload.get("seed", DEFAULT_SEED),
             machines=tuple(machines),
             duration_s=_number("duration_s", payload.get("duration_s", DEFAULT_DURATION_S)),
-            sample_rate=_integer("sample_rate", payload.get("sample_rate", DEFAULT_SAMPLE_RATE)),
+            sample_rate=payload.get("sample_rate", DEFAULT_SAMPLE_RATE),
             phase_schedule=schedule,
             failure_windows=tuple(map(_failure_window, payload.get("failure_windows", []))),
         )

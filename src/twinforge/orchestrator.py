@@ -5,10 +5,11 @@ augmentation events back into the twin. The grid (DEFAULT_GRID) and the
 rarity cutoff (DEFAULT_RARITY_THRESHOLD) are constants: a sweep takes no
 settings.
 
-A sweep runs one fixed plan (_plan): each stage reads only part of the
-hyperparameters (readiness, which has no settings, only the block sizes), so
-each runs once per distinct input, and the plan's last step builds every
-replica's versioned result from the shared stage outputs.
+A sweep runs one fixed plan (_plan) that walks DEFAULT_GRID: each stage
+reads only part of the grid (readiness, which has no settings, only the block
+sizes), so each runs once per distinct input, and the plan's last step builds
+every replica's result, under its version (_VERSIONS), from the shared stage
+outputs.
 A result's segments are its archive records, built from the replica's
 segmentation and block labels when first read; the timeline is derived from
 the same records.
@@ -70,11 +71,6 @@ class HyperParams:
         )
 
     def digest(self) -> str:
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
-        # computed once per instance, which is frozen
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:8]
 
 
@@ -152,91 +148,71 @@ class Timeline:
         return "\n".join(lines) + "\n"
 
 
-# the grid's product in (block_size, k, penalty) order: v1..v24
+# the grid's product in (block_size, k, penalty) order and its versions, v1..v24
 _REPLICAS = tuple(
     HyperParams(block_size=block_size, penalty=penalty, k=k)
     for block_size, k, penalty in itertools.product(
         DEFAULT_GRID["block_size"], DEFAULT_GRID["k"], DEFAULT_GRID["penalty"]
     )
 )
+_VERSIONS = tuple(f"v{i + 1}-{hp.digest()}" for i, hp in enumerate(_REPLICAS))
 
 
-def _group(hps: Sequence[HyperParams], members, field: str) -> dict[str, list[int]]:
-    """Indices of members by the repr of one hyperparameter field, in
-    first-seen order, so penalties 40 and 40.0 stay distinct stage inputs."""
-    groups: dict[str, list[int]] = {}
-    for i in members:
-        groups.setdefault(repr(getattr(hps[i], field)), []).append(i)
-    return groups
-
-
-def _version(seq: int, hp: HyperParams) -> str:
-    return f"v{seq}-{hp.digest()}"
-
-
-def _plan(window: Rows, hps: Sequence[HyperParams], seed: int) -> list[ReplicaResult]:
-    """The results of the replicas hps over one queried window, in order,
-    versioned v1..vN; the last step per replica is run_replica.
+def _plan(window: Rows, seed: int) -> list[ReplicaResult]:
+    """The results of the 24 replicas over one queried window, in replica
+    order (_REPLICAS, versioned _VERSIONS); the last step per replica is
+    run_replica.
 
     The window's axes are read from the archive's columns once, and one
-    run_readiness call cleans them for every block size. Per block size, one
-    lockstep pelt_segment call covers every penalty, one k-means++ seeding
-    for the largest k serves kmeans_fit once per k, and one silhouette_score
-    call scores every k's labels. Replicas share these objects, so their
-    arrays must not be modified in place.
+    run_readiness call cleans them for every block size of DEFAULT_GRID. Per
+    block size, one lockstep pelt_segment call covers every penalty, one
+    k-means++ seeding for the largest k serves kmeans_fit once per k, and one
+    silhouette_score call scores every k's labels. Replicas share these
+    objects, so their arrays must not be modified in place.
 
     A TwinForgeError from a stage is re-raised under the version of the first
-    replica that stage serves (members), so the first failure in plan order
+    replica that stage serves (first), so the first failure in plan order
     names its replica; other errors propagate as they are.
     """
-    members = range(len(hps))
+    penalties, ks = DEFAULT_GRID["penalty"], DEFAULT_GRID["k"]
+    first = 0
     try:
         x, y, z, ts = window.axis_arrays()
         window_start_ts = int(ts[0])
         per_sample_ns = (int(ts[-1]) - window_start_ts) // (len(ts) - 1) if len(ts) > 1 else 0
-        results: list = [None] * len(hps)
-        by_size = _group(hps, members, "block_size")
-        features_by_size = run_readiness(x, y, z, [hps[g[0]].block_size for g in by_size.values()])
-        for same_size, features in zip(by_size.values(), features_by_size):
-            members = same_size
-            by_penalty = _group(hps, same_size, "penalty")
-            by_k = _group(hps, same_size, "k")
-            penalties = [hps[g[0]].penalty for g in by_penalty.values()]
+        results: list[ReplicaResult] = []
+        for features in run_readiness(x, y, z, DEFAULT_GRID["block_size"]):
+            first = len(results)
             segmentations = pelt_segment(features, penalties)
-            ks = [hps[g[0]].k for g in by_k.values()]
             # init is passed by position, as the benchmark's tracer digests
             # an array argument by its bytes and a keyword one by its repr
             init = _kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), seed)
             models = []
-            for members, k in zip(by_k.values(), ks):
+            for j, k in enumerate(ks):
+                first = len(results) + j * len(penalties)
                 # a k past the block count raises KExceedsN before init is read
                 models.append(kmeans_fit(features.peaks, k, seed, init))
-            members = same_size
+            first = len(results)
             scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
-            segmentation_of = {
-                i: segmentation
-                for same_penalty, segmentation in zip(by_penalty.values(), segmentations)
-                for i in same_penalty
-            }
-            for same_k, model, score in zip(by_k.values(), models, scores):
-                for i in same_k:
-                    results[i] = run_replica(
-                        hps[i], i + 1, features=features, segmentation=segmentation_of[i],
+            for model, score in zip(models, scores):
+                for segmentation in segmentations:
+                    i = len(results)
+                    results.append(run_replica(
+                        _REPLICAS[i], _VERSIONS[i], features=features, segmentation=segmentation,
                         labels=model.labels, silhouette=score,
                         window_start_ts=window_start_ts, per_sample_ns=per_sample_ns,
-                    )
+                    ))
     except TwinForgeError as exc:
-        i = members[0]
-        raise type(exc)(f"{_version(i + 1, hps[i])}: {exc}") from exc
+        raise type(exc)(f"{_VERSIONS[first]}: {exc}") from exc
     return results
 
 
-def run_replica(hp: HyperParams, seq: int, **stages) -> ReplicaResult:
-    """Replica seq's versioned result, built from the stage outputs the
-    sweep's plan (_plan) shares, given as the rest of ReplicaResult's fields:
-    readiness -> segmentation -> clustering + silhouette, its segments
-    labelled when first read."""
-    return ReplicaResult(replica_version=_version(seq, hp), hyperparams=hp, **stages)
+def run_replica(hp: HyperParams, version: str, **stages) -> ReplicaResult:
+    """The replica's result under its version, built from the stage outputs
+    the sweep's plan (_plan) shares, given as the rest of ReplicaResult's
+    fields: readiness -> segmentation -> clustering + silhouette, its
+    segments labelled when first read."""
+    return ReplicaResult(replica_version=version, hyperparams=hp, **stages)
 
 
 def rank_replicas(results: Sequence[ReplicaResult]) -> BenchmarkReport:
@@ -342,7 +318,7 @@ def zeroconf_run(
     if not any(e.sample.channel in ACCEL_CHANNELS for e in window):
         raise NoData(f"no samples for {machine} in {time_range}")
 
-    report = rank_replicas(_plan(window, _REPLICAS, seed))
+    report = rank_replicas(_plan(window, seed))
     winner = report.results[0]
     if winner.replica_version not in archive.replica_versions():
         for record in winner.segments:

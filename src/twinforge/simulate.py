@@ -103,6 +103,14 @@ class ScenarioSpec:
     def _validate_scalars(self) -> None:
         """The checks that need no schedule; default_scenario runs them
         before it rounds any phase boundary."""
+        for name, value in (("seed", self.seed), ("sample_rate", self.sample_rate)):
+            # a float rate stamps float timestamps; a bool seed aliases seed 0 or 1
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.duration_s, bool) or not isinstance(self.duration_s, (int, float)):
+            raise InvalidSpec(f"duration_s must be a number, got {self.duration_s!r}")
+        if isinstance(self.machines, str):  # a string would split into one-letter ids
+            raise InvalidSpec("machines must be a list, got str")
         check_seed(self.seed)
         if self.sample_rate < 1:
             raise InvalidSpec("sample_rate must be >= 1")
@@ -148,7 +156,7 @@ def default_scenario(
     stays a strong contrast after outlier cleaning, and boundaries snap to
     0.5 s so block grids at 25 and 50 samples land exactly on them.
     """
-    ScenarioSpec(seed, tuple(machines), duration_s, sample_rate)._validate_scalars()
+    ScenarioSpec(seed, machines, duration_s, sample_rate)._validate_scalars()
     bounds = [_snap(duration_s * f) for f in (11 / 24, 14 / 24, 23 / 24)]
     if not 0 < bounds[0] < bounds[1] < bounds[2] < duration_s:
         bounds = [_snap(duration_s * f) for f in (0.25, 0.5, 0.75)]

@@ -17,6 +17,9 @@ from twinforge.analytics import (
     _prefix_sums,
     _segment_costs,
     check_penalty,
+    kmeans_fit,
+    pelt_segment,
+    silhouette_score,
 )
 from twinforge.errors import (
     AxisLengthMismatch,
@@ -27,6 +30,8 @@ from twinforge.errors import (
     SeriesTooShort,
     TooFewPoints,
 )
+from twinforge.orchestrator import _REPLICAS, ReplicaResult
+from twinforge.readiness import run_readiness
 from twinforge.wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample
 
 _KEYS = {"asset", "ch", "ts", "v", "q"}
@@ -336,6 +341,29 @@ def reference_axis_series(window: Iterable[TelemetrySample]):
         lengths = {ch.value: len(v) for ch, v in zip(ACCEL_CHANNELS, (xs, ys, zs))}
         raise AxisLengthMismatch(f"accel channels misaligned: {lengths}")
     return np.array(xs), np.array(ys), np.array(zs), ts
+
+
+def reference_replica(window: Iterable[TelemetrySample], hp, seed) -> ReplicaResult:
+    """One replica of the grid computed alone, with no plan: the public
+    stages chained over its own hyperparameters (readiness over
+    [hp.block_size], PELT over [hp.penalty], k-means at hp.k from its own
+    k-means++ seeding, the silhouette of its labels), versioned by hp's place
+    in the grid. window is one machine's samples, each axis in ts order."""
+    x, y, z, ts = reference_axis_series(window)
+    (features,) = run_readiness(x, y, z, [hp.block_size])
+    (segmentation,) = pelt_segment(features, [hp.penalty])
+    labels = kmeans_fit(features.peaks, hp.k, seed).labels
+    (silhouette,) = silhouette_score(features.peaks, labels[None])
+    return ReplicaResult(
+        replica_version=f"v{_REPLICAS.index(hp) + 1}-{hp.digest()}",
+        hyperparams=hp,
+        segmentation=segmentation,
+        labels=labels,
+        silhouette=silhouette,
+        features=features,
+        window_start_ts=ts[0],
+        per_sample_ns=(ts[-1] - ts[0]) // (len(ts) - 1) if len(ts) > 1 else 0,
+    )
 
 
 def reference_fnv1a64(text: str) -> np.uint64:

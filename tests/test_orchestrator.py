@@ -1,12 +1,15 @@
 import hashlib
 import itertools
-import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import archive_of
-from oracles import reference_kmeans_fit, reference_pelt_segment, reference_silhouette_loop
+from oracles import (
+    reference_kmeans_fit,
+    reference_pelt_segment,
+    reference_replica,
+    reference_silhouette_loop,
+)
 
 from twinforge import analytics, orchestrator
 from twinforge.analytics import Segmentation
@@ -19,6 +22,7 @@ from twinforge.errors import (
     MixedVersions,
     NoData,
     NoResults,
+    SeriesTooShort,
     WindowTooLarge,
 )
 from twinforge.orchestrator import (
@@ -80,6 +84,7 @@ class TestGrid:
         )
         fresh = [hashlib.sha256(hp.canonical().encode()).hexdigest()[:8] for hp in replicas]
         assert [hp.digest() for hp in replicas] == fresh
+        assert orchestrator._VERSIONS == tuple(REPLICA_VERSIONS)
 
     def test_canonical_form_keeps_the_empty_readiness_map(self):
         # readiness has no settings, but its key stays in the hashed form, so
@@ -88,11 +93,13 @@ class TestGrid:
         assert hp.canonical() == '{"block_size":50,"k":4,"penalty":40.0,"readiness":{}}'
         assert HyperParams(block_size=25, penalty=40.0, k=2).digest() == "b99b1fcc"
 
-    def test_digest_is_computed_once(self, monkeypatch):
-        hp = HyperParams(block_size=50, penalty=40.0, k=3)
-        first = hp.digest()
-        monkeypatch.setattr(HyperParams, "canonical", lambda self: pytest.fail("rehashed"))
-        assert hp.digest() == first
+    def test_a_sweep_hashes_nothing(self, monkeypatch):
+        # every version is read from _VERSIONS, built once at import
+        samples, _ = simulate_scenario(default_scenario(duration_s=6, machines=("m1",)))
+        archive = archive_of(samples)
+        monkeypatch.setattr(HyperParams, "canonical", lambda self: pytest.fail("hashed"))
+        report, _, _ = zeroconf_run(archive, "m1", (0, 10**18))
+        assert sorted(r.replica_version for r in report.results) == sorted(REPLICA_VERSIONS)
 
 
 def clean_three_phase_window():
@@ -123,13 +130,6 @@ def rows_of(samples):
     return archive.query_window(WindowQuery(machine, *archive.time_span(machine)))
 
 
-def one_replica(window, hp, seed):
-    """The one-replica reference: the sweep's plan over [hp] alone, v1, on
-    the window of one machine's samples."""
-    (result,) = orchestrator._plan(rows_of(window), [hp], seed)
-    return result
-
-
 def labelled_segments(peaks, change_points, labels):
     """The segment records of a replica with the given block features,
     change points and block labels."""
@@ -150,7 +150,7 @@ class TestRunReplica:
     def test_recovers_clean_three_phase_segments(self):
         window, truth = clean_three_phase_window()
         hp = HyperParams(block_size=50, penalty=40.0, k=3)
-        result = one_replica(window, hp, seed=42)
+        result = reference_replica(window, hp, seed=42)
         assert result.segment_count == 3
         assert result.segmentation.change_points == truth.machines[
             "m1"
@@ -160,27 +160,19 @@ class TestRunReplica:
         _, samples, _, _ = small_run
         window = [s for s in samples if s.channel is not Channel.plc_state]
         hp = HyperParams(block_size=50, penalty=10.0, k=2)
-        a = one_replica(window, hp, seed=1)
-        b = one_replica(window, hp, seed=1)
+        a = reference_replica(window, hp, seed=1)
+        b = reference_replica(window, hp, seed=1)
         assert a.replica_version == b.replica_version
-        assert a.replica_version.startswith("v1-")
+        # block size 50, k 2, penalty 10: the 13th replica of the grid
+        assert a.replica_version == REPLICA_VERSIONS[12]
         assert a.segmentation == b.segmentation
         assert np.array_equal(a.labels, b.labels)
         assert a.silhouette == b.silhouette
 
-    def test_plan_versions_replicas_in_grid_order(self, small_run):
-        _, samples, _, _ = small_run
-        hps = [HyperParams(block_size=50, penalty=p, k=k) for k in (3, 2) for p in (160, 10)]
-        results = orchestrator._plan(rows_of(samples), hps, seed=1)
-        assert [r.hyperparams for r in results] == hps
-        assert [r.replica_version for r in results] == [
-            f"v{i + 1}-{hp.digest()}" for i, hp in enumerate(hps)
-        ]
-
     def test_segments_are_archive_records_stamped_at_their_first_block(self):
         # 100 Hz from ts 0: a block of 50 samples spans 500 ms of data
         window, _ = clean_three_phase_window()
-        result = one_replica(window, HyperParams(block_size=50, penalty=40.0, k=3), seed=42)
+        result = reference_replica(window, HyperParams(block_size=50, penalty=40.0, k=3), seed=42)
         assert result.window_start_ts == 0 and result.per_sample_ns == 10**7
         assert all(type(s) is SegmentRecord for s in result.segments)
         assert [s.replica_version for s in result.segments] == [result.replica_version] * 3
@@ -209,7 +201,7 @@ class TestRunReplica:
         _, samples, _, _ = small_run
         window = [s for s in samples if s.channel in (Channel.accel_x, Channel.accel_y)]
         with pytest.raises(AxisLengthMismatch, match=r"^v1-"):
-            orchestrator._plan(rows_of(window), [HyperParams(block_size=50, penalty=40.0, k=4)], seed=1)
+            orchestrator._plan(rows_of(window), seed=1)
 
 
 class TestAxisSeries:
@@ -459,12 +451,7 @@ class TestZeroconf:
 
         rows = archive.query_window(WindowQuery("m1", 0, 10**18))
         window = [e.sample for e in rows if e.sample.channel in ACCEL_CHANNELS]
-        expected = rank_replicas(
-            [
-                replace(one_replica(window, hp, 7), replica_version=f"v{i + 1}-{hp.digest()}")
-                for i, hp in enumerate(orchestrator._REPLICAS)
-            ]
-        )
+        expected = rank_replicas([reference_replica(window, hp, 7) for hp in orchestrator._REPLICAS])
         assert len(report.results) == len(expected.results) == 24
         for got, want in zip(report.results, expected.results):
             assert got.replica_version == want.replica_version
@@ -563,52 +550,28 @@ class TestZeroconf:
         assert archive.segments_for(report.selected) == report.results[0].segments
 
     @pytest.mark.parametrize(
-        "penalties, pelt_penalties",
-        [([40, 40.0], [40, 40.0]), ([40, 40], [40]), ([40.0, 40.0], [40.0]), ([50.0, 40, 50], [50.0, 40, 50])],
-    )
-    def test_penalty_groups_keep_int_and_float_apart(self, small_run, monkeypatch, penalties, pelt_penalties):
-        seen = []
-        pelt = orchestrator.pelt_segment
-
-        def recording(features, penalties):
-            seen.append(list(penalties))
-            return pelt(features, penalties)
-
-        monkeypatch.setattr(orchestrator, "pelt_segment", recording)
-        _, samples, _, _ = small_run
-        hps = [HyperParams(block_size=50, penalty=p, k=2) for p in penalties]
-        results = orchestrator._plan(rows_of(samples), hps, seed=42)
-        assert len(results) == len(penalties)
-        assert len(seen) == 1
-        assert [(type(p), p) for p in seen[0]] == [(type(p), p) for p in pelt_penalties]
-
-    @pytest.mark.parametrize(
-        "hps, t_end, error, version",
+        "t_end, error, message",
         [
-            # 2 s is 8 blocks at block size 25 and 4 at 50: k = 5 fails only
-            # at 50, in v22, although v13 fits every k of that block size
-            (orchestrator._REPLICAS, 10**18, KExceedsN, "v22-62596441: k=5 > n=4"),
-            # v1 and v2 share one PELT call and one k-means call; the k-means
-            # failure is raised under v1, the first replica that shares it
-            ([HyperParams(block_size=50, penalty=p, k=5) for p in (10.0, 160.0)], 10**18,
-             KExceedsN, "v1-"),
             # 4 accel samples per axis are fewer than the smoothing window:
-            # the one readiness call that every block size shares fails under
-            # v1, the first replica it serves
-            ([HyperParams(block_size=b, penalty=40.0, k=2) for b in (25, 50)], 4 * 10**7,
-             WindowTooLarge, "v1-b99b1fcc: window 5 > length 4"),
-            # the first failure in plan order raises: the plan finishes block
-            # size 25, where every k fits, before k = 5 fails in v4 at 50
-            ([HyperParams(block_size=b, penalty=40.0, k=k) for b in (25, 50) for k in (2, 5)],
-             10**18, KExceedsN, "v4-2147182a: k=5 > n=4"),
+            # the one readiness call fails under v1, the first replica it serves
+            (4 * 10**7, WindowTooLarge, "v1-1758d63c: window 5 > length 4"),
+            # 20 samples are one block at size 25: the first PELT call fails
+            (2 * 10**8, SeriesTooShort, "v1-1758d63c: 1 blocks < min_segment 2"),
+            # 2 blocks at size 25: k = 3 fails under v4, the first replica at k = 3
+            (3 * 10**8, KExceedsN, "v4-122e8ea7: k=3 > n=2"),
+            # 4 blocks at size 25: k = 2..4 fit, k = 5 fails under v10
+            (10**9, KExceedsN, "v10-7bd83f2e: k=5 > n=4"),
+            # the whole 2 s: the plan finishes block size 25, where every k
+            # fits, before k = 5 fails at 50 under v22, the first at k = 5
+            (10**18, KExceedsN, "v22-62596441: k=5 > n=4"),
         ],
     )
-    def test_shared_stage_failure_is_raised_by_its_replica(self, hps, t_end, error, version):
+    def test_shared_stage_failure_is_raised_by_its_replica(self, t_end, error, message):
         samples, _ = simulate_scenario(default_scenario(duration_s=2, machines=("m1",)))
         window = archive_of(samples).query_window(WindowQuery("m1", 0, t_end))
         with pytest.raises(error) as info:
-            orchestrator._plan(window, hps, seed=42)
-        assert str(info.value).startswith(version)
+            orchestrator._plan(window, seed=42)
+        assert str(info.value) == message
 
     def test_failing_sweep_runs_its_plan_once(self, monkeypatch):
         calls = {"run_readiness": 0, "pelt_segment": 0}
@@ -633,8 +596,7 @@ class TestZeroconf:
 
     def test_ranking_is_total_order(self, small_run):
         _, samples, _, _ = small_run
-        hps = [HyperParams(block_size=50, penalty=p, k=k) for k in (2, 3) for p in (10, 40)]
-        report = rank_replicas(orchestrator._plan(rows_of(samples), hps, seed=42))
+        report = rank_replicas(orchestrator._plan(rows_of(samples), 42))
         keys = [
             (-r.silhouette, r.segment_count, r.hyperparams.penalty, r.replica_version)
             for r in report.results
@@ -673,11 +635,9 @@ class TestZeroconf:
 
 @pytest.fixture(scope="module")
 def swept(small_run):
-    """The window of the quiet-failure run and its 24 replicas' results, in
-    replica order, computed once."""
+    """The 24 replicas' results over the quiet-failure run, computed once."""
     _, samples, _, _ = small_run
-    window = rows_of(samples)
-    return window, orchestrator._plan(window, orchestrator._REPLICAS, seed=42)
+    return orchestrator._plan(rows_of(samples), seed=42)
 
 
 class TestReplicas:
@@ -685,39 +645,14 @@ class TestReplicas:
     def test_replica_equals_the_reference_stages(self, swept, i):
         # each replica's shared stage outputs are what the verbatim reference
         # PELT, k-means and silhouette compute from its own block features
-        _, results = swept
-        result, hp = results[i], orchestrator._REPLICAS[i]
-        assert result.replica_version == REPLICA_VERSIONS[i]
-        assert result.hyperparams == hp
+        # the plan returns the grid's replicas under their versions, in order
+        assert [r.hyperparams for r in swept] == list(orchestrator._REPLICAS)
+        assert [r.replica_version for r in swept] == REPLICA_VERSIONS
+        result, hp = swept[i], orchestrator._REPLICAS[i]
         peaks = result.features.peaks
         assert result.segmentation == reference_pelt_segment(peaks, hp.penalty)
         assert np.array_equal(result.labels, reference_kmeans_fit(peaks, hp.k, seed=42).labels)
         assert result.silhouette == reference_silhouette_loop(peaks, result.labels)
-
-    @pytest.mark.parametrize("order", ["reversed", "rotated", "shuffled", "doubled"])
-    def test_a_replica_does_not_depend_on_the_others(self, swept, order):
-        # the plan stays generic over its list: reordering or repeating the
-        # replicas renumbers their versions and changes no result
-        window, results = swept
-        by_hp = dict(zip(orchestrator._REPLICAS, results))
-        hps = list(orchestrator._REPLICAS)
-        if order == "reversed":
-            hps.reverse()
-        elif order == "rotated":
-            hps = hps[7:] + hps[:7]
-        elif order == "shuffled":
-            random.Random(7).shuffle(hps)
-        else:
-            hps = [hp for hp in hps for _ in range(2)]
-        got = orchestrator._plan(window, hps, seed=42)
-        assert [r.replica_version for r in got] == [
-            f"v{j + 1}-{hp.digest()}" for j, hp in enumerate(hps)
-        ]
-        for r, hp in zip(got, hps):
-            want = by_hp[hp]
-            assert r.segmentation == want.segmentation
-            assert np.array_equal(r.labels, want.labels)
-            assert r.silhouette == want.silhouette
 
     @pytest.mark.parametrize(
         "call",

@@ -70,6 +70,33 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match="finite"):
             default_scenario(duration_s=duration)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # a float rate would stamp float timestamps that no trace reader accepts
+            ({"sample_rate": 2.5, "duration_s": 4.0}, "sample_rate must be an integer, got 2.5"),
+            ({"sample_rate": True}, "sample_rate must be an integer, got True"),
+            # a bool seed would key the streams of seed 1
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": 4.0}, "seed must be an integer, got 4.0"),
+            ({"duration_s": "4"}, "duration_s must be a number, got '4'"),
+            ({"duration_s": False}, "duration_s must be a number, got False"),
+            # tuple() would split a string into the machines 'm' and '1'
+            ({"machines": "m1"}, "machines must be a list, got str"),
+        ],
+        ids=["float-rate", "bool-rate", "bool-seed", "float-seed", "string-duration",
+             "bool-duration", "string-machines"],
+    )
+    def test_default_scenario_refuses_wrong_scalar_types(self, kwargs, message):
+        with pytest.raises(InvalidSpec) as info:
+            default_scenario(**kwargs)
+        assert str(info.value) == message
+
+    def test_spec_refuses_a_string_of_machines(self):
+        spec = ScenarioSpec(machines="m1", duration_s=0.0)
+        with pytest.raises(InvalidSpec, match="^machines must be a list, got str$"):
+            spec.validate()
+
     def test_quiet_failure_scenario_is_valid(self):
         for seed in range(1, 21):
             spec = quiet_failure_scenario(seed)
