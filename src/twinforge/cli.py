@@ -57,21 +57,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _machine_id(value) -> str:
-    """A machine id read from a scenario file, which must be a string."""
-    if type(value) is not str:
-        raise TypeError(f"machine id must be a string, got {value!r}")
-    return value
-
-
-def _number(name: str, value) -> float:
-    """A time read from a scenario file: a JSON number, not a bool or a
-    string."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 _SPEC_KEYS = ("duration_s", "failure_windows", "machines", "sample_rate", "schedule", "seed")
 _INTERVAL_KEYS = ("end_s", "machine", "start_s", "state")
 
@@ -89,46 +74,29 @@ def _object(obj, keys: tuple[str, ...], what: str) -> dict:
 
 def _interval(iv) -> PhaseInterval:
     iv = _object(iv, _INTERVAL_KEYS, "a schedule interval")
-    return PhaseInterval(
-        machine=_machine_id(iv["machine"]),
-        start_s=_number("start_s", iv["start_s"]),
-        end_s=_number("end_s", iv["end_s"]),
-        state=MachineState[iv["state"]],
-    )
-
-
-def _failure_window(w) -> tuple[str, float, float]:
-    if len(w) != 3:
-        raise ValueError(f"a failure window is [machine, start, end], got {w!r}")
-    return (
-        _machine_id(w[0]),
-        _number("failure window start", w[1]),
-        _number("failure window end", w[2]),
-    )
+    return PhaseInterval(iv["machine"], iv["start_s"], iv["end_s"], MachineState[iv["state"]])
 
 
 def parse_scenario_file(path) -> ScenarioSpec:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise InvalidSpec(
-            f"bad scenario file {path}: expected a JSON object, got {type(payload).__name__}"
-        )
+    """A scenario file's spec, read for its JSON shape only (an object, its
+    keys, state names): ScenarioSpec.validate checks every value."""
     try:
-        _object(payload, _SPEC_KEYS, "the scenario")
-        machines = payload.get("machines", DEFAULT_MACHINES)
-        if not isinstance(machines, (list, tuple)):  # a string would split into ids
-            raise TypeError(f"machines must be a list, got {type(machines).__name__}")
-        schedule = tuple(map(_interval, payload.get("schedule", [])))
-        return ScenarioSpec(
-            seed=payload.get("seed", DEFAULT_SEED),
-            machines=tuple(machines),
-            duration_s=_number("duration_s", payload.get("duration_s", DEFAULT_DURATION_S)),
-            sample_rate=payload.get("sample_rate", DEFAULT_SAMPLE_RATE),
-            phase_schedule=schedule,
-            failure_windows=tuple(map(_failure_window, payload.get("failure_windows", []))),
-        )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+        fields = dict(_object(payload, _SPEC_KEYS, "the scenario"))
+        if "schedule" in fields:
+            fields["phase_schedule"] = tuple(map(_interval, fields.pop("schedule")))
+        if isinstance(fields.get("machines"), list):  # validate refuses any other type
+            fields["machines"] = tuple(fields["machines"])
+        if "failure_windows" in fields:
+            fields["failure_windows"] = tuple(
+                tuple(w) if isinstance(w, list) else w for w in fields["failure_windows"]
+            )
+        return ScenarioSpec(**fields)
+    # ValueError: bad JSON or UTF-8; RecursionError: arrays nested too deep
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"bad scenario file {path}: {exc}") from exc
 
 
@@ -151,9 +119,8 @@ def cmd_simulate(args) -> int:
                 machines=machines,
                 sample_rate=args.rate,
             )
-        spec.validate()
         samples, truth = simulate_scenario(spec)
-    except (InvalidSpec, OSError, json.JSONDecodeError) as exc:
+    except (InvalidSpec, OSError) as exc:
         return _fail(EXIT_BAD_ARGS, f"invalid scenario: {exc}")
     except MemoryError as exc:  # a valid scenario whose samples no memory holds
         return _fail(EXIT_BAD_ARGS, f"invalid scenario: too large to simulate: {exc}")
@@ -317,7 +284,8 @@ def cmd_report(args) -> int:
         payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
         replicas = payload["replicas"]
         selected = payload["selected"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
+    # ValueError: bad JSON or UTF-8; RecursionError: arrays nested too deep
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         return _fail(EXIT_BAD_ARGS, f"malformed report: {exc}")
     if not isinstance(replicas, list):
         return _fail(

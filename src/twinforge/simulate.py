@@ -53,6 +53,16 @@ def check_seed(seed: int) -> None:
         raise InvalidSpec(f"seed must be in [0, 2**64), got {seed}")
 
 
+def _check_number(name: str, value) -> None:
+    """A time is a number, not a bool, that a float holds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidSpec(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise InvalidSpec(f"{name} is past the float range") from None
+
+
 @dataclass(frozen=True)
 class PhaseInterval:
     machine: str
@@ -71,7 +81,9 @@ class ScenarioSpec:
     failure_windows: tuple[tuple[str, float, float], ...] = ()
 
     def validate(self) -> None:
-        self._validate_scalars()
+        """Raise InvalidSpec unless the simulator can run this spec, whoever
+        built it (CLI flags, a file or a library); simulate_scenario runs it."""
+        self._check_values()
         if self.duration_s == 0:
             return
         for machine in self.machines:
@@ -100,17 +112,16 @@ class ScenarioSpec:
             if window not in failure_ivs:
                 raise InvalidSpec(f"failure window {window} not a Failure interval")
 
-    def _validate_scalars(self) -> None:
-        """The checks that need no schedule; default_scenario runs them
-        before it rounds any phase boundary."""
+    def _check_values(self) -> None:
+        """Every check but the schedule's coverage, run at any duration;
+        default_scenario runs them before it rounds any phase boundary."""
         for name, value in (("seed", self.seed), ("sample_rate", self.sample_rate)):
             # a float rate stamps float timestamps; a bool seed aliases seed 0 or 1
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.duration_s, bool) or not isinstance(self.duration_s, (int, float)):
-            raise InvalidSpec(f"duration_s must be a number, got {self.duration_s!r}")
-        if isinstance(self.machines, str):  # a string would split into one-letter ids
-            raise InvalidSpec("machines must be a list, got str")
+        _check_number("duration_s", self.duration_s)
+        if not isinstance(self.machines, (list, tuple)):  # a string would split into ids
+            raise InvalidSpec(f"machines must be a list, got {type(self.machines).__name__}")
         check_seed(self.seed)
         if self.sample_rate < 1:
             raise InvalidSpec("sample_rate must be >= 1")
@@ -129,6 +140,25 @@ class ScenarioSpec:
                 raise InvalidSpec(f"bad machine id {machine!r}")
         if len(set(self.machines)) != len(self.machines):
             raise InvalidSpec("duplicate machine ids")
+        for iv in self.phase_schedule:
+            self._check_listed("schedule interval", iv.machine)
+            _check_number("start_s", iv.start_s)
+            _check_number("end_s", iv.end_s)
+            if not isinstance(iv.state, MachineState):  # an int would pass every == test
+                raise InvalidSpec(f"state must be a MachineState, got {iv.state!r}")
+        for window in self.failure_windows:
+            if not isinstance(window, tuple) or len(window) != 3:
+                shown = list(window) if isinstance(window, tuple) else window  # as JSON
+                raise InvalidSpec(f"a failure window is [machine, start, end], got {shown!r}")
+            self._check_listed("failure window", window[0])
+            _check_number("failure window start", window[1])
+            _check_number("failure window end", window[2])
+
+    def _check_listed(self, what: str, machine) -> None:
+        if type(machine) is not str:
+            raise InvalidSpec(f"machine id must be a string, got {machine!r}")
+        if machine not in self.machines:
+            raise InvalidSpec(f"{what} names machine {machine!r}, which is not in machines")
 
     def intervals_for(self, machine: str) -> list[PhaseInterval]:
         return sorted(
@@ -156,7 +186,7 @@ def default_scenario(
     stays a strong contrast after outlier cleaning, and boundaries snap to
     0.5 s so block grids at 25 and 50 samples land exactly on them.
     """
-    ScenarioSpec(seed, machines, duration_s, sample_rate)._validate_scalars()
+    ScenarioSpec(seed, machines, duration_s, sample_rate)._check_values()
     bounds = [_snap(duration_s * f) for f in (11 / 24, 14 / 24, 23 / 24)]
     if not 0 < bounds[0] < bounds[1] < bounds[2] < duration_s:
         bounds = [_snap(duration_s * f) for f in (0.25, 0.5, 0.75)]

@@ -105,6 +105,20 @@ class TestSimulate:
             ('{"schedule": [["m1", 0, 4, "Failure"]]}', (), "a schedule interval must be an object, got list"),
             ('{"failure_windows": [["m1", 1, 2, 3]]}', (),
              "a failure window is [machine, start, end], got ['m1', 1, 2, 3]"),
+            # a reader's error is one line, never a traceback
+            (b'{"seed": 1, "machines": ["m\xff"]}', (), "can't decode byte 0xff"),
+            ("[" * 100_000, (), "maximum recursion depth exceeded"),
+            ('{"duration_s": 1%s}' % ("0" * 400), (), "duration_s is past the float range"),
+            # an interval or failure window naming an unlisted machine is not dropped
+            ('{"machines": ["m1"], "duration_s": 4, "schedule": ['
+             '{"machine": "m1", "start_s": 0, "end_s": 4, "state": "Idle"}, '
+             '{"machine": "m2", "start_s": 0, "end_s": 4, "state": "Failure"}]}', (),
+             "schedule interval names machine 'm2', which is not in machines"),
+            ('{"machines": ["m1"], "duration_s": 4, "schedule": ['
+             '{"machine": "m1", "start_s": 0, "end_s": 4, "state": "Idle"}], '
+             '"failure_windows": [["m2", 0, 4]]}', (),
+             "failure window names machine 'm2', which is not in machines"),
+            ('{"machines": {"m1": 1}}', (), "machines must be a list, got dict"),
         ],
         ids=[
             "not-json", "list", "string", "null", "short-failure-window", "string-machines", "int-machine",
@@ -115,13 +129,16 @@ class TestSimulate:
             "bool-duration", "string-start", "bool-end", "string-failure-start", "null-failure-end",
             "flag-negative-seed", "flag-seed-2**64", "spec-negative-seed", "spec-seed-2**64",
             "flag-empty-machines", "misspelt-key", "singular-failure-window", "extra-interval-key",
-            "list-interval", "long-failure-window",
+            "list-interval", "long-failure-window", "non-utf8", "nested-arrays",
+            "duration-past-float", "unlisted-schedule-machine", "unlisted-failure-machine",
+            "dict-machines",
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, flags, reason):
         argv = list(flags)
         if spec is not None:
-            (tmp_path / "bad.json").write_text(spec, encoding="utf-8")
+            raw = spec if isinstance(spec, bytes) else spec.encode("utf-8")
+            (tmp_path / "bad.json").write_bytes(raw)
             argv += ["--spec", str(tmp_path / "bad.json")]
         assert run_cli("simulate", *argv, "--out", str(tmp_path / "out")) == 2
         assert_one_line_error(capsys, "invalid scenario: ", reason)
@@ -550,6 +567,8 @@ class TestReport:
              b'{"version": "v2", "k": 2, "block_size": 50, '
              b'"silhouette": 0.5, "segment_count": 3, "anomaly_count": 0}], "selected": "v1"}',
              "malformed report row: 'penalty'"),
+            pytest.param(b"[" * 100_000, "malformed report: maximum recursion depth exceeded",
+                         id="nested-arrays"),
         ],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, content, fragment):

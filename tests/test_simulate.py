@@ -83,13 +83,57 @@ class TestSpecValidation:
             ({"duration_s": False}, "duration_s must be a number, got False"),
             # tuple() would split a string into the machines 'm' and '1'
             ({"machines": "m1"}, "machines must be a list, got str"),
+            # and a dict into its keys
+            ({"machines": {"m1": 1}}, "machines must be a list, got dict"),
+            # no float holds it, so it is no duration
+            ({"duration_s": 10**400}, "duration_s is past the float range"),
         ],
         ids=["float-rate", "bool-rate", "bool-seed", "float-seed", "string-duration",
-             "bool-duration", "string-machines"],
+             "bool-duration", "string-machines", "dict-machines", "duration-past-float"],
     )
     def test_default_scenario_refuses_wrong_scalar_types(self, kwargs, message):
         with pytest.raises(InvalidSpec) as info:
             default_scenario(**kwargs)
+        assert str(info.value) == message
+        with pytest.raises(InvalidSpec) as info:
+            ScenarioSpec(**kwargs).validate()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"phase_schedule": (PhaseInterval("m1", False, 2.0, MachineState.Idle),)},
+             "start_s must be a number, got False"),
+            ({"phase_schedule": (PhaseInterval("m1", 0.0, "2", MachineState.Idle),)},
+             "end_s must be a number, got '2'"),
+            # an int state would pass every == test and fail once simulated
+            ({"phase_schedule": (PhaseInterval("m1", 0.0, 2.0, 0),)},
+             "state must be a MachineState, got 0"),
+            ({"phase_schedule": (PhaseInterval(("m1",), 0.0, 2.0, MachineState.Idle),)},
+             "machine id must be a string, got ('m1',)"),
+            ({"phase_schedule": (*tiny_spec().phase_schedule,
+                                 PhaseInterval("m2", 0.0, 4.0, MachineState.Idle))},
+             "schedule interval names machine 'm2', which is not in machines"),
+            ({"failure_windows": (("m1", 2.0),)},
+             "a failure window is [machine, start, end], got ['m1', 2.0]"),
+            ({"failure_windows": ("m1",)},
+             "a failure window is [machine, start, end], got 'm1'"),
+            ({"failure_windows": (("m2", 2.0, 3.0),)},
+             "failure window names machine 'm2', which is not in machines"),
+            ({"failure_windows": (("m1", 2.0, None),)},
+             "failure window end must be a number, got None"),
+            # the checks do not wait for a schedule: a zero duration has none
+            ({"duration_s": 0.0, "phase_schedule": (), "failure_windows": (("m1", 0.0),)},
+             "a failure window is [machine, start, end], got ['m1', 0.0]"),
+        ],
+        ids=["bool-start", "string-end", "int-state", "tuple-machine", "unlisted-machine",
+             "short-window", "string-window", "unlisted-window-machine", "null-window-end",
+             "zero-duration"],
+    )
+    def test_spec_refuses_wrong_interval_and_window_values(self, changes, message):
+        spec = dataclasses.replace(tiny_spec(), **changes)
+        with pytest.raises(InvalidSpec) as info:
+            spec.validate()
         assert str(info.value) == message
 
     def test_spec_refuses_a_string_of_machines(self):
