@@ -7,6 +7,7 @@ from .analytics import (
     KMeansModel,
     Segmentation,
     kmeans_fit,
+    kmeanspp_init,
     pelt_segment,
     silhouette_score,
 )

@@ -5,8 +5,8 @@ Cost model is multivariate L2: sum over dimensions of within-segment squared
 deviation from the segment mean. The objective minimized is
 sum(segment costs) + penalty * (number of change points). Everything here is
 a pure function, and every floating-point reduction has a fixed order, so
-results are identical across runs. The stages take data and the values a
-sweep varies, no settings.
+results are identical across runs. The stages take plain arrays (_as_matrix)
+and the values a sweep varies, no settings; kmeans_fit takes its seeding.
 
 The long-window kernels, the PELT segment costs and the k-means and
 silhouette distances, reduce over the feature axis one column at a time in
@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from .errors import (
     LengthMismatch,
     SeriesTooShort,
     TooFewPoints,
+    shown,
 )
-from .readiness import FeatureSeries
 
 # Rows of the distance matrix silhouette_score holds at once.
 _SILHOUETTE_ROWS = 64
@@ -67,7 +67,7 @@ def check_penalty(penalty) -> None:
     if penalty < 0:
         raise ValueError("penalty must be >= 0")
     if not penalty <= sys.float_info.max:  # nan, inf or an int no float holds
-        raise ValueError(f"penalty must be finite, got {penalty!r}")
+        raise ValueError(f"penalty must be finite, got {shown(penalty)}")
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,10 @@ class Segmentation:
         return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _as_matrix(features: Union[FeatureSeries, Sequence, np.ndarray]) -> np.ndarray:
-    if isinstance(features, FeatureSeries):
-        x = features.peaks
-    else:
-        x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    return x
+def _as_matrix(points) -> np.ndarray:
+    """points as float64 rows, a 1-D series as one column."""
+    x = np.asarray(points, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,9 +272,10 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Deterministic k-means++ seeding: D^2-weighted draws from a
-    counter-based stream keyed on the seed."""
+def kmeanspp_init(vectors, k: int, seed: int) -> np.ndarray:
+    """Deterministic k-means++ seeding of k centroids: D^2-weighted draws
+    from a counter-based stream, draw j keyed on the seed and j alone."""
+    x = _as_matrix(vectors)
     n = x.shape[0]
     key = _kmeanspp_key(seed)
     u = rng.uniforms(key, np.arange(k, dtype=np.uint64))
@@ -297,14 +294,12 @@ def _kmeanspp_init(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     return np.array(centroids)
 
 
-def kmeans_fit(vectors, k: int, seed: int, init: Optional[np.ndarray] = None) -> KMeansModel:
-    """Lloyd's algorithm with k-means++ seeding, fully deterministic given
-    (vectors, k, seed).
+def kmeans_fit(vectors, k: int, init: np.ndarray) -> KMeansModel:
+    """Lloyd's loop from a seeding, deterministic given (vectors, k, init).
 
-    init, when given, is _kmeanspp_init(vectors, K, seed) for some K >= k,
-    and its first k rows are the seeding. Draw j of the seeding depends only
-    on the seed and j, never on the number of draws, so those rows equal
-    _kmeanspp_init(vectors, k, seed) and one seeding serves every k <= K.
+    It starts from the first k rows of init; a k past the number of vectors
+    raises KExceedsN before init is read. kmeanspp_init's draw j depends only
+    on the seed and j, so one seeding for the largest K serves every k <= K.
 
     Assignment ties break toward the lowest centroid index; in index order,
     an empty cluster j takes the point farthest from its assigned centroid
@@ -317,23 +312,17 @@ def kmeans_fit(vectors, k: int, seed: int, init: Optional[np.ndarray] = None) ->
     each centroid equals its cluster's mean(axis=0) bit for bit. numpy sums
     a single column pairwise, so d = 1 keeps one reduce per cluster.
     """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_matrix(vectors)
     n, d = x.shape
     if n == 0:
         raise EmptyInput("kmeans_fit needs at least one vector")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
-        raise KExceedsN(f"k={k} > n={n}")
-
-    if init is None:
-        centroids = _kmeanspp_init(x, k, seed)
-    elif len(init) < k:
+        raise KExceedsN(f"k={shown(k, str)} > n={n}")
+    if len(init) < k:
         raise ValueError(f"init holds {len(init)} centroids, k={k}")
-    else:
-        centroids = init[:k]
+    centroids = init[:k]
     for iterations in range(1, _KMEANS_MAX_ITER + 1):
         d2 = _sq_dists(x, centroids)
         labels = d2.argmin(axis=1)
@@ -388,9 +377,7 @@ def silhouette_score(vectors, labelings) -> tuple[float, ...]:
     entries, so each score is bit-identical to a per-point loop over the full
     matrix, and to its labeling scored alone, from the same distances.
     """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_matrix(vectors)
     n = x.shape[0]
     if n < 2:
         raise TooFewPoints("silhouette needs at least 2 points")

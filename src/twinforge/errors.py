@@ -2,6 +2,17 @@
 catch precisely; everything derives from TwinForgeError."""
 
 
+def shown(value, text=repr) -> str:
+    """text(value), repr or str, for an error text; an int past Python's
+    int-to-text limit, which text refuses with ValueError, by its bit length."""
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"an int of {value.bit_length()} bits"
+
+
 class TwinForgeError(Exception):
     pass
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .analytics import (
     Segmentation,
-    _kmeanspp_init,
     kmeans_fit,
+    kmeanspp_init,
     pelt_segment,
     silhouette_score,
 )
@@ -166,9 +166,9 @@ def _plan(window: Rows, seed: int) -> list[ReplicaResult]:
     The window's axes are read from the archive's columns once, and one
     run_readiness call cleans them for every block size of DEFAULT_GRID. Per
     block size, one lockstep pelt_segment call covers every penalty, one
-    k-means++ seeding for the largest k serves kmeans_fit once per k, and one
-    silhouette_score call scores every k's labels. Replicas share these
-    objects, so their arrays must not be modified in place.
+    kmeanspp_init seeding for the largest k serves kmeans_fit(peaks, k, init)
+    once per k, and one silhouette_score call scores every k's labels. Replicas
+    share these objects, so their arrays must not be modified in place.
 
     A TwinForgeError from a stage is re-raised under the version of the first
     replica that stage serves (first), so the first failure in plan order
@@ -183,15 +183,15 @@ def _plan(window: Rows, seed: int) -> list[ReplicaResult]:
         results: list[ReplicaResult] = []
         for features in run_readiness(x, y, z, DEFAULT_GRID["block_size"]):
             first = len(results)
-            segmentations = pelt_segment(features, penalties)
+            segmentations = pelt_segment(features.peaks, penalties)
             # init is passed by position, as the benchmark's tracer digests
             # an array argument by its bytes and a keyword one by its repr
-            init = _kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), seed)
+            init = kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), seed)
             models = []
             for j, k in enumerate(ks):
                 first = len(results) + j * len(penalties)
                 # a k past the block count raises KExceedsN before init is read
-                models.append(kmeans_fit(features.peaks, k, seed, init))
+                models.append(kmeans_fit(features.peaks, k, init))
             first = len(results)
             scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
             for model, score in zip(models, scores):

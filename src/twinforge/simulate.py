@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from . import rng
-from .errors import InvalidSpec
+from .errors import InvalidSpec, shown
 from .twin import MachineState
 from .wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample
 
@@ -50,7 +50,7 @@ def check_seed(seed: int) -> None:
     """A seed names one run only inside [0, 2**64): rng keys its streams on
     the seed modulo 2**64."""
     if not 0 <= seed < 2**64:
-        raise InvalidSpec(f"seed must be in [0, 2**64), got {seed}")
+        raise InvalidSpec(f"seed must be in [0, 2**64), got {shown(seed, str)}")
 
 
 def _check_number(name: str, value) -> None:
@@ -137,7 +137,7 @@ class ScenarioSpec:
             raise InvalidSpec("at least one machine required")
         for machine in self.machines:
             if type(machine) is not str or not machine or "/" in machine:
-                raise InvalidSpec(f"bad machine id {machine!r}")
+                raise InvalidSpec(f"bad machine id {shown(machine)}")
         if len(set(self.machines)) != len(self.machines):
             raise InvalidSpec("duplicate machine ids")
         for iv in self.phase_schedule:
@@ -145,18 +145,18 @@ class ScenarioSpec:
             _check_number("start_s", iv.start_s)
             _check_number("end_s", iv.end_s)
             if not isinstance(iv.state, MachineState):  # an int would pass every == test
-                raise InvalidSpec(f"state must be a MachineState, got {iv.state!r}")
+                raise InvalidSpec(f"state must be a MachineState, got {shown(iv.state)}")
         for window in self.failure_windows:
             if not isinstance(window, tuple) or len(window) != 3:
-                shown = list(window) if isinstance(window, tuple) else window  # as JSON
-                raise InvalidSpec(f"a failure window is [machine, start, end], got {shown!r}")
+                got = list(window) if isinstance(window, tuple) else window  # as JSON
+                raise InvalidSpec(f"a failure window is [machine, start, end], got {got!r}")
             self._check_listed("failure window", window[0])
             _check_number("failure window start", window[1])
             _check_number("failure window end", window[2])
 
     def _check_listed(self, what: str, machine) -> None:
         if type(machine) is not str:
-            raise InvalidSpec(f"machine id must be a string, got {machine!r}")
+            raise InvalidSpec(f"machine id must be a string, got {shown(machine)}")
         if machine not in self.machines:
             raise InvalidSpec(f"{what} names machine {machine!r}, which is not in machines")
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import InvalidAssetId, MalformedLine
+from .errors import InvalidAssetId, MalformedLine, shown
 
 
 class Channel(str, enum.Enum):
@@ -59,9 +59,9 @@ class TelemetrySample:
         if not self.asset_id or "/" in self.asset_id:
             raise InvalidAssetId(f"bad asset id {self.asset_id!r}")
         if self.ts < 0:
-            raise MalformedLine(f"negative ts {self.ts}")
+            raise MalformedLine(f"negative ts {shown(self.ts, str)}")
         if self.ts > _MAX_TS:
-            raise MalformedLine(f"ts {self.ts} is past 2**63 - 1")
+            raise MalformedLine(f"ts {shown(self.ts, str)} is past 2**63 - 1")
         if not math.isfinite(self.value):
             raise MalformedLine(f"non-finite value {self.value!r}")
         if (

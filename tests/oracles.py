@@ -13,11 +13,11 @@ from twinforge.analytics import (
     Segmentation,
     _as_matrix,
     _backtrack,
-    _kmeanspp_init,
     _prefix_sums,
     _segment_costs,
     check_penalty,
     kmeans_fit,
+    kmeanspp_init,
     pelt_segment,
     silhouette_score,
 )
@@ -274,7 +274,7 @@ def reference_kmeans_fit(
     if k > n:
         raise KExceedsN(f"k={k} > n={n}")
 
-    centroids = _kmeanspp_init(x, k, seed)
+    centroids = kmeanspp_init(x, k, seed)
     labels = np.zeros(n, dtype=np.int64)
     iterations = 0
     for _ in range(max_iter):
@@ -351,8 +351,8 @@ def reference_replica(window: Iterable[TelemetrySample], hp, seed) -> ReplicaRes
     in the grid. window is one machine's samples, each axis in ts order."""
     x, y, z, ts = reference_axis_series(window)
     (features,) = run_readiness(x, y, z, [hp.block_size])
-    (segmentation,) = pelt_segment(features, [hp.penalty])
-    labels = kmeans_fit(features.peaks, hp.k, seed).labels
+    (segmentation,) = pelt_segment(features.peaks, [hp.penalty])
+    labels = kmeans_fit(features.peaks, hp.k, kmeanspp_init(features.peaks, hp.k, seed)).labels
     (silhouette,) = silhouette_score(features.peaks, labels[None])
     return ReplicaResult(
         replica_version=f"v{_REPLICAS.index(hp) + 1}-{hp.digest()}",

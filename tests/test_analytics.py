@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import HUGE_INT, HUGE_INT_SHOWN
 from oracles import (
     BRUTE_FORCE_MAX_N,
     brute_force_segment,
@@ -22,10 +23,11 @@ from twinforge.analytics import (
     _PELT_TILE,
     _SILHOUETTE_ROWS,
     _backtrack,
-    _kmeanspp_init,
     _prefix_sums,
     _segment_costs,
+    check_penalty,
     kmeans_fit,
+    kmeanspp_init,
     pelt_segment,
     silhouette_score,
 )
@@ -85,6 +87,11 @@ class TestPelt:
     def test_penalty_must_be_finite_and_non_negative(self, penalty, segment):
         with pytest.raises(ValueError, match="^penalty must be"):
             segment(np.zeros(4), penalty)
+
+    def test_an_int_too_long_to_print_is_shown_by_its_size(self, int_text_limit):
+        with pytest.raises(ValueError) as info:
+            check_penalty(HUGE_INT)
+        assert str(info.value) == f"penalty must be finite, got {HUGE_INT_SHOWN}"
 
     def test_segments_partition_range(self):
         x = random_step_series(123)
@@ -173,7 +180,7 @@ def inertia(x, model) -> float:
 class TestKMeans:
     def test_two_tight_pairs(self):
         x = np.array([0.0, 0.1, 10.0, 10.1])
-        model = kmeans_fit(x, k=2, seed=1)
+        model = kmeans_fit(x, 2, kmeanspp_init(x, 2, 1))
         got = sorted(float(c) for c in model.centroids[:, 0])
         assert got == pytest.approx([0.05, 10.05])
         assert inertia(x, model) == pytest.approx(0.01)
@@ -192,25 +199,30 @@ class TestKMeans:
 
     def test_k_equals_n(self):
         x = np.array([[0.0], [1.0], [2.0]])
-        model = kmeans_fit(x, k=3, seed=0)
+        model = kmeans_fit(x, 3, kmeanspp_init(x, 3, 0))
         assert inertia(x, model) == pytest.approx(0.0)
         assert sorted(model.labels.tolist()) == [0, 1, 2]
 
     def test_k_one_centroid_is_mean(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
-        model = kmeans_fit(x, k=1, seed=0)
+        model = kmeans_fit(x, 1, kmeanspp_init(x, 1, 0))
         np.testing.assert_allclose(model.centroids[0], x.mean(axis=0))
 
     def test_errors(self):
         with pytest.raises(EmptyInput):
-            kmeans_fit(np.empty((0, 2)), 1, seed=0)
+            kmeans_fit(np.empty((0, 2)), 1, np.zeros((1, 2)))
         with pytest.raises(KExceedsN):
-            kmeans_fit(np.zeros((3, 2)), 4, seed=0)
+            kmeans_fit(np.zeros((3, 2)), 4, np.zeros((4, 2)))
+
+    def test_k_too_long_to_print_is_shown_by_its_size(self, int_text_limit):
+        with pytest.raises(KExceedsN) as info:
+            kmeans_fit(np.zeros((3, 2)), HUGE_INT, np.zeros((3, 2)))
+        assert str(info.value) == f"k={HUGE_INT_SHOWN} > n=3"
 
     def test_deterministic_bit_for_bit(self):
         x = random_step_series(4, max_n=80)
-        a = kmeans_fit(x, k=3, seed=7)
-        b = kmeans_fit(x, k=3, seed=7)
+        a = kmeans_fit(x, 3, kmeanspp_init(x, 3, 7))
+        b = kmeans_fit(x, 3, kmeanspp_init(x, 3, 7))
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.labels, b.labels)
 
@@ -220,7 +232,7 @@ class TestKMeans:
         for seed in range(8):
             x = random_step_series(seed + 40, max_n=100)
             k = min(4, len(x))
-            model = kmeans_fit(x, k=k, seed=seed)
+            model = kmeans_fit(x, k, kmeanspp_init(x, k, seed))
             inertias = [
                 inertia(x, reference_kmeans_fit(x, k, seed, max_iter=j))
                 for j in range(1, model.iterations_run + 1)
@@ -231,7 +243,7 @@ class TestKMeans:
     def test_local_optimality(self):
         # no single-point relabeling lowers inertia at convergence
         x = random_step_series(3, max_n=50)
-        model = kmeans_fit(x, k=3, seed=2)
+        model = kmeans_fit(x, 3, kmeanspp_init(x, 3, 2))
         for i in range(len(x)):
             own = ((x[i] - model.centroids[model.labels[i]]) ** 2).sum()
             for j in range(len(model.centroids)):
@@ -240,8 +252,8 @@ class TestKMeans:
 
     def test_scale_invariant_labels(self):
         x = random_step_series(12, max_n=60)
-        base = kmeans_fit(x, k=3, seed=5)
-        scaled = kmeans_fit(x * 3.7, k=3, seed=5)
+        base = kmeans_fit(x, 3, kmeanspp_init(x, 3, 5))
+        scaled = kmeans_fit(x * 3.7, 3, kmeanspp_init(x * 3.7, 3, 5))
         assert np.array_equal(base.labels, scaled.labels)
 
 
@@ -281,7 +293,8 @@ class TestKMeansOracle:
                     seed = 1000 * d + 10 * k + rep
                     n = k + int(np.random.default_rng(seed).integers(0, 40))
                     x = kmeans_inputs(seed, n, d, kind)
-                    assert_same_fit(kmeans_fit(x, k, seed=seed), reference_kmeans_fit(x, k, seed=seed))
+                    got = kmeans_fit(x, k, kmeanspp_init(x, k, seed))
+                    assert_same_fit(got, reference_kmeans_fit(x, k, seed=seed))
                     cases += 1
         assert cases == 5 * 6 * 4
 
@@ -294,7 +307,8 @@ class TestKMeansOracle:
             n = 1300 + 170 * d
             k = 2 + d % 4
             x = kmeans_inputs(seed, n, d, kind)
-            assert_same_fit(kmeans_fit(x, k, seed=seed), reference_kmeans_fit(x, k, seed=seed))
+            got = kmeans_fit(x, k, kmeanspp_init(x, k, seed))
+            assert_same_fit(got, reference_kmeans_fit(x, k, seed=seed))
 
     def test_column_of_negative_zeros_sums_to_positive_zero(self):
         # add.reduce sums from +0.0, so a cluster whose column is all -0.0
@@ -302,7 +316,7 @@ class TestKMeansOracle:
         for d in range(2, 8):
             x = kmeans_inputs(7100 + d, 2400, d, "normal")
             x[:, d // 2] = -0.0
-            got = kmeans_fit(x, 3, seed=d)
+            got = kmeans_fit(x, 3, kmeanspp_init(x, 3, d))
             assert_same_fit(got, reference_kmeans_fit(x, 3, seed=d))
             assert not np.signbit(got.centroids[:, d // 2]).any()
 
@@ -311,7 +325,7 @@ class TestKMeansOracle:
         # member of a cluster its scan had passed, leaving a 0/0 mean, a NaN
         # centroid and every later label 0 (warnings are errors here)
         x = [[-1, -1], [0, -1], [0, -1], [1, 1], [0, -1], [0, 1], [-1, 0], [-1, 0]]
-        got = kmeans_fit(x, 6, seed=1453)
+        got = kmeans_fit(x, 6, kmeanspp_init(x, 6, 1453))
         assert np.isfinite(got.centroids).all()
         assert got.iterations_run == 2
         assert_same_fit(got, reference_kmeans_fit(x, 6, seed=1453))
@@ -321,7 +335,8 @@ class TestKMeansOracle:
         # puts everything in cluster 0 and the repair fills clusters 1..k-1
         x = np.full((7, 2), -0.25)
         for k in range(2, 7):
-            assert_same_fit(kmeans_fit(x, k, seed=k), reference_kmeans_fit(x, k, seed=k))
+            got = kmeans_fit(x, k, kmeanspp_init(x, k, k))
+            assert_same_fit(got, reference_kmeans_fit(x, k, seed=k))
 
 
 class TestSharedSeeding:
@@ -336,28 +351,29 @@ class TestSharedSeeding:
                 n = 4 + rep * 7  # rep 0: n = 4, so k = n = top is covered
                 x = kmeans_inputs(seed, n, d, kind)
                 top = min(5, n)
-                init = _kmeanspp_init(x, top, seed)
+                init = kmeanspp_init(x, top, seed)
                 for k in range(1, top + 1):
-                    assert _kmeanspp_init(x, k, seed).tobytes() == init[:k].tobytes()
-                    assert_same_fit(kmeans_fit(x, k, seed, init), kmeans_fit(x, k, seed))
+                    own = kmeanspp_init(x, k, seed)
+                    assert own.tobytes() == init[:k].tobytes()
+                    assert_same_fit(kmeans_fit(x, k, init), kmeans_fit(x, k, own))
 
     def test_repair_path_with_a_shared_seeding(self):
         # identical points: every draw is one point, so the repair fills
         # clusters 1..k-1 from the shared seeding as from its own
         x = np.full((6, 3), -0.25)
-        init = _kmeanspp_init(x, 6, 3)
+        init = kmeanspp_init(x, 6, 3)
         for k in range(1, 7):
-            assert_same_fit(kmeans_fit(x, k, 3, init), reference_kmeans_fit(x, k, seed=3))
+            assert_same_fit(kmeans_fit(x, k, init), reference_kmeans_fit(x, k, seed=3))
 
     def test_k_past_n_raises_before_init_is_read(self):
         x = np.zeros((4, 3))
         with pytest.raises(KExceedsN, match="k=5 > n=4"):
-            kmeans_fit(x, 5, 0, _kmeanspp_init(x, 4, 0))
+            kmeans_fit(x, 5, kmeanspp_init(x, 4, 0))
 
     def test_short_init_rejected(self):
         x = kmeans_inputs(1, 10, 3, "normal")
         with pytest.raises(ValueError, match="init holds 2 centroids, k=3"):
-            kmeans_fit(x, 3, 1, _kmeanspp_init(x, 2, 1))
+            kmeans_fit(x, 3, kmeanspp_init(x, 2, 1))
 
 
 class TestSilhouette:

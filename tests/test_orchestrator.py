@@ -11,7 +11,7 @@ from oracles import (
     reference_silhouette_loop,
 )
 
-from twinforge import analytics, orchestrator
+from twinforge import orchestrator
 from twinforge.analytics import Segmentation
 from twinforge.archive import SegmentRecord, WindowQuery
 from twinforge.cli import report_payload
@@ -496,17 +496,17 @@ class TestZeroconf:
 
     def test_kmeans_seeding_once_per_block_size(self, small_run, monkeypatch):
         seedings = []
-        seed_for = orchestrator._kmeanspp_init
+        seed_for = orchestrator.kmeanspp_init
 
         def counted(x, k, seed):
             seedings.append((len(x), k))
             return seed_for(x, k, seed)
 
-        monkeypatch.setattr(orchestrator, "_kmeanspp_init", counted)
-        monkeypatch.setattr(analytics, "_kmeanspp_init", counted)
+        monkeypatch.setattr(orchestrator, "kmeanspp_init", counted)
         _, _, _, archive = small_run
         zeroconf_run(archive, "m1", (0, 10**18))
-        # one seeding for the largest k of each block size, none in kmeans_fit
+        # one seeding for the largest k of each block size (kmeans_fit takes
+        # its seeding and draws none)
         assert [k for _, k in seedings] == [max(DEFAULT_GRID["k"])] * len(DEFAULT_GRID["block_size"])
         assert len({n for n, _ in seedings}) == len(DEFAULT_GRID["block_size"])
 

@@ -22,12 +22,17 @@ use, its default, and belongs in a module constant. A required parameter
 that every caller gives the same literal, as smooth's window once was, is
 outside the scan.
 
-Blind spot: all three matches are by name alone, so a definition, a field
-or a parameter whose name equals a common attribute passes whoever uses that
-attribute. Archive.dump and Archive.load, for example, would be matched by
-json.dump and json.load, and a field named mean by numpy's .mean. A field
-that only dataclasses.asdict reads must be read by attribute somewhere else
-too.
+The import scan reads every from-import of src/twinforge/*.py, at any
+depth, that names a twinforge module, relative or absolute. None may import
+an underscore name: what one module needs of another is public there. A
+dunder such as __version__ is no private name.
+
+Blind spot: the caller, field and knob matches are by name alone, so a
+definition, a field or a parameter whose name equals a common attribute
+passes whoever uses that attribute. Archive.dump and Archive.load, for
+example, would be matched by json.dump and json.load, and a field named mean
+by numpy's .mean. A field that only dataclasses.asdict reads must be read by
+attribute somewhere else too.
 """
 import ast
 from pathlib import Path
@@ -213,6 +218,33 @@ def unread(root: Path = ROOT) -> dict[str, str]:
     }
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(root: Path = ROOT) -> list[str]:
+    """"importer <- module.name", in file order, of each underscore name that
+    a module of root/src/twinforge imports from a twinforge module."""
+    found = []
+    for path in sorted((root / "src" / "twinforge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                module = node.module or "twinforge"
+            elif node.module == "twinforge" or node.module.startswith("twinforge."):
+                module = node.module.removeprefix("twinforge.")
+            else:
+                continue
+            found += [f"{path.stem} <- {module}.{a.name}" for a in node.names if _private(a.name)]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    assert private_imports() == []
+
+
 def test_every_public_definition_has_a_caller():
     dead = [f"{name} ({where})" for name, where in uncalled().items() if name not in ALLOWED]
     assert not dead, "public definitions that only tests call: " + ", ".join(dead)
@@ -337,3 +369,23 @@ def test_knob_passed_only_from_tests_is_unset(tmp_path):
     (root / "tests").mkdir()
     (root / "tests" / "test_m.py").write_text("f(1, 2)\nf(1, knob=2)\n", encoding="utf-8")
     assert unset_knobs(root) == KNOB_UNSET
+
+
+# (module source, what the import scan must report)
+IMPORT_SCAN_CASES = {
+    "relative": ("from .analytics import _f, g\n", ["m <- analytics._f"]),
+    "absolute": ("from twinforge.analytics import _f\n", ["m <- analytics._f"]),
+    "from-the-package": ("from . import _f\n", ["m <- twinforge._f"]),
+    "inside-a-function": ("def g():\n    from .rng import _f\n", ["m <- rng._f"]),
+    "renamed": ("from .rng import _f as f\n", ["m <- rng._f"]),
+    "public-names": ("from .analytics import f\nfrom . import rng\n", []),
+    "a-dunder-is-not-private": ("from . import __version__\n", []),
+    "other-packages-are-not-scanned": (
+        "from collections.abc import Sequence as _S\nfrom numpy import _f\n", []
+    ),
+}
+
+
+@pytest.mark.parametrize("module, expected", IMPORT_SCAN_CASES.values(), ids=IMPORT_SCAN_CASES)
+def test_import_scan_on_a_small_tree(tmp_path, module, expected):
+    assert private_imports(small_tree(tmp_path, module, "")) == expected

@@ -3,12 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from conftest import HUGE_INT, HUGE_INT_SHOWN
 
 from twinforge.errors import InvalidSpec
 from twinforge.simulate import (
     MachineState,
     PhaseInterval,
     ScenarioSpec,
+    check_seed,
     default_scenario,
     quiet_failure_scenario,
     simulate_scenario,
@@ -134,6 +136,29 @@ class TestSpecValidation:
         spec = dataclasses.replace(tiny_spec(), **changes)
         with pytest.raises(InvalidSpec) as info:
             spec.validate()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: check_seed(HUGE_INT), f"seed must be in [0, 2**64), got {HUGE_INT_SHOWN}"),
+            (lambda: ScenarioSpec(seed=HUGE_INT, duration_s=0.0).validate(),
+             f"seed must be in [0, 2**64), got {HUGE_INT_SHOWN}"),
+            (lambda: ScenarioSpec(machines=(HUGE_INT,), duration_s=0.0).validate(),
+             f"bad machine id {HUGE_INT_SHOWN}"),
+            (lambda: ScenarioSpec(machines=("m1",), duration_s=0.0, phase_schedule=(
+                PhaseInterval(HUGE_INT, 0.0, 1.0, MachineState.Idle),)).validate(),
+             f"machine id must be a string, got {HUGE_INT_SHOWN}"),
+            (lambda: ScenarioSpec(machines=("m1",), duration_s=0.0, phase_schedule=(
+                PhaseInterval("m1", 0.0, 1.0, HUGE_INT),)).validate(),
+             f"state must be a MachineState, got {HUGE_INT_SHOWN}"),
+        ],
+        ids=["check-seed", "spec-seed", "spec-machine", "interval-machine", "interval-state"],
+    )
+    def test_an_int_too_long_to_print_is_shown_by_its_size(self, int_text_limit, call, message):
+        # repr and str refuse such an int with ValueError; the text names its size
+        with pytest.raises(InvalidSpec) as info:
+            call()
         assert str(info.value) == message
 
     def test_spec_refuses_a_string_of_machines(self):

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import HUGE_INT, HUGE_INT_SHOWN
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import reference_decode_sample
@@ -137,6 +138,15 @@ class TestDecode:
         assert str(got.value) == "ts 9223372036854775808 is past 2**63 - 1"
         with pytest.raises(MalformedLine):
             encode_sample(TelemetrySample("x", Channel.accel_x, 2**63, 0.0))
+
+    @pytest.mark.parametrize("ts, message", [
+        (HUGE_INT, f"ts {HUGE_INT_SHOWN} is past 2**63 - 1"),
+        (-HUGE_INT, f"negative ts {HUGE_INT_SHOWN}"),
+    ], ids=["huge", "huge-negative"])
+    def test_ts_too_long_to_print_is_shown_by_its_size(self, int_text_limit, ts, message):
+        with pytest.raises(MalformedLine) as got:
+            TelemetrySample("x", Channel.accel_x, ts, 0.0).validate()
+        assert str(got.value) == message
 
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_lines(self, line):
