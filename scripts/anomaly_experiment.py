@@ -29,7 +29,7 @@ from twinforge.simulate import (
 def score(archive, machine, truth):
     """Run the ZeroConf sweep over one machine's whole archive and compare
     the winner's flagged blocks with the true failure blocks."""
-    report, _, anomalies = zeroconf_run(archive, machine, (0, 10**18))
+    report, _, anomalies = zeroconf_run(archive, machine, archive.time_span(machine))
     winner = report.results[0]
     true_blocks = set(truth.machines[machine].anomaly_blocks(winner.hyperparams.block_size))
     flagged: set = set()

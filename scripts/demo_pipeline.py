@@ -34,8 +34,9 @@ def main() -> int:
     runtime, archive = ingest(samples)
 
     print("running the ZeroConf replica sweep (24 replicas)...")
+    span = archive.time_span(args.machine)
     report, timeline, anomalies = zeroconf_run(
-        archive, args.machine, (0, 10**18), twin=runtime.get(args.machine)
+        archive, args.machine, span, twin=runtime.get(args.machine)
     )
 
     payload = report_payload(report, args.machine, args.seed)

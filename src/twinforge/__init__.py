@@ -54,13 +54,13 @@ from .twin import (
     DigitalEvent,
     LifecycleEvent,
     LifecyclePhase,
-    MachineState,
     TwinInstance,
     TwinRuntime,
     TwinState,
 )
 from .wire import (
     Channel,
+    MachineState,
     Quality,
     TelemetrySample,
     decode_sample,

@@ -32,12 +32,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AxisLengthMismatch, OverlappingSegment, UnknownAsset, UnknownReplicaVersion
-from .wire import (
-    ACCEL_CHANNELS,
-    Channel,
-    Quality,
-    TelemetrySample,
-)
+from .wire import ACCEL_CHANNELS, MACHINE_STATES, Channel, Quality, TelemetrySample
 
 
 @dataclass(frozen=True, slots=True)
@@ -397,8 +392,9 @@ def validate_quality(
     sample list.
 
     A gap is any inter-sample spacing over 3x the nominal period; range
-    violations count plc_state codes outside 0..3. Empty input reports
-    freshness_ok=False with zeros elsewhere.
+    violations count plc_state codes, at any quality, that name no state in
+    MACHINE_STATES. Empty input reports freshness_ok=False with zeros
+    elsewhere.
     """
     if not samples:
         return QualityReport(False, 0, 0.0, 0, ())
@@ -406,7 +402,7 @@ def validate_quality(
     violations = sum(
         1
         for s in samples
-        if s.channel is Channel.plc_state and s.value not in (0.0, 1.0, 2.0, 3.0)
+        if s.channel is Channel.plc_state and s.value not in MACHINE_STATES
     )
     gaps = []
     for prev, cur in zip(samples, samples[1:]):

@@ -29,20 +29,19 @@ from .orchestrator import (
     flag_anomalies,
     zeroconf_run,
 )
+from .rng import check_seed
 from .simulate import (
     DEFAULT_DURATION_S,
     DEFAULT_MACHINES,
     DEFAULT_SAMPLE_RATE,
     DEFAULT_SEED,
-    MachineState,
     PhaseInterval,
     ScenarioSpec,
-    check_seed,
     default_scenario,
     simulate_scenario,
 )
 from .twin import LifecycleEvent, TwinInstance, TwinRuntime
-from .wire import TelemetrySample, replay_trace, write_trace
+from .wire import MachineState, TelemetrySample, replay_trace, write_trace
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2

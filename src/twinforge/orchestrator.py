@@ -35,7 +35,7 @@ from .analytics import (
 from .archive import Archive, Rows, SegmentRecord, WindowQuery
 from .errors import MixedVersions, NoData, NoResults, TwinForgeError
 from .readiness import FeatureSeries, run_readiness
-from .simulate import check_seed
+from .rng import check_seed
 from .twin import DigitalEvent, LifecyclePhase, TwinInstance
 from .wire import ACCEL_CHANNELS
 

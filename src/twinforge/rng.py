@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidSpec, shown
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -40,6 +42,14 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
+
+
+def check_seed(seed: int) -> None:
+    """A seed names one run only inside [0, 2**64): stream_key keys its
+    streams on the seed modulo 2**64. The simulator, the sweep and the CLI
+    check a seed here, where the range comes from."""
+    if not 0 <= seed < 2**64:
+        raise InvalidSpec(f"seed must be in [0, 2**64), got {shown(seed, str)}")
 
 
 def stream_key(seed: int, *labels: str) -> np.uint64:

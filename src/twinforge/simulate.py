@@ -18,8 +18,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidSpec, shown
-from .twin import MachineState
-from .wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample
+from .wire import ACCEL_CHANNELS, Channel, MachineState, Quality, TelemetrySample
 
 NS_PER_S = 1_000_000_000
 
@@ -44,13 +43,6 @@ DEFAULT_MACHINES = ("m1", "m2", "m3", "m4")
 # sample's gaussian from 12 uint64 counters, 96 bytes, and numpy refuses an
 # array of 2**63 bytes or more: 2**56 samples take 1.5 * 2**62 bytes.
 MAX_SAMPLES = 2**56
-
-
-def check_seed(seed: int) -> None:
-    """A seed names one run only inside [0, 2**64): rng keys its streams on
-    the seed modulo 2**64."""
-    if not 0 <= seed < 2**64:
-        raise InvalidSpec(f"seed must be in [0, 2**64), got {shown(seed, str)}")
 
 
 def _check_number(name: str, value) -> None:
@@ -122,7 +114,7 @@ class ScenarioSpec:
         _check_number("duration_s", self.duration_s)
         if not isinstance(self.machines, (list, tuple)):  # a string would split into ids
             raise InvalidSpec(f"machines must be a list, got {type(self.machines).__name__}")
-        check_seed(self.seed)
+        rng.check_seed(self.seed)
         if self.sample_rate < 1:
             raise InvalidSpec("sample_rate must be >= 1")
         if not math.isfinite(self.duration_s):
@@ -148,8 +140,11 @@ class ScenarioSpec:
                 raise InvalidSpec(f"state must be a MachineState, got {shown(iv.state)}")
         for window in self.failure_windows:
             if not isinstance(window, tuple) or len(window) != 3:
-                got = list(window) if isinstance(window, tuple) else window  # as JSON
-                raise InvalidSpec(f"a failure window is [machine, start, end], got {got!r}")
+                # as a file's JSON list, each item shown alone: shown names an
+                # int too long to print, but not one inside a sequence
+                seq = isinstance(window, (tuple, list))
+                got = f"[{', '.join(map(shown, window))}]" if seq else shown(window)
+                raise InvalidSpec(f"a failure window is [machine, start, end], got {got}")
             self._check_listed("failure window", window[0])
             _check_number("failure window start", window[1])
             _check_number("failure window end", window[2])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import DuplicateAssetId, InvalidAssetId, InvalidTransition, TwinNotBound
-from .wire import Channel, TelemetrySample
+from .wire import MACHINE_STATES, Channel, TelemetrySample
 
 
 class LifecyclePhase(enum.Enum):
@@ -55,16 +55,6 @@ _PLC_STATE = Channel.plc_state
 _PROPERTY_NAMES = {
     ch: "machine_state" if ch is Channel.plc_state else ch.value for ch in Channel
 }
-
-
-class MachineState(enum.IntEnum):
-    Idle = 0
-    Active = 1
-    Waiting = 2
-    Failure = 3
-
-
-_MACHINE_STATES = {state.value: state for state in MachineState}
 
 
 @dataclass(frozen=True)
@@ -128,10 +118,10 @@ class TwinInstance:
         plc codes only at quality good, so a suspect or missing sample may
         carry any code.
 
-        plc_state samples map to the MachineState their code names as it is,
-        without truncation (2.0 is Waiting, 2.5 names none), and emit a
-        state_changed event on transitions; any sample received while
-        OutOfSync counts as recovery.
+        plc_state samples map to the MachineState their code names in
+        wire.MACHINE_STATES, looked up as it is, without truncation (2.0 is
+        Waiting, 2.5 names none), and emit a state_changed event on
+        transitions; any sample received while OutOfSync counts as recovery.
         """
         with self._lock:
             phase = self._phase
@@ -144,7 +134,7 @@ class TwinInstance:
             ts = sample.ts
             name = _PROPERTY_NAMES[channel]
             if channel is _PLC_STATE:
-                value: Any = _MACHINE_STATES.get(sample.value)
+                value: Any = MACHINE_STATES.get(sample.value)
                 if value is None:
                     return False
             else:
@@ -180,8 +170,6 @@ class TwinRuntime:
         self._lock = threading.Lock()
 
     def create_twin(self, asset_id: str) -> TwinInstance:
-        if not asset_id:
-            raise InvalidAssetId("asset_id must be non-empty")
         with self._lock:
             if asset_id in self._twins:
                 raise DuplicateAssetId(asset_id)

@@ -30,6 +30,23 @@ class Quality(str, enum.Enum):
     missing = "missing"
 
 
+class MachineState(enum.IntEnum):
+    """A machine's state, coded as a plc_state sample's value. It lives here,
+    next to the channel whose codes it names: the simulator and the CLI
+    import it from here, and the twin and the archive look a code up in
+    MACHINE_STATES."""
+
+    Idle = 0
+    Active = 1
+    Waiting = 2
+    Failure = 3
+
+
+# The plc code book: code -> the MachineState it names. A code is looked up
+# as it is, so 2.0 is Waiting and 2.5 names no state.
+MACHINE_STATES = {state.value: state for state in MachineState}
+
+
 # Per-sample code compares against these module constants and maps wire
 # strings through these dicts: an enum class attribute lookup or call costs
 # far more than a dict hit in the hot path.
@@ -46,7 +63,8 @@ class TelemetrySample:
     """One timestamped reading from one asset channel.
 
     ts is integer nanoseconds since epoch, at most 2**63 - 1. For plc_state
-    the value is the machine-state code 0..3 stored as a float.
+    the value is a MachineState code, a key of MACHINE_STATES, stored as a
+    float.
     """
 
     asset_id: str
@@ -62,12 +80,16 @@ class TelemetrySample:
             raise MalformedLine(f"negative ts {shown(self.ts, str)}")
         if self.ts > _MAX_TS:
             raise MalformedLine(f"ts {shown(self.ts, str)} is past 2**63 - 1")
-        if not math.isfinite(self.value):
+        try:
+            finite = math.isfinite(self.value)
+        except OverflowError:  # an int past the float range
+            raise MalformedLine(f"value out of float range: {shown(self.value)}") from None
+        if not finite:
             raise MalformedLine(f"non-finite value {self.value!r}")
         if (
             self.channel is _PLC_STATE
             and self.quality is _GOOD
-            and self.value not in (0.0, 1.0, 2.0, 3.0)
+            and self.value not in MACHINE_STATES
         ):
             raise MalformedLine(f"plc_state code out of range: {self.value!r}")
 

@@ -105,7 +105,8 @@ class TestGrid:
 def clean_three_phase_window():
     """Idle | Active | Waiting, no failure: every boundary is a strong
     contrast, so any grid penalty recovers exactly three segments."""
-    from twinforge.simulate import MachineState, PhaseInterval, ScenarioSpec, simulate_scenario
+    from twinforge.simulate import PhaseInterval, ScenarioSpec, simulate_scenario
+    from twinforge.wire import MachineState
 
     spec = ScenarioSpec(
         seed=5,

@@ -27,6 +27,15 @@ depth, that names a twinforge module, relative or absolute. None may import
 an underscore name: what one module needs of another is public there. A
 dunder such as __version__ is no private name.
 
+The layer scan reads the same imports, and plain imports of a twinforge
+module too, as edges between modules. Each module of src/twinforge/ has a
+layer in LAYERS and imports only modules of lower layers: the wire format
+and the random streams serve everything, the twin, the archive, the
+analytics stages and the simulator serve the sweep, and the sweep serves the
+CLI. The simulator stands in for the physical layer, so the CLI alone may
+import it. __init__ and __main__, the package's doors, are outside the
+scan, as importers and as imported.
+
 Blind spot: the caller, field and knob matches are by name alone, so a
 definition, a field or a parameter whose name equals a common attribute
 passes whoever uses that attribute. Archive.dump and Archive.load, for
@@ -245,6 +254,82 @@ def test_no_module_imports_a_private_name():
     assert private_imports() == []
 
 
+# Each module's layer. A module imports only modules of a lower layer.
+LAYERS = {
+    "errors": 0,
+    "rng": 1,
+    "wire": 1,
+    "twin": 2,
+    "archive": 2,
+    "readiness": 2,
+    "analytics": 2,
+    "simulate": 2,
+    "orchestrator": 3,
+    "cli": 4,
+}
+ONLY_IMPORTER = {"simulate": "cli"}  # the physical layer's stand-in
+DOORS = ("__init__", "__main__")
+
+
+def imported_modules(tree: ast.Module, modules) -> list[str]:
+    """The twinforge module, one of modules or __init__ for the package
+    itself, of each import in tree, at any depth, in file order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                a.name.removeprefix("twinforge.")
+                for a in node.names
+                if a.name.startswith("twinforge.")
+            ]
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = node.module  # None for "from . import"
+        elif node.module == "twinforge":
+            module = None
+        elif node.module.startswith("twinforge."):
+            module = node.module.removeprefix("twinforge.")
+        else:
+            continue
+        if module is not None:
+            found.append(module)
+        else:  # from the package: a module of it, or a name __init__ defines
+            found += [a.name if a.name in modules else "__init__" for a in node.names]
+    return found
+
+
+def layer_violations(root: Path = ROOT) -> list[str]:
+    """"importer -> module", in file order, of each import of a module of
+    root/src/twinforge that LAYERS forbids, and "module: no layer" for a
+    module that LAYERS does not place."""
+    paths = sorted((root / "src" / "twinforge").glob("*.py"))
+    modules = {path.stem for path in paths}
+    found = []
+    for path in paths:
+        importer = path.stem
+        if importer in DOORS:
+            continue
+        if importer not in LAYERS:
+            found.append(f"{importer}: no layer")
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for module in imported_modules(tree, modules):
+            if module in DOORS:
+                continue
+            if not (
+                LAYERS.get(module, len(LAYERS)) < LAYERS[importer]
+                and ONLY_IMPORTER.get(module, importer) == importer
+            ):
+                found.append(f"{importer} -> {module}")
+    return found
+
+
+def test_every_module_imports_only_lower_layers():
+    assert layer_violations() == []
+
+
 def test_every_public_definition_has_a_caller():
     dead = [f"{name} ({where})" for name, where in uncalled().items() if name not in ALLOWED]
     assert not dead, "public definitions that only tests call: " + ", ".join(dead)
@@ -389,3 +474,41 @@ IMPORT_SCAN_CASES = {
 @pytest.mark.parametrize("module, expected", IMPORT_SCAN_CASES.values(), ids=IMPORT_SCAN_CASES)
 def test_import_scan_on_a_small_tree(tmp_path, module, expected):
     assert private_imports(small_tree(tmp_path, module, "")) == expected
+
+
+def layered_tree(root: Path, sources: dict[str, str]) -> Path:
+    """root with src/twinforge/<name>.py holding each of sources."""
+    package = root / "src" / "twinforge"
+    package.mkdir(parents=True)
+    for name, source in sources.items():
+        (package / f"{name}.py").write_text(source, encoding="utf-8")
+    return root
+
+
+# (modules and their sources, what the layer scan must report)
+LAYER_SCAN_CASES = {
+    "lower-layer": ({"twin": "from .wire import Channel\n", "wire": ""}, []),
+    "same-layer": ({"simulate": "from .twin import TwinInstance\n"}, ["simulate -> twin"]),
+    "higher-layer": ({"wire": "from twinforge.twin import TwinInstance\n"}, ["wire -> twin"]),
+    "only-cli-imports-simulate": (
+        {"orchestrator": "from twinforge.simulate import check_seed\n"},
+        ["orchestrator -> simulate"],
+    ),
+    "cli-imports-simulate": ({"cli": "from .simulate import ScenarioSpec\n"}, []),
+    "module-from-the-package": (
+        {"analytics": "from . import rng\n", "twin": "from . import cli\n", "rng": "", "cli": ""},
+        ["twin -> cli"],
+    ),
+    "plain-import": ({"archive": "import twinforge.orchestrator\n"}, ["archive -> orchestrator"]),
+    "inside-a-function": ({"rng": "def f():\n    from .wire import g\n"}, ["rng -> wire"]),
+    "the-package-is-exempt": (
+        {"cli": "from . import __version__\n", "__init__": "from .cli import main\n"}, []
+    ),
+    "unplaced-module": ({"m": "from .errors import NoData\n"}, ["m: no layer"]),
+    "other-packages-are-not-scanned": ({"errors": "import numpy\nfrom json import dumps\n"}, []),
+}
+
+
+@pytest.mark.parametrize("sources, expected", LAYER_SCAN_CASES.values(), ids=LAYER_SCAN_CASES)
+def test_layer_scan_on_a_small_tree(tmp_path, sources, expected):
+    assert layer_violations(layered_tree(tmp_path, sources)) == expected

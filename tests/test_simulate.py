@@ -6,16 +6,15 @@ import pytest
 from conftest import HUGE_INT, HUGE_INT_SHOWN
 
 from twinforge.errors import InvalidSpec
+from twinforge.rng import check_seed
 from twinforge.simulate import (
-    MachineState,
     PhaseInterval,
     ScenarioSpec,
-    check_seed,
     default_scenario,
     quiet_failure_scenario,
     simulate_scenario,
 )
-from twinforge.wire import ACCEL_CHANNELS, Channel, encode_sample
+from twinforge.wire import ACCEL_CHANNELS, Channel, MachineState, encode_sample
 
 
 def tiny_spec(seed=1, duration=4.0, machine="m1"):
@@ -152,8 +151,13 @@ class TestSpecValidation:
             (lambda: ScenarioSpec(machines=("m1",), duration_s=0.0, phase_schedule=(
                 PhaseInterval("m1", 0.0, 1.0, HUGE_INT),)).validate(),
              f"state must be a MachineState, got {HUGE_INT_SHOWN}"),
+            (lambda: ScenarioSpec(duration_s=0.0, failure_windows=(("m1", HUGE_INT),)).validate(),
+             f"a failure window is [machine, start, end], got ['m1', {HUGE_INT_SHOWN}]"),
+            (lambda: ScenarioSpec(duration_s=0.0, failure_windows=(["m1", 0, HUGE_INT],)).validate(),
+             f"a failure window is [machine, start, end], got ['m1', 0, {HUGE_INT_SHOWN}]"),
         ],
-        ids=["check-seed", "spec-seed", "spec-machine", "interval-machine", "interval-state"],
+        ids=["check-seed", "spec-seed", "spec-machine", "interval-machine", "interval-state",
+             "short-window", "list-window"],
     )
     def test_an_int_too_long_to_print_is_shown_by_its_size(self, int_text_limit, call, message):
         # repr and str refuse such an int with ValueError; the text names its size

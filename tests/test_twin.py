@@ -9,11 +9,10 @@ from twinforge.errors import (
 from twinforge.twin import (
     LifecycleEvent,
     LifecyclePhase,
-    MachineState,
     TwinInstance,
     TwinRuntime,
 )
-from twinforge.wire import Channel, Quality, TelemetrySample
+from twinforge.wire import Channel, MachineState, Quality, TelemetrySample
 
 
 def sample(channel=Channel.accel_x, ts=0, value=0.0, asset="drill-1"):

@@ -148,6 +148,17 @@ class TestDecode:
             TelemetrySample("x", Channel.accel_x, ts, 0.0).validate()
         assert str(got.value) == message
 
+    def test_int_value_past_the_float_range_is_malformed(self, int_text_limit):
+        # decode refuses such a line first; a library caller gets decode's text
+        with pytest.raises(MalformedLine) as decoded:
+            decode_sample(_line(v="1" + "0" * 400))
+        with pytest.raises(MalformedLine) as got:
+            TelemetrySample("x", Channel.accel_x, 1, 10**400).validate()
+        assert str(got.value) == str(decoded.value) == "value out of float range: 1" + "0" * 400
+        with pytest.raises(MalformedLine) as got:
+            TelemetrySample("m1", Channel.accel_x, 1, HUGE_INT).validate()
+        assert str(got.value) == f"value out of float range: {HUGE_INT_SHOWN}"
+
     @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_lines(self, line):
         with pytest.raises(MalformedLine):
