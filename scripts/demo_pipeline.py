@@ -39,7 +39,7 @@ def main() -> int:
         archive, args.machine, span, twin=runtime.get(args.machine)
     )
 
-    payload = report_payload(report, args.machine, args.seed)
+    payload = report_payload(report, args.machine)
     print("\n" + ranking_table(payload["replicas"], report.selected))
 
     winner = report.results[0]

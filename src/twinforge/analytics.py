@@ -272,11 +272,24 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _check_k(k, n: int, stage: str) -> None:
+    """Raise unless there is a vector and k, an int or a numpy int, is >= 1."""
+    if n == 0:
+        raise EmptyInput(f"{stage} needs at least one vector")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):  # True runs as 1
+        raise ValueError(f"k must be an integer, got {shown(k)}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def kmeanspp_init(vectors, k: int, seed: int) -> np.ndarray:
     """Deterministic k-means++ seeding of k centroids: D^2-weighted draws
-    from a counter-based stream, draw j keyed on the seed and j alone."""
+    from a counter-based stream, draw j keyed on the seed and j alone, a seed
+    in [0, 2**64) as the stream keys on it modulo 2**64 (rng.check_seed)."""
     x = _as_matrix(vectors)
     n = x.shape[0]
+    _check_k(k, n, "kmeanspp_init")
+    rng.check_seed(seed)
     key = _kmeanspp_key(seed)
     u = rng.uniforms(key, np.arange(k, dtype=np.uint64))
     first = min(int(u[0] * n), n - 1)
@@ -314,10 +327,7 @@ def kmeans_fit(vectors, k: int, init: np.ndarray) -> KMeansModel:
     """
     x = _as_matrix(vectors)
     n, d = x.shape
-    if n == 0:
-        raise EmptyInput("kmeans_fit needs at least one vector")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k, n, "kmeans_fit")
     if k > n:
         raise KExceedsN(f"k={shown(k, str)} > n={n}")
     if len(init) < k:

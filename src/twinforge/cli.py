@@ -26,10 +26,10 @@ from .orchestrator import (
     DEFAULT_GRID,
     DEFAULT_RARITY_THRESHOLD,
     RANKING_RULE,
+    SWEEP_SEED,
     flag_anomalies,
     zeroconf_run,
 )
-from .rng import check_seed
 from .simulate import (
     DEFAULT_DURATION_S,
     DEFAULT_MACHINES,
@@ -188,7 +188,7 @@ def _sweep_fail(exc: TwinForgeError) -> int:
     return _fail(EXIT_PIPELINE, f"pipeline error: {exc}")
 
 
-def report_payload(report, machine: str, seed: int) -> dict:
+def report_payload(report, machine: str) -> dict:
     """report.json's content for a sweep's ranked report."""
     replicas = []
     for r in report.results:
@@ -209,7 +209,7 @@ def report_payload(report, machine: str, seed: int) -> dict:
     return {
         "format_version": FORMAT_VERSIONS["report"],
         "machine": machine,
-        "seed": seed,
+        "seed": SWEEP_SEED,
         "rarity_threshold": DEFAULT_RARITY_THRESHOLD,
         "ranking_rule": RANKING_RULE,
         "selected": report.selected,
@@ -218,10 +218,6 @@ def report_payload(report, machine: str, seed: int) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        check_seed(args.seed)
-    except InvalidSpec as exc:
-        return _fail(EXIT_BAD_ARGS, str(exc))
     ingested = _ingest_trace(args.trace, args.machine)  # the one machine it sweeps
     if isinstance(ingested, int):
         return ingested
@@ -232,11 +228,7 @@ def cmd_run(args) -> int:
         if twin is None:
             raise NoData(f"no samples for machine {args.machine!r}")
         report, timeline, anomalies = zeroconf_run(
-            archive,
-            args.machine,
-            archive.time_span(args.machine),
-            twin=twin,
-            seed=args.seed,
+            archive, args.machine, archive.time_span(args.machine), twin=twin
         )
     except TwinForgeError as exc:
         return _sweep_fail(exc)
@@ -246,7 +238,7 @@ def cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _os_fail("cannot create output directory", args.out, exc)
-    payload = report_payload(report, args.machine, args.seed)
+    payload = report_payload(report, args.machine)
     artifacts = {
         "report.json": json.dumps(payload, sort_keys=True, indent=1) + "\n",
         "timeline.csv": timeline.to_csv(),
@@ -258,7 +250,7 @@ def cmd_run(args) -> int:
         "tool_version": __version__,
         "trace": str(args.trace),
         "machine": args.machine,
-        "seed": args.seed,
+        "seed": SWEEP_SEED,
         "rarity_threshold": DEFAULT_RARITY_THRESHOLD,
         "grid": DEFAULT_GRID,
         "format_versions": FORMAT_VERSIONS,
@@ -317,10 +309,6 @@ def ranking_table(replicas: list, selected: str) -> str:
 def cmd_bench(args) -> int:
     """Time run's own path without the artifact write: ingest the trace once,
     then sweep every machine as run sweeps its one."""
-    try:
-        check_seed(args.seed)
-    except InvalidSpec as exc:
-        return _fail(EXIT_BAD_ARGS, str(exc))
     started = time.perf_counter()
     ingested = _ingest_trace(args.trace)
     if isinstance(ingested, int):
@@ -333,7 +321,7 @@ def cmd_bench(args) -> int:
     try:
         for machine in machines:
             span = archive.time_span(machine)
-            zeroconf_run(archive, machine, span, twin=runtime.get(machine), seed=args.seed)
+            zeroconf_run(archive, machine, span, twin=runtime.get(machine))
     except TwinForgeError as exc:
         return _sweep_fail(exc)
     ended = time.perf_counter()
@@ -366,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("trace")
     p_run.add_argument("--machine", default=DEFAULT_MACHINES[0])
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="print the ranking table of a report")
@@ -375,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="measure pipeline throughput on a trace")
     p_bench.add_argument("trace")
-    p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -3,14 +3,19 @@ catch precisely; everything derives from TwinForgeError."""
 
 
 def shown(value, text=repr) -> str:
-    """text(value), repr or str, for an error text; an int past Python's
-    int-to-text limit, which text refuses with ValueError, by its bit length."""
+    """text(value), repr or str, for an error text; a value whose text Python
+    refuses with ValueError, as an int past its int-to-text limit, is named:
+    such an int by its bit length, a list or tuple item by item, else by type."""
     try:
         return text(value)
     except ValueError:
-        if not isinstance(value, int):
-            raise
-        return f"an int of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        if type(value) is list:
+            return f"[{', '.join(map(shown, value))}]"
+        if type(value) is tuple:
+            return f"({', '.join(map(shown, value))}{',' * (len(value) == 1)})"
+        return f"a {type(value).__name__} too long to print"
 
 
 class TwinForgeError(Exception):

@@ -1,9 +1,9 @@
 """Zero-configuration replication: run the fixed 24-replica hyperparameter
 grid of pipelines against an immutable window of archived data, version and
 rank their outputs, flag rare-cluster segments as anomalies, and feed
-augmentation events back into the twin. The grid (DEFAULT_GRID) and the
-rarity cutoff (DEFAULT_RARITY_THRESHOLD) are constants: a sweep takes no
-settings.
+augmentation events back into the twin. The grid (DEFAULT_GRID), the
+rarity cutoff (DEFAULT_RARITY_THRESHOLD) and the k-means++ seed (SWEEP_SEED)
+are constants: a sweep takes no settings.
 
 A sweep runs one fixed plan (_plan) that walks DEFAULT_GRID: each stage
 reads only part of the grid (readiness, which has no settings, only the block
@@ -35,11 +35,11 @@ from .analytics import (
 from .archive import Archive, Rows, SegmentRecord, WindowQuery
 from .errors import MixedVersions, NoData, NoResults, TwinForgeError
 from .readiness import FeatureSeries, run_readiness
-from .rng import check_seed
 from .twin import DigitalEvent, LifecyclePhase, TwinInstance
 from .wire import ACCEL_CHANNELS
 
 DEFAULT_RARITY_THRESHOLD = 0.05
+SWEEP_SEED = 42  # every sweep's k-means++ seed
 
 # ZeroConf sweep: no caller-supplied configuration. Read-only: its replicas
 # are built once, at import (_REPLICAS).
@@ -158,7 +158,7 @@ _REPLICAS = tuple(
 _VERSIONS = tuple(f"v{i + 1}-{hp.digest()}" for i, hp in enumerate(_REPLICAS))
 
 
-def _plan(window: Rows, seed: int) -> list[ReplicaResult]:
+def _plan(window: Rows) -> list[ReplicaResult]:
     """The results of the 24 replicas over one queried window, in replica
     order (_REPLICAS, versioned _VERSIONS); the last step per replica is
     run_replica.
@@ -166,9 +166,10 @@ def _plan(window: Rows, seed: int) -> list[ReplicaResult]:
     The window's axes are read from the archive's columns once, and one
     run_readiness call cleans them for every block size of DEFAULT_GRID. Per
     block size, one lockstep pelt_segment call covers every penalty, one
-    kmeanspp_init seeding for the largest k serves kmeans_fit(peaks, k, init)
-    once per k, and one silhouette_score call scores every k's labels. Replicas
-    share these objects, so their arrays must not be modified in place.
+    kmeanspp_init seeding at SWEEP_SEED for the largest k serves
+    kmeans_fit(peaks, k, init) once per k, and one silhouette_score call
+    scores every k's labels. Replicas share these objects, so their arrays
+    must not be modified in place.
 
     A TwinForgeError from a stage is re-raised under the version of the first
     replica that stage serves (first), so the first failure in plan order
@@ -186,7 +187,7 @@ def _plan(window: Rows, seed: int) -> list[ReplicaResult]:
             segmentations = pelt_segment(features.peaks, penalties)
             # init is passed by position, as the benchmark's tracer digests
             # an array argument by its bytes and a keyword one by its repr
-            init = kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), seed)
+            init = kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), SWEEP_SEED)
             models = []
             for j, k in enumerate(ks):
                 first = len(results) + j * len(penalties)
@@ -295,30 +296,27 @@ def zeroconf_run(
     time_range: tuple[int, int],
     *,
     twin: Optional[TwinInstance] = None,
-    seed: int = 42,
 ) -> tuple[BenchmarkReport, Timeline, list[AnomalyEvent]]:
     """End-to-end ZeroConf pipeline over one machine's archived window.
 
     Queries the window (its accel axes read once from the archive's
-    columns), sweeps the 24 replicas of DEFAULT_GRID as one plan, ranks by
-    silhouette, records the winner's segment records back to the archive,
-    flags rare-cluster anomalies at DEFAULT_RARITY_THRESHOLD, assembles the
-    timeline from the same records, and emits augmentation events to the
-    twin when one is attached.
-    The raw sample log is never touched. A seed outside [0, 2**64) is
-    InvalidSpec, as it would seed k-means++ as its value modulo 2**64.
+    columns), sweeps the 24 replicas of DEFAULT_GRID as one plan, k-means++
+    seeded at SWEEP_SEED, ranks by silhouette, records the winner's segment
+    records back to the archive, flags rare-cluster anomalies at
+    DEFAULT_RARITY_THRESHOLD, assembles the timeline from the same records,
+    and emits augmentation events to the twin when one is attached.
+    The raw sample log is never touched.
 
     Records are written only when the winner's version has none archived
     yet. A rerun of the same window is therefore idempotent, but a new window
     won by an already-archived version is silently not recorded.
     """
-    check_seed(seed)
     window = archive.query_window(WindowQuery(machine, time_range[0], time_range[1]))
     # the first accel row ends the search; the axis read skips the others
     if not any(e.sample.channel in ACCEL_CHANNELS for e in window):
         raise NoData(f"no samples for {machine} in {time_range}")
 
-    report = rank_replicas(_plan(window, seed))
+    report = rank_replicas(_plan(window))
     winner = report.results[0]
     if winner.replica_version not in archive.replica_versions():
         for record in winner.segments:

@@ -46,8 +46,8 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 def check_seed(seed: int) -> None:
     """A seed names one run only inside [0, 2**64): stream_key keys its
-    streams on the seed modulo 2**64. The simulator, the sweep and the CLI
-    check a seed here, where the range comes from."""
+    streams on the seed modulo 2**64. The simulator's scenario and the
+    k-means++ seeding check a seed here, where the range comes from."""
     if not 0 <= seed < 2**64:
         raise InvalidSpec(f"seed must be in [0, 2**64), got {shown(seed, str)}")
 

@@ -140,10 +140,7 @@ class ScenarioSpec:
                 raise InvalidSpec(f"state must be a MachineState, got {shown(iv.state)}")
         for window in self.failure_windows:
             if not isinstance(window, tuple) or len(window) != 3:
-                # as a file's JSON list, each item shown alone: shown names an
-                # int too long to print, but not one inside a sequence
-                seq = isinstance(window, (tuple, list))
-                got = f"[{', '.join(map(shown, window))}]" if seq else shown(window)
+                got = shown(list(window) if isinstance(window, tuple) else window)  # as the file's list
                 raise InvalidSpec(f"a failure window is [machine, start, end], got {got}")
             self._check_listed("failure window", window[0])
             _check_number("failure window start", window[1])

@@ -33,6 +33,7 @@ from twinforge.analytics import (
 )
 from twinforge.errors import (
     EmptyInput,
+    InvalidSpec,
     KExceedsN,
     LengthMismatch,
     SeriesTooShort,
@@ -211,8 +212,43 @@ class TestKMeans:
     def test_errors(self):
         with pytest.raises(EmptyInput):
             kmeans_fit(np.empty((0, 2)), 1, np.zeros((1, 2)))
+        with pytest.raises(EmptyInput, match="^kmeanspp_init needs at least one vector$"):
+            kmeanspp_init(np.empty((0, 2)), 1, 0)
         with pytest.raises(KExceedsN):
             kmeans_fit(np.zeros((3, 2)), 4, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [(0, "k must be >= 1"), (-1, "k must be >= 1"),
+         # a bool would run as 0 or 1 clusters, a float fail as a slice
+         (True, "k must be an integer, got True"), (2.0, "k must be an integer, got 2.0"),
+         ("2", "k must be an integer, got '2'")],
+        ids=["zero", "negative", "bool", "float", "string"],
+    )
+    @pytest.mark.parametrize(
+        "stage",
+        [lambda x, k: kmeanspp_init(x, k, 0), lambda x, k: kmeans_fit(x, k, x)],
+        ids=["kmeanspp_init", "kmeans_fit"],
+    )
+    def test_k_must_be_an_integer_of_at_least_one(self, stage, k, message):
+        with pytest.raises(ValueError) as info:
+            stage(np.zeros((3, 2)), k)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)], ids=str)
+    def test_numpy_int_k_fits_as_its_int(self, k):
+        x = np.array([[0.0], [1.0], [5.0], [6.0]])
+        assert kmeanspp_init(x, k, 3).tobytes() == kmeanspp_init(x, 2, 3).tobytes()
+        assert_same_fit(kmeans_fit(x, k, kmeanspp_init(x, k, 3)),
+                        kmeans_fit(x, 2, kmeanspp_init(x, 2, 3)))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
+    def test_seed_outside_its_range_is_invalid_spec(self, seed):
+        # the k-means++ stream keys on the seed modulo 2**64: -1 would seed
+        # as 2**64 - 1 and 2**64 + 42 as 42
+        with pytest.raises(InvalidSpec) as info:
+            kmeanspp_init(np.array([[0.0], [1.0], [5.0]]), 2, seed)
+        assert str(info.value) == f"seed must be in [0, 2**64), got {seed}"
 
     def test_k_too_long_to_print_is_shown_by_its_size(self, int_text_limit):
         with pytest.raises(KExceedsN) as info:

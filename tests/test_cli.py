@@ -369,11 +369,12 @@ class TestRun:
     @pytest.mark.parametrize(
         "flags",
         [["--grid", "{}"], ["--grid", '{"k":[2]}'], ['--grid={"penalty":[40],"k":[2]}'],
-         ["--threshold", "0.02"], ["--threshold=0.05"]],
+         ["--threshold", "0.02"], ["--threshold=0.05"], ["--seed", "7"]],
     )
     def test_removed_sweep_settings_exit_2(self, tmp_path, capsys, flags):
-        # the grid and the rarity cutoff are constants: an old invocation
-        # fails loudly before any ingest instead of running the fixed sweep
+        # the grid, the rarity cutoff and the seed are constants: an old
+        # invocation fails loudly before any ingest instead of running the
+        # fixed sweep
         with pytest.raises(SystemExit) as info:
             run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path), *flags)
         assert info.value.code == 2
@@ -387,14 +388,7 @@ class TestRun:
             run_cli("run", "--help")
         assert info.value.code == 0
         out = capsys.readouterr().out
-        assert "--seed" in out
-        assert "--grid" not in out and "--threshold" not in out
-
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_invalid_seed_exits_2_before_ingest(self, tmp_path, capsys, seed):
-        assert run_cli("run", str(tmp_path / "none.jsonl"), "--out", str(tmp_path),
-                       f"--seed={seed}") == 2
-        assert_one_line_error(capsys, f"seed must be in [0, 2**64), got {seed}")
+        assert "--grid" not in out and "--threshold" not in out and "--seed" not in out
 
     def test_malformed_trace_exits_2(self, malformed_trace, tmp_path, capsys):
         assert run_cli("run", str(malformed_trace), "--out", str(tmp_path / "out")) == 2
@@ -597,9 +591,14 @@ class TestBench:
         assert run_cli("bench", str(tmp_path)) == 2
         assert_one_line_error(capsys, "cannot read trace")
 
-    def test_invalid_seed_exits_2_before_ingest(self, tmp_path, capsys):
-        assert run_cli("bench", str(tmp_path / "none.jsonl"), "--seed=-1") == 2
-        assert_one_line_error(capsys, "seed must be in [0, 2**64), got -1")
+    def test_removed_seed_exits_2(self, tmp_path, capsys):
+        # the sweep's seed is a constant: an old invocation fails before any ingest
+        with pytest.raises(SystemExit) as info:
+            run_cli("bench", str(tmp_path / "none.jsonl"), "--seed", "7")
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --seed 7" in err
+        assert "Traceback" not in err
 
     def test_malformed_trace_exits_2(self, malformed_trace, capsys):
         assert run_cli("bench", str(malformed_trace)) == 2
@@ -618,7 +617,7 @@ class TestBench:
 
         monkeypatch.setattr(cli, "zeroconf_run", counted)
         capsys.readouterr()
-        assert run_cli("bench", str(sim / "trace.jsonl"), "--seed", "7") == 0
+        assert run_cli("bench", str(sim / "trace.jsonl")) == 0
         assert calls == [(m, True, m) for m in ("m1", "m2", "m3")]
         out, err = capsys.readouterr()
         assert out.split()[1] == "samples/s"

@@ -17,7 +17,6 @@ from twinforge.archive import SegmentRecord, WindowQuery
 from twinforge.cli import report_payload
 from twinforge.errors import (
     AxisLengthMismatch,
-    InvalidSpec,
     KExceedsN,
     MixedVersions,
     NoData,
@@ -27,6 +26,7 @@ from twinforge.errors import (
 )
 from twinforge.orchestrator import (
     DEFAULT_GRID,
+    SWEEP_SEED,
     AnomalyEvent,
     HyperParams,
     ReplicaResult,
@@ -202,7 +202,7 @@ class TestRunReplica:
         _, samples, _, _ = small_run
         window = [s for s in samples if s.channel in (Channel.accel_x, Channel.accel_y)]
         with pytest.raises(AxisLengthMismatch, match=r"^v1-"):
-            orchestrator._plan(rows_of(window), seed=1)
+            orchestrator._plan(rows_of(window))
 
 
 class TestAxisSeries:
@@ -418,17 +418,6 @@ class TestZeroconf:
             zeroconf_run(archive, "m1", (0, 100))
         assert str(caught.value) == "no samples for m1 in (0, 100)"
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
-    def test_seed_outside_its_range_is_invalid_spec(self, small_run, seed):
-        # k-means++ would take the seed modulo 2**64: -1 would rank as
-        # 2**64 - 1 and 2**64 + 42 as 42
-        archive = small_run[3]
-        versions = archive.replica_versions()
-        with pytest.raises(InvalidSpec) as info:
-            zeroconf_run(archive, "m1", (0, 10**18), seed=seed)
-        assert str(info.value) == f"seed must be in [0, 2**64), got {seed}"
-        assert archive.replica_versions() == versions
-
     def test_master_isolation(self, small_run):
         _, _, _, archive = small_run
         before = [e.sample for e in archive.scan("m1")]
@@ -448,11 +437,11 @@ class TestZeroconf:
 
     def test_planned_sweep_equals_independent_replicas(self, small_run):
         _, _, _, archive = small_run
-        report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18), seed=7)
+        report, timeline, anomalies = zeroconf_run(archive, "m1", (0, 10**18))
 
         rows = archive.query_window(WindowQuery("m1", 0, 10**18))
         window = [e.sample for e in rows if e.sample.channel in ACCEL_CHANNELS]
-        expected = rank_replicas([reference_replica(window, hp, 7) for hp in orchestrator._REPLICAS])
+        expected = rank_replicas([reference_replica(window, hp, SWEEP_SEED) for hp in orchestrator._REPLICAS])
         assert len(report.results) == len(expected.results) == 24
         for got, want in zip(report.results, expected.results):
             assert got.replica_version == want.replica_version
@@ -571,7 +560,7 @@ class TestZeroconf:
         samples, _ = simulate_scenario(default_scenario(duration_s=2, machines=("m1",)))
         window = archive_of(samples).query_window(WindowQuery("m1", 0, t_end))
         with pytest.raises(error) as info:
-            orchestrator._plan(window, seed=42)
+            orchestrator._plan(window)
         assert str(info.value) == message
 
     def test_failing_sweep_runs_its_plan_once(self, monkeypatch):
@@ -597,7 +586,7 @@ class TestZeroconf:
 
     def test_ranking_is_total_order(self, small_run):
         _, samples, _, _ = small_run
-        report = rank_replicas(orchestrator._plan(rows_of(samples), 42))
+        report = rank_replicas(orchestrator._plan(rows_of(samples)))
         keys = [
             (-r.silhouette, r.segment_count, r.hyperparams.penalty, r.replica_version)
             for r in report.results
@@ -638,7 +627,7 @@ class TestZeroconf:
 def swept(small_run):
     """The 24 replicas' results over the quiet-failure run, computed once."""
     _, samples, _, _ = small_run
-    return orchestrator._plan(rows_of(samples), seed=42)
+    return orchestrator._plan(rows_of(samples))
 
 
 class TestReplicas:
@@ -660,15 +649,17 @@ class TestReplicas:
         [
             lambda archive: zeroconf_run(archive, "m1", (0, 10**18), grid={"k": [2]}),
             lambda archive: zeroconf_run(archive, "m1", (0, 10**18), rarity_threshold=0.02),
+            lambda archive: zeroconf_run(archive, "m1", (0, 10**18), seed=7),
             # a grid in its old fourth position would bind to twin and run
             lambda archive: zeroconf_run(archive, "m1", (0, 10**18), {"k": [2]}),
             lambda archive: flag_anomalies([], rarity_threshold=0.05),
             lambda archive: flag_anomalies([], 0.05),
             lambda archive: report_payload(None, "m1", 42, 0.05),
+            lambda archive: report_payload(None, "m1", 42),
         ],
-        ids=["zeroconf_run-grid", "zeroconf_run-rarity_threshold", "zeroconf_run-positional",
-             "flag_anomalies-rarity_threshold", "flag_anomalies-positional",
-             "report_payload-threshold"],
+        ids=["zeroconf_run-grid", "zeroconf_run-rarity_threshold", "zeroconf_run-seed",
+             "zeroconf_run-positional", "flag_anomalies-rarity_threshold",
+             "flag_anomalies-positional", "report_payload-threshold", "report_payload-seed"],
     )
     def test_removed_settings_are_refused(self, call):
         # the sweep takes no settings: an old call fails instead of running

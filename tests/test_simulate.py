@@ -155,9 +155,21 @@ class TestSpecValidation:
              f"a failure window is [machine, start, end], got ['m1', {HUGE_INT_SHOWN}]"),
             (lambda: ScenarioSpec(duration_s=0.0, failure_windows=(["m1", 0, HUGE_INT],)).validate(),
              f"a failure window is [machine, start, end], got ['m1', 0, {HUGE_INT_SHOWN}]"),
+            # an int inside another value is named inside that value's text
+            (lambda: ScenarioSpec(duration_s=0.0, machines=([HUGE_INT],)).validate(),
+             f"bad machine id [{HUGE_INT_SHOWN}]"),
+            (lambda: ScenarioSpec(duration_s=0.0, failure_windows=(([HUGE_INT], 0, 1),)).validate(),
+             f"machine id must be a string, got [{HUGE_INT_SHOWN}]"),
+            (lambda: ScenarioSpec(duration_s=0.0, failure_windows=(("m1", [HUGE_INT]),)).validate(),
+             f"a failure window is [machine, start, end], got ['m1', [{HUGE_INT_SHOWN}]]"),
+            (lambda: ScenarioSpec(duration_s=0.0, machines=((HUGE_INT,),)).validate(),
+             f"bad machine id ({HUGE_INT_SHOWN},)"),
+            (lambda: ScenarioSpec(duration_s=0.0, machines=({"m1": HUGE_INT},)).validate(),
+             "bad machine id a dict too long to print"),
         ],
         ids=["check-seed", "spec-seed", "spec-machine", "interval-machine", "interval-state",
-             "short-window", "list-window"],
+             "short-window", "list-window", "nested-machine", "nested-window-machine",
+             "nested-window-item", "tuple-machine", "dict-machine"],
     )
     def test_an_int_too_long_to_print_is_shown_by_its_size(self, int_text_limit, call, message):
         # repr and str refuse such an int with ValueError; the text names its size
