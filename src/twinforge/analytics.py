@@ -8,15 +8,16 @@ a pure function, and every floating-point reduction has a fixed order, so
 results are identical across runs. The stages take plain arrays (_as_matrix)
 and the values a sweep varies, no settings; kmeans_fit takes its seeding.
 
-The long-window kernels, the PELT segment costs and the k-means and
-silhouette distances, reduce over the feature axis one column at a time in
-index order: out = c[:, 0], then out += c[:, 1], and so on. numpy sums an
-axis shorter than 8 sequentially from index 0, so for the runtime's 3-axis
-features (and any d <= 7) this equals .sum(axis=-1) bit for bit. From d = 8 numpy unrolls
-its sum eight ways and the two orders can differ in the last ulp; results
-stay deterministic, silhouette stays within 1e-9 of the naive definition, and
-PELT still equals the tests' brute-force DP oracle, which shares
-_segment_costs.
+The long-window kernels, PELT's _segment_costs and _sq_dists, the one
+squared-distance table (Lloyd's loop, the k-means++ draws and silhouette read
+it), reduce over the feature axis one column at a time in index order:
+out = c[:, 0], then out += c[:, 1], and so on. numpy sums an axis shorter
+than 8 sequentially from index 0, so for d <= 7 (the runtime has 3) this
+equals .sum(axis=-1) bit for bit. From d = 8 numpy unrolls its sum eight ways
+and the orders can differ in the last ulp; results stay deterministic,
+silhouette stays within 1e-9 of the naive definition, and PELT still equals
+the tests' brute-force DP oracle, which shares _segment_costs. The one
+feature-axis .sum left, k-means' movement test, decides only convergence.
 
 pelt_segment runs every penalty in lockstep and advances one tile of
 _PELT_TILE steps at a time: one _segment_costs pass per tile builds the costs
@@ -46,6 +47,10 @@ from .errors import (
 
 # Rows of the distance matrix silhouette_score holds at once.
 _SILHOUETTE_ROWS = 64
+
+# Entries of a _sq_dists table built per slice, so that a column's squares
+# take scratch of one cached slice, not of a whole silhouette block.
+_SQ_DISTS_SLICE = 4096
 
 # Steps pelt_segment advances per tile, sharing one segment-cost pass.
 _PELT_TILE = 32
@@ -261,14 +266,19 @@ _KMEANS_TOL = 1e-9
 _kmeanspp_key = lru_cache(maxsize=16)(lambda seed: rng.stream_key(seed, "kmeans++"))
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances, added one feature column at a time in index
-    order: the sum over the feature axis for d < 8 (module docstring)."""
-    d2 = np.zeros((len(x), len(centroids)))
-    for xj, cj in zip(x.T, centroids.T):
-        diff = xj[:, None] - cj
-        diff *= diff
-        d2 += diff
+def _sq_dists(x: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """(len(x), len(others)) squared distances in column order (module
+    docstring); with no feature columns every point coincides at 0."""
+    cols = np.ascontiguousarray(others.T)
+    if not len(cols):
+        return np.zeros((len(x), len(others)))
+    d2 = np.empty((len(x), len(others)))
+    step = max(1, _SQ_DISTS_SLICE // len(others))
+    for lo in range(0, len(x), step):
+        part, rows = d2[lo : lo + step], x[lo : lo + step]
+        np.square(rows[:, 0, None] - cols[0], out=part)
+        for j in range(1, len(cols)):
+            part += np.square(rows[:, j, None] - cols[j])
     return d2
 
 
@@ -294,7 +304,7 @@ def kmeanspp_init(vectors, k: int, seed: int) -> np.ndarray:
     u = rng.uniforms(key, np.arange(k, dtype=np.uint64))
     first = min(int(u[0] * n), n - 1)
     centroids = [x[first]]
-    d2 = ((x - x[first]) ** 2).sum(axis=1)
+    d2 = _sq_dists(x, x[first, None])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -303,7 +313,7 @@ def kmeanspp_init(vectors, k: int, seed: int) -> np.ndarray:
         else:
             idx = min(int(u[j] * n), n - 1)
         centroids.append(x[idx])
-        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(x, x[idx, None])[:, 0])
     return np.array(centroids)
 
 
@@ -379,9 +389,8 @@ def silhouette_score(vectors, labelings) -> tuple[float, ...]:
     serves every labeling, so memory is O(rows * n) plus a few n-vectors per
     labeling rather than O(n^2), and the rows are built once however many
     labelings there are; a, b and s of every labeling come from one
-    labelings x rows x clusters array of row sums. Squared distances are
-    accumulated one feature column at a time in index order, equal to
-    summing over the feature axis for d < 8 (see the module docstring). Each
+    labelings x rows x clusters array of row sums. A block's distances are
+    the square roots of its _sq_dists table against every point. Each
     per-cluster row sum is taken over a contiguous copy of the members'
     distances in index order, the same reduction as summing one row's masked
     entries, so each score is bit-identical to a per-point loop over the full
@@ -419,15 +428,9 @@ def silhouette_score(vectors, labelings) -> tuple[float, ...]:
     own_size = size[at_labeling, own]
     own_peers = np.maximum(own_size - 1, 1)  # a singleton's a_i is unused: 1 avoids 0/0
     scores = np.zeros((len(scored), n))
-    cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
     for lo in range(0, n if scored else 0, _SILHOUETTE_ROWS):
         hi = min(lo + _SILHOUETTE_ROWS, n)
-        dist = x[lo:hi, 0, None] - cols[0]
-        dist *= dist
-        for j in range(1, len(cols)):
-            d = x[lo:hi, j, None] - cols[j]
-            d *= d
-            dist += d
+        dist = _sq_dists(x[lo:hi], x)
         np.sqrt(dist, out=dist)
         # (labeling, row, cluster) sums, inf for a cluster the labeling lacks
         sums = np.full((len(scored), hi - lo, k), np.inf)

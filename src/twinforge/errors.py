@@ -5,17 +5,25 @@ catch precisely; everything derives from TwinForgeError."""
 def shown(value, text=repr) -> str:
     """text(value), repr or str, for an error text; a value whose text Python
     refuses with ValueError, as an int past its int-to-text limit, is named:
-    such an int by its bit length, a list or tuple item by item, else by type."""
+    such an int by its bit length, a list or tuple item by item, else by type.
+    A list or tuple inside itself is [...] or (...), as repr shows it."""
+    return _shown(value, text, ())
+
+
+def _shown(value, text, outer: tuple) -> str:
+    """shown for a value inside the lists and tuples outer."""
     try:
         return text(value)
     except ValueError:
         if isinstance(value, int):
             return f"an int of {value.bit_length()} bits"
-        if type(value) is list:
-            return f"[{', '.join(map(shown, value))}]"
-        if type(value) is tuple:
-            return f"({', '.join(map(shown, value))}{',' * (len(value) == 1)})"
-        return f"a {type(value).__name__} too long to print"
+        if type(value) not in (list, tuple):
+            return f"a {type(value).__name__} too long to print"
+        ends = "[]" if type(value) is list else "()"
+        if any(value is o for o in outer):
+            return f"{ends[0]}...{ends[1]}"
+        items = ", ".join(_shown(item, repr, (*outer, value)) for item in value)
+        return f"{ends[0]}{items}{',' * (ends == '()' and len(value) == 1)}{ends[1]}"
 
 
 class TwinForgeError(Exception):

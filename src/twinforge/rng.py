@@ -45,9 +45,11 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def check_seed(seed: int) -> None:
-    """A seed names one run only inside [0, 2**64): stream_key keys its
-    streams on the seed modulo 2**64. The simulator's scenario and the
-    k-means++ seeding check a seed here, where the range comes from."""
+    """A seed, an int but not a bool, names one run only inside [0, 2**64):
+    stream_key keys its streams on the seed modulo 2**64. The simulator's
+    scenario and the k-means++ seeding check a seed here."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InvalidSpec(f"seed must be an integer, got {shown(seed)}")
     if not 0 <= seed < 2**64:
         raise InvalidSpec(f"seed must be in [0, 2**64), got {shown(seed, str)}")
 

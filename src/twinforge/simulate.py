@@ -107,14 +107,13 @@ class ScenarioSpec:
     def _check_values(self) -> None:
         """Every check but the schedule's coverage, run at any duration;
         default_scenario runs them before it rounds any phase boundary."""
-        for name, value in (("seed", self.seed), ("sample_rate", self.sample_rate)):
-            # a float rate stamps float timestamps; a bool seed aliases seed 0 or 1
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+        rng.check_seed(self.seed)
+        # a float rate stamps float timestamps
+        if isinstance(self.sample_rate, bool) or not isinstance(self.sample_rate, int):
+            raise InvalidSpec(f"sample_rate must be an integer, got {self.sample_rate!r}")
         _check_number("duration_s", self.duration_s)
         if not isinstance(self.machines, (list, tuple)):  # a string would split into ids
             raise InvalidSpec(f"machines must be a list, got {type(self.machines).__name__}")
-        rng.check_seed(self.seed)
         if self.sample_rate < 1:
             raise InvalidSpec("sample_rate must be >= 1")
         if not math.isfinite(self.duration_s):

@@ -254,6 +254,28 @@ def exhaustive_segment(features, penalty) -> tuple[tuple[int, ...], float]:
     return cps, best
 
 
+def reference_kmeanspp_init(vectors, k: int, seed: int) -> np.ndarray:
+    """The library's original k-means++ seeding, kept verbatim but for its
+    checks: each draw's D^2 is summed over the feature axis, where
+    kmeanspp_init reads _sq_dists. For d < 8 the two are the same bits."""
+    x = _as_matrix(vectors)
+    n = x.shape[0]
+    u = rng.uniforms(rng.stream_key(seed, "kmeans++"), np.arange(k, dtype=np.uint64))
+    first = min(int(u[0] * n), n - 1)
+    centroids = [x[first]]
+    d2 = ((x - x[first]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(np.searchsorted(np.cumsum(d2), u[j] * total, side="right"))
+            idx = min(idx, n - 1)
+        else:
+            idx = min(int(u[j] * n), n - 1)
+        centroids.append(x[idx])
+        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+    return np.array(centroids)
+
+
 def reference_kmeans_fit(
     vectors, k: int, seed: int, max_iter: int = 100, tol: float = 1e-9
 ) -> KMeansModel:

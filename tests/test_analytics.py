@@ -11,6 +11,7 @@ from oracles import (
     naive_silhouette,
     random_step_series,
     reference_kmeans_fit,
+    reference_kmeanspp_init,
     reference_objective,
     reference_pelt_segment,
     reference_segment_costs,
@@ -250,6 +251,27 @@ class TestKMeans:
             kmeanspp_init(np.array([[0.0], [1.0], [5.0]]), 2, seed)
         assert str(info.value) == f"seed must be in [0, 2**64), got {seed}"
 
+    @pytest.mark.parametrize("seed", [True, 1.5, np.int64(3)], ids=["bool", "float", "numpy-int"])
+    def test_seed_must_be_a_python_int(self, seed):
+        # True would seed as 1; a float or a numpy int would fail inside the
+        # stream key's arithmetic with TypeError or OverflowError
+        with pytest.raises(InvalidSpec) as info:
+            kmeanspp_init(np.array([[0.0], [1.0], [5.0]]), 2, seed)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (4, 3), (5, 5), (7, 2)])
+    def test_zero_width_vectors(self, n, k):
+        # with no feature columns every point coincides: k-means++ draws
+        # (k, 0) centroids and the fit stops after one iteration with every
+        # point settled in cluster 0
+        x = np.zeros((n, 0))
+        init = kmeanspp_init(x, k, 0)
+        assert init.shape == (k, 0)
+        model = kmeans_fit(x, k, init)
+        assert model.centroids.shape == (k, 0)
+        assert model.labels.tolist() == [0] * n
+        assert model.iterations_run == 1
+
     def test_k_too_long_to_print_is_shown_by_its_size(self, int_text_limit):
         with pytest.raises(KExceedsN) as info:
             kmeans_fit(np.zeros((3, 2)), HUGE_INT, np.zeros((3, 2)))
@@ -356,6 +378,19 @@ class TestKMeansOracle:
             assert_same_fit(got, reference_kmeans_fit(x, 3, seed=d))
             assert not np.signbit(got.centroids[:, d // 2]).any()
 
+    @pytest.mark.parametrize("kind", KMEANS_KINDS)
+    def test_nine_features_draw_the_axis_sum_seeding(self, kind):
+        # numpy unrolls a feature-axis sum from d = 8, so a draw's D^2 from
+        # _sq_dists can differ from the original seeding's in the last ulp;
+        # on these inputs no draw moves, and neither does the fit
+        for rep in range(8):
+            seed = 9000 + rep
+            n, k = 12 + 37 * rep, 1 + rep % 6
+            x = kmeans_inputs(seed, n, 9, kind)
+            init = kmeanspp_init(x, k, seed)
+            assert init.tobytes() == reference_kmeanspp_init(x, k, seed).tobytes()
+            assert_same_fit(kmeans_fit(x, k, init), reference_kmeans_fit(x, k, seed=seed))
+
     def test_repair_leaves_no_cluster_empty(self):
         # 5 distinct points for k = 6: the repair used to take the only
         # member of a cluster its scan had passed, leaving a 0/0 mean, a NaN
@@ -434,6 +469,10 @@ class TestSilhouette:
         x = np.array([[0.0], [0.1], [5.0]])
         (score,) = silhouette_score(x, [[0, 0, 1]])
         assert score == pytest.approx(naive_silhouette(x.tolist(), [0, 0, 1]), abs=1e-12)
+
+    def test_zero_width_points_coincide(self):
+        # no feature columns: every distance is 0, so every point scores 0
+        assert silhouette_score(np.zeros((4, 0)), [[0, 0, 1, 1]]) == (0.0,)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):

@@ -17,6 +17,13 @@ from twinforge.simulate import (
 from twinforge.wire import ACCEL_CHANNELS, Channel, MachineState, encode_sample
 
 
+def cyclic_list(item):
+    """[item, the list itself]."""
+    out = [item]
+    out.append(out)
+    return out
+
+
 def tiny_spec(seed=1, duration=4.0, machine="m1"):
     schedule = (
         PhaseInterval(machine, 0.0, 2.0, MachineState.Idle),
@@ -166,10 +173,13 @@ class TestSpecValidation:
              f"bad machine id ({HUGE_INT_SHOWN},)"),
             (lambda: ScenarioSpec(duration_s=0.0, machines=({"m1": HUGE_INT},)).validate(),
              "bad machine id a dict too long to print"),
+            # a list inside itself is [...], as repr shows it, not endless recursion
+            (lambda: ScenarioSpec(duration_s=0.0, machines=(cyclic_list(HUGE_INT),)).validate(),
+             f"bad machine id [{HUGE_INT_SHOWN}, [...]]"),
         ],
         ids=["check-seed", "spec-seed", "spec-machine", "interval-machine", "interval-state",
              "short-window", "list-window", "nested-machine", "nested-window-machine",
-             "nested-window-item", "tuple-machine", "dict-machine"],
+             "nested-window-item", "tuple-machine", "dict-machine", "cyclic-machine"],
     )
     def test_an_int_too_long_to_print_is_shown_by_its_size(self, int_text_limit, call, message):
         # repr and str refuse such an int with ValueError; the text names its size
