@@ -62,7 +62,7 @@ def main() -> int:
             fh.write(f"{i},{r!r},{c!r}\n")
     with open(out / "peaks.csv", "w") as fh:
         fh.write("block,peak_x,peak_y,peak_z\n")
-        for i, row in enumerate(winner.features.peaks.tolist()):
+        for i, row in enumerate(winner.peaks.tolist()):
             fh.write(f"{i},{row[0]!r},{row[1]!r},{row[2]!r}\n")
     (out / "timeline.csv").write_text(timeline.to_csv())
     print(f"\nwrote signal.csv, peaks.csv, timeline.csv to {out}/")

@@ -33,7 +33,6 @@ from .orchestrator import (
     zeroconf_run,
 )
 from .readiness import (
-    FeatureSeries,
     detect_outliers,
     fill_gaps,
     rolling_max,

@@ -5,8 +5,10 @@ Cost model is multivariate L2: sum over dimensions of within-segment squared
 deviation from the segment mean. The objective minimized is
 sum(segment costs) + penalty * (number of change points). Everything here is
 a pure function, and every floating-point reduction has a fixed order, so
-results are identical across runs. The stages take plain arrays (_as_matrix)
-and the values a sweep varies, no settings; kmeans_fit takes its seeding.
+results are identical across runs. The stages take plain arrays and the
+values a sweep varies, no settings; kmeans_fit takes its seeding. Every stage
+reads its points through _as_matrix, which refuses a point it could not
+square (FeatureOutOfRange), whoever the caller is.
 
 The long-window kernels, PELT's _segment_costs and _sq_dists, the one
 squared-distance table (Lloyd's loop, the k-means++ draws and silhouette read
@@ -28,6 +30,7 @@ window of 20 to 40 blocks pays for; the pruning runs once per tile.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,12 +41,21 @@ import numpy as np
 from . import rng
 from .errors import (
     EmptyInput,
+    FeatureOutOfRange,
     KExceedsN,
     LengthMismatch,
     SeriesTooShort,
     TooFewPoints,
     shown,
 )
+
+# The stages square coordinates unscaled. Below 2**_FEATURE_EXP every square
+# is below 2**960, so PELT's squared segment sums (under n**2 * 2**960 over n
+# blocks), k-means' and silhouette's squared distances over d columns (under
+# 4 * d * 2**960) and their sums over n blocks stay below the largest float64,
+# about 2**1024, for every window of fewer than 2**31 blocks and d <= 7.
+_FEATURE_EXP = 480
+_FEATURE_BOUND = math.ldexp(1.0, _FEATURE_EXP)
 
 # Rows of the distance matrix silhouette_score holds at once.
 _SILHOUETTE_ROWS = 64
@@ -91,8 +103,14 @@ class Segmentation:
 
 
 def _as_matrix(points) -> np.ndarray:
-    """points as float64 rows, a 1-D series as one column."""
+    """points as float64 rows, a 1-D series as one column; FeatureOutOfRange
+    unless every coordinate is finite and below _FEATURE_BOUND in magnitude."""
     x = np.asarray(points, dtype=np.float64)
+    peak = float(np.abs(x).max(initial=0.0))  # the largest |coordinate|, nan if any is
+    if not peak < _FEATURE_BOUND:  # nan and inf too
+        raise FeatureOutOfRange(
+            f"points must be finite and below 2**{_FEATURE_EXP}, got {peak:.3g}"
+        )
     return x[:, None] if x.ndim == 1 else x
 
 

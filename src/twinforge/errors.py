@@ -94,12 +94,12 @@ class AxisLengthMismatch(TwinForgeError):
     pass
 
 
-class FeatureOutOfRange(TwinForgeError, ValueError):
-    """Block features that are not finite, or too large for the analytics to
-    square. Also a ValueError, the error of a value out of its domain."""
-
-
 # -- analytics ---------------------------------------------------------------
+
+class FeatureOutOfRange(TwinForgeError, ValueError):
+    """A point the analytics cannot square, not finite or at least 2**480 in
+    magnitude. Also a ValueError, the error of a value out of its domain."""
+
 
 class SeriesTooShort(TwinForgeError):
     pass

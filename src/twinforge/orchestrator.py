@@ -34,7 +34,7 @@ from .analytics import (
 )
 from .archive import Archive, Rows, SegmentRecord, WindowQuery
 from .errors import MixedVersions, NoData, NoResults, TwinForgeError
-from .readiness import FeatureSeries, run_readiness
+from .readiness import run_readiness
 from .twin import DigitalEvent, LifecyclePhase, TwinInstance
 from .wire import ACCEL_CHANNELS
 
@@ -81,7 +81,7 @@ class ReplicaResult:
     segmentation: Segmentation
     labels: np.ndarray
     silhouette: float
-    features: FeatureSeries
+    peaks: np.ndarray  # (n_blocks, 3) readiness block peaks
     window_start_ts: int  # ts of the window's first accel sample
     per_sample_ns: int  # the window's nominal accel sample spacing
 
@@ -182,24 +182,24 @@ def _plan(window: Rows) -> list[ReplicaResult]:
         window_start_ts = int(ts[0])
         per_sample_ns = (int(ts[-1]) - window_start_ts) // (len(ts) - 1) if len(ts) > 1 else 0
         results: list[ReplicaResult] = []
-        for features in run_readiness(x, y, z, DEFAULT_GRID["block_size"]):
+        for peaks in run_readiness(x, y, z, DEFAULT_GRID["block_size"]):
             first = len(results)
-            segmentations = pelt_segment(features.peaks, penalties)
+            segmentations = pelt_segment(peaks, penalties)
             # init is passed by position, as the benchmark's tracer digests
             # an array argument by its bytes and a keyword one by its repr
-            init = kmeanspp_init(features.peaks, min(max(ks), len(features.peaks)), SWEEP_SEED)
+            init = kmeanspp_init(peaks, min(max(ks), len(peaks)), SWEEP_SEED)
             models = []
             for j, k in enumerate(ks):
                 first = len(results) + j * len(penalties)
                 # a k past the block count raises KExceedsN before init is read
-                models.append(kmeans_fit(features.peaks, k, init))
+                models.append(kmeans_fit(peaks, k, init))
             first = len(results)
-            scores = silhouette_score(features.peaks, np.stack([m.labels for m in models]))
+            scores = silhouette_score(peaks, np.stack([m.labels for m in models]))
             for model, score in zip(models, scores):
                 for segmentation in segmentations:
                     i = len(results)
                     results.append(run_replica(
-                        _REPLICAS[i], _VERSIONS[i], features=features, segmentation=segmentation,
+                        _REPLICAS[i], _VERSIONS[i], peaks=peaks, segmentation=segmentation,
                         labels=model.labels, silhouette=score,
                         window_start_ts=window_start_ts, per_sample_ns=per_sample_ns,
                     ))

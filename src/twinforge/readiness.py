@@ -5,18 +5,17 @@ All stages are pure functions on 1-D float arrays that take data, not
 settings. Readiness is one fixed pipeline: clean_axis removes 7-sigma
 outliers, fills them and missing values linearly, smooths over 5 samples
 and z-scores the axis; run_readiness runs it per axis, takes block peaks
-per block size and zips the three axes into block-level 3-vectors for
+per block size and zips the three axes into a plain (n_blocks, 3) array for
 segmentation and clustering.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AllMissing, AxisLengthMismatch, EmptySeries, FeatureOutOfRange, WindowTooLarge
+from .errors import AllMissing, AxisLengthMismatch, EmptySeries, WindowTooLarge
 
 
 # Past 2**_SCALE_EXP a |value|'s square, or the sum of a long series, can
@@ -31,34 +30,6 @@ def _scale(x: np.ndarray) -> float:
     its largest |value| is finite and at least 2**_SCALE_EXP."""
     exp = math.frexp(float(np.abs(x).max()))[1]  # 0 for inf and nan
     return math.ldexp(1.0, exp - _SCALE_EXP) if exp > _SCALE_EXP else 1.0
-
-
-# The analytics square features unscaled. Below 2**_SCALE_EXP every square
-# is below 2**960, so PELT's squared segment sums (under n**2 * 2**960 over n
-# blocks), k-means' and silhouette's squared distances over d columns (under
-# 4 * d * 2**960) and their sums over n blocks stay below the largest float64,
-# about 2**1024, for every window of fewer than 2**31 blocks and d <= 7.
-_FEATURE_BOUND = math.ldexp(1.0, _SCALE_EXP)
-
-
-@dataclass(frozen=True)
-class FeatureSeries:
-    """Block-wise peak vectors: peaks[i] = (x, y, z) peak of block i, each
-    finite and below _FEATURE_BOUND in magnitude."""
-
-    peaks: np.ndarray  # (n_blocks, 3)
-
-    def __post_init__(self):
-        peak = float(np.abs(self.peaks).max(initial=0.0))  # nan if any is nan
-        if not math.isfinite(peak):
-            raise FeatureOutOfRange("feature vectors must be finite")
-        if peak >= _FEATURE_BOUND:
-            raise FeatureOutOfRange(
-                f"feature peak {peak:.3g} reaches 2**{_SCALE_EXP}, too large for the analytics"
-            )
-
-    def __len__(self) -> int:
-        return self.peaks.shape[0]
 
 
 # Outlier cut in population deviations, above the simulator's 6-sigma noise.
@@ -104,7 +75,9 @@ def fill_gaps(series, mask) -> np.ndarray:
         return x.copy()
     idx = np.arange(x.size)
     out = x.copy()
-    out[bad] = np.interp(idx[bad], idx[~bad], x[~bad])
+    good = x[~bad]
+    scale = _scale(good)  # huge neighbours of opposite sign differ past the float range
+    out[bad] = np.interp(idx[bad], idx[~bad], good / scale) * scale
     return out
 
 
@@ -122,7 +95,12 @@ def smooth(series) -> np.ndarray:
     idx = np.arange(x.size)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half + 1, x.size)
-    return (csum[hi] - csum[lo]) / (hi - lo) * scale
+    means = (csum[hi] - csum[lo]) / (hi - lo)
+    if scale != 1.0:
+        # the sums' rounding can carry a mean of values at the float limit
+        # past it, and no mean leaves the series' range
+        np.clip(means, x.min() / scale, x.max() / scale, out=means)
+    return means * scale
 
 
 def zscore_normalize(series) -> np.ndarray:
@@ -159,15 +137,16 @@ def run_readiness(
     y: Sequence[float],
     z: Sequence[float],
     block_sizes: Sequence[int],
-) -> tuple[FeatureSeries, ...]:
+) -> tuple[np.ndarray, ...]:
     """Full per-axis pipeline: clean_axis, then rolling_max, axes zipped into
     3-vectors.
 
     The three axis series must be time-aligned and equal length. Non-finite
     input values are treated as missing and filled alongside outliers.
 
-    Returns one FeatureSeries per block size, in order: each axis is cleaned
-    once and only rolling_max runs per block size.
+    Returns one (n_blocks, 3) peak array per block size, in order: each axis
+    is cleaned once and only rolling_max runs per block size. Every axis is
+    z-scored, so each peak is finite with |peak| <= sqrt(len(x)).
     """
     if not block_sizes:
         raise ValueError("run_readiness needs at least one block size")
@@ -179,6 +158,5 @@ def run_readiness(
         raise EmptySeries("run_readiness needs non-empty axes")
     cleaned = [clean_axis(axis) for axis in axes]
     return tuple(
-        FeatureSeries(np.column_stack([rolling_max(c, size) for c in cleaned]))
-        for size in block_sizes
+        np.column_stack([rolling_max(c, size) for c in cleaned]) for size in block_sizes
     )

@@ -48,7 +48,7 @@ MAX_SAMPLES = 2**56
 def _check_number(name: str, value) -> None:
     """A time is a number, not a bool, that a float holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidSpec(f"{name} must be a number, got {value!r}")
+        raise InvalidSpec(f"{name} must be a number, got {shown(value)}")
     try:
         float(value)
     except OverflowError:
@@ -110,7 +110,7 @@ class ScenarioSpec:
         rng.check_seed(self.seed)
         # a float rate stamps float timestamps
         if isinstance(self.sample_rate, bool) or not isinstance(self.sample_rate, int):
-            raise InvalidSpec(f"sample_rate must be an integer, got {self.sample_rate!r}")
+            raise InvalidSpec(f"sample_rate must be an integer, got {shown(self.sample_rate)}")
         _check_number("duration_s", self.duration_s)
         if not isinstance(self.machines, (list, tuple)):  # a string would split into ids
             raise InvalidSpec(f"machines must be a list, got {type(self.machines).__name__}")

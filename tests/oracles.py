@@ -131,7 +131,7 @@ def reference_pelt_segment(features, penalty, min_segment=2) -> Segmentation:
     of the prefix sums, the cost kernel and the objective sum: candidates in a
     Python list, pruning deadlines in a dict. pelt_segment must return an
     equal Segmentation for d <= 7."""
-    x = np.asarray(getattr(features, "peaks", features), dtype=np.float64)
+    x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     n = x.shape[0]
@@ -372,17 +372,17 @@ def reference_replica(window: Iterable[TelemetrySample], hp, seed) -> ReplicaRes
     k-means++ seeding, the silhouette of its labels), versioned by hp's place
     in the grid. window is one machine's samples, each axis in ts order."""
     x, y, z, ts = reference_axis_series(window)
-    (features,) = run_readiness(x, y, z, [hp.block_size])
-    (segmentation,) = pelt_segment(features.peaks, [hp.penalty])
-    labels = kmeans_fit(features.peaks, hp.k, kmeanspp_init(features.peaks, hp.k, seed)).labels
-    (silhouette,) = silhouette_score(features.peaks, labels[None])
+    (peaks,) = run_readiness(x, y, z, [hp.block_size])
+    (segmentation,) = pelt_segment(peaks, [hp.penalty])
+    labels = kmeans_fit(peaks, hp.k, kmeanspp_init(peaks, hp.k, seed)).labels
+    (silhouette,) = silhouette_score(peaks, labels[None])
     return ReplicaResult(
         replica_version=f"v{_REPLICAS.index(hp) + 1}-{hp.digest()}",
         hyperparams=hp,
         segmentation=segmentation,
         labels=labels,
         silhouette=silhouette,
-        features=features,
+        peaks=peaks,
         window_start_ts=ts[0],
         per_sample_ns=(ts[-1] - ts[0]) // (len(ts) - 1) if len(ts) > 1 else 0,
     )

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from twinforge.analytics import (
 )
 from twinforge.errors import (
     EmptyInput,
+    FeatureOutOfRange,
     InvalidSpec,
     KExceedsN,
     LengthMismatch,
@@ -734,3 +736,39 @@ class TestBacktrack:
         with pytest.raises(RuntimeError, match=f"back-pointer {pointer} at step 4"):
             _backtrack(prev, 5)
 
+
+
+# each stage called on four 3-d points, with valid values for the rest
+STAGES = {
+    "pelt": lambda points: pelt_segment(points, [10.0]),
+    "kmeanspp": lambda points: kmeanspp_init(points, 2, 0),
+    "kmeans": lambda points: kmeans_fit(points, 2, np.zeros((2, 3))),
+    "silhouette": lambda points: silhouette_score(points, [[0, 0, 1, 1]]),
+}
+
+
+class TestInputDoor:
+    """Every stage reads its points through one door that refuses a point
+    the stages could not square, whoever the caller is."""
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"), (2.0**480, "3.12e+144"),
+         (-(2.0**480), "3.12e+144"), (1e160, "1e+160"), (1.7e308, "1.7e+308")],
+    )
+    def test_a_point_the_stages_cannot_square_is_refused(self, stage, value, shown):
+        points = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, value], [0.5, 0.5, 0.5]])
+        message = rf"^points must be finite and below 2\*\*480, got {re.escape(shown)}$"
+        # a FeatureOutOfRange is a ValueError, as invalid features always were
+        with pytest.raises(ValueError, match=message) as caught:
+            STAGES[stage](points)
+        assert caught.type is FeatureOutOfRange
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_points_just_below_the_bound_are_taken(self, stage):
+        below = np.nextafter(2.0**480, 0.0)
+        points = np.array(
+            [[below, -below, 0.0], [0.0, below, -below], [-below, 0.0, below], [0.0, 0.0, 0.0]]
+        )
+        STAGES[stage](points)

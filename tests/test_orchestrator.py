@@ -36,7 +36,6 @@ from twinforge.orchestrator import (
     rank_replicas,
     zeroconf_run,
 )
-from twinforge.readiness import FeatureSeries
 from twinforge.simulate import default_scenario, simulate_scenario
 from twinforge.twin import LifecycleEvent, LifecyclePhase, TwinInstance
 from twinforge.wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample, encode_sample
@@ -141,7 +140,7 @@ def labelled_segments(peaks, change_points, labels):
         segmentation=seg,
         labels=np.array(labels),
         silhouette=0.0,
-        features=FeatureSeries(peaks),
+        peaks=peaks,
         window_start_ts=0,
         per_sample_ns=10**7,
     ).segments
@@ -344,7 +343,7 @@ class TestTimeline:
         report, timeline, _ = zeroconf_run(archive, "m1", (0, 10**18))
         rows = timeline.rows
         assert rows[0][0] == 0
-        assert rows[-1][1] == len(report.results[0].features)
+        assert rows[-1][1] == len(report.results[0].peaks)
         for (_, b, _, _), (c, _, _, _) in zip(rows, rows[1:]):
             assert b == c
 
@@ -639,7 +638,7 @@ class TestReplicas:
         assert [r.hyperparams for r in swept] == list(orchestrator._REPLICAS)
         assert [r.replica_version for r in swept] == REPLICA_VERSIONS
         result, hp = swept[i], orchestrator._REPLICAS[i]
-        peaks = result.features.peaks
+        peaks = result.peaks
         assert result.segmentation == reference_pelt_segment(peaks, hp.penalty)
         assert np.array_equal(result.labels, reference_kmeans_fit(peaks, hp.k, seed=42).labels)
         assert result.silhouette == reference_silhouette_loop(peaks, result.labels)

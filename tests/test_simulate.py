@@ -176,10 +176,15 @@ class TestSpecValidation:
             # a list inside itself is [...], as repr shows it, not endless recursion
             (lambda: ScenarioSpec(duration_s=0.0, machines=(cyclic_list(HUGE_INT),)).validate(),
              f"bad machine id [{HUGE_INT_SHOWN}, [...]]"),
+            (lambda: ScenarioSpec(sample_rate=[HUGE_INT]).validate(),
+             f"sample_rate must be an integer, got [{HUGE_INT_SHOWN}]"),
+            (lambda: ScenarioSpec(duration_s=[HUGE_INT]).validate(),
+             f"duration_s must be a number, got [{HUGE_INT_SHOWN}]"),
         ],
         ids=["check-seed", "spec-seed", "spec-machine", "interval-machine", "interval-state",
              "short-window", "list-window", "nested-machine", "nested-window-machine",
-             "nested-window-item", "tuple-machine", "dict-machine", "cyclic-machine"],
+             "nested-window-item", "tuple-machine", "dict-machine", "cyclic-machine",
+             "listed-rate", "listed-duration"],
     )
     def test_an_int_too_long_to_print_is_shown_by_its_size(self, int_text_limit, call, message):
         # repr and str refuse such an int with ValueError; the text names its size
