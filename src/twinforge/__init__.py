@@ -14,10 +14,8 @@ from .analytics import (
 from .archive import (
     Archive,
     ArchiveEntry,
-    QualityReport,
     SegmentRecord,
     WindowQuery,
-    validate_quality,
 )
 from .orchestrator import (
     DEFAULT_GRID,

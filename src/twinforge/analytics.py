@@ -338,9 +338,11 @@ def kmeanspp_init(vectors, k: int, seed: int) -> np.ndarray:
 def kmeans_fit(vectors, k: int, init: np.ndarray) -> KMeansModel:
     """Lloyd's loop from a seeding, deterministic given (vectors, k, init).
 
-    It starts from the first k rows of init; a k past the number of vectors
-    raises KExceedsN before init is read. kmeanspp_init's draw j depends only
-    on the seed and j, so one seeding for the largest K serves every k <= K.
+    It reads init through the same input door as the vectors and starts
+    from its first k rows, each as wide as a vector; a k past the number of
+    vectors raises KExceedsN before init is read. kmeanspp_init's draw j
+    depends only on the seed and j, so one seeding for the largest K serves
+    every k <= K.
 
     Assignment ties break toward the lowest centroid index; in index order,
     an empty cluster j takes the point farthest from its assigned centroid
@@ -358,9 +360,12 @@ def kmeans_fit(vectors, k: int, init: np.ndarray) -> KMeansModel:
     _check_k(k, n, "kmeans_fit")
     if k > n:
         raise KExceedsN(f"k={shown(k, str)} > n={n}")
+    init = _as_matrix(init)
     if len(init) < k:
         raise ValueError(f"init holds {len(init)} centroids, k={k}")
     centroids = init[:k]
+    if centroids.shape != (k, d):
+        raise ValueError(f"init rows have shape {centroids.shape[1:]}, points have ({d},)")
     for iterations in range(1, _KMEANS_MAX_ITER + 1):
         d2 = _sq_dists(x, centroids)
         labels = d2.argmin(axis=1)

@@ -1,5 +1,5 @@
-"""Versioned append-only time-series archive with tagging, window queries,
-quality validation, and versioned segment records.
+"""Versioned append-only time-series archive with tagging, window queries
+and versioned segment records.
 
 In-memory store, single logical writer per asset stream, unlimited concurrent
 readers. Each asset's rows are typed columns, one array.array each: ts
@@ -8,10 +8,11 @@ row's tag set among read-only tag views the whole archive shares. An append
 keeps no object per row, so a bulk load starts no garbage collection. A row's
 seq is its position plus one. Out-of-order arrivals are stored as-is (seq
 records arrival order), so ingestion stays O(1) and the columns remain the
-ground truth of what arrived when. The columns are their own (ts, seq) order
-until an append's ts is below the previous row's; from then on a (ts,
-seq)-ordered permutation of the rows gives the order, and queries extend it
-over the rows appended since. A window query is two binary searches over ts.
+ground truth of what arrived when. Window queries and time_span read one
+view of the row positions in (ts, seq) order: the range of all positions
+until an append's ts is below the previous row's, and from then on a
+permutation that each query extends over the rows appended since. A window
+query is two binary searches over that view, keyed by ts.
 
 scan and query_window return Rows, a read-only sequence fixed at query time
 that builds each ArchiveEntry, with the public constructors, when it is read:
@@ -24,15 +25,15 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence as _SequenceABC
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from .errors import AxisLengthMismatch, OverlappingSegment, UnknownAsset, UnknownReplicaVersion
-from .wire import ACCEL_CHANNELS, MACHINE_STATES, Channel, Quality, TelemetrySample
+from .wire import ACCEL_CHANNELS, Channel, Quality, TelemetrySample
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,10 +58,10 @@ _MISSING_CODE = _QUALITY_CODE[Quality.missing]
 
 class _Columns:
     """One asset's rows, one typed column per field. Rows are only
-    appended, so a prefix of the columns never changes. order is None while
-    the rows are in (ts, seq) order; once an append sets late, the first
-    query builds order, a permutation of rows [0, upto) in (ts, seq) order,
-    and every query extends it to the rows appended since."""
+    appended, so a prefix of the columns never changes. order is None until
+    the first query after an append sets late; from then on it is a
+    permutation of rows [0, upto) in (ts, seq) order, and every query
+    extends it to the rows appended since."""
 
     __slots__ = ("asset_id", "ts", "value", "channel", "quality", "tag", "late", "order", "upto")
 
@@ -78,22 +79,25 @@ class _Columns:
     def fields(self) -> tuple[array, ...]:
         return self.ts, self.value, self.channel, self.quality, self.tag
 
-    def ordered(self) -> Optional[array]:
-        """The (ts, seq) permutation over every row appended so far, or None
-        while the rows are that order themselves. Call with the lock held."""
-        ts, order, upto = self.ts, self.order, self.upto
+    def ordered(self) -> Positions:
+        """The positions of every row appended so far in (ts, seq) order:
+        the rows themselves while none arrived late, else order. Call with
+        the lock held."""
+        ts = self.ts
         n = len(ts)
-        if self.late and upto < n:
-            if order is None:
-                # no row up to the last call arrived late
-                order = self.order = array("q", range(upto))
+        if not self.late:
+            return range(n)
+        if self.order is None:
+            self.order = array("q")
+        order, upto = self.order, self.upto
+        if upto < n:
             # every new row has a higher seq than every ordered one, so a
             # stable sort by ts of the tail from the earliest new ts keeps
             # the order
             key = ts.__getitem__
             pos = bisect_right(order, min(ts[upto:n]), key=key)
             order[pos:] = array("q", sorted([*order[pos:], *range(upto, n)], key=key))
-        self.upto = n
+            self.upto = n
         return order
 
 
@@ -114,7 +118,7 @@ def _gather(column: array, positions: Positions) -> np.ndarray:
     return view[np.frombuffer(positions, dtype=np.int64)]
 
 
-class Rows(_SequenceABC):
+class Rows(Sequence):
     """Read-only sequence of archive entries, fixed at query time: it holds
     row positions into its asset's columns, and builds each ArchiveEntry
     when it is read. Equal to a list or tuple of the same entries. The
@@ -189,15 +193,6 @@ class WindowQuery:
     def __post_init__(self):
         if self.t_start >= self.t_end:
             raise ValueError("t_start must be < t_end")
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    freshness_ok: bool
-    missing_count: int
-    missing_fraction: float
-    range_violations: int
-    gaps: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -310,11 +305,7 @@ class Archive:
     def _window_rows(self, cols: _Columns, t_start: int, t_end: int) -> Positions:
         """Positions of the rows with t_start <= ts < t_end in (ts, seq)
         order. Call with the lock held."""
-        ts, order = cols.ts, cols.ordered()
-        if order is None:
-            lo = bisect_left(ts, t_start)
-            return range(lo, bisect_left(ts, t_end, lo))
-        key = ts.__getitem__
+        order, key = cols.ordered(), cols.ts.__getitem__
         lo = bisect_left(order, t_start, key=key)
         return order[lo : bisect_left(order, t_end, lo, key=key)]
 
@@ -324,8 +315,6 @@ class Archive:
         with self._lock:
             cols = self._cols(asset_id)
             ts, order = cols.ts, cols.ordered()
-            if order is None:
-                return ts[0], ts[-1] + 1
             return ts[order[0]], ts[order[-1]] + 1
 
     def query_window(self, q: WindowQuery) -> Rows:
@@ -380,38 +369,3 @@ class Archive:
             if t0 <= rec.created_ts < t1:
                 hist[rec.cluster_label] = hist.get(rec.cluster_label, 0) + 1
         return hist
-
-
-def validate_quality(
-    samples: Sequence[TelemetrySample],
-    nominal_period: int,
-    now: int,
-    freshness_timeout: int,
-) -> QualityReport:
-    """Freshness, missing-value, gap and range checks over a time-ordered
-    sample list.
-
-    A gap is any inter-sample spacing over 3x the nominal period; range
-    violations count plc_state codes, at any quality, that name no state in
-    MACHINE_STATES. Empty input reports freshness_ok=False with zeros
-    elsewhere.
-    """
-    if not samples:
-        return QualityReport(False, 0, 0.0, 0, ())
-    missing = sum(1 for s in samples if s.quality is Quality.missing)
-    violations = sum(
-        1
-        for s in samples
-        if s.channel is Channel.plc_state and s.value not in MACHINE_STATES
-    )
-    gaps = []
-    for prev, cur in zip(samples, samples[1:]):
-        if cur.ts - prev.ts > 3 * nominal_period:
-            gaps.append((prev.ts, cur.ts))
-    return QualityReport(
-        freshness_ok=(now - samples[-1].ts) <= freshness_timeout,
-        missing_count=missing,
-        missing_fraction=missing / len(samples),
-        range_violations=violations,
-        gaps=tuple(gaps),
-    )

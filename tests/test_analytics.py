@@ -448,6 +448,22 @@ class TestSharedSeeding:
         with pytest.raises(ValueError, match="init holds 2 centroids, k=3"):
             kmeans_fit(x, 3, kmeanspp_init(x, 2, 1))
 
+    @pytest.mark.parametrize(
+        "init, shown",
+        [(np.zeros((2, 2)), "(2,)"), (np.zeros(2), "(1,)"), (np.zeros((2, 4)), "(4,)"),
+         (np.zeros((2, 3, 1)), "(3, 1)")],
+        ids=["narrow", "one-dimensional", "wide", "three-dimensional"],
+    )
+    def test_init_rows_must_be_as_wide_as_the_points(self, init, shown):
+        message = rf"^init rows have shape {re.escape(shown)}, points have \(3,\)$"
+        with pytest.raises(ValueError, match=message) as caught:
+            kmeans_fit(np.eye(4, 3), 2, init)
+        assert caught.type is ValueError
+
+    def test_a_list_init_fits_as_its_array(self):
+        x, init = np.eye(4, 3), [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]
+        assert_same_fit(kmeans_fit(x, 2, init), kmeans_fit(x, 2, np.array(init)))
+
 
 class TestSilhouette:
     def test_two_tight_pairs(self):
@@ -738,11 +754,13 @@ class TestBacktrack:
 
 
 
-# each stage called on four 3-d points, with valid values for the rest
+# each stage called on four 3-d points, with valid values for the rest;
+# kmeans-init takes them as its seeding
 STAGES = {
     "pelt": lambda points: pelt_segment(points, [10.0]),
     "kmeanspp": lambda points: kmeanspp_init(points, 2, 0),
     "kmeans": lambda points: kmeans_fit(points, 2, np.zeros((2, 3))),
+    "kmeans-init": lambda points: kmeans_fit(np.eye(4, 3), 4, points),
     "silhouette": lambda points: silhouette_score(points, [[0, 0, 1, 1]]),
 }
 

@@ -18,7 +18,6 @@ from twinforge.archive import (
     ArchiveEntry,
     SegmentRecord,
     WindowQuery,
-    validate_quality,
 )
 from twinforge.errors import (
     AxisLengthMismatch,
@@ -226,48 +225,6 @@ class TestQuery:
         assert archive.time_span("m2") == (20, 21)
         with pytest.raises(UnknownAsset):
             archive.time_span("ghost")
-
-
-class TestQualityValidation:
-    def test_clean_stream(self):
-        samples = [sample(i * 10) for i in range(10)]
-        report = validate_quality(samples, nominal_period=10, now=90, freshness_timeout=50)
-        assert report.freshness_ok
-        assert report.missing_count == 0
-        assert report.gaps == ()
-        assert report.range_violations == 0
-
-    def test_gap_detection(self):
-        # 3x rule: spacing of 10 periods is one gap spanning it
-        ts = [0, 10, 20, 120, 130]
-        report = validate_quality(
-            [sample(t) for t in ts], nominal_period=10, now=130, freshness_timeout=50
-        )
-        assert report.gaps == ((20, 120),)
-
-    def test_missing_fraction(self):
-        samples = [
-            sample(i, quality=Quality.missing if i < 2 else Quality.good)
-            for i in range(8)
-        ]
-        report = validate_quality(samples, 1, now=8, freshness_timeout=10)
-        assert report.missing_count == 2
-        assert report.missing_fraction == pytest.approx(0.25)
-
-    def test_stale_stream(self):
-        report = validate_quality([sample(0)], 1, now=100, freshness_timeout=50)
-        assert not report.freshness_ok
-
-    def test_empty_input(self):
-        report = validate_quality([], 1, now=0, freshness_timeout=1)
-        assert not report.freshness_ok
-        assert report.missing_count == 0
-        assert report.gaps == ()
-
-    def test_plc_range_violation(self):
-        bad = sample(0, channel=Channel.plc_state, value=9.0, quality=Quality.suspect)
-        report = validate_quality([bad], 1, now=0, freshness_timeout=1)
-        assert report.range_violations == 1
 
 
 class TestSegmentRecords:

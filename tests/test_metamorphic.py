@@ -10,11 +10,16 @@ up to a scale the pipeline normalizes away:
 - m1's accel values multiplied by 2**10, which is exact and which the
   z-score normalization removes;
 - every ts shifted by +1000 s. The winner flags no anomaly on this trace, so
-  no ts reaches the artifacts.
+  no ts reaches the artifacts;
+- the lines regrouped channel by channel, each channel in file order, so
+  every channel after accel_x starts back at the trace's first ts and the
+  archive reads its rows through its late-arrival permutation. A ts's lines
+  keep their channel order, so the (ts, seq) order of each asset's rows is
+  unchanged.
 
 Every transform is also run on quiet-failure traces (60 s, m1) whose winner
 flags the failure burst, interleaving m1 with the m2 lines of a 60 s default
-scenario at the same seed. The other three transforms leave every artifact
+scenario at the same seed. The other four transforms leave every artifact
 byte-identical there too; under the ts shift every artifact is the same
 except that each anomaly's ts moves by the shift.
 """
@@ -89,8 +94,16 @@ def shift_ts(lines):
     return [_TS.sub(shifted, line) for line in lines]
 
 
+_CHANNEL = re.compile(r'"ch":"([a-z_]+)"')
+
+
+def channel_major(lines):
+    # a stable sort by channel name: accel_x, accel_y, accel_z, plc_state
+    return sorted(lines, key=lambda line: _CHANNEL.search(line)[1])
+
+
 @pytest.mark.parametrize(
-    "transform", [interleave_machines, reserialize, scale_m1_accel, shift_ts],
+    "transform", [interleave_machines, reserialize, scale_m1_accel, shift_ts, channel_major],
     ids=lambda transform: transform.__name__,
 )
 def test_artifacts_are_invariant(trace_lines, base_artifacts, tmp_path, transform):
@@ -116,7 +129,7 @@ def quiet_failure(request, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "transform", [interleave_machines, reserialize, scale_m1_accel],
+    "transform", [interleave_machines, reserialize, scale_m1_accel, channel_major],
     ids=lambda transform: transform.__name__,
 )
 def test_artifacts_with_anomalies_are_invariant(quiet_failure, tmp_path, transform):

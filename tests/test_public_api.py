@@ -56,7 +56,6 @@ CALLER_DIRS = ("src", "scripts", "perfbench")
 ALLOWED = {
     "cluster_frequency_histogram": "an acceptance criterion tests it",
     "snapshot_state": "the twin's read API for its properties and events",
-    "validate_quality": "the quality report that the run metrics still to come will call",
 }
 
 # Public dataclass fields that stay unread, each for one reason; a class name
@@ -66,7 +65,6 @@ ALLOWED_FIELDS = {
     "KMeansModel.centroids": "the bit-exactness oracles compare fits by their centroids",
     "ArchiveEntry.seq": "the archive's read API",
     "ArchiveEntry.tags": "the archive's read API; perfbench writes tags",
-    "QualityReport": "the quality report that the run metrics still to come will read",
     "TwinState": _TWIN_READ_API,
     "DigitalEvent.payload": _TWIN_READ_API,
 }
