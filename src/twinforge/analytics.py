@@ -15,18 +15,27 @@ squared-distance table (Lloyd's loop, the k-means++ draws and silhouette read
 it), reduce over the feature axis one column at a time in index order:
 out = c[:, 0], then out += c[:, 1], and so on. numpy sums an axis shorter
 than 8 sequentially from index 0, so for d <= 7 (the runtime has 3) this
-equals .sum(axis=-1) bit for bit. From d = 8 numpy unrolls its sum eight ways
-and the orders can differ in the last ulp; results stay deterministic,
-silhouette stays within 1e-9 of the naive definition, and PELT still equals
-the tests' brute-force DP oracle, which shares _segment_costs. The one
-feature-axis .sum left, k-means' movement test, decides only convergence.
+equals .sum(axis=-1) bit for bit. A small _sq_dists table with d <= 7 is one
+broadcast of (d, n, m) squares summed over axis 0: numpy adds a contiguous
+array's outermost axis row after row, and should that axis be the only one
+left (a one-entry table), d <= 7 still sums it in order. From d = 8 numpy
+unrolls its sum eight ways and the orders can differ in the last ulp;
+results stay deterministic, silhouette stays within 1e-9 of the naive
+definition, and PELT still equals the tests' brute-force DP oracle, which
+shares _segment_costs. The one other feature-axis .sum, k-means' movement
+test, decides only convergence.
 
-pelt_segment runs every penalty in lockstep and advances one tile of
-_PELT_TILE steps at a time: one _segment_costs pass per tile builds the costs
-of every live start at every step of the tile, and each step then moves all
-penalties as one penalties x starts array. A step only takes the DP minimum,
-eight numpy calls whatever the number of penalties, which is what a live
-window of 20 to 40 blocks pays for; the pruning runs once per tile.
+pelt_segment runs every penalty in lockstep. A window of at most two tiles
+(2 * _PELT_TILE blocks), every live window of 20 to 40 blocks, is one
+min-plus fixpoint over its whole cost table: a round is a few numpy calls
+whatever the number of penalties, and the live windows take two or three
+rounds, where the tiled loop pays eight calls for each of their 19 to 39
+steps. A longer window
+advances one tile of _PELT_TILE steps at a time: one _segment_costs pass
+per tile builds the costs of every held start at every step of the tile,
+each step moves all penalties as one penalties x starts array, and the
+pruning runs once per tile, so a batch window pays only for the starts it
+still holds, where a fixpoint round pays for its whole quadratic table.
 """
 from __future__ import annotations
 
@@ -193,23 +202,11 @@ def pelt_segment(features, penalties: Sequence[float]) -> tuple[Segmentation, ..
     earlier); this keeps the result identical to the unpruned DP.
 
     Returns one Segmentation per penalty, in order; every penalty runs in
-    the same loop.
-
-    The loop advances _PELT_TILE steps at a time. Per tile, one
-    _segment_costs call builds C(s, t) for every step t of the tile and every
-    start s that some penalty still holds or that the tile admits, in
-    ascending order. Start 0 and starts m..t-m are admissible at step t (m is
-    _MIN_SEGMENT), so the admissible starts are a prefix of that order. Each
-    step then moves all penalties at once as a penalties x starts array: F
-    of the admissible starts plus the step's cost row, whose first minimum
-    per row (the smallest s wins ties) gives F(t) and the back-pointer. A
-    penalties x steps x starts pass at the end of the tile gives each start
-    the deadline t + m for its first step t with F(s) + C(s, t) > F(t) +
-    _PRUNE_SLACK, and compacts away the starts every penalty has dropped;
-    unmasked until then, such a start trails start t by more than the slack
-    from t + m on, so it is never a first minimum. Costs are computed element
-    by element, so a cost has the same bits whatever else the tile holds, and
-    each Segmentation equals the one its penalty gives alone.
+    the same pass. A window of at most two tiles
+    (2 * _PELT_TILE blocks) is solved as one min-plus fixpoint
+    (_pelt_fixpoint), a longer one tile by tile (_pelt_tiles); both give
+    every penalty the back-pointers of the sequential DP, and each
+    Segmentation equals the one its penalty gives alone.
     """
     if not penalties:
         raise ValueError("pelt_segment needs at least one penalty")
@@ -221,9 +218,76 @@ def pelt_segment(features, penalties: Sequence[float]) -> tuple[Segmentation, ..
     if n < m:
         raise SeriesTooShort(f"{n} blocks < min_segment {m}")
     s1, s2 = _prefix_sums(x)
-    n_pen = len(penalties)
-    rows = np.arange(n_pen)
     betas = np.array(penalties, dtype=np.float64)
+    solve = _pelt_fixpoint if n <= 2 * _PELT_TILE else _pelt_tiles
+    cuts = [_backtrack(back, n) for back in solve(s1, s2, betas)]
+    objectives = _objectives(s1, s2, n, cuts, penalties)
+    return tuple(
+        Segmentation(change_points=tuple(cps), n_blocks=n, total_cost=total)
+        for cps, total in zip(cuts, objectives)
+    )
+
+
+def _pelt_fixpoint(s1: np.ndarray, s2: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Back-pointers (penalties, n + 1) of the DP over [0, n), solved as one
+    min-plus fixpoint over the whole (ends x starts) cost table.
+
+    Start 0 and starts m..t-m are admissible at step t (m is _MIN_SEGMENT);
+    one _segment_costs call builds C(s, t) for every step and every such
+    start, the rest +inf. F starts at F(0) = -penalty and +inf elsewhere,
+    and each round sets every F(t) at once to the minimum over s of
+    F(s) + C(s, t), plus the penalty. F(t) is final once F of every start
+    before it is, so F stops changing after at most (n - m) // m + 1 rounds;
+    the live windows take 2 or 3. At the fixpoint every total is the IEEE
+    sum the sequential DP forms, and one first-minimum argmin (the smallest
+    s wins ties) gives its back-pointers: a start the pruned DP drops
+    trails by more than _PRUNE_SLACK, so it is never a first minimum."""
+    m = _MIN_SEGMENT
+    n = len(s1) - 1
+    starts = np.concatenate(([0], np.arange(m, n - m + 1)))
+    ends = np.arange(m, n + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        costs = _segment_costs(s1, s2, starts, ends)
+    costs[starts > ends - m] = np.inf
+    # F at the starts: F(0), then F(m..n-m), the first ends' minima
+    f = np.full((betas.size, starts.size), np.inf)
+    f[:, 0] = -betas
+    for _ in range((n - m) // m + 1):
+        totals = f[:, None, :] + costs
+        reached = totals.min(axis=2)
+        reached += betas[:, None]
+        if np.array_equal(reached[:, : starts.size - 1], f[:, 1:]):
+            break
+        f[:, 1:] = reached[:, : starts.size - 1]
+    else:
+        raise RuntimeError(f"PELT fixpoint over {n} blocks did not converge")
+    prev = np.zeros((betas.size, n + 1), dtype=np.int64)
+    prev[:, m:] = starts[totals.argmin(axis=2)]
+    return prev
+
+
+def _pelt_tiles(s1: np.ndarray, s2: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Back-pointers (penalties, n + 1) of the DP over [0, n), advancing
+    _PELT_TILE steps at a time.
+
+    Per tile, one _segment_costs call builds C(s, t) for every step t of the
+    tile and every start s that some penalty still holds or that the tile
+    admits, in ascending order. Start 0 and starts m..t-m are admissible at
+    step t (m is _MIN_SEGMENT), so the admissible starts are a prefix of
+    that order. Each step then moves all penalties at once as a penalties x
+    starts array: F of the admissible starts plus the step's cost row, whose
+    first minimum per row (the smallest s wins ties) gives F(t) and the
+    back-pointer. A penalties x steps x starts pass at the end of the tile
+    gives each start the deadline t + m for its first step t with
+    F(s) + C(s, t) > F(t) + _PRUNE_SLACK, and compacts away the starts every
+    penalty has dropped; unmasked until then, such a start trails start t by
+    more than the slack from t + m on, so it is never a first minimum. Costs
+    are computed element by element, so a cost has the same bits whatever
+    else the tile holds."""
+    m = _MIN_SEGMENT
+    n = len(s1) - 1
+    n_pen = betas.size
+    rows = np.arange(n_pen)
     f = np.full((n_pen, n + 1), np.inf)
     f[:, 0] = -betas
     prev = np.zeros((n_pen, n + 1), dtype=np.int64)
@@ -259,13 +323,7 @@ def pelt_segment(features, penalties: Sequence[float]) -> tuple[Segmentation, ..
         kept = (dead > t1).any(axis=0)
         starts = starts[kept]
         dead = dead[:, kept]
-
-    cuts = [_backtrack(back, n) for back in prev]
-    objectives = _objectives(s1, s2, n, cuts, penalties)
-    return tuple(
-        Segmentation(change_points=tuple(cps), n_blocks=n, total_cost=total)
-        for cps, total in zip(cuts, objectives)
-    )
+    return prev
 
 
 @dataclass(frozen=True)
@@ -286,16 +344,28 @@ _kmeanspp_key = lru_cache(maxsize=16)(lambda seed: rng.stream_key(seed, "kmeans+
 
 def _sq_dists(x: np.ndarray, others: np.ndarray) -> np.ndarray:
     """(len(x), len(others)) squared distances in column order (module
-    docstring); with no feature columns every point coincides at 0."""
+    docstring); with no feature columns every point coincides at 0.
+
+    A table of at most _SQ_DISTS_SLICE entries with d < 8 columns is one
+    broadcast: the (d, n, m) squares of every column, contiguous, summed
+    over axis 0, which adds column after column in index order (module
+    docstring). A larger or wider table is built slice by slice, a column
+    at a time. An entry depends only on its own row and column, so both
+    give it the same bits."""
+    n, (m, d) = len(x), others.shape
+    if n * m <= _SQ_DISTS_SLICE and d < 8:
+        diffs = np.ascontiguousarray(x.T)[:, :, None] - np.ascontiguousarray(others.T)[:, None, :]
+        np.square(diffs, out=diffs)
+        return diffs.sum(axis=0)
+    if not d:
+        return np.zeros((n, m))
     cols = np.ascontiguousarray(others.T)
-    if not len(cols):
-        return np.zeros((len(x), len(others)))
-    d2 = np.empty((len(x), len(others)))
-    step = max(1, _SQ_DISTS_SLICE // len(others))
-    for lo in range(0, len(x), step):
+    d2 = np.empty((n, m))
+    step = max(1, _SQ_DISTS_SLICE // m)
+    for lo in range(0, n, step):
         part, rows = d2[lo : lo + step], x[lo : lo + step]
         np.square(rows[:, 0, None] - cols[0], out=part)
-        for j in range(1, len(cols)):
+        for j in range(1, d):
             part += np.square(rows[:, j, None] - cols[j])
     return d2
 
@@ -347,7 +417,15 @@ def kmeans_fit(vectors, k: int, init: np.ndarray) -> KMeansModel:
     Assignment ties break toward the lowest centroid index; in index order,
     an empty cluster j takes the point farthest from its assigned centroid
     whose cluster keeps another member or comes after j, so none stays
-    empty. Iterates until max centroid movement < 1e-9 or 100 iterations.
+    empty. Iterates until max centroid movement < 1e-9 or 100 iterations,
+    then settles the labels against the last centroids, unrepaired.
+
+    An iteration whose repaired labels equal the labels its centroids are
+    the means of returns at once: equal labels give equal sums, so no
+    centroid would move, and its nearest-centroid labels are what the settle
+    pass would give. The model is the one the full loop returns, with the
+    same iterations_run; the movement test still ends the loop when the
+    labels changed.
 
     For d >= 2 the Lloyd step sums every cluster with one np.add.at into
     +0.0, adding rows in index order: the same additions in the same order
@@ -366,12 +444,13 @@ def kmeans_fit(vectors, k: int, init: np.ndarray) -> KMeansModel:
     centroids = init[:k]
     if centroids.shape != (k, d):
         raise ValueError(f"init rows have shape {centroids.shape[1:]}, points have ({d},)")
+    means_of = None  # the labels the centroids are the means of
     for iterations in range(1, _KMEANS_MAX_ITER + 1):
         d2 = _sq_dists(x, centroids)
-        labels = d2.argmin(axis=1)
-        counts = np.bincount(labels, minlength=k)
+        nearest = d2.argmin(axis=1)
+        labels, counts = nearest, np.bincount(nearest, minlength=k)
         if not counts.all():
-            assigned = d2[np.arange(n), labels]
+            labels, assigned = nearest.copy(), d2[np.arange(n), nearest]
             for j in range(k):
                 if counts[j] == 0:
                     ok = (counts[labels] > 1) | (labels > j)
@@ -379,6 +458,10 @@ def kmeans_fit(vectors, k: int, init: np.ndarray) -> KMeansModel:
                     counts[labels[p]] -= 1
                     counts[j] += 1
                     labels[p] = j
+        if means_of is not None and np.array_equal(labels, means_of):
+            # the means of these labels are the centroids, so none would
+            # move, and the nearest labels are the settled ones
+            return KMeansModel(centroids=centroids, labels=nearest, iterations_run=iterations)
         # each row is x[labels == j].mean(axis=0) bit for bit: mean is the
         # same sum followed by a division by the count
         if d > 1:
@@ -390,7 +473,7 @@ def kmeans_fit(vectors, k: int, init: np.ndarray) -> KMeansModel:
                 np.add.reduce(x[labels == j], axis=0, out=new_centroids[j])
         new_centroids /= counts[:, None]
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
-        centroids = new_centroids
+        centroids, means_of = new_centroids, labels
         if movement < _KMEANS_TOL:
             break
 

@@ -1,6 +1,21 @@
 import sys
+import warnings
 
 import pytest
+
+# A failing @given test makes hypothesis import its patch writer, which
+# imports libcst, which trips mypy_extensions' DeprecationWarning for
+# TypedDict. Under filterwarnings = ["error"] that warning raises inside
+# pytest's report hook, and pytest ends the session with INTERNALERROR,
+# running no further test. Imported here once with the warning silenced,
+# the later import is a no-op; a hypothesis or libcst that lacks the module
+# has nothing to mend.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from twinforge.archive import Archive
 from twinforge.simulate import quiet_failure_scenario, simulate_scenario

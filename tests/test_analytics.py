@@ -24,9 +24,11 @@ from twinforge.analytics import (
     _MIN_SEGMENT,
     _PELT_TILE,
     _SILHOUETTE_ROWS,
+    _SQ_DISTS_SLICE,
     _backtrack,
     _prefix_sums,
     _segment_costs,
+    _sq_dists,
     check_penalty,
     kmeans_fit,
     kmeanspp_init,
@@ -403,6 +405,22 @@ class TestKMeansOracle:
         assert got.iterations_run == 2
         assert_same_fit(got, reference_kmeans_fit(x, 6, seed=1453))
 
+    @pytest.mark.parametrize(
+        "x, k, seed",
+        [([[0.0], [0.0], [1.0], [1.0], [1.0]], 3, 0),
+         ([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0], [3.0, 1.0], [3.0, 1.0], [5.0, 5.0]], 4, 0)],
+        ids=["one-column", "two-columns"],
+    )
+    def test_labels_repeat_after_a_repair(self, x, k, seed):
+        # fewer distinct points than clusters: iteration 2 repairs as
+        # iteration 1 did, its labels repeat and the fit returns; its
+        # nearest-centroid labels leave the repaired cluster empty, as the
+        # settle pass against the converged centroids does
+        got = kmeans_fit(x, k, kmeanspp_init(x, k, seed))
+        assert got.iterations_run == 2
+        assert not np.bincount(got.labels, minlength=k).all()
+        assert_same_fit(got, reference_kmeans_fit(x, k, seed=seed))
+
     def test_identical_points_run_the_repair(self):
         # every k-means++ draw picks the same point, so the first assignment
         # puts everything in cluster 0 and the repair fills clusters 1..k-1
@@ -664,6 +682,25 @@ class TestLongWindowKernels:
                 _segment_costs(s1, s2, starts, end), reference_segment_costs(s1, s2, starts, end)
             )
 
+    @pytest.mark.parametrize("d", range(10))
+    @pytest.mark.parametrize("n, m", [(64, 64), (17, 241)], ids=["4096-entries", "4097-entries"])
+    def test_sq_dists_equal_column_loop(self, d, n, m):
+        # one broadcast up to _SQ_DISTS_SLICE entries (and d < 8), slices a
+        # column at a time past it: both add the columns in index order,
+        # which columns of mixed scales show in the last ulp
+        assert n * m - _SQ_DISTS_SLICE in (0, 1)
+        points = mixed_scale_points(n + m, d)
+        x, others = points[:n], points[n:]
+        assert _sq_dists(x, others).tobytes() == column_loop_sq_dists(x, others).tobytes()
+
+    @pytest.mark.parametrize("d", range(10))
+    def test_one_entry_tables_equal_column_loop(self, d):
+        # numpy sums a one-entry table's columns as one vector, pairwise
+        # from 8 columns on, so from d = 8 the broadcast would differ
+        points = mixed_scale_points(128, d)
+        for x, other in zip(points[:64, None], points[64:, None]):
+            assert _sq_dists(x, other).tobytes() == column_loop_sq_dists(x, other).tobytes()
+
     @pytest.mark.parametrize("d", [2, 5, 7])
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_silhouette_equals_per_point_loop(self, d, scale):
@@ -688,6 +725,22 @@ class TestLongWindowKernels:
             assert fast.total_cost == pytest.approx(oracle.total_cost, abs=1e-9)
 
 
+def mixed_scale_points(n, d):
+    """n points of d columns whose scales run from 1e-3 to 1e3."""
+    key = rng.stream_key(d, "sq-dists")
+    u = rng.uniforms(key, np.arange(n * d, dtype=np.uint64)).reshape(n, d)
+    return (u - 0.5) * np.logspace(-3, 3, d)
+
+
+def column_loop_sq_dists(x, others):
+    """Squared distances summed one column at a time, in index order."""
+    out = np.zeros((len(x), len(others)))
+    for j in range(x.shape[1]):
+        column = np.square(x[:, j, None] - others[:, j])
+        out = column if j == 0 else out + column
+    return out
+
+
 def tile_lengths():
     """Series lengths around the tile boundaries of pelt_segment, whose steps
     run from m = _MIN_SEGMENT to n: one step below, at and above one and two
@@ -700,16 +753,20 @@ def tile_lengths():
 
 
 def tile_series(n, seed):
-    """Step, constant and rounded (tied-cost) series of n blocks."""
+    """Step, constant and rounded (tied-cost) series of n blocks, and one
+    that changes level every _MIN_SEGMENT blocks: the longest chain of
+    segments, so the most rounds of pelt_segment's fixpoint."""
     key = rng.stream_key(seed, "tiles")
     u = rng.uniforms(key, np.arange(n * 3, dtype=np.uint64)).reshape(n, 3)
-    levels = np.repeat(np.array([[0.0, 1.0, -1.0], [4.0, -2.0, 0.5], [1.0, 3.0, 2.0]]), 13, axis=0)
-    steps = np.resize(levels, (n, 3)) + 0.4 * (u - 0.5)
+    levels = np.array([[0.0, 1.0, -1.0], [4.0, -2.0, 0.5], [1.0, 3.0, 2.0]])
+    steps = np.resize(np.repeat(levels, 13, axis=0), (n, 3)) + 0.4 * (u - 0.5)
+    shortest = np.resize(np.repeat(8 * levels, _MIN_SEGMENT, axis=0), (n, 3)) + 0.4 * (u - 0.5)
     return {
         "step": steps,
         "constant": np.full((n, 2), 1.5),
         "rounded": np.round(2 * steps) / 2,
         "rounded-1d": np.round(steps[:, 0]),
+        "shortest-segments": shortest,
     }
 
 
