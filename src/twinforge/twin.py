@@ -1,12 +1,12 @@
 """Twin lifecycle state machine and shadowed digital state.
 
-Each TwinInstance serializes its own mutations behind a lock; snapshots are
-plain immutable values safe to hand across threads.
+Each TwinInstance has one writer: the ingest loop that shadows its machine's
+stream. Nothing here takes a lock. Snapshots are plain immutable values that
+may be handed to any reader.
 """
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -83,7 +83,6 @@ class TwinInstance:
         if not asset_id:
             raise InvalidAssetId("asset_id must be non-empty")
         self.asset_id = asset_id
-        self._lock = threading.RLock()
         self._phase = LifecyclePhase.Unbound
         self._properties: dict[str, tuple[Any, int]] = {}
         self._events: list[DigitalEvent] = []
@@ -95,21 +94,19 @@ class TwinInstance:
     def apply_lifecycle_event(self, event: LifecycleEvent) -> LifecyclePhase:
         """Advance the lifecycle; rejects pairs outside the transition table
         leaving the phase unchanged."""
-        with self._lock:
-            if event is LifecycleEvent.Fault:
-                self._phase = LifecyclePhase.Unbound
-                return self._phase
-            target = TRANSITIONS.get((self._phase, event))
-            if target is None:
-                raise InvalidTransition(self._phase, event)
-            self._phase = target
+        if event is LifecycleEvent.Fault:
+            self._phase = LifecyclePhase.Unbound
             return self._phase
+        target = TRANSITIONS.get((self._phase, event))
+        if target is None:
+            raise InvalidTransition(self._phase, event)
+        self._phase = target
+        return self._phase
 
     def append_event(self, name: str, ts: int, payload: Any = None) -> DigitalEvent:
-        with self._lock:
-            ev = DigitalEvent(name=name, ts=ts, phase=self._phase, payload=payload)
-            self._events.append(ev)
-            return ev
+        ev = DigitalEvent(name=name, ts=ts, phase=self._phase, payload=payload)
+        self._events.append(ev)
+        return ev
 
     def shadow_sample(self, sample: TelemetrySample) -> bool:
         """Fold one telemetry sample into the digital state; False when it was
@@ -123,43 +120,42 @@ class TwinInstance:
         Waiting, 2.5 names none), and emit a state_changed event on
         transitions; any sample received while OutOfSync counts as recovery.
         """
-        with self._lock:
-            phase = self._phase
-            if not (phase is _SYNCHRONIZED or phase is _BOUND or phase is _OUT_OF_SYNC):
-                raise TwinNotBound(f"{self.asset_id} is {phase.name}; cannot shadow")
-            if phase is _OUT_OF_SYNC:
-                self.apply_lifecycle_event(LifecycleEvent.SyncRecovered)
+        phase = self._phase
+        if not (phase is _SYNCHRONIZED or phase is _BOUND or phase is _OUT_OF_SYNC):
+            raise TwinNotBound(f"{self.asset_id} is {phase.name}; cannot shadow")
+        if phase is _OUT_OF_SYNC:
+            self.apply_lifecycle_event(LifecycleEvent.SyncRecovered)
 
-            channel = sample.channel
-            ts = sample.ts
-            name = _PROPERTY_NAMES[channel]
-            if channel is _PLC_STATE:
-                value: Any = MACHINE_STATES.get(sample.value)
-                if value is None:
-                    return False
-            else:
-                value = sample.value
-
-            previous = self._properties.get(name)
-            if previous is not None and ts < previous[1]:
+        channel = sample.channel
+        ts = sample.ts
+        name = _PROPERTY_NAMES[channel]
+        if channel is _PLC_STATE:
+            value: Any = MACHINE_STATES.get(sample.value)
+            if value is None:
                 return False
+        else:
+            value = sample.value
 
-            self._properties[name] = (value, ts)
-            if channel is _PLC_STATE and (previous is None or previous[0] != value):
-                self.append_event(
-                    "state_changed",
-                    ts=ts,
-                    payload={"from": previous[0] if previous else None, "to": value},
-                )
-            return True
+        previous = self._properties.get(name)
+        if previous is not None and ts < previous[1]:
+            return False
+
+        self._properties[name] = (value, ts)
+        if channel is _PLC_STATE and (previous is None or previous[0] != value):
+            self.append_event(
+                "state_changed",
+                ts=ts,
+                payload={"from": previous[0] if previous else None, "to": value},
+            )
+        return True
 
     def snapshot_state(self) -> TwinState:
-        """Consistent immutable copy of properties and events."""
-        with self._lock:
-            return TwinState(
-                properties=dict(self._properties),
-                events=tuple(self._events),
-            )
+        """Immutable copy of properties and events, which later samples do
+        not change. Take it on the writer's thread: the twin holds no lock."""
+        return TwinState(
+            properties=dict(self._properties),
+            events=tuple(self._events),
+        )
 
 
 class TwinRuntime:
@@ -167,15 +163,13 @@ class TwinRuntime:
 
     def __init__(self):
         self._twins: dict[str, TwinInstance] = {}
-        self._lock = threading.Lock()
 
     def create_twin(self, asset_id: str) -> TwinInstance:
-        with self._lock:
-            if asset_id in self._twins:
-                raise DuplicateAssetId(asset_id)
-            twin = TwinInstance(asset_id)
-            self._twins[asset_id] = twin
-            return twin
+        if asset_id in self._twins:
+            raise DuplicateAssetId(asset_id)
+        twin = TwinInstance(asset_id)
+        self._twins[asset_id] = twin
+        return twin
 
     def get(self, asset_id: str) -> TwinInstance:
         return self._twins[asset_id]

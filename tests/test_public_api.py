@@ -36,6 +36,12 @@ CLI. The simulator stands in for the physical layer, so the CLI alone may
 import it. __init__ and __main__, the package's doors, are outside the
 scan, as importers and as imported.
 
+The thread scan reads every import of src/twinforge/*.py, at any depth.
+archive is the only module that imports threading, plainly or by a
+from-import: the archive serves concurrent readers while one thread appends,
+and each twin has one writer, its machine's ingest loop, so the twin takes
+no lock.
+
 Blind spot: the caller, field and knob matches are by name alone, so a
 definition, a field or a parameter whose name equals a common attribute
 passes whoever uses that attribute. Archive.dump and Archive.load, for
@@ -328,6 +334,30 @@ def test_every_module_imports_only_lower_layers():
     assert layer_violations() == []
 
 
+def modules_importing(package: str, root: Path = ROOT) -> list[str]:
+    """Each module of root/src/twinforge, in file order, with an import of
+    package or of one of its submodules, at any depth."""
+    found = []
+    for path in sorted((root / "src" / "twinforge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n == package or n.startswith(package + ".") for n in names):
+                found.append(path.stem)
+                break
+    return found
+
+
+def test_only_the_archive_imports_threading():
+    # the archive serves concurrent readers; each twin has one writer
+    assert modules_importing("threading") == ["archive"]
+
+
 def test_every_public_definition_has_a_caller():
     dead = [f"{name} ({where})" for name, where in uncalled().items() if name not in ALLOWED]
     assert not dead, "public definitions that only tests call: " + ", ".join(dead)
@@ -510,3 +540,20 @@ LAYER_SCAN_CASES = {
 @pytest.mark.parametrize("sources, expected", LAYER_SCAN_CASES.values(), ids=LAYER_SCAN_CASES)
 def test_layer_scan_on_a_small_tree(tmp_path, sources, expected):
     assert layer_violations(layered_tree(tmp_path, sources)) == expected
+
+
+# (module source, whether the thread scan must report it)
+THREAD_SCAN_CASES = {
+    "plain": ("import threading\n", True),
+    "renamed": ("import threading as th\n", True),
+    "from-import": ("from threading import RLock\n", True),
+    "inside-a-function": ("def f():\n    import threading\n", True),
+    "among-others": ("import os, threading\n", True),
+    "other-module": ("import multithreading\nfrom .threading import x\n", False),
+}
+
+
+@pytest.mark.parametrize("source, reported", THREAD_SCAN_CASES.values(), ids=THREAD_SCAN_CASES)
+def test_thread_scan_on_a_small_tree(tmp_path, source, reported):
+    root = layered_tree(tmp_path, {"m": source})
+    assert modules_importing("threading", root) == (["m"] if reported else [])

@@ -134,6 +134,17 @@ class TestShadowing:
         assert twin.shadow_sample(sample(ts=1)) is True
         assert twin.phase is LifecyclePhase.Synchronized
 
+    def test_state_change_in_out_of_sync_recovers_before_its_event(self):
+        twin = synced_twin()
+        twin.shadow_sample(sample(Channel.plc_state, ts=1, value=0.0))
+        twin.apply_lifecycle_event(LifecycleEvent.SyncLost)
+        assert twin.shadow_sample(sample(Channel.plc_state, ts=2, value=3.0)) is True
+        assert twin.phase is LifecyclePhase.Synchronized
+        changed = [e for e in twin.snapshot_state().events if e.ts == 2]
+        assert [e.name for e in changed] == ["state_changed"]
+        assert changed[0].phase is LifecyclePhase.Synchronized
+        assert changed[0].payload == {"from": MachineState.Idle, "to": MachineState.Failure}
+
     def test_property_timestamps_non_decreasing(self):
         twin = synced_twin()
         for ts in (3, 1, 4, 4, 2, 9):
